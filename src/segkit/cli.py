@@ -47,7 +47,16 @@ from .errors import (
 )
 from .gradcheck import SUITES, TOL, run_suite
 from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_miou
-from .segnet import Model, ModelConfig, TrainConfig, build_model, predict, train, train_with_denoise
+from .segnet import (
+    Model,
+    ModelConfig,
+    TrainConfig,
+    build_model,
+    fuse_qkv,
+    predict,
+    train,
+    train_with_denoise,
+)
 from .tensor import Tensor
 
 EXIT_OK = 0
@@ -200,6 +209,7 @@ def load_model_checkpoint(path) -> Model:
     cfg.validate()
     csec_params = {k[len("csec."):]: t for k, t in params.items() if k.startswith("csec.")}
     params = {k: t for k, t in params.items() if not k.startswith("csec.")}
+    _fuse_legacy_heads(params, cfg, path)
     csec_cfg = CsecConfig()
     if csec_params:
         csec_cfg = CsecConfig(
@@ -209,6 +219,20 @@ def load_model_checkpoint(path) -> Model:
             residual_eps=float(cfg_vals["csec.residual_eps"]),
         )
     return Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
+
+
+def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):
+    """Pack the per-head ``b{i}.h{hd}.w{q,k,v}`` entries of checkpoints
+    written before the heads were fused into each block's ``b{i}.wqkv``."""
+    for i in range(cfg.n_blocks):
+        names = [[f"b{i}.h{hd}.w{c}" for c in "qkv"] for hd in range(cfg.n_heads)]
+        present = [n in params for row in names for n in row]
+        if not any(present):
+            continue
+        if not all(present):
+            raise ConfigInvalidError(f"{path}: block {i} lacks some per-head q/k/v matrices")
+        heads = [[params.pop(n).data for n in row] for row in names]
+        params[f"b{i}.wqkv"] = Tensor(fuse_qkv(heads), requires_grad=True)
 
 
 def save_csec_checkpoint(path, params: dict, config: CsecConfig = CsecConfig()):

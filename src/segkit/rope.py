@@ -11,12 +11,13 @@ Angles are computed in f64 and cast to the input dtype to avoid trig drift
 for large positions.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
-from .tensor import Tensor, matmul, scale, softmax
+from .tensor import Tensor, matmul, permute, scale, softmax
 
 __all__ = ["FreqTable", "PatchGrid", "freq_table", "rotate", "rotate_2d", "rope_attention"]
 
@@ -55,10 +56,9 @@ def freq_table(head_dim: int, base: float = 10000.0) -> FreqTable:
     return FreqTable(head_dim=head_dim, base=float(base), freqs=freqs)
 
 
-def _rotate_array(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Rotate pairs (x_{2i}, x_{2i+1}) by angles theta[..., i] (broadcastable)."""
-    cos = np.cos(theta)
-    sin = np.sin(theta)
+def _rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate pairs (x_{2i}, x_{2i+1}) by the angles with cosines cos[..., i]
+    and sines sin[..., i] (broadcast against the leading axes of x)."""
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty_like(x)
@@ -67,18 +67,43 @@ def _rotate_array(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rotation(x: Tensor, theta: np.ndarray) -> Tensor:
+    """Differentiable pairwise rotation of x by angles theta (f64, cast to x's dtype)."""
+    th = theta.astype(x.dtype)
+    return _rotation_cs(x, np.cos(th), np.sin(th))
+
+
+def _rotation_cs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    # the inverse rotation (by -theta) is the adjoint
+    return Tensor(_rotate_pairs(x.data, cos, sin), parents=(x,),
+                  backward_fn=lambda g: (_rotate_pairs(g, cos, -sin),))
+
+
+def _axial_angles(positions: np.ndarray, freqs: FreqTable) -> np.ndarray:
+    """Axial 2D angles: row index times the half table, then column index."""
+    if freqs.head_dim % 4 != 0:
+        raise DimNotDivisibleBy4Error(f"head_dim {freqs.head_dim} must be divisible by 4")
+    half = freqs.half_table().freqs
+    pos = np.asarray(positions, dtype=np.float64)
+    return np.concatenate([pos[..., :1] * half, pos[..., 1:] * half], axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _axial_tables(rows: int, cols: int, head_dim: int, base: float, dtype: np.dtype):
+    """Read-only cos and sin tables [rows*cols, head_dim/2] of a patch grid."""
+    grid = PatchGrid(rows, cols)
+    th = _axial_angles(grid.positions(), freq_table(head_dim, base)).astype(dtype)
+    cos, sin = np.cos(th), np.sin(th)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
 def rotate(x: Tensor, p, freqs: FreqTable) -> Tensor:
     """Apply the pairwise planar rotation with angles p * w_i to the last axis."""
     d = freqs.head_dim
     if x.data.shape[-1] != d:
         raise ShapeMismatchError(f"last extent {x.data.shape[-1]} != head_dim {d}")
-    theta = (float(p) * freqs.freqs).astype(np.float64)
-    th = theta.astype(x.dtype) if x.dtype == np.float32 else theta
-
-    def bwd(g):
-        return (_rotate_array(g, -th),)
-
-    return Tensor(_rotate_array(x.data, th), parents=(x,), backward_fn=bwd)
+    return _rotation(x, float(p) * freqs.freqs)
 
 
 def rotate_2d(x: Tensor, pos, freqs: FreqTable) -> Tensor:
@@ -86,50 +111,32 @@ def rotate_2d(x: Tensor, pos, freqs: FreqTable) -> Tensor:
 
     ``freqs`` is the full-dimension table; each half uses its half_table().
     """
-    d = freqs.head_dim
-    if d % 4 != 0:
-        raise DimNotDivisibleBy4Error(f"head_dim {d} must be divisible by 4")
-    if x.data.shape[-1] != d:
-        raise ShapeMismatchError(f"last extent {x.data.shape[-1]} != head_dim {d}")
-    py, px = pos
-    half = freqs.half_table().freqs
-    theta = np.concatenate([float(py) * half, float(px) * half])
-    th = theta.astype(x.dtype) if x.dtype == np.float32 else theta
-
-    def bwd(g):
-        return (_rotate_array(g, -th),)
-
-    return Tensor(_rotate_array(x.data, th), parents=(x,), backward_fn=bwd)
-
-
-def _rotate_rows(x: Tensor, positions: np.ndarray, freqs: FreqTable) -> Tensor:
-    """rotate_2d applied row-wise: x[t] rotated by positions[t] = (py, px)."""
-    d = freqs.head_dim
-    if d % 4 != 0:
-        raise DimNotDivisibleBy4Error(f"head_dim {d} must be divisible by 4")
-    half = freqs.half_table().freqs
-    theta = np.concatenate([positions[:, :1] * half, positions[:, 1:] * half], axis=1)
-    th = theta.astype(x.dtype) if x.dtype == np.float32 else theta
-
-    def bwd(g):
-        return (_rotate_array(g, -th),)
-
-    return Tensor(_rotate_array(x.data, th), parents=(x,), backward_fn=bwd)
+    theta = _axial_angles(pos, freqs)
+    if x.data.shape[-1] != freqs.head_dim:
+        raise ShapeMismatchError(f"last extent {x.data.shape[-1]} != head_dim {freqs.head_dim}")
+    return _rotation(x, theta)
 
 
 def rope_attention(q: Tensor, k: Tensor, v: Tensor, grid: PatchGrid, freqs: FreqTable) -> Tensor:
     """Scaled dot-product attention with rotary positions on queries and keys.
 
-    q, k: [T, d]; v: [T, dv]; T must equal grid.rows * grid.cols.
+    q, k: [..., T, d]; v: [..., T, dv] with the same leading axes (batch and
+    heads); T must equal grid.rows * grid.cols and d must equal
+    freqs.head_dim.  The axial cos/sin tables are built once per
+    (grid, head_dim, dtype) and reused.
     """
-    t, d = q.data.shape
-    if k.data.shape != (t, d) or v.data.shape[0] != t:
-        raise ShapeMismatchError(f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    shape = q.data.shape
+    if len(shape) < 2 or k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
+        raise ShapeMismatchError(f"q {shape}, k {k.data.shape}, v {v.data.shape}")
+    t, d = shape[-2:]
     if t != grid.n_patches:
         raise ShapeMismatchError(f"{t} tokens vs {grid.rows}x{grid.cols} grid")
-    positions = grid.positions().astype(np.float64)
-    qr = _rotate_rows(q, positions, freqs)
-    kr = _rotate_rows(k, positions, freqs)
-    scores = scale(matmul(qr, kr.T), 1.0 / np.sqrt(d))
-    attn = softmax(scores, axis=1)
-    return matmul(attn, v)
+    if d != freqs.head_dim:
+        raise ShapeMismatchError(f"last extent {d} != head_dim {freqs.head_dim}")
+    cos, sin = _axial_tables(grid.rows, grid.cols, d, freqs.base, q.dtype)
+    qr = _rotation_cs(q, cos, sin)
+    kr = _rotation_cs(k, cos, sin)
+    nd = len(shape)
+    # scaling q rather than the [T, T] scores is the same up to rounding
+    scores = matmul(scale(qr, 1.0 / np.sqrt(d)), permute(kr, (*range(nd - 2), nd - 1, nd - 2)))
+    return matmul(softmax(scores, axis=-1), v)

@@ -33,16 +33,15 @@ from .rope import PatchGrid, freq_table, rope_attention
 from .tensor import (
     Tensor,
     add,
-    concat,
     cross_entropy,
     layer_norm,
     linear,
     matmul,
+    permute,
     relu,
     reshape,
     scale,
     softmax,
-    transpose2d,
     upsample_nearest,
 )
 
@@ -53,6 +52,7 @@ __all__ = [
     "FilterReport",
     "Model",
     "build_model",
+    "fuse_qkv",
     "train",
     "predict",
     "train_with_denoise",
@@ -124,44 +124,48 @@ class Model:
         self.head_dim = config.embed_dim // config.n_heads
         self.freqs = freq_table(self.head_dim)
 
-    def forward(self, image) -> Tensor:
-        """image [1,3,H,W] -> pixel logits [1,K,H,W]."""
+    def forward(self, images) -> Tensor:
+        """images [N,3,H,W] -> pixel logits [N,K,H,W]."""
         cfg = self.config
         h, w = cfg.image_size
-        arr = np.asarray(image.data if isinstance(image, Tensor) else image, dtype=self.dtype)
-        if arr.shape != (1, 3, h, w):
-            raise ShapeMismatchError(f"expected [1,3,{h},{w}], got {arr.shape}")
+        arr = np.asarray(images.data if isinstance(images, Tensor) else images, dtype=self.dtype)
+        if arr.ndim != 4 or arr.shape[1:] != (3, h, w):
+            raise ShapeMismatchError(f"expected [N,3,{h},{w}], got {arr.shape}")
+        n = arr.shape[0]
         if cfg.use_csec and self.csec_params is not None:
             # frozen preprocessing: corrected pixels, no gradient into CSEC
-            arr = csec_correct(Tensor(arr), self.csec_params, self.csec_config).data
+            arr = np.concatenate([csec_correct(Tensor(arr[j:j + 1]), self.csec_params,
+                                               self.csec_config).data for j in range(n)])
         p = cfg.patch_size
         hp, wp = h // p, w // p
-        patches = (arr[0].reshape(3, hp, p, wp, p)
-                   .transpose(1, 3, 0, 2, 4)
-                   .reshape(hp * wp, 3 * p * p))
-        x = linear(Tensor(patches), self.params["embed.w"], self.params["embed.b"])
+        patches = (arr.reshape(n, 3, hp, p, wp, p)
+                   .transpose(0, 2, 4, 1, 3, 5)
+                   .reshape(n, hp * wp, 3 * p * p))
+        x = linear(Tensor(patches), self.params["embed.w"], self.params["embed.b"])  # [N,T,d]
         for i in range(cfg.n_blocks):
             x = add(x, self._attention(i, x))
             x = add(x, self._mlp(i, x))
-        logits = linear(x, self.params["head.w"], self.params["head.b"])  # [T,K]
-        grid_logits = reshape(transpose2d(logits), (1, cfg.n_classes, hp, wp))
+        logits = linear(x, self.params["head.w"], self.params["head.b"])  # [N,T,K]
+        grid_logits = reshape(permute(logits, (0, 2, 1)), (n, cfg.n_classes, hp, wp))
         return upsample_nearest(grid_logits, p)
 
     def _attention(self, i, x):
+        """Multi-head attention with all heads in one product: wqkv's columns
+        are the q heads, then the k heads, then the v heads."""
         pr = self.params
         cfg = self.config
+        n, t, d = x.data.shape
+        nh, dh = cfg.n_heads, self.head_dim
         h = layer_norm(x, pr[f"b{i}.ln1.g"], pr[f"b{i}.ln1.b"])
-        outs = []
-        for hd in range(cfg.n_heads):
-            q = matmul(h, pr[f"b{i}.h{hd}.wq"])
-            k = matmul(h, pr[f"b{i}.h{hd}.wk"])
-            v = matmul(h, pr[f"b{i}.h{hd}.wv"])
-            if cfg.use_rope:
-                outs.append(rope_attention(q, k, v, self.grid, self.freqs))
-            else:
-                scores = scale(matmul(q, k.T), 1.0 / np.sqrt(self.head_dim))
-                outs.append(matmul(softmax(scores, axis=1), v))
-        return matmul(concat(outs, axis=-1), pr[f"b{i}.attn.wo"])
+        qkv = permute(reshape(matmul(h, pr[f"b{i}.wqkv"]), (n, t, 3, nh, dh)), (2, 0, 3, 1, 4))
+        q, k, v = qkv[0], qkv[1], qkv[2]  # [N,h,T,dh]
+        if cfg.use_rope:
+            out = rope_attention(q, k, v, self.grid, self.freqs)
+        else:
+            scores = matmul(scale(q, 1.0 / np.sqrt(dh)), permute(k, (0, 1, 3, 2)))
+            out = matmul(softmax(scores, axis=-1), v)
+        heads = reshape(permute(out, (0, 2, 1, 3)), (n, t, d))
+        return matmul(heads, pr[f"b{i}.attn.wo"])
 
     def _mlp(self, i, x):
         pr = self.params
@@ -173,13 +177,18 @@ class Model:
 def param_count(config: ModelConfig) -> int:
     """Closed-form parameter count for a given configuration."""
     d, p, k = config.embed_dim, config.patch_size, config.n_classes
-    dh = d // config.n_heads
     per_block = (2 * d  # ln1
-                 + config.n_heads * 3 * d * dh  # q,k,v
+                 + d * 3 * d  # wqkv
                  + d * d  # output projection
                  + 2 * d  # ln2
                  + d * 2 * d + 2 * d + 2 * d * d + d)  # mlp
     return (3 * p * p * d + d) + config.n_blocks * per_block + (d * k + k)
+
+
+def fuse_qkv(heads) -> np.ndarray:
+    """Pack per-head (wq, wk, wv) matrices, each [d, dh], into one [d, 3d]
+    matrix whose columns are the q heads, then the k heads, then the v heads."""
+    return np.concatenate([hd[j] for j in range(3) for hd in heads], axis=1)
 
 
 def build_model(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32,
@@ -192,9 +201,12 @@ def build_model(config: ModelConfig, seed: Optional[int] = None, dtype=np.float3
     d, p, k = config.embed_dim, config.patch_size, config.n_classes
     dh = d // config.n_heads
 
-    def uni(shape, fan_in):
+    def draw(shape, fan_in):
         limit = float(np.sqrt(3.0 / fan_in))
-        return Tensor(rng.uniform_array(shape, -limit, limit).astype(dtype), requires_grad=True)
+        return rng.uniform_array(shape, -limit, limit).astype(dtype)
+
+    def uni(shape, fan_in):
+        return Tensor(draw(shape, fan_in), requires_grad=True)
 
     def zeros(shape):
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
@@ -206,10 +218,10 @@ def build_model(config: ModelConfig, seed: Optional[int] = None, dtype=np.float3
     for i in range(config.n_blocks):
         params[f"b{i}.ln1.g"] = ones((d,))
         params[f"b{i}.ln1.b"] = zeros((d,))
-        for hd in range(config.n_heads):
-            params[f"b{i}.h{hd}.wq"] = uni((d, dh), d)
-            params[f"b{i}.h{hd}.wk"] = uni((d, dh), d)
-            params[f"b{i}.h{hd}.wv"] = uni((d, dh), d)
+        # drawn head by head (q, k, v each), so a seed gives the same weights
+        # as the per-head layout of older checkpoints
+        heads = [[draw((d, dh), d) for _ in range(3)] for _ in range(config.n_heads)]
+        params[f"b{i}.wqkv"] = Tensor(fuse_qkv(heads), requires_grad=True)
         params[f"b{i}.attn.wo"] = uni((d, d), d)
         params[f"b{i}.ln2.g"] = ones((d,))
         params[f"b{i}.ln2.b"] = zeros((d,))
@@ -223,9 +235,12 @@ def build_model(config: ModelConfig, seed: Optional[int] = None, dtype=np.float3
 
 
 def predict(model: Model, image) -> np.ndarray:
-    """Per-pixel argmax mask [H,W]; ties break toward the lower class index."""
-    logits = model.forward(image)
-    return np.argmax(logits.data[0], axis=0)
+    """Per-pixel argmax mask [H,W] of one image [1,3,H,W]; ties break toward
+    the lower class index."""
+    logits = model.forward(image).data
+    if logits.shape[0] != 1:
+        raise ShapeMismatchError(f"predict takes one image, got a batch of {logits.shape[0]}")
+    return np.argmax(logits[0], axis=0)
 
 
 def evaluate_miou(model: Model, pairs, ignore_index=-1, excluded_classes=()) -> float:
@@ -237,13 +252,21 @@ def evaluate_miou(model: Model, pairs, ignore_index=-1, excluded_classes=()) -> 
 
 def train(model: Model, dataset, config: TrainConfig, val_pairs=None,
           weight_maps=None) -> TrainReport:
-    """Optimize cross-entropy over (image, mask) pairs.
+    """Optimize cross-entropy over (image [1,3,H,W], mask [H,W]) pairs.
 
-    weight_maps, when given, is a per-sample list of [H,W] loss-weight maps
-    (the pixel-downweighting denoise mode).
+    Each optimizer step runs one forward over a batch of up to batch_size
+    samples.  Its loss is the mean over the batch of each sample's own mean
+    over its valid (or weighted) pixels.  weight_maps, when given, is a
+    per-sample list of [H,W] loss-weight maps (the pixel-downweighting
+    denoise mode).
     """
     if not dataset:
         raise EmptyDatasetError("training set is empty")
+    h, w = model.config.image_size
+    for image, mask in dataset:
+        if np.shape(image) != (1, 3, h, w) or np.shape(mask) != (h, w):
+            raise ShapeMismatchError(f"training pair {np.shape(image)}, {np.shape(mask)} "
+                                     f"vs image size {h}x{w}")
     opt = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                beta2=config.beta2, eps=config.eps)
     order_rng = SplitMix64(config.seed)
@@ -255,23 +278,29 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None,
         for start in range(0, len(idx), config.batch_size):
             batch = idx[start:start + config.batch_size]
             opt.zero_grad()
-            for j in batch:
-                image, mask = dataset[j]
-                logits = model.forward(image)
-                wmap = None if weight_maps is None else weight_maps[j][None]
-                loss = cross_entropy(logits, mask[None], ignore_index=config.ignore_index,
-                                     pixel_weights=wmap)
-                lv = float(loss.data)
-                if not np.isfinite(lv):
-                    raise TrainingDivergedError("non-finite training loss")
-                scale(loss, 1.0 / len(batch)).backward()
-                total += lv
+            total += _train_step(model, [dataset[j] for j in batch], config.ignore_index,
+                                 None if weight_maps is None else [weight_maps[j] for j in batch])
             opt.step()
         report.losses.append(total / len(idx))
         if val_pairs:
             report.val_mious.append(evaluate_miou(model, val_pairs,
                                                   ignore_index=config.ignore_index))
     return report
+
+
+def _train_step(model: Model, pairs, ignore_index, weight_maps) -> float:
+    """Forward and backward one batch; returns the sum of its per-sample
+    losses.  The graph is freed on return, before the next forward."""
+    images = np.concatenate([image for image, _ in pairs])
+    masks = np.stack([mask for _, mask in pairs])
+    wmaps = None if weight_maps is None else np.stack(weight_maps)
+    loss = cross_entropy(model.forward(images), masks, ignore_index=ignore_index,
+                         pixel_weights=wmaps)
+    lv = float(loss.data)
+    if not np.isfinite(lv):
+        raise TrainingDivergedError("non-finite training loss")
+    loss.backward()
+    return lv * len(pairs)
 
 
 def score_samples(model: Model, samples, ignore_index=-1):

@@ -20,8 +20,8 @@ from .errors import (
 __all__ = [
     "Tensor",
     "tensor_new",
-    "elementwise",
     "matmul",
+    "permute",
     "conv2d",
     "softmax",
     "cross_entropy",
@@ -83,19 +83,27 @@ class Tensor:
     # -- autograd -----------------------------------------------------------
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the ``grad`` of every leaf that
+        requires it.  Only leaves (tensors no op produced) keep a gradient;
+        intermediate gradients live in a local table and are dropped as soon
+        as they have been passed on."""
         if self.data.size != 1:
             raise NonScalarLossError(f"backward needs a scalar loss, got shape {self.data.shape}")
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
+        # iterative post-order DFS: no recursion limit, and no closure that
+        # keeps the graph alive; constant subgraphs get no gradient, so they
+        # are not walked
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         # flow gradients through a local table so repeated backward calls
         # (with leaf zeroing in between) stay deterministic
         flow = {id(self): np.ones_like(self.data)}
@@ -103,11 +111,11 @@ class Tensor:
             g = flow.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
             if node._backward_fn is None:
+                if node.requires_grad:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward_fn(g)):
                 if pg is None or not parent.requires_grad:
@@ -231,19 +239,6 @@ def scalar_mul(x, s):
     return Tensor(x.data * sv, parents=(x, s), backward_fn=bwd)
 
 
-def elementwise(op, a, b=None):
-    """Dispatch by name: add, mul, relu, scale."""
-    if op == "add":
-        return add(a, b)
-    if op == "mul":
-        return mul(a, b)
-    if op == "relu":
-        return relu(a)
-    if op == "scale":
-        return scale(a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
 # -- shape ops --------------------------------------------------------------
 
 
@@ -259,6 +254,17 @@ def transpose2d(a):
         raise ShapeMismatchError(f"transpose2d needs rank 2, got {a.data.ndim}")
     return Tensor(np.ascontiguousarray(a.data.T), parents=(a,),
                   backward_fn=lambda g: (np.ascontiguousarray(g.T),))
+
+
+def permute(a, axes):
+    """Reorder the axes of a, as numpy.transpose(a, axes)."""
+    nd = a.data.ndim
+    axes = tuple(int(ax) for ax in axes)
+    if sorted(ax % nd for ax in axes if -nd <= ax < nd) != list(range(nd)):
+        raise AxisOutOfRangeError(f"axes {axes} are not a permutation of rank {nd}")
+    inverse = tuple(np.argsort([ax % nd for ax in axes]))
+    return Tensor(np.transpose(a.data, axes), parents=(a,),
+                  backward_fn=lambda g: (np.transpose(g, inverse),))
 
 
 def concat(tensors, axis=-1):
@@ -288,13 +294,30 @@ def tmean(a):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(f"matmul {a.data.shape} x {b.data.shape}")
+    """Matrix product over the last two axes.
+
+    a [..., m, k] with b [k, n] (one matrix for every leading index of a), or
+    a [..., m, k] with b [..., k, n] when the leading extents are equal.
+    """
+    ad, bd = a.data, b.data
+    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
+            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
+        raise ShapeMismatchError(f"matmul {ad.shape} x {bd.shape}")
+
+    if bd.ndim > 2:
+        def bwd(g):
+            return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+
+        return Tensor(ad @ bd, parents=(a, b), backward_fn=bwd)
+
+    k, n = bd.shape
+    a2 = ad.reshape(-1, k)  # fold the leading axes into one product
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        g2 = g.reshape(-1, n)
+        return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
 
-    return Tensor(a.data @ b.data, parents=(a, b), backward_fn=bwd)
+    return Tensor((a2 @ bd).reshape(ad.shape[:-1] + (n,)), parents=(a, b), backward_fn=bwd)
 
 
 def add_bias(a, bias):
@@ -377,13 +400,16 @@ def softmax(x, axis):
     nd = x.data.ndim
     if not -nd <= axis < nd:
         raise AxisOutOfRangeError(f"axis {axis} for rank {nd}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        gx = g * y
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return (gx,)
 
     return Tensor(y, parents=(x,), backward_fn=bwd)
 
@@ -412,11 +438,13 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 
 def cross_entropy(logits, target, ignore_index=-1, pixel_weights=None):
-    """Mean negative log-likelihood over non-ignored pixels.
+    """Mean over samples of each sample's mean negative log-likelihood.
 
-    logits: [N,K,H,W]; target: integer array [N,H,W].  Optional pixel_weights
-    [N,H,W] multiply each pixel's loss (the weighted mean normalizes by the
-    weight total).  All pixels ignored -> loss 0 with zero gradient.
+    logits: [N,K,H,W]; target: integer array [N,H,W].  A sample's loss is the
+    mean over its non-ignored pixels; optional pixel_weights [N,H,W] multiply
+    each pixel's loss, and the weighted mean normalizes by the sample's weight
+    total.  A sample with no valid weight adds 0 to the sum but still counts
+    in N, so the batch loss equals the mean of N single-sample losses.
     """
     if logits.data.ndim != 4:
         raise ShapeMismatchError("cross_entropy expects [N,K,H,W] logits")
@@ -432,24 +460,24 @@ def cross_entropy(logits, target, ignore_index=-1, pixel_weights=None):
         weights = valid.astype(logits.dtype)
     else:
         weights = np.asarray(pixel_weights, dtype=logits.dtype) * valid
-    denom = float(weights.sum())
-    if denom == 0.0:
-        return Tensor(np.zeros((), dtype=logits.dtype), parents=(logits,),
-                      backward_fn=lambda g: (np.zeros_like(logits.data),))
+    denom = weights.reshape(n, -1).sum(axis=1)
+    live = denom != 0
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    tsafe = np.where(valid, target, 0)
-    ni, hi, wi = np.meshgrid(np.arange(n), np.arange(h), np.arange(w), indexing="ij")
-    nll = -logp[ni, tsafe, hi, wi]
-    loss = (nll * weights).sum() / denom
+    tsafe = np.where(valid, target, 0)[:, None]
+    nll = -np.take_along_axis(logp, tsafe, axis=1)[:, 0]
+    sums = (nll * weights).reshape(n, -1).sum(axis=1)
+    loss = np.divide(sums, n * denom, out=np.zeros_like(sums), where=live).sum()
 
     def bwd(g):
-        p = np.exp(logp)
-        onehot = np.zeros_like(p)
-        onehot[ni, tsafe, hi, wi] = 1.0
-        gl = (p - onehot) * weights[:, None, :, :] * (float(g) / denom)
-        return (gl.astype(logits.dtype),)
+        s = np.divide(float(g), n * denom.astype(np.float64),
+                      out=np.zeros(n), where=live).astype(logits.dtype)
+        gl = np.exp(logp)
+        np.put_along_axis(gl, tsafe, np.take_along_axis(gl, tsafe, axis=1) - 1.0, axis=1)
+        gl *= weights[:, None]
+        gl *= s[:, None, None, None]
+        return (gl,)
 
     return Tensor(np.array(loss, dtype=logits.dtype), parents=(logits,), backward_fn=bwd)
 

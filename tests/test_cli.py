@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import segkit.cli as cli
+from segkit.checkpoint import load_checkpoint, save_checkpoint
 from segkit.cli import main, max_threads, read_config, save_csec_checkpoint
 from segkit.csec import CsecConfig, init_csec
 from segkit.dataio import load_manifest, read_pnm, write_pnm
 from segkit.errors import ConfigInvalidError
-from segkit.segnet import predict
+from segkit.rng import SplitMix64
+from segkit.segnet import ModelConfig, build_model, predict
 from segkit.tensor import Tensor
 
 
@@ -269,3 +271,45 @@ class TestConfigPlumbing:
             max_threads()
         monkeypatch.delenv("SEGKIT_THREADS")
         assert max_threads() == 1
+
+
+class TestModelCheckpoint:
+    CFG = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
+                      image_size=(16, 16), seed=7)
+
+    def _per_head_blob(self, tmp_path, model):
+        """The model saved the way checkpoints were written before the heads
+        were fused: one [d, dh] matrix per head and per q/k/v."""
+        path = tmp_path / "fused.smk"
+        cli.save_model_checkpoint(path, model)
+        blob = load_checkpoint(path)
+        cfg = model.config
+        dh = cfg.embed_dim // cfg.n_heads
+        for i in range(cfg.n_blocks):
+            wqkv = blob.pop(f"b{i}.wqkv").data
+            for j, c in enumerate("qkv"):
+                for hd in range(cfg.n_heads):
+                    start = j * cfg.embed_dim + hd * dh
+                    blob[f"b{i}.h{hd}.w{c}"] = Tensor(wqkv[:, start:start + dh].copy())
+        legacy = tmp_path / "per_head.smk"
+        save_checkpoint(legacy, blob)
+        return legacy, blob
+
+    def test_per_head_checkpoint_loads_fused(self, tmp_path):
+        model = build_model(self.CFG)
+        legacy, blob = self._per_head_blob(tmp_path, model)
+        assert "b0.h1.wk" in blob and "b0.wqkv" not in blob
+        back = cli.load_model_checkpoint(legacy)
+        assert set(back.params) == set(model.params)
+        for k, p in model.params.items():
+            assert np.array_equal(back.params[k].data, p.data), k
+        img = SplitMix64(3).uniform_array((1, 3, 16, 16), 0, 1)
+        assert np.array_equal(predict(back, img), predict(model, img))
+        assert np.allclose(back.forward(img).data, model.forward(img).data, rtol=0, atol=1e-6)
+
+    def test_incomplete_per_head_checkpoint_is_config_error(self, tmp_path):
+        legacy, blob = self._per_head_blob(tmp_path, build_model(self.CFG))
+        del blob["b1.h0.wv"]
+        save_checkpoint(legacy, blob)
+        with pytest.raises(ConfigInvalidError):
+            cli.load_model_checkpoint(legacy)

@@ -149,6 +149,19 @@ def test_rope_attention_convex_combination_property():
     assert np.max(np.abs(out - v.data)) < 1e-6
 
 
+def test_rope_attention_batched_matches_per_slice():
+    # [N, h, T, d] inputs attend slice by slice, as N*h separate [T, d] calls
+    ft = freq_table(8)
+    grid = PatchGrid(2, 3)
+    rng = SplitMix64(8)
+    q, k, v = (rng.uniform_array((2, 3, 6, 8), -1, 1) for _ in range(3))
+    out = rope_attention(Tensor(q), Tensor(k), Tensor(v), grid, ft).data
+    for n in range(2):
+        for h in range(3):
+            ref = rope_attention(Tensor(q[n, h]), Tensor(k[n, h]), Tensor(v[n, h]), grid, ft).data
+            assert np.max(np.abs(out[n, h] - ref)) < 1e-12
+
+
 def test_rope_attention_token_count_mismatch():
     ft = freq_table(8)
     with pytest.raises(ShapeMismatchError):

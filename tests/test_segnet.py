@@ -9,20 +9,34 @@ from segkit.errors import (
     BadMagicError,
     ConfigInvalidError,
     EmptyDatasetError,
+    ShapeMismatchError,
     TrainingDivergedError,
     TruncatedError,
 )
 from segkit.dataio import SynthSpec, generate_sample
 from segkit.rng import SplitMix64
+from segkit.rope import rope_attention
 from segkit.segnet import (
     ModelConfig,
     TrainConfig,
+    _train_step,
     build_model,
     evaluate_miou,
     param_count,
     predict,
     train,
     train_with_denoise,
+)
+from segkit.tensor import (
+    Tensor,
+    add,
+    concat,
+    cross_entropy,
+    layer_norm,
+    linear,
+    matmul,
+    scale,
+    softmax,
 )
 
 SMALL = dict(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2,
@@ -56,6 +70,93 @@ class TestConfig:
             assert param_count(cfg) == actual
 
 
+def _per_head_forward(model, img):
+    """One image through the model with every head computed on its own, as
+    the model did before the heads were fused (the reference layout)."""
+    cfg, pr = model.config, model.params
+    d, p = cfg.embed_dim, cfg.patch_size
+    dh = d // cfg.n_heads
+    hp, wp = cfg.image_size[0] // p, cfg.image_size[1] // p
+    patches = img[0].reshape(3, hp, p, wp, p).transpose(1, 3, 0, 2, 4).reshape(hp * wp, -1)
+    x = linear(Tensor(patches), pr["embed.w"], pr["embed.b"])
+    for i in range(cfg.n_blocks):
+        h = layer_norm(x, pr[f"b{i}.ln1.g"], pr[f"b{i}.ln1.b"])
+        wqkv = pr[f"b{i}.wqkv"].data
+        outs = []
+        for hd in range(cfg.n_heads):
+            q, k, v = (matmul(h, Tensor(wqkv[:, j * d + hd * dh:j * d + (hd + 1) * dh]))
+                       for j in range(3))
+            if cfg.use_rope:
+                outs.append(rope_attention(q, k, v, model.grid, model.freqs))
+            else:
+                outs.append(matmul(softmax(scale(matmul(q, k.T), dh ** -0.5), axis=1), v))
+        x = add(x, matmul(concat(outs, axis=-1), pr[f"b{i}.attn.wo"]))
+        x = add(x, model._mlp(i, x))
+    logits = linear(x, pr["head.w"], pr["head.b"]).data
+    return logits.T.reshape(1, -1, hp, wp).repeat(p, axis=2).repeat(p, axis=3)
+
+
+class TestFusedHeads:
+    def test_wqkv_packs_the_per_head_draws(self):
+        # the stream is drawn head by head (q, k, v each), so the initial
+        # weights equal those of the per-head layout bit for bit
+        cfg = ModelConfig(**dict(SMALL, n_blocks=2), seed=5)
+        model = build_model(cfg)
+        rng = SplitMix64(5)
+        d, p = cfg.embed_dim, cfg.patch_size
+        dh = d // cfg.n_heads
+
+        def draw(shape, fan_in):
+            limit = float(np.sqrt(3.0 / fan_in))
+            return rng.uniform_array(shape, -limit, limit).astype(np.float32)
+
+        assert np.array_equal(model.params["embed.w"].data, draw((3 * p * p, d), 3 * p * p))
+        for i in range(cfg.n_blocks):
+            wqkv = model.params[f"b{i}.wqkv"].data
+            assert wqkv.shape == (d, 3 * d)
+            for hd in range(cfg.n_heads):
+                for j in range(3):
+                    cols = slice(j * d + hd * dh, j * d + (hd + 1) * dh)
+                    assert np.array_equal(wqkv[:, cols], draw((d, dh), d))
+            assert np.array_equal(model.params[f"b{i}.attn.wo"].data, draw((d, d), d))
+            assert np.array_equal(model.params[f"b{i}.mlp.w1"].data, draw((d, 2 * d), d))
+            assert np.array_equal(model.params[f"b{i}.mlp.w2"].data, draw((2 * d, d), 2 * d))
+        assert np.array_equal(model.params["head.w"].data, draw((d, cfg.n_classes), d))
+
+    def test_fused_forward_matches_per_head_reference(self):
+        imgs = SplitMix64(4).uniform_array((3, 3, 16, 16), 0, 1)
+        for rope in (True, False):
+            model = build_model(ModelConfig(**dict(SMALL, n_blocks=2), use_rope=rope, seed=2),
+                                dtype=np.float64)
+            fused = model.forward(imgs).data
+            for j in range(3):
+                ref = _per_head_forward(model, imgs[j:j + 1])
+                assert np.max(np.abs(fused[j:j + 1] - ref)) < 1e-10
+
+    def test_batched_loss_is_mean_of_per_sample_losses(self):
+        model = build_model(ModelConfig(**SMALL, seed=6), dtype=np.float64)
+        pairs = _dataset(12, 3)
+        masks = [np.full((16, 16), -1), pairs[1][1].copy(), pairs[2][1]]
+        masks[1][:5] = -1
+        pairs = [(img, m) for (img, _), m in zip(pairs, masks)]
+        wmaps = [np.ones((16, 16)), np.ones((16, 16)),
+                 SplitMix64(13).uniform_array((16, 16), 0.0, 2.0)]
+
+        total = _train_step(model, pairs, -1, wmaps)
+        batched = {k: p.grad.copy() for k, p in model.params.items()}
+        for p in model.params.values():
+            p.zero_grad()
+        losses = []
+        for (img, mask), wmap in zip(pairs, wmaps):
+            loss = cross_entropy(model.forward(img), mask[None], pixel_weights=wmap[None])
+            scale(loss, 1.0 / len(pairs)).backward()
+            losses.append(float(loss.data))
+        assert losses[0] == 0.0
+        assert np.allclose(total / len(pairs), np.mean(losses), rtol=0, atol=1e-6)
+        for k, p in model.params.items():
+            assert np.allclose(batched[k], p.grad, rtol=0, atol=1e-6), k
+
+
 class TestForward:
     def test_shape_contract(self):
         model = build_model(ModelConfig(**SMALL))
@@ -65,6 +166,15 @@ class TestForward:
         mask = predict(model, img)
         assert mask.shape == (16, 16)
         assert mask.min() >= 0 and mask.max() < 3
+
+    def test_batch_contract(self):
+        model = build_model(ModelConfig(**SMALL))
+        imgs = SplitMix64(1).uniform_array((3, 3, 16, 16), 0, 1).astype(np.float32)
+        assert model.forward(imgs).data.shape == (3, 3, 16, 16)
+        with pytest.raises(ShapeMismatchError):
+            model.forward(imgs[0])
+        with pytest.raises(ShapeMismatchError):
+            predict(model, imgs)
 
     def test_argmax_tie_breaks_low(self):
         # predict uses argmax, which resolves ties toward the lower index
