@@ -6,7 +6,7 @@ matrix mIoU with per-robot weighting, a toy trainable segmentation model,
 and bit-exact PNM/TSV dataset I/O.
 """
 
-from .tensor import Tensor, tensor_new, finite_diff_grad, grad_check
+from .tensor import Tensor, tensor_new
 from .rope import FreqTable, PatchGrid, freq_table, rotate, rotate_2d, rope_attention
 from .csec import (
     CsecConfig,

@@ -53,7 +53,11 @@ def load_checkpoint(path) -> dict:
     params = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
+        raw = take(nlen)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise BadMagicError(f"tensor name {raw!r} is not utf-8")
         (rank,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
         n = int(np.prod(shape)) if shape else 1

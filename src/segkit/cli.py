@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields as dc_fields, is_dataclass
+from dataclasses import asdict, fields as dc_fields
 
 import numpy as np
 
@@ -66,18 +66,9 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_MISSING_ROBOT = 5
 
-__all__ = ["main", "read_config", "max_threads",
+__all__ = ["main", "read_config",
            "save_model_checkpoint", "load_model_checkpoint",
            "save_csec_checkpoint", "load_csec_checkpoint"]
-
-
-def max_threads() -> int:
-    """Worker cap from the SEGKIT_THREADS env var (default 1)."""
-    raw = os.environ.get("SEGKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigInvalidError(f"SEGKIT_THREADS must be an integer, got {raw!r}")
 
 
 # -- config files ------------------------------------------------------------
@@ -129,25 +120,12 @@ def apply_config(obj, cfg: dict, used: set):
     return obj
 
 
-def _snapshot(obj) -> dict:
-    out = {}
-    for f in dc_fields(obj):
-        v = getattr(obj, f.name)
-        if is_dataclass(v):
-            v = _snapshot(v)
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out
-
-
 def write_run_record(out_dir, command, arg_view: dict, resolved: dict):
     record = {
         "command": command,
         "args": arg_view,
         "config": resolved,
         "version": __version__,
-        "threads": max_threads(),
     }
     with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -156,68 +134,55 @@ def write_run_record(out_dir, command, arg_view: dict, resolved: dict):
 
 # -- checkpoints with embedded configuration ---------------------------------
 
-_MODEL_CFG_FIELDS = ("patch_size", "embed_dim", "n_blocks", "n_heads",
-                     "n_classes", "use_csec", "use_rope", "image_size", "seed")
-_CSEC_CFG_FIELDS = ("feat_channels", "hidden", "kernel", "residual_eps")
+def _pack_config(cfg, prefix) -> dict:
+    """Every field of a config dataclass as an f32 ``prefix + name`` entry."""
+    return {prefix + f.name: np.array(getattr(cfg, f.name), dtype=np.float32)
+            for f in dc_fields(cfg)}
 
 
-def _pack_config(cfg, names, kind):
-    packed = {"config.kind": np.array({"model": 0.0, "csec": 1.0}[kind])}
-    for name in names:
-        v = getattr(cfg, name)
-        packed["config." + name] = np.array(v, dtype=np.float32)
-    return packed
-
-
-def _split_config(loaded: dict):
-    cfg_vals, params = {}, {}
-    for key, t in loaded.items():
-        if key.startswith("config."):
-            cfg_vals[key[len("config."):]] = t.data
-        else:
-            params[key] = t
-    return cfg_vals, params
+def _unpack_config(cls, blob: dict, prefix, path):
+    """Rebuild ``cls`` from the entries ``_pack_config`` wrote, each value
+    typed like its field's default (a tuple default holds ints)."""
+    values = {}
+    for f in dc_fields(cls):
+        key = prefix + f.name
+        if key not in blob:
+            raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
+        data = blob[key].data
+        try:
+            if isinstance(f.default, tuple):
+                values[f.name] = tuple(int(v) for v in np.atleast_1d(data))
+            elif isinstance(f.default, bool):
+                values[f.name] = bool(int(data))
+            else:
+                values[f.name] = type(f.default)(data)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigInvalidError(f"{path}: bad {key!r}: {exc}")
+    return cls(**values)
 
 
 def save_model_checkpoint(path, model: Model):
     blob = dict(model.params)
-    blob.update(_pack_config(model.config, _MODEL_CFG_FIELDS, "model"))
+    blob["config.kind"] = np.array(0.0)
+    blob.update(_pack_config(model.config, "config."))
     if model.csec_params is not None:
         for k, t in model.csec_params.items():
             blob["csec." + k] = t
-        blob.update({"config.csec." + n: np.array(getattr(model.csec_config, n),
-                                                  dtype=np.float32)
-                     for n in _CSEC_CFG_FIELDS})
+        blob.update(_pack_config(model.csec_config, "config.csec."))
     save_checkpoint(path, blob)
 
 
 def load_model_checkpoint(path) -> Model:
-    cfg_vals, params = _split_config(load_checkpoint(path))
-    if int(cfg_vals.get("kind", np.array(0.0))) != 0:
+    blob = load_checkpoint(path)
+    if int(blob.get("config.kind", Tensor(0.0)).data) != 0:
         raise ConfigInvalidError(f"{path} is not a model checkpoint")
-    cfg = ModelConfig(
-        patch_size=int(cfg_vals["patch_size"]),
-        embed_dim=int(cfg_vals["embed_dim"]),
-        n_blocks=int(cfg_vals["n_blocks"]),
-        n_heads=int(cfg_vals["n_heads"]),
-        n_classes=int(cfg_vals["n_classes"]),
-        use_csec=bool(int(cfg_vals["use_csec"])),
-        use_rope=bool(int(cfg_vals["use_rope"])),
-        image_size=tuple(int(v) for v in np.atleast_1d(cfg_vals["image_size"])),
-        seed=int(cfg_vals["seed"]),
-    )
+    cfg = _unpack_config(ModelConfig, blob, "config.", path)
     cfg.validate()
-    csec_params = {k[len("csec."):]: t for k, t in params.items() if k.startswith("csec.")}
-    params = {k: t for k, t in params.items() if not k.startswith("csec.")}
+    params = {k: t for k, t in blob.items() if not k.startswith(("config.", "csec."))}
+    csec_params = {k[len("csec."):]: t for k, t in blob.items() if k.startswith("csec.")}
     _fuse_legacy_heads(params, cfg, path)
-    csec_cfg = CsecConfig()
-    if csec_params:
-        csec_cfg = CsecConfig(
-            feat_channels=int(cfg_vals["csec.feat_channels"]),
-            hidden=int(cfg_vals["csec.hidden"]),
-            kernel=int(cfg_vals["csec.kernel"]),
-            residual_eps=float(cfg_vals["csec.residual_eps"]),
-        )
+    csec_cfg = (_unpack_config(CsecConfig, blob, "config.csec.", path) if csec_params
+                else CsecConfig())
     return Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
 
 
@@ -237,21 +202,17 @@ def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):
 
 def save_csec_checkpoint(path, params: dict, config: CsecConfig = CsecConfig()):
     blob = dict(params)
-    blob.update(_pack_config(config, _CSEC_CFG_FIELDS, "csec"))
+    blob["config.kind"] = np.array(1.0)
+    blob.update(_pack_config(config, "config."))
     save_checkpoint(path, blob)
 
 
 def load_csec_checkpoint(path):
-    cfg_vals, params = _split_config(load_checkpoint(path))
-    if int(cfg_vals.get("kind", np.array(1.0))) != 1:
+    blob = load_checkpoint(path)
+    if int(blob.get("config.kind", Tensor(1.0)).data) != 1:
         raise ConfigInvalidError(f"{path} is not a color-correction checkpoint")
-    cfg = CsecConfig(
-        feat_channels=int(cfg_vals["feat_channels"]),
-        hidden=int(cfg_vals["hidden"]),
-        kernel=int(cfg_vals["kernel"]),
-        residual_eps=float(cfg_vals["residual_eps"]),
-    )
-    return params, cfg
+    cfg = _unpack_config(CsecConfig, blob, "config.", path)
+    return {k: t for k, t in blob.items() if not k.startswith("config.")}, cfg
 
 
 # -- SVG curve emission ------------------------------------------------------
@@ -307,7 +268,7 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     records, _ = synth_dataset(spec, args.out)
     write_run_record(args.out, "synth", {"spec": args.spec, "out": args.out},
-                     _snapshot(spec))
+                     asdict(spec))
     print(f"wrote {len(records)} samples to {args.out}")
     return EXIT_OK
 
@@ -373,9 +334,9 @@ def cmd_train(args) -> int:
         if report.val_mious:
             curves["val_miou"] = report.val_mious
         write_curves_svg(os.path.join(args.out, "curves.svg"), curves)
-    resolved = {"model": _snapshot(mc), "train": _snapshot(tc)}
+    resolved = {"model": asdict(mc), "train": asdict(tc)}
     if args.denoise:
-        resolved["denoise"] = _snapshot(dn)
+        resolved["denoise"] = asdict(dn)
     write_run_record(args.out, "train",
                      {"config": args.config, "data": args.data, "out": args.out,
                       "denoise": args.denoise, "use_csec": args.use_csec},
@@ -453,7 +414,7 @@ def cmd_correct(args) -> int:
     write_run_record(out_dir, "correct",
                      {"checkpoint": args.checkpoint, "in": getattr(args, "in"),
                       "out": args.out, "reference": args.reference},
-                     _snapshot(cfg))
+                     asdict(cfg))
     return EXIT_OK
 
 

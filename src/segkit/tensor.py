@@ -29,9 +29,6 @@ __all__ = [
     "upsample_nearest",
     "layer_norm",
     "add_bias",
-    "finite_diff_grad",
-    "grad_check",
-    "rel_error",
 ]
 
 
@@ -481,42 +478,3 @@ def cross_entropy(logits, target, ignore_index=-1, pixel_weights=None):
 
     return Tensor(np.array(loss, dtype=logits.dtype), parents=(logits,), backward_fn=bwd)
 
-
-# -- gradient oracle --------------------------------------------------------
-
-
-def finite_diff_grad(f, x, h=1e-5):
-    """Central-difference gradient of a tensor-to-scalar function at x (f64)."""
-    base = x.data.astype(np.float64)
-    out = np.zeros_like(base)
-    flat = out.reshape(-1)
-    bflat = base.reshape(-1)
-    for i in range(bflat.size):
-        orig = bflat[i]
-        bflat[i] = orig + h
-        fp = float(f(Tensor(base.copy())).data)
-        bflat[i] = orig - h
-        fm = float(f(Tensor(base.copy())).data)
-        bflat[i] = orig
-        flat[i] = (fp - fm) / (2.0 * h)
-    return out
-
-
-def rel_error(a, b, floor=1e-8):
-    """Max elementwise relative error with denominator max(|a|,|b|,floor)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom))
-
-
-def grad_check(f, x, h=1e-5):
-    """Compare backward and finite-difference gradients of f at x.
-
-    Returns the max relative error; x must be f64.
-    """
-    xt = Tensor(x.data.astype(np.float64), requires_grad=True)
-    loss = f(xt)
-    loss.backward()
-    numeric = finite_diff_grad(f, xt, h=h)
-    return rel_error(xt.grad, numeric)

@@ -1,16 +1,17 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import segkit.cli as cli
 from segkit.checkpoint import load_checkpoint, save_checkpoint
-from segkit.cli import main, max_threads, read_config, save_csec_checkpoint
+from segkit.cli import main, read_config, save_csec_checkpoint
 from segkit.csec import CsecConfig, init_csec
 from segkit.dataio import load_manifest, read_pnm, write_pnm
-from segkit.errors import ConfigInvalidError
+from segkit.errors import BadMagicError, ConfigInvalidError
 from segkit.rng import SplitMix64
 from segkit.segnet import ModelConfig, build_model, predict
 from segkit.tensor import Tensor
@@ -263,15 +264,6 @@ class TestConfigPlumbing:
         p.write_text("# comment\n a = 1 \nb=two # trailing\n\n")
         assert read_config(p) == {"a": "1", "b": "two"}
 
-    def test_max_threads_env(self, monkeypatch):
-        monkeypatch.setenv("SEGKIT_THREADS", "4")
-        assert max_threads() == 4
-        monkeypatch.setenv("SEGKIT_THREADS", "zero")
-        with pytest.raises(ConfigInvalidError):
-            max_threads()
-        monkeypatch.delenv("SEGKIT_THREADS")
-        assert max_threads() == 1
-
 
 class TestModelCheckpoint:
     CFG = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
@@ -313,3 +305,110 @@ class TestModelCheckpoint:
         save_checkpoint(legacy, blob)
         with pytest.raises(ConfigInvalidError):
             cli.load_model_checkpoint(legacy)
+
+
+class TestCheckpointConfig:
+    """The ``config.*`` entries a checkpoint carries: round trip, byte layout
+    and malformed checkpoints."""
+
+    # every field differs from its default; residual_eps is exact in f32
+    MODEL = ModelConfig(patch_size=2, embed_dim=24, n_blocks=3, n_heads=3, n_classes=4,
+                        use_csec=True, use_rope=False, image_size=(6, 10), seed=9)
+    CSEC = CsecConfig(feat_channels=5, hidden=7, kernel=5, residual_eps=2.0 ** -9)
+    MODEL_FIELDS = ("patch_size", "embed_dim", "n_blocks", "n_heads", "n_classes",
+                    "use_csec", "use_rope", "image_size", "seed")
+    CSEC_FIELDS = ("feat_channels", "hidden", "kernel", "residual_eps")
+
+    def _model(self):
+        model = build_model(self.MODEL, csec_params=init_csec(self.CSEC, seed=3))
+        model.csec_config = self.CSEC
+        return model
+
+    def test_non_default_configs_round_trip(self, tmp_path):
+        for cfg in (self.MODEL, self.CSEC):
+            assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
+        model = self._model()
+        cli.save_model_checkpoint(tmp_path / "m.smk", model)
+        back = cli.load_model_checkpoint(tmp_path / "m.smk")
+        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        params, csec_cfg = cli.load_csec_checkpoint(tmp_path / "c.smk")
+        for got, want in ((back.config, self.MODEL), (back.csec_config, self.CSEC),
+                          (csec_cfg, self.CSEC)):
+            assert got == want
+            assert [type(getattr(got, f.name)) for f in fields(got)] == \
+                [type(getattr(want, f.name)) for f in fields(want)]
+        assert set(back.params) == set(model.params)
+        assert set(back.csec_params) == set(params) == set(model.csec_params)
+
+    def test_bytes_match_hand_built_layout(self, tmp_path):
+        model = self._model()
+        blob = dict(model.params)
+        blob["config.kind"] = np.array(0.0)
+        blob.update({"config." + n: np.array(getattr(self.MODEL, n), dtype=np.float32)
+                     for n in self.MODEL_FIELDS})
+        blob.update({"csec." + k: t for k, t in model.csec_params.items()})
+        blob.update({"config.csec." + n: np.array(getattr(self.CSEC, n), dtype=np.float32)
+                     for n in self.CSEC_FIELDS})
+        save_checkpoint(tmp_path / "hand.smk", blob)
+        cli.save_model_checkpoint(tmp_path / "m.smk", model)
+        assert (tmp_path / "m.smk").read_bytes() == (tmp_path / "hand.smk").read_bytes()
+
+        blob = dict(model.csec_params)
+        blob["config.kind"] = np.array(1.0)
+        blob.update({"config." + n: np.array(getattr(self.CSEC, n), dtype=np.float32)
+                     for n in self.CSEC_FIELDS})
+        save_checkpoint(tmp_path / "hand_c.smk", blob)
+        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        assert (tmp_path / "c.smk").read_bytes() == (tmp_path / "hand_c.smk").read_bytes()
+
+    def test_wrong_kind_is_config_error(self, tmp_path):
+        model = self._model()
+        cli.save_model_checkpoint(tmp_path / "m.smk", model)
+        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        with pytest.raises(ConfigInvalidError):
+            cli.load_csec_checkpoint(tmp_path / "m.smk")
+        with pytest.raises(ConfigInvalidError):
+            cli.load_model_checkpoint(tmp_path / "c.smk")
+
+    def test_missing_model_config_entry_exits_2(self, tmp_path, dataset, capsys):
+        path = tmp_path / "m.smk"
+        cli.save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        blob = load_checkpoint(path)
+        del blob["config.seed"]
+        save_checkpoint(path, blob)
+        code = main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert "config.seed" in capsys.readouterr().err
+        blob["config.seed"] = Tensor(np.zeros(2))
+        save_checkpoint(path, blob)
+        with pytest.raises(ConfigInvalidError, match="config.seed"):
+            cli.load_model_checkpoint(path)
+
+    def test_missing_csec_config_entry_exits_2(self, tmp_path, dataset, capsys):
+        path = tmp_path / "c.smk"
+        save_csec_checkpoint(path, init_csec(CsecConfig(), seed=0))
+        blob = load_checkpoint(path)
+        del blob["config.hidden"]
+        save_checkpoint(path, blob)
+        code = main(["correct", "--checkpoint", str(path),
+                     "--in", str(dataset / "images" / "s0000.ppm"),
+                     "--out", str(tmp_path / "out.ppm")])
+        assert code == 2
+        assert "config.hidden" in capsys.readouterr().err
+
+    def test_non_utf8_tensor_name_exits_3(self, tmp_path, dataset, capsys):
+        path = tmp_path / "m.smk"
+        cli.save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        blob = load_checkpoint(path)
+        blob["zz"] = Tensor(np.zeros(1))
+        save_checkpoint(path, blob)
+        data = path.read_bytes()
+        assert data.count(b"zz") == 1
+        path.write_bytes(data.replace(b"zz", b"\xff\xfe"))
+        with pytest.raises(BadMagicError):
+            load_checkpoint(path)
+        code = main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
+        assert code == 3
+        capsys.readouterr()

@@ -14,7 +14,7 @@ from segkit.errors import (
     NonScalarLossError,
     ShapeMismatchError,
 )
-from segkit.gradcheck import TOL as ORACLE_TOL, run_suite
+from segkit.gradcheck import TOL as ORACLE_TOL, check_function, run_suite
 from segkit.rng import SplitMix64
 from segkit.tensor import (
     Tensor,
@@ -23,7 +23,6 @@ from segkit.tensor import (
     concat,
     conv2d,
     cross_entropy,
-    grad_check,
     layer_norm,
     linear,
     matmul,
@@ -45,8 +44,12 @@ from segkit.tensor import (
 TOL = 1e-4
 
 
+def _a(shape, seed=0, lo=-1.0, hi=1.0):
+    return SplitMix64(seed).uniform_array(shape, lo, hi)
+
+
 def _t(shape, seed=0, lo=-1.0, hi=1.0):
-    return Tensor(SplitMix64(seed).uniform_array(shape, lo, hi), requires_grad=True)
+    return Tensor(_a(shape, seed, lo, hi), requires_grad=True)
 
 
 class TestConstruction:
@@ -147,29 +150,29 @@ class TestGradients:
             lambda v: tsum(mul(relu(v), Tensor(w))),
             lambda v: tsum(mul(sigmoid(v), Tensor(w))),
         ):
-            assert grad_check(f, _t((6,), seed=1)) <= TOL
+            assert check_function(f, _a((6,), seed=1)) <= TOL
 
     def test_shape_ops(self):
         w = SplitMix64(9).uniform_array((6,), -1, 1)
-        assert grad_check(lambda v: tsum(mul(reshape(v, (6,)), Tensor(w))),
-                          _t((2, 3), seed=2)) <= TOL
-        assert grad_check(lambda v: tsum(mul(reshape(transpose2d(v), (6,)), Tensor(w))),
-                          _t((2, 3), seed=2)) <= TOL
-        assert grad_check(lambda v: tmean(concat([v, scale(v, 2.0)], axis=0)),
-                          _t((2, 3), seed=2)) <= TOL
+        assert check_function(lambda v: tsum(mul(reshape(v, (6,)), Tensor(w))),
+                              _a((2, 3), seed=2)) <= TOL
+        assert check_function(lambda v: tsum(mul(reshape(transpose2d(v), (6,)), Tensor(w))),
+                              _a((2, 3), seed=2)) <= TOL
+        assert check_function(lambda v: tmean(concat([v, scale(v, 2.0)], axis=0)),
+                              _a((2, 3), seed=2)) <= TOL
 
     def test_permute(self):
         w = SplitMix64(9).uniform_array((4, 2, 3), -1, 1)
-        assert grad_check(lambda v: tsum(mul(permute(v, (2, 0, 1)), Tensor(w))),
-                          _t((2, 3, 4), seed=2)) <= TOL
+        assert check_function(lambda v: tsum(mul(permute(v, (2, 0, 1)), Tensor(w))),
+                              _a((2, 3, 4), seed=2)) <= TOL
         with pytest.raises(AxisOutOfRangeError):
             permute(_t((2, 3)), (0, 0))
 
     def test_matmul_leading_axes(self):
         w = SplitMix64(8).uniform_array((4, 2), -1, 1)
         x = SplitMix64(7).uniform_array((2, 3, 4), -1, 1)
-        assert grad_check(lambda v: tsum(matmul(v, Tensor(w))), _t((2, 3, 4), seed=3)) <= TOL
-        assert grad_check(lambda v: tsum(matmul(Tensor(x), v)), _t((4, 2), seed=4)) <= TOL
+        assert check_function(lambda v: tsum(matmul(v, Tensor(w))), _a((2, 3, 4), seed=3)) <= TOL
+        assert check_function(lambda v: tsum(matmul(Tensor(x), v)), _a((4, 2), seed=4)) <= TOL
         # the folded product equals one 2D product per leading index
         out = matmul(Tensor(x), Tensor(w)).data
         assert np.allclose(out, np.stack([x[i] @ w for i in range(2)]), rtol=0, atol=1e-12)
@@ -177,56 +180,65 @@ class TestGradients:
     def test_matmul_batched(self):
         b = SplitMix64(8).uniform_array((2, 4, 5), -1, 1)
         a = SplitMix64(7).uniform_array((2, 3, 4), -1, 1)
-        assert grad_check(lambda v: tsum(matmul(v, Tensor(b))), _t((2, 3, 4), seed=3)) <= TOL
-        assert grad_check(lambda v: tsum(matmul(Tensor(a), v)), _t((2, 4, 5), seed=4)) <= TOL
+        assert check_function(lambda v: tsum(matmul(v, Tensor(b))), _a((2, 3, 4), seed=3)) <= TOL
+        assert check_function(lambda v: tsum(matmul(Tensor(a), v)), _a((2, 4, 5), seed=4)) <= TOL
 
     def test_getitem_scatter(self):
-        assert grad_check(lambda v: tsum(v[1:3]), _t((5,), seed=6)) <= TOL
+        assert check_function(lambda v: tsum(v[1:3]), _a((5,), seed=6)) <= TOL
 
     def test_linear_and_bias(self):
         w = SplitMix64(8).uniform_array((3, 2), -1, 1)
         b = SplitMix64(9).uniform_array((2,), -1, 1)
-        assert grad_check(lambda v: tsum(linear(v, Tensor(w), Tensor(b))),
-                          _t((4, 3), seed=7)) <= TOL
-        assert grad_check(lambda v: tsum(add_bias(Tensor(SplitMix64(1).uniform_array((4, 2), -1, 1)), v)),
-                          _t((2,), seed=7)) <= TOL
+        assert check_function(lambda v: tsum(linear(v, Tensor(w), Tensor(b))),
+                              _a((4, 3), seed=7)) <= TOL
+        assert check_function(lambda v: tsum(add_bias(Tensor(SplitMix64(1).uniform_array((4, 2), -1, 1)), v)),
+                              _a((2,), seed=7)) <= TOL
 
     def test_scalar_mul_both_sides(self):
         x = SplitMix64(2).uniform_array((3, 3), -1, 1)
-        s = Tensor(np.array(0.7), requires_grad=True)
-        assert grad_check(lambda v: tsum(scalar_mul(v, Tensor(np.array(0.7)))),
-                          _t((3, 3), seed=2)) <= TOL
-        assert grad_check(lambda v: tsum(scalar_mul(Tensor(x), v)),
-                          Tensor(np.array(0.7), requires_grad=True)) <= TOL
-        del s
+        assert check_function(lambda v: tsum(scalar_mul(v, Tensor(np.array(0.7)))),
+                              _a((3, 3), seed=2)) <= TOL
+        assert check_function(lambda v: tsum(scalar_mul(Tensor(x), v)),
+                              np.array(0.7)) <= TOL
 
     def test_conv2d_strided(self):
         w = SplitMix64(4).uniform_array((2, 3, 3, 3), -1, 1)
-        assert grad_check(lambda v: tsum(conv2d(v, Tensor(w), stride=2, padding=1)),
-                          _t((1, 3, 6, 6), seed=5)) <= TOL
+        assert check_function(lambda v: tsum(conv2d(v, Tensor(w), stride=2, padding=1)),
+                              _a((1, 3, 6, 6), seed=5)) <= TOL
 
     def test_upsample_nearest(self):
         w = SplitMix64(4).uniform_array((1, 2, 6, 6), -1, 1)
-        assert grad_check(lambda v: tsum(mul(upsample_nearest(v, 3), Tensor(w))),
-                          _t((1, 2, 2, 2), seed=5)) <= TOL
+        assert check_function(lambda v: tsum(mul(upsample_nearest(v, 3), Tensor(w))),
+                              _a((1, 2, 2, 2), seed=5)) <= TOL
 
     def test_layer_norm(self):
         g = SplitMix64(5).uniform_array((6,), 0.5, 1.5)
         b = SplitMix64(6).uniform_array((6,), -0.5, 0.5)
         w = SplitMix64(7).uniform_array((4, 6), -1, 1)
-        assert grad_check(lambda v: tsum(mul(layer_norm(v, Tensor(g), Tensor(b)), Tensor(w))),
-                          _t((4, 6), seed=8)) <= TOL
+        assert check_function(lambda v: tsum(mul(layer_norm(v, Tensor(g), Tensor(b)), Tensor(w))),
+                              _a((4, 6), seed=8)) <= TOL
 
     def test_oracle_conv2d_stays_off_relu_kink(self):
         # this seed draws a conv2d pre-activation next to relu's kink at 0
         worst = run_suite("tensor", trials=1, seed=2064)
         assert max(worst.values()) <= ORACLE_TOL
 
+    def test_check_function_perturbs_a_private_copy(self):
+        # f reads the caller's array as well; were that array perturbed in
+        # place, the constant factor would move with v and the central
+        # difference would read twice the gradient
+        x = _a((3, 4), seed=10, lo=0.2, hi=1.0)
+        before = x.copy()
+        assert check_function(lambda v: tsum(mul(v, Tensor(x))), x) <= TOL
+        assert np.array_equal(x, before)
+        x.setflags(write=False)
+        assert check_function(lambda v: tsum(mul(v, Tensor(x))), x) <= TOL
+
     def test_cross_entropy_with_ignore_and_weights(self):
         target = np.array([[[1, 0], [-1, 2]]])
         pw = np.array([[[0.5, 1.0], [1.0, 2.0]]])
-        assert grad_check(lambda v: cross_entropy(v, target, pixel_weights=pw),
-                          _t((1, 3, 2, 2), seed=9, lo=-2, hi=2)) <= TOL
+        assert check_function(lambda v: cross_entropy(v, target, pixel_weights=pw),
+                              _a((1, 3, 2, 2), seed=9, lo=-2, hi=2)) <= TOL
 
 
 class TestSemantics:
