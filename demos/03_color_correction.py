@@ -2,7 +2,7 @@
 
 Generates clean scenes, applies a shared regional gamma corruption, and
 trains the corrector to undo it.  Reports PSNR before and after on
-held-out scenes.  Runs in about a minute.
+held-out scenes.  Runs in a few seconds.
 """
 
 import numpy as np

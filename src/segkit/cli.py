@@ -3,7 +3,8 @@
 Subcommands: synth, train, eval, correct, filter, gradcheck.  Outputs are
 files and plain-text reports; every run that writes an output directory
 also writes a ``run.json`` provenance record (resolved config, seeds,
-version) sufficient to reproduce it bitwise.
+version) sufficient to reproduce it bitwise; ``correct``, which writes one
+image, writes its record beside it as ``<out>.run.json``.
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 I/O error,
 4 training divergence, 5 missing robot under GOOSE weighting.
@@ -120,14 +121,14 @@ def apply_config(obj, cfg: dict, used: set):
     return obj
 
 
-def write_run_record(out_dir, command, arg_view: dict, resolved: dict):
+def write_run_record(path, command, arg_view: dict, resolved: dict):
     record = {
         "command": command,
         "args": arg_view,
         "config": resolved,
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -267,8 +268,8 @@ def cmd_synth(args) -> int:
         raise ConfigInvalidError(f"unknown spec keys: {sorted(unknown)}")
     os.makedirs(args.out, exist_ok=True)
     records, _ = synth_dataset(spec, args.out)
-    write_run_record(args.out, "synth", {"spec": args.spec, "out": args.out},
-                     asdict(spec))
+    write_run_record(os.path.join(args.out, "run.json"), "synth",
+                     {"spec": args.spec, "out": args.out}, asdict(spec))
     print(f"wrote {len(records)} samples to {args.out}")
     return EXIT_OK
 
@@ -337,7 +338,7 @@ def cmd_train(args) -> int:
     resolved = {"model": asdict(mc), "train": asdict(tc)}
     if args.denoise:
         resolved["denoise"] = asdict(dn)
-    write_run_record(args.out, "train",
+    write_run_record(os.path.join(args.out, "run.json"), "train",
                      {"config": args.config, "data": args.data, "out": args.out,
                       "denoise": args.denoise, "use_csec": args.use_csec},
                      resolved)
@@ -392,7 +393,7 @@ def cmd_eval(args) -> int:
     if args.svg:
         write_curves_svg(os.path.join(args.out, "eval_curves.svg"),
                          {"class_iou": [0.0 if v is None else float(v) for v in ious]})
-    write_run_record(args.out, "eval",
+    write_run_record(os.path.join(args.out, "run.json"), "eval",
                      {"checkpoint": args.checkpoint, "data": args.data,
                       "weights": args.weights, "split": args.split},
                      report)
@@ -410,8 +411,7 @@ def cmd_correct(args) -> int:
         clean = read_pnm(args.reference)
         gain = psnr(corrected, clean) - psnr(image, clean)
         print(f"PSNR improvement: {gain:+.2f} dB", file=sys.stderr)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    write_run_record(out_dir, "correct",
+    write_run_record(args.out + ".run.json", "correct",
                      {"checkpoint": args.checkpoint, "in": getattr(args, "in"),
                       "out": args.out, "reference": args.reference},
                      asdict(cfg))
@@ -442,7 +442,7 @@ def cmd_filter(args) -> int:
         for s in scores:
             status = "kept" if s.sample_id in kept_ids else "dropped"
             fh.write(f"{s.sample_id}\t{s.error_rate:.6f}\t{status}\n")
-    write_run_record(args.out, "filter",
+    write_run_record(os.path.join(args.out, "run.json"), "filter",
                      {"data": args.data, "pred": args.pred, "out": args.out,
                       "quantile": args.quantile},
                      {"quantile": args.quantile, "kept": len(kept_ids),
@@ -463,7 +463,7 @@ def cmd_gradcheck(args) -> int:
                 failed.append(op)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_run_record(args.out, "gradcheck",
+        write_run_record(os.path.join(args.out, "run.json"), "gradcheck",
                          {"module": args.module, "trials": args.trials, "seed": args.seed},
                          {"tolerance": TOL, "failed": failed})
     if failed:

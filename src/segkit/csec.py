@@ -84,45 +84,6 @@ class CsecConfig:
 # -- deformable sampling ----------------------------------------------------
 
 
-def _int_shift(x, dy, dx):
-    """out[..., y, x] = x[..., y+dy, x+dx], zero-filled outside bounds."""
-    h, w = x.shape[-2], x.shape[-1]
-    out = np.zeros_like(x)
-    y0, y1 = max(-dy, 0), min(h, h - dy)
-    x0, x1 = max(-dx, 0), min(w, w - dx)
-    if y0 < y1 and x0 < x1:
-        out[..., y0:y1, x0:x1] = x[..., y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-    return out
-
-
-def _bilinear_shift(x, sy, sx):
-    """Fractional translation via bilinear interpolation, zero outside."""
-    fy, fx = int(np.floor(sy)), int(np.floor(sx))
-    ay, ax = sy - fy, sx - fx
-    out = np.zeros_like(x)
-    for dy, wy in ((fy, 1.0 - ay), (fy + 1, ay)):
-        if wy == 0.0:
-            continue
-        for dx, wx in ((fx, 1.0 - ax), (fx + 1, ax)):
-            if wx == 0.0:
-                continue
-            out += (wy * wx) * _int_shift(x, dy, dx)
-    return out
-
-
-def _shift_partials(x, sy, sx):
-    """(d/dsy, d/dsx) of _bilinear_shift at (sy, sx)."""
-    fy, fx = int(np.floor(sy)), int(np.floor(sx))
-    ay, ax = sy - fy, sx - fx
-    s00 = _int_shift(x, fy, fx)
-    s01 = _int_shift(x, fy, fx + 1)
-    s10 = _int_shift(x, fy + 1, fx)
-    s11 = _int_shift(x, fy + 1, fx + 1)
-    dsy = (1.0 - ax) * (s10 - s00) + ax * (s11 - s01)
-    dsx = (1.0 - ay) * (s01 - s00) + ay * (s11 - s10)
-    return dsy, dsx
-
-
 def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     """Offset-modulated convolution y(p) = sum_i w_i * x(p + p_i + dp_i).
 
@@ -145,39 +106,67 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     if not np.all(np.isfinite(tap_offsets.data)):
         raise NonFiniteOffsetError("tap offsets contain non-finite values")
 
+    taps = kh * kw
     ry, rx = (kh - 1) // 2, (kw - 1) // 2
     raw = tap_offsets.data.astype(np.float64)
     clamped = np.stack([np.clip(raw[:, 0], -kh, kh), np.clip(raw[:, 1], -kw, kw)], axis=1)
     active = clamped == raw  # clamp passes no gradient where it binds
+    iy, ix = np.divmod(np.arange(taps), kw)
+    sy = (iy - ry) + clamped[:, 0]
+    sx = (ix - rx) + clamped[:, 1]
+    fy, fx = np.floor(sy).astype(int), np.floor(sx).astype(int)
+    ay, ax = sy - fy, sx - fx
 
-    shifted = []
-    shifts = []
-    y = np.zeros((n, cout, h, wd), dtype=x.dtype)
-    for t in range(kh * kw):
-        iy, ix = t // kw, t % kw
-        sy = (iy - ry) + clamped[t, 0]
-        sx = (ix - rx) + clamped[t, 1]
-        plane = _bilinear_shift(x.data, sy, sx)
-        shifted.append(plane)
-        shifts.append((sy, sx))
-        y += np.einsum("nchw,oc->nohw", plane, w.data[:, :, iy, ix], optimize=True)
+    # a tap's shift is at most r + k per axis (the clamp) and its far corner
+    # one more, so every corner of every tap is a view of one zero-padded copy
+    py, px = kh + ry + 1, kw + rx + 1
+    xp = np.zeros((n, cin, h + 2 * py, wd + 2 * px), dtype=x.dtype)
+    xp[:, :, py:py + h, px:px + wd] = x.data
+
+    def corner(buf, t, a, b):
+        y0, x0 = py + fy[t] + a, px + fx[t] + b
+        return buf[:, :, y0:y0 + h, x0:x0 + wd]
+
+    # per tap, its corners (a, b) with nonzero bilinear weight, the weight in
+    # x's dtype so that the gather and its adjoint stay in that dtype
+    corners = [[(a, b, x.dtype.type(wy * wx))
+                for a, wy in ((0, 1.0 - ay[t]), (1, ay[t])) if wy != 0.0
+                for b, wx in ((0, 1.0 - ax[t]), (1, ax[t])) if wx != 0.0]
+               for t in range(taps)]
+    cols = np.zeros((n, cin, taps, h, wd), dtype=x.dtype)
+    for t in range(taps):
+        for a, b, c in corners[t]:
+            cols[:, :, t] += c * corner(xp, t, a, b)
+    cols2 = cols.reshape(n, cin * taps, h * wd)
+    w2 = w.data.reshape(cout, cin * taps)
+    y = (w2 @ cols2).reshape(n, cout, h, wd)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
-        gt = np.zeros_like(tap_offsets.data)
-        for t in range(kh * kw):
-            iy, ix = t // kw, t % kw
-            wt = w.data[:, :, iy, ix]
-            gw[:, :, iy, ix] = np.einsum("nchw,nohw->oc", shifted[t], g, optimize=True)
-            gplane = np.einsum("nohw,oc->nchw", g, wt, optimize=True)
-            gx += _bilinear_shift(gplane, -shifts[t][0], -shifts[t][1])
-            if tap_offsets.requires_grad:
-                dsy, dsx = _shift_partials(x.data, *shifts[t])
+        g2 = g.reshape(n, cout, h * wd)
+        gx = gw = gt = None
+        if w.requires_grad:
+            gw = (g2 @ cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+        gcols = (w2.T @ g2).reshape(n, cin, taps, h, wd)
+        if x.requires_grad:  # the adjoint of the gather: scatter into the pad
+            gxp = np.zeros_like(xp)
+            for t in range(taps):
+                for a, b, c in corners[t]:
+                    view = corner(gxp, t, a, b)
+                    view += c * gcols[:, :, t]
+            gx = np.ascontiguousarray(gxp[:, :, py:py + h, px:px + wd])
+        if tap_offsets.requires_grad:
+            # d/dsy = (1-ax)(s10-s00) + ax(s11-s01), d/dsx its twin, taken as
+            # f64 inner products of the tap's gradient with its four corners
+            gt = np.zeros_like(tap_offsets.data)
+            xp64 = xp.astype(np.float64, copy=False)
+            for t in range(taps):
+                g64 = gcols[:, :, t].astype(np.float64, copy=False)
+                d00, d01, d10, d11 = (np.einsum("nchw,nchw->", g64, corner(xp64, t, a, b))
+                                      for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
                 if active[t, 0]:
-                    gt[t, 0] = float((gplane * dsy).sum())
+                    gt[t, 0] = (1.0 - ax[t]) * (d10 - d00) + ax[t] * (d11 - d01)
                 if active[t, 1]:
-                    gt[t, 1] = float((gplane * dsx).sum())
+                    gt[t, 1] = (1.0 - ay[t]) * (d01 - d00) + ay[t] * (d11 - d10)
         return gx, gw, gt
 
     return Tensor(y, parents=(x, w, tap_offsets), backward_fn=bwd)
@@ -302,9 +291,10 @@ def decode(params: dict, f_corr: Tensor, target_shape, image=None,
 def _extract_tokens(x: Tensor, params: dict, prefix: str) -> Tensor:
     """Conv stack 3 -> hidden -> hidden -> c with two stride-2 steps;
     output flattened row-major to [T, c] token features."""
-    h1 = relu(conv2d(x, params[prefix + ".w1"], stride=2, padding=1))
-    h2 = relu(conv2d(h1, params[prefix + ".w2"], stride=2, padding=1))
-    h3 = conv2d(h2, params[prefix + ".w3"], stride=1, padding=1)
+    pad = params[prefix + ".w1"].data.shape[-1] // 2  # CsecConfig.kernel // 2
+    h1 = relu(conv2d(x, params[prefix + ".w1"], stride=2, padding=pad))
+    h2 = relu(conv2d(h1, params[prefix + ".w2"], stride=2, padding=pad))
+    h3 = conv2d(h2, params[prefix + ".w3"], stride=1, padding=pad)
     _, c, th, tw = h3.data.shape
     return transpose2d(reshape(h3, (c, th * tw)))
 

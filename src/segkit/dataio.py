@@ -113,6 +113,8 @@ def _parse_pnm_header(buf: bytes):
         raise TruncatedError("missing whitespace after maxval")
     i += 1
     width, height, maxval = vals
+    if width == 0 or height == 0:
+        raise BadMagicError(f"zero extent {width}x{height} in header")
     if maxval != 255:
         raise MaxvalUnsupportedError(f"maxval {maxval} unsupported")
     return magic, width, height, i

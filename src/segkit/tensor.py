@@ -361,19 +361,29 @@ def conv2d(x, w, stride=1, padding=0):
     if ho < 1 or wo < 1:
         raise NegativeOutputExtentError(f"output {ho}x{wo} for input {h}x{wd}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    y = np.einsum("ncijhw,ocij->nohw", cols, w.data, optimize=True)
+    if padding:
+        xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + wd] = x.data
+    else:
+        xp = x.data
+    cols = _im2col(xp, kh, kw, stride, ho, wo).reshape(n, cin * kh * kw, ho * wo)
+    w2 = w.data.reshape(cout, cin * kh * kw)
+    y = (w2 @ cols).reshape(n, cout, ho, wo)
 
     def bwd(g):
-        gw = np.einsum("ncijhw,nohw->ocij", cols, g, optimize=True)
-        gxp = np.zeros_like(xp)
-        gcols = np.einsum("ocij,nohw->ncijhw", w.data, g, optimize=True)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += gcols[:, :, i, j]
-        gx = gxp if padding == 0 else gxp[:, :, padding:padding + h, padding:padding + wd]
-        return np.ascontiguousarray(gx), gw
+        g2 = g.reshape(n, cout, ho * wo)
+        gx = gw = None
+        if w.requires_grad:
+            gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+        if x.requires_grad:
+            gcols = (w2.T @ g2).reshape(n, cin, kh, kw, ho, wo)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    view = gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
+                    view += gcols[:, :, i, j]
+            gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
+        return gx, gw
 
     return Tensor(y, parents=(x, w), backward_fn=bwd)
 

@@ -210,6 +210,33 @@ class TestCorrect:
                      "--out", str(tmp_path / "o.ppm")])
         assert code == 2
 
+    def test_record_beside_output_keeps_other_run_json(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        other = run_dir / "run.json"
+        other.write_text('{"command": "train"}\n')
+        before = other.read_bytes()
+        out = run_dir / "fixed.ppm"
+        src = next((dataset / "images").iterdir())
+        assert main(["correct", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(out)]) == 0
+        assert other.read_bytes() == before
+        record = json.loads((run_dir / "fixed.ppm.run.json").read_text())
+        assert record["command"] == "correct"
+        assert record["args"]["out"] == str(out)
+
+    def test_zero_extent_image_is_io_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
+        empty = tmp_path / "empty.ppm"
+        empty.write_bytes(b"P6\n0 0\n255\n")
+        code = main(["correct", "--checkpoint", str(ckpt), "--in", str(empty),
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == 3
+        assert "zero extent" in capsys.readouterr().err
+
 
 class TestFilter:
     def test_filter_writes_manifest_and_report(self, tmp_path, dataset, trained, capsys):

@@ -23,7 +23,7 @@ from segkit.errors import (
     ShapeMismatchError,
 )
 from segkit.rng import SplitMix64
-from segkit.tensor import Tensor, conv2d, tsum
+from segkit.tensor import Tensor, conv2d, mul, tsum
 
 
 def _rand(seed, shape, lo=-1.0, hi=1.0):
@@ -80,6 +80,86 @@ def test_offset_conv_clamps_taps_and_zeroes_bound_gradient():
     out = offset_conv(x, w, taps)
     tsum(out).backward()
     assert np.all(taps.grad == 0.0)
+
+
+def _int_shift(x, dy, dx):
+    """out[..., y, x] = x[..., y+dy, x+dx], zero-filled outside bounds."""
+    h, w = x.shape[-2], x.shape[-1]
+    out = np.zeros_like(x)
+    y0, y1 = max(-dy, 0), min(h, h - dy)
+    x0, x1 = max(-dx, 0), min(w, w - dx)
+    if y0 < y1 and x0 < x1:
+        out[..., y0:y1, x0:x1] = x[..., y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+    return out
+
+
+def _bilinear_shift(x, sy, sx):
+    """Fractional translation via bilinear interpolation, zero outside."""
+    fy, fx = int(np.floor(sy)), int(np.floor(sx))
+    ay, ax = sy - fy, sx - fx
+    out = np.zeros_like(x)
+    for dy, wy in ((fy, 1.0 - ay), (fy + 1, ay)):
+        for dx, wx in ((fx, 1.0 - ax), (fx + 1, ax)):
+            out += (wy * wx) * _int_shift(x, dy, dx)
+    return out
+
+
+def _offset_conv_reference(x, w, taps, g):
+    """Slow per-tap formulation in f64: shift the whole input once per tap.
+
+    Returns the output and, for upstream gradient g, the gradients in x, w
+    and the tap offsets (zero where the clamp binds)."""
+    x, w, taps, g = (np.asarray(a, dtype=np.float64) for a in (x, w, taps, g))
+    cout, cin, kh, kw = w.shape
+    ry, rx = (kh - 1) // 2, (kw - 1) // 2
+    clamped = np.stack([np.clip(taps[:, 0], -kh, kh), np.clip(taps[:, 1], -kw, kw)], axis=1)
+    y = np.zeros((x.shape[0], cout) + x.shape[2:])
+    gx, gw, gt = np.zeros_like(x), np.zeros_like(w), np.zeros_like(taps)
+    for t in range(kh * kw):
+        iy, ix = t // kw, t % kw
+        sy, sx = (iy - ry) + clamped[t, 0], (ix - rx) + clamped[t, 1]
+        plane = _bilinear_shift(x, sy, sx)
+        y += np.einsum("nchw,oc->nohw", plane, w[:, :, iy, ix])
+        gw[:, :, iy, ix] = np.einsum("nchw,nohw->oc", plane, g)
+        gplane = np.einsum("nohw,oc->nchw", g, w[:, :, iy, ix])
+        gx += _bilinear_shift(gplane, -sy, -sx)
+        fy, fx = int(np.floor(sy)), int(np.floor(sx))
+        ay, ax = sy - fy, sx - fx
+        s00, s01 = _int_shift(x, fy, fx), _int_shift(x, fy, fx + 1)
+        s10, s11 = _int_shift(x, fy + 1, fx), _int_shift(x, fy + 1, fx + 1)
+        if clamped[t, 0] == taps[t, 0]:
+            gt[t, 0] = (gplane * ((1.0 - ax) * (s10 - s00) + ax * (s11 - s01))).sum()
+        if clamped[t, 1] == taps[t, 1]:
+            gt[t, 1] = (gplane * ((1.0 - ay) * (s01 - s00) + ay * (s11 - s10))).sum()
+    return y, gx, gw, gt
+
+
+def _taps(kind, k, seed):
+    if kind == "fractional":
+        return _rand(seed, (k * k, 2), -1.5, 1.5)
+    if kind == "negative_integer":
+        return -SplitMix64(seed).uniform_array((k * k, 2), 1, k).round()
+    taps = np.full((k * k, 2), 100.0)  # clamped: both signs, on both axes
+    taps[1::2] = -100.0
+    taps[::3, 1] *= -1.0
+    taps[0] = [0.25, -0.75]  # one free tap among the clamped ones
+    return taps
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("kind", ["fractional", "negative_integer", "clamped"])
+def test_offset_conv_matches_per_tap_reference(kind, k, dtype, tol):
+    x = Tensor(_rand(k, (2, 3, 7, 6)).astype(dtype), requires_grad=True)
+    w = Tensor(_rand(k + 1, (4, 3, k, k)).astype(dtype), requires_grad=True)
+    taps = Tensor(_taps(kind, k, k + 2).astype(dtype), requires_grad=True)
+    g = _rand(k + 3, (2, 4, 7, 6)).astype(dtype)
+    y = offset_conv(x, w, taps)
+    tsum(mul(y, Tensor(g))).backward()
+    ref = _offset_conv_reference(x.data, w.data, taps.data, g)
+    for got, want in zip((y.data, x.grad, w.grad, taps.grad), ref):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
 
 
 def test_offset_conv_rejects_nonfinite_taps():
@@ -229,6 +309,20 @@ def test_identity_at_init():
         out = csec_correct(img, params, cfg)
         assert out.data.shape == img.data.shape
         assert float(np.max(np.abs(out.data - img.data))) < 1e-3
+
+
+@pytest.mark.parametrize("kernel", [1, 5])
+def test_kernel_other_than_3(kernel):
+    cfg = CsecConfig(kernel=kernel)
+    params = init_csec(cfg, seed=0)
+    rng = SplitMix64(13)
+    clean = rng.uniform_array((1, 3, 16, 16), 0.1, 0.9).astype(np.float32)
+    corrupted = np.clip(clean ** 2.0, 0.0, 1.0).astype(np.float32)
+    out = csec_correct(Tensor(corrupted), params, cfg)
+    assert out.data.shape == corrupted.shape
+    assert float(np.max(np.abs(out.data - corrupted))) < 1e-3
+    losses = train_csec([(corrupted, clean)], params, cfg, epochs=1, lr=5e-3, seed=0)
+    assert np.isfinite(losses[0])
 
 
 def test_output_in_unit_interval():

@@ -68,6 +68,14 @@ class TestPnm:
         with pytest.raises(BadMagicError):
             read_pnm(path)
 
+    @pytest.mark.parametrize("header", [b"P6\n0 0\n255\n", b"P6\n0 2\n255\n",
+                                        b"P5\n3 0\n255\n"])
+    def test_zero_extent_rejected(self, tmp_path, header):
+        path = tmp_path / "z.pnm"
+        path.write_bytes(header)
+        with pytest.raises(BadMagicError):
+            read_pnm(path)
+
     def test_unsupported_maxval(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n1 1\n99\n\x00")

@@ -265,6 +265,34 @@ class TestSemantics:
         with pytest.raises(NegativeOutputExtentError):
             conv2d(_t((1, 1, 2, 2)), _t((1, 1, 5, 5)))
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv2d_matches_direct_loop(self, padding, stride, k, dtype, tol):
+        x = Tensor(_a((2, 3, 7, 8), seed=k).astype(dtype), requires_grad=True)
+        w = Tensor(_a((4, 3, k, k), seed=k + 1).astype(dtype), requires_grad=True)
+        y = conv2d(x, w, stride=stride, padding=padding)
+        g = _a(y.shape, seed=k + 2).astype(dtype)
+        tsum(mul(y, Tensor(g))).backward()
+        # direct loop in f64: every output pixel is one window dot product
+        xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+        wd = w.data.astype(np.float64)
+        ref_y, ref_gxp, ref_gw = np.zeros(y.shape), np.zeros_like(xp), np.zeros_like(wd)
+        for n in range(y.shape[0]):
+            for o in range(y.shape[1]):
+                for i in range(y.shape[2]):
+                    for j in range(y.shape[3]):
+                        rows = slice(i * stride, i * stride + k)
+                        cols = slice(j * stride, j * stride + k)
+                        ref_y[n, o, i, j] = (xp[n, :, rows, cols] * wd[o]).sum()
+                        ref_gxp[n, :, rows, cols] += g[n, o, i, j] * wd[o]
+                        ref_gw[o] += g[n, o, i, j] * xp[n, :, rows, cols]
+        ref_gx = ref_gxp[:, :, padding:padding + 7, padding:padding + 8]
+        for got, want in ((y.data, ref_y), (x.grad, ref_gx), (w.grad, ref_gw)):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
     def test_elementwise_values(self):
         x = _t((3,), seed=1)
         y = _t((3,), seed=2)
