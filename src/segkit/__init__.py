@@ -7,7 +7,7 @@ and bit-exact PNM/TSV dataset I/O.
 """
 
 from .tensor import Tensor, tensor_new
-from .rope import FreqTable, PatchGrid, freq_table, rotate, rotate_2d, rope_attention
+from .rope import FreqTable, PatchGrid, angles, axial_angles, freq_table, rotate, rope_attention
 from .csec import (
     CsecConfig,
     FusionWeights,

@@ -312,7 +312,8 @@ def cmd_train(args) -> int:
         samples = [(r.sample_id, img, mask)
                    for r, (img, mask) in zip(train_records, train_pairs)]
         model, report, freport = train_with_denoise(
-            samples, mc, tc, val_pairs=val_pairs or None, csec_params=csec_params)
+            samples, mc, tc, val_pairs=val_pairs or None, csec_params=csec_params,
+            csec_config=csec_cfg)
         with open(os.path.join(args.out, "filter_report.tsv"), "w", encoding="utf-8") as fh:
             fh.write("# sample_id\terror_rate\tstatus\n")
             dropped = set(freport.dropped_ids)
@@ -320,8 +321,7 @@ def cmd_train(args) -> int:
                 status = "dropped" if s.sample_id in dropped else "kept"
                 fh.write(f"{s.sample_id}\t{s.error_rate:.6f}\t{status}\n")
     else:
-        model = build_model(mc, csec_params=csec_params)
-        model.csec_config = csec_cfg
+        model = build_model(mc, csec_params=csec_params, csec_config=csec_cfg)
         report = train(model, train_pairs, tc, val_pairs=val_pairs or None)
 
     save_model_checkpoint(os.path.join(args.out, "checkpoint.smk"), model)

@@ -37,7 +37,6 @@ from .tensor import (
     scale,
     sigmoid,
     tmean,
-    transpose2d,
     upsample_nearest,
 )
 
@@ -196,8 +195,8 @@ def cose_forward(image: Tensor, params: dict) -> OffsetField:
 
 
 def self_correlation(f: Tensor) -> Tensor:
-    """A = F F^T over row-per-token features; symmetric PSD by construction."""
-    return matmul(f, transpose2d(f))
+    """A = F F^T over row-per-token features [..., T, c]; symmetric PSD by construction."""
+    return matmul(f, f.T)
 
 
 def _rsqrt_clamp(d: Tensor, eps: float) -> Tensor:
@@ -214,38 +213,39 @@ def _rsqrt_clamp(d: Tensor, eps: float) -> Tensor:
 
 def sym_norm(a: Tensor, eps: float = 1e-8, symmetrize: str = "as_printed",
              degree: str = "diag") -> Tensor:
-    """D^{-1/2} S D^{-1/2} with S the symmetrized matrix and D its degree.
+    """D^{-1/2} S D^{-1/2} with S the symmetrized matrix and D its degree,
+    for each square matrix over the last two axes of a [..., T, T].
 
     symmetrize="as_printed" uses S = (2A + A^T)/2 (so symmetric A scales by
     1.5); "conventional" uses (A + A^T)/2.  degree="diag" takes D from the
     diagonal of S (unit output diagonal whenever diag(S) > eps);
     "rowsum" takes row sums.  Diagonal entries are clamped below by eps.
     """
-    if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
-        raise NonSquareError(f"sym_norm needs a square matrix, got {a.data.shape}")
-    t = a.data.shape[0]
+    if a.data.ndim < 2 or a.data.shape[-1] != a.data.shape[-2]:
+        raise NonSquareError(f"sym_norm needs square matrices, got {a.data.shape}")
+    lead, t = a.data.shape[:-2], a.data.shape[-1]
     if symmetrize == "as_printed":
-        s = add(a, scale(transpose2d(a), 0.5))  # A + A^T/2 == (2A + A^T)/2
+        s = add(a, scale(a.T, 0.5))  # A + A^T/2 == (2A + A^T)/2
     elif symmetrize == "conventional":
-        s = scale(add(a, transpose2d(a)), 0.5)
+        s = scale(add(a, a.T), 0.5)
     else:
         raise ValueError(f"unknown symmetrize {symmetrize!r}")
     if degree == "diag":
-        d = s[np.arange(t), np.arange(t)]
+        d = s[..., np.arange(t), np.arange(t)]
     elif degree == "rowsum":
         ones = Tensor(np.ones((t, 1), dtype=a.dtype))
-        d = reshape(matmul(s, ones), (t,))
+        d = reshape(matmul(s, ones), (*lead, t))
     else:
         raise ValueError(f"unknown degree {degree!r}")
     dm = _rsqrt_clamp(d, eps)
-    outer = matmul(reshape(dm, (t, 1)), reshape(dm, (1, t)))
+    outer = matmul(reshape(dm, (*lead, t, 1)), reshape(dm, (*lead, 1, t)))
     return mul(s, outer)
 
 
 def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, weights: FusionWeights,
               eps: float = 1e-8, symmetrize: str = "as_printed",
               degree: str = "diag") -> Tensor:
-    """Learned-weight fusion of correlation-normalized feature branches."""
+    """Learned-weight fusion of correlation-normalized feature branches [..., T, c]."""
     if not (f_x.data.shape == f_d.data.shape == f_b.data.shape):
         raise ShapeMismatchError("feature branches must share shape")
     acc = None
@@ -261,17 +261,17 @@ def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, weights: FusionWeights,
 
 def decode(params: dict, f_corr: Tensor, target_shape, image=None,
            residual_eps: float = 1e-4) -> Tensor:
-    """Reconstruct a [N,3,H,W] image in [0,1] from fused token features.
+    """Reconstruct a [N,3,H,W] image in [0,1] from fused token features [N,T,c].
 
     With ``image`` given, the decoder output is a residual added in logit
     space, which makes a zero-initialized output layer an identity map.
     """
     h, w = target_shape
     th, tw = h // 4, w // 4
-    t, c = f_corr.data.shape
+    n, t, c = f_corr.data.shape
     if t != th * tw:
         raise ShapeMismatchError(f"{t} tokens cannot fill a {th}x{tw} grid")
-    x = reshape(transpose2d(f_corr), (1, c, th, tw))
+    x = reshape(f_corr.T, (n, c, th, tw))
     x = relu(conv2d(x, params["dec.w1"], stride=1, padding=1))
     x = upsample_nearest(x, 2)
     x = relu(conv2d(x, params["dec.w2"], stride=1, padding=1))
@@ -290,22 +290,22 @@ def decode(params: dict, f_corr: Tensor, target_shape, image=None,
 
 def _extract_tokens(x: Tensor, params: dict, prefix: str) -> Tensor:
     """Conv stack 3 -> hidden -> hidden -> c with two stride-2 steps;
-    output flattened row-major to [T, c] token features."""
+    output flattened row-major to [N, T, c] token features."""
     pad = params[prefix + ".w1"].data.shape[-1] // 2  # CsecConfig.kernel // 2
     h1 = relu(conv2d(x, params[prefix + ".w1"], stride=2, padding=pad))
     h2 = relu(conv2d(h1, params[prefix + ".w2"], stride=2, padding=pad))
     h3 = conv2d(h2, params[prefix + ".w3"], stride=1, padding=pad)
-    _, c, th, tw = h3.data.shape
-    return transpose2d(reshape(h3, (c, th * tw)))
+    n, c, th, tw = h3.data.shape
+    return reshape(h3, (n, c, th * tw)).T
 
 
 def csec_correct(image: Tensor, params: dict, config: CsecConfig = CsecConfig()) -> Tensor:
-    """Full correction: offsets -> branch features -> fusion -> decode."""
+    """Correct each image of [N,3,H,W]: offsets -> branch features -> fusion -> decode."""
     if not isinstance(image, Tensor):
         image = Tensor(image)
-    n, c, h, w = image.data.shape
-    if n != 1 or c != 3:
-        raise ShapeMismatchError(f"expected [1,3,H,W], got {image.data.shape}")
+    if image.data.ndim != 4 or image.data.shape[1] != 3:
+        raise ShapeMismatchError(f"expected [N,3,H,W], got {image.data.shape}")
+    _, _, h, w = image.data.shape
     if h % 4 or w % 4 or h > 64 or w > 64:
         raise ShapeMismatchError("spatial extents must be multiples of 4, at most 64")
     _check_image_range(image)

@@ -36,7 +36,6 @@ class ErrorScore:
 class DenoiseConfig:
     quantile: float = 0.975
     mode: str = "drop_samples"  # or "downweight_pixels"
-    ignore_index: int = -1
 
     def __post_init__(self):
         if not 0.0 < self.quantile < 1.0:

@@ -86,7 +86,7 @@ def _suite_rope(trials, seed):
         weight = _rand(rng, (3, 8))
         p = rng.randint(0, 7)
         worst["rotate"] = max(worst.get("rotate", 0.0), check_function(
-            lambda v: tsum(mul(_rope.rotate(v, p, freqs), Tensor(weight))), x))
+            lambda v: tsum(mul(_rope.rotate(v, _rope.angles(p, freqs)), Tensor(weight))), x))
         q = _rand(rng, (4, 8))
         k = _rand(rng, (4, 8))
         v = _rand(rng, (4, 8))

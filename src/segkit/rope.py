@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
 from .tensor import Tensor, matmul, permute, scale, softmax
 
-__all__ = ["FreqTable", "PatchGrid", "freq_table", "rotate", "rotate_2d", "rope_attention"]
+__all__ = ["FreqTable", "PatchGrid", "freq_table", "angles", "axial_angles", "rotate",
+           "rope_attention"]
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,15 @@ def _rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
     return out
 
 
-def _rotation(x: Tensor, theta: np.ndarray) -> Tensor:
-    """Differentiable pairwise rotation of x by angles theta (f64, cast to x's dtype)."""
+def rotate(x: Tensor, theta) -> Tensor:
+    """Rotate the pairs (x_{2i}, x_{2i+1}) of the last axis by the angles
+    theta[..., i] (f64, cast to x's dtype; broadcast against x's leading axes).
+
+    ``angles`` builds theta for a 1D position, ``axial_angles`` for a 2D one.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim == 0 or x.data.shape[-1] != 2 * theta.shape[-1]:
+        raise ShapeMismatchError(f"last extent {x.data.shape[-1]} vs angles {theta.shape}")
     th = theta.astype(x.dtype)
     return _rotation_cs(x, np.cos(th), np.sin(th))
 
@@ -79,8 +87,17 @@ def _rotation_cs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
                   backward_fn=lambda g: (_rotate_pairs(g, cos, -sin),))
 
 
-def _axial_angles(positions: np.ndarray, freqs: FreqTable) -> np.ndarray:
-    """Axial 2D angles: row index times the half table, then column index."""
+def angles(p, freqs: FreqTable) -> np.ndarray:
+    """1D angles p * w_i, shape p.shape + (head_dim/2,)."""
+    return np.asarray(p, dtype=np.float64)[..., None] * freqs.freqs
+
+
+def axial_angles(positions, freqs: FreqTable) -> np.ndarray:
+    """Axial 2D angles of positions [..., 2] (row, column): the row index
+    times the half table, then the column index, shape [..., head_dim/2].
+
+    ``freqs`` is the full-dimension table; each half uses its half_table().
+    """
     if freqs.head_dim % 4 != 0:
         raise DimNotDivisibleBy4Error(f"head_dim {freqs.head_dim} must be divisible by 4")
     half = freqs.half_table().freqs
@@ -92,29 +109,10 @@ def _axial_angles(positions: np.ndarray, freqs: FreqTable) -> np.ndarray:
 def _axial_tables(rows: int, cols: int, head_dim: int, base: float, dtype: np.dtype):
     """Read-only cos and sin tables [rows*cols, head_dim/2] of a patch grid."""
     grid = PatchGrid(rows, cols)
-    th = _axial_angles(grid.positions(), freq_table(head_dim, base)).astype(dtype)
+    th = axial_angles(grid.positions(), freq_table(head_dim, base)).astype(dtype)
     cos, sin = np.cos(th), np.sin(th)
     cos.flags.writeable = sin.flags.writeable = False
     return cos, sin
-
-
-def rotate(x: Tensor, p, freqs: FreqTable) -> Tensor:
-    """Apply the pairwise planar rotation with angles p * w_i to the last axis."""
-    d = freqs.head_dim
-    if x.data.shape[-1] != d:
-        raise ShapeMismatchError(f"last extent {x.data.shape[-1]} != head_dim {d}")
-    return _rotation(x, float(p) * freqs.freqs)
-
-
-def rotate_2d(x: Tensor, pos, freqs: FreqTable) -> Tensor:
-    """Axial 2D rotation: first d/2 dims by the row index, last d/2 by the column.
-
-    ``freqs`` is the full-dimension table; each half uses its half_table().
-    """
-    theta = _axial_angles(pos, freqs)
-    if x.data.shape[-1] != freqs.head_dim:
-        raise ShapeMismatchError(f"last extent {x.data.shape[-1]} != head_dim {freqs.head_dim}")
-    return _rotation(x, theta)
 
 
 def rope_attention(q: Tensor, k: Tensor, v: Tensor, grid: PatchGrid, freqs: FreqTable) -> Tensor:

@@ -134,8 +134,7 @@ class Model:
         n = arr.shape[0]
         if cfg.use_csec and self.csec_params is not None:
             # frozen preprocessing: corrected pixels, no gradient into CSEC
-            arr = np.concatenate([csec_correct(Tensor(arr[j:j + 1]), self.csec_params,
-                                               self.csec_config).data for j in range(n)])
+            arr = csec_correct(Tensor(arr), self.csec_params, self.csec_config).data
         p = cfg.patch_size
         hp, wp = h // p, w // p
         patches = (arr.reshape(n, 3, hp, p, wp, p)
@@ -192,7 +191,8 @@ def fuse_qkv(heads) -> np.ndarray:
 
 
 def build_model(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32,
-                csec_params: Optional[dict] = None) -> Model:
+                csec_params: Optional[dict] = None,
+                csec_config: CsecConfig = CsecConfig()) -> Model:
     """Deterministically initialize a model from (config, seed)."""
     config.validate()
     if seed is None:
@@ -231,7 +231,7 @@ def build_model(config: ModelConfig, seed: Optional[int] = None, dtype=np.float3
         params[f"b{i}.mlp.b2"] = zeros((d,))
     params["head.w"] = uni((d, k), d)
     params["head.b"] = zeros((k,))
-    return Model(config, params, dtype=dtype, csec_params=csec_params)
+    return Model(config, params, dtype=dtype, csec_params=csec_params, csec_config=csec_config)
 
 
 def predict(model: Model, image) -> np.ndarray:
@@ -315,19 +315,20 @@ def score_samples(model: Model, samples, ignore_index=-1):
 
 
 def train_with_denoise(samples, model_config: ModelConfig, train_config: TrainConfig,
-                       val_pairs=None, csec_params=None):
+                       val_pairs=None, csec_params=None, csec_config: CsecConfig = CsecConfig()):
     """Full denoising loop: train -> score -> filter -> retrain.
 
-    samples: list of (sample_id, image [1,3,H,W], mask [H,W]).
+    samples: list of (sample_id, image [1,3,H,W], mask [H,W]); pixels
+    labelled train_config.ignore_index are neither scored nor trained on.
     Returns (round-2 model, round-2 TrainReport, FilterReport).
     """
     dn = train_config.denoise
     if dn is None:
         raise ConfigInvalidError("train_config.denoise must be set")
     pairs = [(img, mask) for _, img, mask in samples]
-    model1 = build_model(model_config, csec_params=csec_params)
+    model1 = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
     train(model1, pairs, train_config, val_pairs=None)
-    scores = score_samples(model1, samples, ignore_index=dn.ignore_index)
+    scores = score_samples(model1, samples, ignore_index=train_config.ignore_index)
 
     if dn.mode == "drop_samples":
         kept = filter_dataset(scores, dn)
@@ -349,14 +350,14 @@ def train_with_denoise(samples, model_config: ModelConfig, train_config: TrainCo
             logits = model1.forward(image).data[0]
             z = logits - logits.max(axis=0, keepdims=True)
             prob = np.exp(z) / np.exp(z).sum(axis=0, keepdims=True)
-            safe = np.where(mask == dn.ignore_index, 0, mask)
+            safe = np.where(mask == train_config.ignore_index, 0, mask)
             p_true = np.take_along_axis(prob, safe[None], axis=0)[0]
             weight_maps.append(pixel_weight_map(1.0 - p_true, dn.quantile))
 
     freport = FilterReport(scores=scores, threshold=threshold,
                            kept_ids=kept_ids, dropped_ids=dropped_ids)
     if train_config.retrain_from_scratch:
-        model2 = build_model(model_config, csec_params=csec_params)
+        model2 = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
     else:
         model2 = model1
     report2 = train(model2, dataset2, train_config, val_pairs=val_pairs,

@@ -154,7 +154,9 @@ class Tensor:
 
     @property
     def T(self):
-        return transpose2d(self)
+        """The last two axes swapped."""
+        nd = self.data.ndim
+        return permute(self, (*range(nd - 2), nd - 1, nd - 2))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -246,22 +248,21 @@ def reshape(a, shape):
                   backward_fn=lambda g: (g.reshape(a.data.shape),))
 
 
-def transpose2d(a):
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"transpose2d needs rank 2, got {a.data.ndim}")
-    return Tensor(np.ascontiguousarray(a.data.T), parents=(a,),
-                  backward_fn=lambda g: (np.ascontiguousarray(g.T),))
-
-
 def permute(a, axes):
     """Reorder the axes of a, as numpy.transpose(a, axes)."""
     nd = a.data.ndim
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(ax % nd for ax in axes if -nd <= ax < nd) != list(range(nd)):
-        raise AxisOutOfRangeError(f"axes {axes} are not a permutation of rank {nd}")
-    inverse = tuple(np.argsort([ax % nd for ax in axes]))
-    return Tensor(np.transpose(a.data, axes), parents=(a,),
-                  backward_fn=lambda g: (np.transpose(g, inverse),))
+    try:
+        axes = tuple(axes)
+        out = np.ascontiguousarray(a.data.transpose(axes))
+    except (ValueError, TypeError) as exc:  # numpy's AxisError is a ValueError
+        raise AxisOutOfRangeError(f"axes {axes} are not a permutation of rank {nd}") from exc
+    inverse = [0] * nd  # built in Python: np.argsort costs more than the transpose
+    for i, ax in enumerate(axes):
+        inverse[ax % nd] = i
+    # C order both ways: numpy multiplies small strided operands more slowly,
+    # and products and sums over a strided view can round differently
+    return Tensor(out, parents=(a,),
+                  backward_fn=lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
 
 
 def concat(tensors, axis=-1):
@@ -460,7 +461,7 @@ def cross_entropy(logits, target, ignore_index=-1, pixel_weights=None):
     if target.shape != (n, h, w):
         raise ShapeMismatchError(f"target {target.shape} vs logits {logits.data.shape}")
     valid = target != ignore_index
-    if np.any((target < 0) & valid) or np.any(target >= k):
+    if np.any(((target < 0) | (target >= k)) & valid):
         raise ClassOutOfRangeError(f"class ids must be in [0,{k}) or {ignore_index}")
 
     if pixel_weights is None:

@@ -40,7 +40,7 @@ from segkit.metrics import (
     weighted_miou,
 )
 from segkit.rng import SplitMix64
-from segkit.rope import freq_table, rotate
+from segkit.rope import angles, freq_table, rotate
 from segkit.segnet import ModelConfig, TrainConfig, build_model, train, train_with_denoise
 from segkit.tensor import Tensor
 
@@ -81,16 +81,16 @@ def test_criterion_02_rope_invariants():
         x = Tensor(rng.uniform_array((8,), -2, 2))
         p = rng.randint(0, 200)
         worst_norm = max(worst_norm, abs(
-            float(np.linalg.norm(rotate(x, p, ft).data)) - float(np.linalg.norm(x.data))))
+            float(np.linalg.norm(rotate(x, angles(p, ft)).data)) - float(np.linalg.norm(x.data))))
     for _ in range(200):
         q = Tensor(rng.uniform_array((8,), -1, 1))
         k = Tensor(rng.uniform_array((8,), -1, 1))
         p1, p2, d = rng.randint(0, 50), rng.randint(0, 50), rng.randint(0, 20)
-        a = float(rotate(q, p1, ft).data @ rotate(k, p2, ft).data)
-        b = float(rotate(q, p1 + d, ft).data @ rotate(k, p2 + d, ft).data)
+        a = float(rotate(q, angles(p1, ft)).data @ rotate(k, angles(p2, ft)).data)
+        b = float(rotate(q, angles(p1 + d, ft)).data @ rotate(k, angles(p2 + d, ft)).data)
         worst_shift = max(worst_shift, abs(a - b))
-        once = rotate(q, p1 + p2, ft).data
-        twice = rotate(rotate(q, p1, ft), p2, ft).data
+        once = rotate(q, angles(p1 + p2, ft)).data
+        twice = rotate(rotate(q, angles(p1, ft)), angles(p2, ft)).data
         worst_comp = max(worst_comp, float(np.max(np.abs(once - twice))))
     ok = ok and worst_norm < 1e-6 and worst_shift < 1e-5 and worst_comp < 1e-6
     _report(2, f"RoPE invariants: norm dev {worst_norm:.1e}, shift dev "

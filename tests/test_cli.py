@@ -150,6 +150,19 @@ class TestTrain:
         model = cli.load_model_checkpoint(out / "checkpoint.smk")
         assert model.config.use_csec and model.csec_params is not None
 
+    @pytest.mark.parametrize("denoise", [False, True])
+    def test_csec_checkpoint_config_reaches_the_model(self, tmp_path, dataset, denoise):
+        csec_cfg = CsecConfig(hidden=6, residual_eps=2.0 ** -9)
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(csec_cfg, seed=1), csec_cfg)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN.replace("epochs = 2", "epochs = 1") + "quantile = 0.9\n")
+        out = tmp_path / "run_csec_ckpt"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(out), "--use-csec", "--csec-checkpoint", str(ckpt)]
+                    + ["--denoise"] * denoise) == 0
+        assert cli.load_model_checkpoint(out / "checkpoint.smk").csec_config == csec_cfg
+
 
 class TestEval:
     def test_report_and_weighting(self, tmp_path, dataset, trained, capsys):
@@ -347,9 +360,8 @@ class TestCheckpointConfig:
     CSEC_FIELDS = ("feat_channels", "hidden", "kernel", "residual_eps")
 
     def _model(self):
-        model = build_model(self.MODEL, csec_params=init_csec(self.CSEC, seed=3))
-        model.csec_config = self.CSEC
-        return model
+        return build_model(self.MODEL, csec_params=init_csec(self.CSEC, seed=3),
+                           csec_config=self.CSEC)
 
     def test_non_default_configs_round_trip(self, tmp_path):
         for cfg in (self.MODEL, self.CSEC):

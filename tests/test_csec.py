@@ -245,9 +245,25 @@ def test_sym_norm_diagonal_to_identity():
     assert np.max(np.abs(out_ap - np.eye(5))) < 1e-12
 
 
+@pytest.mark.parametrize("symmetrize", ["as_printed", "conventional"])
+@pytest.mark.parametrize("degree", ["diag", "rowsum"])
+def test_sym_norm_batched_matches_per_slice(symmetrize, degree):
+    a = _rand(14, (2, 3, 6, 6), 0.1, 1.0)
+    got = sym_norm(Tensor(a), symmetrize=symmetrize, degree=degree).data
+    assert got.shape == a.shape
+    for i in range(2):
+        for j in range(3):
+            ref = sym_norm(Tensor(a[i, j]), symmetrize=symmetrize, degree=degree).data
+            assert np.max(np.abs(got[i, j] - ref)) <= 1e-12
+
+
 def test_sym_norm_rejects_non_square():
     with pytest.raises(NonSquareError):
         sym_norm(Tensor(np.zeros((3, 4))))
+    with pytest.raises(NonSquareError):
+        sym_norm(Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(NonSquareError):
+        sym_norm(Tensor(np.zeros(3)))
     with pytest.raises(ValueError):
         sym_norm(Tensor(np.eye(3)), symmetrize="bogus")
     with pytest.raises(ValueError):
@@ -287,6 +303,19 @@ def test_self_correlation_is_psd():
         corr = self_correlation(Tensor(f)).data
         assert np.max(np.abs(corr - corr.T)) < 1e-12
         assert _jacobi_eigenvalues(corr)[0] >= -1e-6
+
+
+def test_self_correlation_and_como_fuse_batched_match_per_slice():
+    fx, fd, fb = (_rand(15 + i, (3, 8, 4), 0.2, 1.0) for i in range(3))
+    weights = FusionWeights(gamma_x=Tensor(np.array(0.7)), gamma_d=Tensor(np.array(0.5)),
+                            gamma_b=Tensor(np.array(0.3)), bias=Tensor(_rand(18, (4,))))
+    corr = self_correlation(Tensor(fx)).data
+    fused = como_fuse(Tensor(fx), Tensor(fd), Tensor(fb), weights).data
+    assert corr.shape == (3, 8, 8) and fused.shape == (3, 8, 4)
+    for n in range(3):
+        assert np.max(np.abs(corr[n] - self_correlation(Tensor(fx[n])).data)) <= 1e-12
+        ref = como_fuse(Tensor(fx[n]), Tensor(fd[n]), Tensor(fb[n]), weights).data
+        assert np.max(np.abs(fused[n] - ref)) <= 1e-12
 
 
 def test_como_fuse_shape_mismatch():
@@ -333,11 +362,43 @@ def test_output_in_unit_interval():
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def test_csec_correct_batch_matches_single_images():
+    imgs = SplitMix64(19).uniform_array((3, 3, 16, 16), 0.05, 0.95).astype(np.float32)
+    params = init_csec(CsecConfig(), seed=4, identity=False)
+    batched = csec_correct(Tensor(imgs), params).data
+    assert batched.shape == imgs.shape
+    for n in range(3):
+        single = csec_correct(Tensor(imgs[n:n + 1]), params).data
+        assert np.max(np.abs(batched[n:n + 1] - single)) <= 1e-6
+
+
+def test_csec_correct_batch_gradients_sum_single_image_gradients():
+    cfg = CsecConfig(feat_channels=3, hidden=4)
+    params = init_csec(cfg, seed=5, dtype=np.float64, identity=False)
+    imgs = SplitMix64(20).uniform_array((3, 3, 8, 8), 0.05, 0.95)
+    w = SplitMix64(21).uniform_array((3, 3, 8, 8), -1.0, 1.0)
+
+    def grads(n0, n1):
+        for p in params.values():
+            p.zero_grad()
+        tsum(mul(csec_correct(Tensor(imgs[n0:n1]), params, cfg), Tensor(w[n0:n1]))).backward()
+        return {k: p.grad.copy() for k, p in params.items()}
+
+    batched = grads(0, 3)
+    singles = [grads(n, n + 1) for n in range(3)]
+    for k, g in batched.items():
+        ref = singles[0][k] + singles[1][k] + singles[2][k]
+        assert np.max(np.abs(g - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref)))), k
+
+
 def test_input_validation():
     cfg = CsecConfig()
     params = init_csec(cfg, seed=0)
+    assert csec_correct(Tensor(np.zeros((2, 3, 8, 8))), params, cfg).data.shape == (2, 3, 8, 8)
     with pytest.raises(ShapeMismatchError):
-        csec_correct(Tensor(np.zeros((2, 3, 8, 8))), params, cfg)
+        csec_correct(Tensor(np.zeros((1, 4, 8, 8))), params, cfg)  # not 3 channels
+    with pytest.raises(ShapeMismatchError):
+        csec_correct(Tensor(np.zeros((3, 8, 8))), params, cfg)  # no batch axis
     with pytest.raises(ShapeMismatchError):
         csec_correct(Tensor(np.zeros((1, 3, 10, 10))), params, cfg)  # not % 4
     with pytest.raises(ShapeMismatchError):

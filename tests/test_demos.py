@@ -22,7 +22,7 @@ def _run_demo(demo, cwd):
 
 
 @pytest.mark.parametrize("demo", ["01_autodiff_basics.py", "02_rope_geometry.py",
-                                  "04_label_denoising.py"])
+                                  "04_label_denoising.py", "05_train_eval_loop.py"])
 def test_demo_runs(demo, tmp_path):
     _run_demo(demo, tmp_path)
 

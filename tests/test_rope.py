@@ -5,7 +5,15 @@ import pytest
 
 from segkit.errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
 from segkit.rng import SplitMix64
-from segkit.rope import FreqTable, PatchGrid, freq_table, rope_attention, rotate, rotate_2d
+from segkit.rope import (
+    FreqTable,
+    PatchGrid,
+    angles,
+    axial_angles,
+    freq_table,
+    rope_attention,
+    rotate,
+)
 from segkit.tensor import Tensor
 
 
@@ -41,7 +49,7 @@ def test_norm_preservation_f64():
     for _ in range(1000):
         x = Tensor(rng.uniform_array((8,), -2, 2))
         p = rng.randint(0, 500)
-        y = rotate(x, p, ft)
+        y = rotate(x, angles(p, ft))
         assert abs(np.linalg.norm(y.data) - np.linalg.norm(x.data)) < 1e-12
 
 
@@ -50,7 +58,7 @@ def test_norm_preservation_f32():
     rng = SplitMix64(1)
     for _ in range(200):
         x = Tensor(rng.uniform_array((8,), -2, 2).astype(np.float32))
-        y = rotate(x, rng.randint(0, 100), ft)
+        y = rotate(x, angles(rng.randint(0, 100), ft))
         assert abs(float(np.linalg.norm(y.data)) - float(np.linalg.norm(x.data))) < 1e-6
 
 
@@ -62,8 +70,9 @@ def test_relative_shift_identity():
         k = Tensor(rng.uniform_array((8,), -1, 1))
         p1, p2 = rng.randint(0, 50), rng.randint(0, 50)
         delta = rng.randint(0, 20)
-        a = float(rotate(q, p1, ft).data @ rotate(k, p2, ft).data)
-        b = float(rotate(q, p1 + delta, ft).data @ rotate(k, p2 + delta, ft).data)
+        a = float(rotate(q, angles(p1, ft)).data @ rotate(k, angles(p2, ft)).data)
+        b = float(rotate(q, angles(p1 + delta, ft)).data
+                  @ rotate(k, angles(p2 + delta, ft)).data)
         assert abs(a - b) < 1e-5
 
 
@@ -73,19 +82,21 @@ def test_composition():
     for _ in range(200):
         x = Tensor(rng.uniform_array((8,), -1, 1))
         p1, p2 = rng.randint(0, 40), rng.randint(0, 40)
-        once = rotate(x, p1 + p2, ft).data
-        twice = rotate(rotate(x, p1, ft), p2, ft).data
+        once = rotate(x, angles(p1 + p2, ft)).data
+        twice = rotate(rotate(x, angles(p1, ft)), angles(p2, ft)).data
         assert np.max(np.abs(once - twice)) < 1e-6
 
 
 def test_rotate_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        rotate(Tensor(np.zeros(6)), 1, freq_table(8))
+        rotate(Tensor(np.zeros(6)), angles(1, freq_table(8)))
+    with pytest.raises(ShapeMismatchError):
+        rotate(Tensor(np.zeros(8)), 0.5)  # one angle per pair, not a scalar
 
 
 def test_rotate_2d_needs_dim_divisible_by_4():
     with pytest.raises(DimNotDivisibleBy4Error):
-        rotate_2d(Tensor(np.zeros(6)), (0, 0), freq_table(6))
+        axial_angles((0, 0), freq_table(6))
 
 
 def test_rotate_2d_matches_axial_halves():
@@ -95,9 +106,9 @@ def test_rotate_2d_matches_axial_halves():
     for _ in range(50):
         x = rng.uniform_array((8,), -1, 1)
         py, px = rng.randint(0, 9), rng.randint(0, 9)
-        got = rotate_2d(Tensor(x), (py, px), ft).data
-        lo = rotate(Tensor(x[:4].copy()), py, half).data
-        hi = rotate(Tensor(x[4:].copy()), px, half).data
+        got = rotate(Tensor(x), axial_angles((py, px), ft)).data
+        lo = rotate(Tensor(x[:4].copy()), angles(py, half)).data
+        hi = rotate(Tensor(x[4:].copy()), angles(px, half)).data
         assert np.max(np.abs(got - np.concatenate([lo, hi]))) < 1e-12
 
 
@@ -110,9 +121,9 @@ def test_rotate_2d_relative_shift_both_axes():
         p1 = (rng.randint(0, 10), rng.randint(0, 10))
         p2 = (rng.randint(0, 10), rng.randint(0, 10))
         dy, dx = rng.randint(0, 5), rng.randint(0, 5)
-        a = float(rotate_2d(q, p1, ft).data @ rotate_2d(k, p2, ft).data)
-        b = float(rotate_2d(q, (p1[0] + dy, p1[1] + dx), ft).data
-                  @ rotate_2d(k, (p2[0] + dy, p2[1] + dx), ft).data)
+        a = float(rotate(q, axial_angles(p1, ft)).data @ rotate(k, axial_angles(p2, ft)).data)
+        b = float(rotate(q, axial_angles((p1[0] + dy, p1[1] + dx), ft)).data
+                  @ rotate(k, axial_angles((p2[0] + dy, p2[1] + dx), ft)).data)
         assert abs(a - b) < 1e-5
 
 
@@ -126,8 +137,10 @@ def test_rope_attention_matches_manual_recompute():
     out = rope_attention(Tensor(q), Tensor(k), Tensor(v), grid, ft).data
 
     pos = grid.positions()
-    qr = np.stack([rotate_2d(Tensor(q[i].copy()), tuple(pos[i]), ft).data for i in range(4)])
-    kr = np.stack([rotate_2d(Tensor(k[i].copy()), tuple(pos[i]), ft).data for i in range(4)])
+    qr = np.stack([rotate(Tensor(q[i].copy()), axial_angles(tuple(pos[i]), ft)).data
+                   for i in range(4)])
+    kr = np.stack([rotate(Tensor(k[i].copy()), axial_angles(tuple(pos[i]), ft)).data
+                   for i in range(4)])
     scores = qr @ kr.T / np.sqrt(8.0)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     attn = e / e.sum(axis=1, keepdims=True)

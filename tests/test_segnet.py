@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from segkit.checkpoint import load_checkpoint, save_checkpoint
+from segkit.csec import CsecConfig, init_csec
 from segkit.denoise import DenoiseConfig
 from segkit.errors import (
     BadMagicError,
@@ -176,6 +177,15 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             predict(model, imgs)
 
+    def test_csec_batch_matches_single_image_forwards(self):
+        csec = init_csec(CsecConfig(), seed=2, identity=False)
+        model = build_model(ModelConfig(**SMALL, use_csec=True), csec_params=csec)
+        imgs = SplitMix64(3).uniform_array((3, 3, 16, 16), 0, 1).astype(np.float32)
+        batched = model.forward(imgs).data
+        for n in range(3):
+            single = model.forward(imgs[n:n + 1]).data
+            assert np.max(np.abs(batched[n:n + 1] - single)) <= 1e-6
+
     def test_argmax_tie_breaks_low(self):
         # predict uses argmax, which resolves ties toward the lower index
         assert int(np.argmax(np.zeros(3))) == 0
@@ -246,6 +256,20 @@ class TestDenoiseLoop:
         _, _, freport = train_with_denoise(samples, mc, tc)
         assert set(freport.kept_ids) | set(freport.dropped_ids) == {f"s{i}" for i in range(8)}
         assert len(freport.scores) == 8
+
+    @pytest.mark.parametrize("mode", ["drop_samples", "downweight_pixels"])
+    def test_train_ignore_index_is_the_only_ignore_label(self, mode):
+        # label 3 marks "ignore" with 3 classes: it must neither be scored
+        # nor index the round-1 class probabilities
+        data = _dataset(11, 4)
+        for _, mask in data:
+            mask[:4] = 3
+        samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
+        tc = TrainConfig(epochs=1, seed=4, ignore_index=3,
+                         denoise=DenoiseConfig(quantile=0.9, mode=mode))
+        _, report, freport = train_with_denoise(samples, ModelConfig(**SMALL, seed=4), tc)
+        assert np.isfinite(report.losses[0])
+        assert [s.evaluated_pixels for s in freport.scores] == [12 * 16] * 4
 
     def test_downweight_mode_runs(self):
         data = _dataset(10, 4)

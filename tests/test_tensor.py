@@ -36,7 +36,6 @@ from segkit.tensor import (
     softmax,
     tensor_new,
     tmean,
-    transpose2d,
     tsum,
     upsample_nearest,
 )
@@ -156,7 +155,7 @@ class TestGradients:
         w = SplitMix64(9).uniform_array((6,), -1, 1)
         assert check_function(lambda v: tsum(mul(reshape(v, (6,)), Tensor(w))),
                               _a((2, 3), seed=2)) <= TOL
-        assert check_function(lambda v: tsum(mul(reshape(transpose2d(v), (6,)), Tensor(w))),
+        assert check_function(lambda v: tsum(mul(reshape(permute(v, (1, 0)), (6,)), Tensor(w))),
                               _a((2, 3), seed=2)) <= TOL
         assert check_function(lambda v: tmean(concat([v, scale(v, 2.0)], axis=0)),
                               _a((2, 3), seed=2)) <= TOL
@@ -165,8 +164,11 @@ class TestGradients:
         w = SplitMix64(9).uniform_array((4, 2, 3), -1, 1)
         assert check_function(lambda v: tsum(mul(permute(v, (2, 0, 1)), Tensor(w))),
                               _a((2, 3, 4), seed=2)) <= TOL
-        with pytest.raises(AxisOutOfRangeError):
-            permute(_t((2, 3)), (0, 0))
+        for bad in ((0, 0), (0, 2), (0,), (0, 1, 2), None):
+            with pytest.raises(AxisOutOfRangeError):
+                permute(_t((2, 3)), bad)
+        x = _t((2, 3, 4))
+        assert np.array_equal(x.T.data, np.swapaxes(x.data, 1, 2))  # .T swaps the last two
 
     def test_matmul_leading_axes(self):
         w = SplitMix64(8).uniform_array((4, 2), -1, 1)
@@ -313,6 +315,16 @@ class TestSemantics:
     def test_cross_entropy_class_out_of_range(self):
         with pytest.raises(ClassOutOfRangeError):
             cross_entropy(_t((1, 3, 2, 2)), np.full((1, 2, 2), 7))
+        with pytest.raises(ClassOutOfRangeError):
+            cross_entropy(_t((1, 3, 2, 2)), np.full((1, 2, 2), 3), ignore_index=255)
+
+    def test_cross_entropy_ignore_index_at_or_above_k(self):
+        # an ignore label outside [0, K) is ignored, not out of range
+        logits = _t((1, 3, 2, 2), seed=3)
+        target = np.array([[[1, 255], [0, 2]]])
+        got = cross_entropy(logits, target, ignore_index=255).data
+        want = cross_entropy(logits, np.where(target == 255, -1, target)).data
+        assert got == want
 
     def test_cross_entropy_hand_value(self):
         # uniform logits over K classes -> loss = log K
