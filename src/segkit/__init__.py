@@ -6,7 +6,7 @@ matrix mIoU with per-robot weighting, a toy trainable segmentation model,
 and bit-exact PNM/TSV dataset I/O.
 """
 
-from .tensor import Tensor, tensor_new
+from .tensor import Tensor
 from .rope import FreqTable, PatchGrid, angles, axial_angles, freq_table, rotate, rope_attention
 from .csec import (
     CsecConfig,
@@ -27,7 +27,6 @@ from .denoise import (
     ErrorScore,
     filter_dataset,
     pixel_error_rate,
-    pixel_weight_map,
     quantile_threshold,
 )
 from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_miou

@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--denoise", action="store_true",
-                   help="train -> score -> filter -> retrain loop")
+                   help="denoise by the config's mode: drop_samples or truncate_pixels")
     p.add_argument("--use-csec", action="store_true",
                    help="frozen color correction before the model")
     p.add_argument("--csec-checkpoint", default=None,

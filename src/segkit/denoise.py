@@ -2,14 +2,14 @@
 
 Every training sample is scored by its pixel-wise error rate under the
 current model; samples strictly above the nearest-rank quantile of the score
-distribution (default 97.5th percentile) are dropped before retraining.
-An alternate mode zeroes the loss weight of the highest-error pixels instead
-of dropping whole samples.
+distribution (default 97.5th percentile) are dropped before retraining
+(``mode = drop_samples``).  The other mode, ``truncate_pixels``, trains once
+and gives zero loss weight to each batch's valid pixels whose loss lies
+strictly above that quantile (``cross_entropy(truncate=q)``).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "pixel_error_rate",
     "quantile_threshold",
     "filter_dataset",
-    "pixel_weight_map",
 ]
 
 
@@ -35,12 +34,12 @@ class ErrorScore:
 @dataclass
 class DenoiseConfig:
     quantile: float = 0.975
-    mode: str = "drop_samples"  # or "downweight_pixels"
+    mode: str = "drop_samples"  # or "truncate_pixels"
 
     def __post_init__(self):
         if not 0.0 < self.quantile < 1.0:
             raise ValueError(f"quantile must be in (0,1), got {self.quantile}")
-        if self.mode not in ("drop_samples", "downweight_pixels"):
+        if self.mode not in ("drop_samples", "truncate_pixels"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -61,14 +60,15 @@ def pixel_error_rate(pred, gt, ignore_index: int = -1) -> float:
 
 
 def quantile_threshold(errors, q: float) -> float:
-    """Nearest-rank quantile: the ceil(q*N)-th smallest value (1-indexed)."""
-    errors = list(errors)
-    if not errors:
+    """Nearest-rank quantile: the ceil(q*N)-th smallest of the N values
+    (1-indexed) of a list or array, read flat."""
+    errors = np.asarray(errors).reshape(-1)
+    if errors.size == 0:
         raise EmptyListError("quantile of empty list")
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0,1), got {q}")
-    rank = math.ceil(q * len(errors))
-    return sorted(errors)[rank - 1]
+    rank = math.ceil(q * errors.size)
+    return float(np.partition(errors, rank - 1)[rank - 1])
 
 
 def filter_dataset(records, config: DenoiseConfig):
@@ -83,9 +83,3 @@ def filter_dataset(records, config: DenoiseConfig):
     thresh = quantile_threshold([r.error_rate for r in records], config.quantile)
     return [r for r in records if r.error_rate <= thresh]
 
-
-def pixel_weight_map(per_pixel_errors, q: float) -> np.ndarray:
-    """0/1 loss weights: 0 where the pixel error strictly exceeds the q quantile."""
-    errs = np.asarray(per_pixel_errors, dtype=np.float64)
-    thresh = quantile_threshold(errs.reshape(-1).tolist(), q)
-    return (errs <= thresh).astype(np.float64)

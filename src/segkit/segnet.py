@@ -3,12 +3,15 @@
 Architecture: optional frozen color correction -> patchify -> linear embed
 -> transformer blocks (pre-norm, multi-head attention with rotary positions
 on queries/keys, MLP, residuals) -> per-patch class logits -> nearest-
-neighbor upsampling to pixel logits.  Training is plain cross-entropy with
-an adaptive-moment optimizer, fully deterministic from the seeds.
+neighbor upsampling to pixel logits.  Training is cross-entropy with an
+adaptive-moment optimizer, fully deterministic from the seeds.
 
-The denoising loop trains once on the full set, scores every sample's
-pixel-wise error rate under that model, drops the samples above the score
-quantile, and retrains from a fresh seed-initialized model on the rest.
+The denoising loop has two modes (``DenoiseConfig.mode``).  drop_samples
+trains once on the full set, scores every sample's pixel-wise error rate
+under that model, drops the samples above the score quantile, and retrains
+from a fresh seed-initialized model on the rest.  truncate_pixels trains
+once, and every batch's loss leaves out its valid pixels whose loss lies
+above the quantile.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +25,6 @@ from .denoise import (
     ErrorScore,
     filter_dataset,
     pixel_error_rate,
-    pixel_weight_map,
     quantile_threshold,
 )
 from .errors import ConfigInvalidError, EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
@@ -92,7 +94,6 @@ class TrainConfig:
     batch_size: int = 4
     ignore_index: int = -1
     denoise: Optional[DenoiseConfig] = None
-    retrain_from_scratch: bool = True
     seed: int = 0
 
 
@@ -250,15 +251,14 @@ def evaluate_miou(model: Model, pairs, ignore_index=-1, excluded_classes=()) -> 
     return miou(cm, excluded_classes)
 
 
-def train(model: Model, dataset, config: TrainConfig, val_pairs=None,
-          weight_maps=None) -> TrainReport:
+def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainReport:
     """Optimize cross-entropy over (image [1,3,H,W], mask [H,W]) pairs.
 
     Each optimizer step runs one forward over a batch of up to batch_size
     samples.  Its loss is the mean over the batch of each sample's own mean
-    over its valid (or weighted) pixels.  weight_maps, when given, is a
-    per-sample list of [H,W] loss-weight maps (the pixel-downweighting
-    denoise mode).
+    over its kept pixels: the valid ones, and when config.denoise has mode
+    truncate_pixels only those whose loss is at most the batch's
+    config.denoise.quantile quantile.
     """
     if not dataset:
         raise EmptyDatasetError("training set is empty")
@@ -269,6 +269,8 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None,
                                      f"vs image size {h}x{w}")
     opt = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                beta2=config.beta2, eps=config.eps)
+    dn = config.denoise
+    truncate = dn.quantile if dn is not None and dn.mode == "truncate_pixels" else None
     order_rng = SplitMix64(config.seed)
     report = TrainReport()
     for _ in range(config.epochs):
@@ -279,7 +281,7 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None,
             batch = idx[start:start + config.batch_size]
             opt.zero_grad()
             total += _train_step(model, [dataset[j] for j in batch], config.ignore_index,
-                                 None if weight_maps is None else [weight_maps[j] for j in batch])
+                                 truncate)
             opt.step()
         report.losses.append(total / len(idx))
         if val_pairs:
@@ -288,14 +290,13 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None,
     return report
 
 
-def _train_step(model: Model, pairs, ignore_index, weight_maps) -> float:
+def _train_step(model: Model, pairs, ignore_index, truncate) -> float:
     """Forward and backward one batch; returns the sum of its per-sample
     losses.  The graph is freed on return, before the next forward."""
     images = np.concatenate([image for image, _ in pairs])
     masks = np.stack([mask for _, mask in pairs])
-    wmaps = None if weight_maps is None else np.stack(weight_maps)
     loss = cross_entropy(model.forward(images), masks, ignore_index=ignore_index,
-                         pixel_weights=wmaps)
+                         truncate=truncate)
     lv = float(loss.data)
     if not np.isfinite(lv):
         raise TrainingDivergedError("non-finite training loss")
@@ -316,50 +317,39 @@ def score_samples(model: Model, samples, ignore_index=-1):
 
 def train_with_denoise(samples, model_config: ModelConfig, train_config: TrainConfig,
                        val_pairs=None, csec_params=None, csec_config: CsecConfig = CsecConfig()):
-    """Full denoising loop: train -> score -> filter -> retrain.
+    """The denoising loop of train_config.denoise.mode.
+
+    drop_samples: train -> score -> filter -> retrain a fresh seed-built
+    model on the kept samples.  truncate_pixels: train one model once with
+    the truncated loss, then score it; nothing is dropped and the report's
+    threshold is nan.
 
     samples: list of (sample_id, image [1,3,H,W], mask [H,W]); pixels
     labelled train_config.ignore_index are neither scored nor trained on.
-    Returns (round-2 model, round-2 TrainReport, FilterReport).
+    Returns (final model, its TrainReport, FilterReport).
     """
     dn = train_config.denoise
     if dn is None:
         raise ConfigInvalidError("train_config.denoise must be set")
     pairs = [(img, mask) for _, img, mask in samples]
-    model1 = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
-    train(model1, pairs, train_config, val_pairs=None)
-    scores = score_samples(model1, samples, ignore_index=train_config.ignore_index)
+    model = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
+    if dn.mode == "truncate_pixels":
+        report = train(model, pairs, train_config, val_pairs=val_pairs)
+        scores = score_samples(model, samples, ignore_index=train_config.ignore_index)
+        return model, report, FilterReport(scores=scores, threshold=float("nan"),
+                                           kept_ids=[s.sample_id for s in scores],
+                                           dropped_ids=[])
 
-    if dn.mode == "drop_samples":
-        kept = filter_dataset(scores, dn)
-        kept_ids = [s.sample_id for s in kept]
-        kept_set = set(kept_ids)
-        dropped_ids = [s.sample_id for s in scores if s.sample_id not in kept_set]
-        threshold = quantile_threshold([s.error_rate for s in scores], dn.quantile)
-        dataset2 = [(img, mask) for sid, img, mask in samples if sid in kept_set]
-        weight_maps = None
-    else:
-        # downweight mode: zero the loss weight of the highest-error pixels,
-        # scored by 1 - p(true class) under the round-1 model
-        threshold = float("nan")
-        kept_ids = [s.sample_id for s in scores]
-        dropped_ids = []
-        dataset2 = pairs
-        weight_maps = []
-        for _, image, mask in samples:
-            logits = model1.forward(image).data[0]
-            z = logits - logits.max(axis=0, keepdims=True)
-            prob = np.exp(z) / np.exp(z).sum(axis=0, keepdims=True)
-            safe = np.where(mask == train_config.ignore_index, 0, mask)
-            p_true = np.take_along_axis(prob, safe[None], axis=0)[0]
-            weight_maps.append(pixel_weight_map(1.0 - p_true, dn.quantile))
-
-    freport = FilterReport(scores=scores, threshold=threshold,
-                           kept_ids=kept_ids, dropped_ids=dropped_ids)
-    if train_config.retrain_from_scratch:
-        model2 = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
-    else:
-        model2 = model1
-    report2 = train(model2, dataset2, train_config, val_pairs=val_pairs,
-                    weight_maps=weight_maps)
+    train(model, pairs, train_config, val_pairs=None)
+    scores = score_samples(model, samples, ignore_index=train_config.ignore_index)
+    kept_ids = [s.sample_id for s in filter_dataset(scores, dn)]
+    kept_set = set(kept_ids)
+    freport = FilterReport(
+        scores=scores,
+        threshold=quantile_threshold([s.error_rate for s in scores], dn.quantile),
+        kept_ids=kept_ids,
+        dropped_ids=[s.sample_id for s in scores if s.sample_id not in kept_set])
+    model2 = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
+    report2 = train(model2, [(img, mask) for sid, img, mask in samples if sid in kept_set],
+                    train_config, val_pairs=val_pairs)
     return model2, report2, freport

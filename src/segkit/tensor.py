@@ -16,16 +16,15 @@ from .errors import (
     NonScalarLossError,
     ShapeMismatchError,
 )
+from .denoise import quantile_threshold
 
 __all__ = [
     "Tensor",
-    "tensor_new",
     "matmul",
     "permute",
     "conv2d",
     "softmax",
     "cross_entropy",
-    "concat",
     "upsample_nearest",
     "layer_norm",
     "add_bias",
@@ -170,20 +169,6 @@ class Tensor:
         return tmean(self)
 
 
-def tensor_new(shape, data):
-    """Construct a tensor from an extent list and flat row-major data."""
-    shape = tuple(int(s) for s in shape)
-    if any(s == 0 for s in shape):
-        raise EmptyShapeError(f"zero extent in {shape}")
-    flat = np.asarray(data, dtype=np.float64).reshape(-1)
-    n = 1
-    for s in shape:
-        n *= s
-    if flat.size != n:
-        raise ShapeMismatchError(f"shape {shape} needs {n} values, got {flat.size}")
-    return Tensor(flat.reshape(shape).astype(np.float32))
-
-
 # -- elementwise ------------------------------------------------------------
 
 
@@ -263,18 +248,6 @@ def permute(a, axes):
     # and products and sums over a strided view can round differently
     return Tensor(out, parents=(a,),
                   backward_fn=lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
-
-
-def concat(tensors, axis=-1):
-    tensors = list(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    return Tensor(out, parents=tuple(tensors), backward_fn=bwd)
 
 
 def tsum(a):
@@ -445,14 +418,16 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd)
 
 
-def cross_entropy(logits, target, ignore_index=-1, pixel_weights=None):
+def cross_entropy(logits, target, ignore_index=-1, truncate=None):
     """Mean over samples of each sample's mean negative log-likelihood.
 
     logits: [N,K,H,W]; target: integer array [N,H,W].  A sample's loss is the
-    mean over its non-ignored pixels; optional pixel_weights [N,H,W] multiply
-    each pixel's loss, and the weighted mean normalizes by the sample's weight
-    total.  A sample with no valid weight adds 0 to the sum but still counts
-    in N, so the batch loss equals the mean of N single-sample losses.
+    mean over its kept pixels: the non-ignored ones, and with truncate=q in
+    (0,1) only those whose loss is at most the nearest-rank q quantile of the
+    per-pixel loss over the batch's non-ignored pixels.  Which pixels are kept
+    is a constant in backward.  A sample with no kept pixel adds 0 to the sum
+    but still counts in N, so the batch loss equals the mean of N
+    single-sample losses.
     """
     if logits.data.ndim != 4:
         raise ShapeMismatchError("cross_entropy expects [N,K,H,W] logits")
@@ -464,17 +439,15 @@ def cross_entropy(logits, target, ignore_index=-1, pixel_weights=None):
     if np.any(((target < 0) | (target >= k)) & valid):
         raise ClassOutOfRangeError(f"class ids must be in [0,{k}) or {ignore_index}")
 
-    if pixel_weights is None:
-        weights = valid.astype(logits.dtype)
-    else:
-        weights = np.asarray(pixel_weights, dtype=logits.dtype) * valid
-    denom = weights.reshape(n, -1).sum(axis=1)
-    live = denom != 0
-
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     tsafe = np.where(valid, target, 0)[:, None]
     nll = -np.take_along_axis(logp, tsafe, axis=1)[:, 0]
+    weights = valid.astype(logits.dtype)
+    if truncate is not None and valid.any():
+        weights[nll > quantile_threshold(nll[valid], truncate)] = 0
+    denom = weights.reshape(n, -1).sum(axis=1)
+    live = denom != 0
     sums = (nll * weights).reshape(n, -1).sum(axis=1)
     loss = np.divide(sums, n * denom, out=np.zeros_like(sums), where=live).sum()
 
@@ -488,4 +461,3 @@ def cross_entropy(logits, target, ignore_index=-1, pixel_weights=None):
         return (gl,)
 
     return Tensor(np.array(loss, dtype=logits.dtype), parents=(logits,), backward_fn=bwd)
-

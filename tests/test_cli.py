@@ -113,6 +113,27 @@ class TestTrain:
         assert len(lines) == 9  # header + 8 train samples
         assert all(line.split("\t")[2] in ("kept", "dropped") for line in lines[1:])
 
+    def test_truncate_mode_trains_once_and_drops_nothing(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN + "quantile = 0.9\nmode = truncate_pixels\n")
+        out = tmp_path / "run_tr"
+        code = main(["train", "--config", str(cfg),
+                     "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(out), "--denoise"])
+        assert code == 0
+        lines = (out / "filter_report.tsv").read_text().strip().splitlines()
+        assert len(lines) == 9  # header + 8 train samples
+        assert all(line.split("\t")[2] == "kept" for line in lines[1:])
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"]["denoise"]["mode"] == "truncate_pixels"
+        # the two-round mode's old name is no longer a mode
+        cfg.write_text(TRAIN + "mode = downweight_pixels\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run_old"), "--denoise"])
+        assert code == 2
+        assert "downweight_pixels" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, dataset, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TRAIN.replace("learning_rate = 0.001", "learning_rate = 1e20"))

@@ -1,5 +1,7 @@
 """Unit tests for quantile-based label denoising."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from segkit.denoise import (
     ErrorScore,
     filter_dataset,
     pixel_error_rate,
-    pixel_weight_map,
     quantile_threshold,
 )
 from segkit.errors import EmptyListError, ShapeMismatchError, UnscoredRecordError
@@ -59,6 +60,17 @@ class TestQuantileThreshold:
             quantile_threshold([1.0], 0.0)
         with pytest.raises(ValueError):
             quantile_threshold([1.0], 1.0)
+
+    def test_array_input_is_read_flat(self):
+        errs = np.array([[0.1, 0.2], [0.3, 0.9]], dtype=np.float32)
+        # ceil(0.75 * 4) = 3 -> the 3rd smallest
+        assert quantile_threshold(errs, 0.75) == np.float32(0.3)
+        rng = SplitMix64(4)
+        for n in (1, 7, 64):
+            a = rng.uniform_array((n,), 0.0, 1.0)
+            for q in (0.1, 0.5, 0.975):
+                want = sorted(a.tolist())[math.ceil(q * n) - 1]
+                assert quantile_threshold(a, q) == quantile_threshold(a.tolist(), q) == want
 
 
 class TestFilterDataset:
@@ -132,10 +144,6 @@ class TestConfigAndWeights:
             DenoiseConfig(quantile=1.5)
         with pytest.raises(ValueError):
             DenoiseConfig(mode="bogus")
+        with pytest.raises(ValueError):
+            DenoiseConfig(mode="downweight_pixels")
         assert DenoiseConfig().quantile == 0.975
-
-    def test_pixel_weight_map(self):
-        errs = np.array([[0.1, 0.2], [0.3, 0.9]])
-        w = pixel_weight_map(errs, 0.75)
-        # ceil(0.75*4)=3 -> threshold 0.3; only the 0.9 pixel is zeroed
-        assert w.tolist() == [[1.0, 1.0], [1.0, 0.0]]

@@ -31,7 +31,6 @@ from segkit.segnet import (
 from segkit.tensor import (
     Tensor,
     add,
-    concat,
     cross_entropy,
     layer_norm,
     linear,
@@ -91,7 +90,8 @@ def _per_head_forward(model, img):
                 outs.append(rope_attention(q, k, v, model.grid, model.freqs))
             else:
                 outs.append(matmul(softmax(scale(matmul(q, k.T), dh ** -0.5), axis=1), v))
-        x = add(x, matmul(concat(outs, axis=-1), pr[f"b{i}.attn.wo"]))
+        heads = Tensor(np.concatenate([o.data for o in outs], -1))
+        x = add(x, matmul(heads, pr[f"b{i}.attn.wo"]))
         x = add(x, model._mlp(i, x))
     logits = linear(x, pr["head.w"], pr["head.b"]).data
     return logits.T.reshape(1, -1, hp, wp).repeat(p, axis=2).repeat(p, axis=3)
@@ -140,16 +140,17 @@ class TestFusedHeads:
         masks = [np.full((16, 16), -1), pairs[1][1].copy(), pairs[2][1]]
         masks[1][:5] = -1
         pairs = [(img, m) for (img, _), m in zip(pairs, masks)]
-        wmaps = [np.ones((16, 16)), np.ones((16, 16)),
-                 SplitMix64(13).uniform_array((16, 16), 0.0, 2.0)]
+        # ceil(0.999 * N) = N for the batch's N < 1000 valid pixels and for
+        # every sample's own: truncation keeps every pixel, batched or not
+        truncate = 0.999
 
-        total = _train_step(model, pairs, -1, wmaps)
+        total = _train_step(model, pairs, -1, truncate)
         batched = {k: p.grad.copy() for k, p in model.params.items()}
         for p in model.params.values():
             p.zero_grad()
         losses = []
-        for (img, mask), wmap in zip(pairs, wmaps):
-            loss = cross_entropy(model.forward(img), mask[None], pixel_weights=wmap[None])
+        for img, mask in pairs:
+            loss = cross_entropy(model.forward(img), mask[None], truncate=truncate)
             scale(loss, 1.0 / len(pairs)).backward()
             losses.append(float(loss.data))
         assert losses[0] == 0.0
@@ -257,10 +258,10 @@ class TestDenoiseLoop:
         assert set(freport.kept_ids) | set(freport.dropped_ids) == {f"s{i}" for i in range(8)}
         assert len(freport.scores) == 8
 
-    @pytest.mark.parametrize("mode", ["drop_samples", "downweight_pixels"])
+    @pytest.mark.parametrize("mode", ["drop_samples", "truncate_pixels"])
     def test_train_ignore_index_is_the_only_ignore_label(self, mode):
         # label 3 marks "ignore" with 3 classes: it must neither be scored
-        # nor index the round-1 class probabilities
+        # nor index the class probabilities of the loss
         data = _dataset(11, 4)
         for _, mask in data:
             mask[:4] = 3
@@ -271,15 +272,23 @@ class TestDenoiseLoop:
         assert np.isfinite(report.losses[0])
         assert [s.evaluated_pixels for s in freport.scores] == [12 * 16] * 4
 
-    def test_downweight_mode_runs(self):
+    def test_truncate_mode_runs(self):
         data = _dataset(10, 4)
         samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
         mc = ModelConfig(**SMALL, seed=3)
         tc = TrainConfig(epochs=1, seed=3,
-                         denoise=DenoiseConfig(quantile=0.9, mode="downweight_pixels"))
-        _, report, freport = train_with_denoise(samples, mc, tc)
-        assert freport.dropped_ids == []
+                         denoise=DenoiseConfig(quantile=0.9, mode="truncate_pixels"))
+        model, report, freport = train_with_denoise(samples, mc, tc)
+        assert freport.dropped_ids == [] and np.isnan(freport.threshold)
+        assert freport.kept_ids == [sid for sid, _, _ in samples]
         assert len(report.losses) == 1
+        # one round: the same as train on the full set with the same config,
+        # whose loss differs from the untruncated one
+        once = build_model(mc)
+        assert train(once, data, tc).losses == report.losses
+        for k, p in model.params.items():
+            assert np.array_equal(once.params[k].data, p.data), k
+        assert train(build_model(mc), data, TrainConfig(epochs=1, seed=3)).losses != report.losses
 
 
 class TestCheckpoint:

@@ -20,7 +20,6 @@ from segkit.tensor import (
     Tensor,
     add,
     add_bias,
-    concat,
     conv2d,
     cross_entropy,
     layer_norm,
@@ -34,7 +33,6 @@ from segkit.tensor import (
     scale,
     sigmoid,
     softmax,
-    tensor_new,
     tmean,
     tsum,
     upsample_nearest,
@@ -51,19 +49,16 @@ def _t(shape, seed=0, lo=-1.0, hi=1.0):
     return Tensor(_a(shape, seed, lo, hi), requires_grad=True)
 
 
+def _nll(logits, target):
+    """Per-pixel negative log-likelihood [N,H,W] in f64, ignored pixels
+    (label -1) read against class 0."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -np.take_along_axis(logp, np.maximum(target, 0)[:, None], axis=1)[:, 0]
+
+
 class TestConstruction:
-    def test_tensor_new_roundtrip(self):
-        t = tensor_new((2, 3), [1, 2, 3, 4, 5, 6])
-        assert t.shape == (2, 3)
-        assert t.data[1, 2] == 6.0
-
-    def test_tensor_new_size_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            tensor_new((2, 3), [1, 2, 3])
-
     def test_empty_shape_rejected(self):
-        with pytest.raises(EmptyShapeError):
-            tensor_new((0, 3), [])
         with pytest.raises(EmptyShapeError):
             Tensor(np.empty((2, 0)))
 
@@ -157,8 +152,7 @@ class TestGradients:
                               _a((2, 3), seed=2)) <= TOL
         assert check_function(lambda v: tsum(mul(reshape(permute(v, (1, 0)), (6,)), Tensor(w))),
                               _a((2, 3), seed=2)) <= TOL
-        assert check_function(lambda v: tmean(concat([v, scale(v, 2.0)], axis=0)),
-                              _a((2, 3), seed=2)) <= TOL
+        assert check_function(lambda v: tmean(mul(v, v)), _a((2, 3), seed=2)) <= TOL
 
     def test_permute(self):
         w = SplitMix64(9).uniform_array((4, 2, 3), -1, 1)
@@ -237,10 +231,15 @@ class TestGradients:
         assert check_function(lambda v: tsum(mul(v, Tensor(x))), x) <= TOL
 
     def test_cross_entropy_with_ignore_and_weights(self):
-        target = np.array([[[1, 0], [-1, 2]]])
-        pw = np.array([[[0.5, 1.0], [1.0, 2.0]]])
-        assert check_function(lambda v: cross_entropy(v, target, pixel_weights=pw),
-                              _a((1, 3, 2, 2), seed=9, lo=-2, hi=2)) <= TOL
+        # truncation weighs the 3 highest-loss of the 15 valid pixels 0
+        # (ceil(0.75 * 15) = 12 kept); the gap at the cut is far above what a
+        # central difference moves a loss, so no pixel crosses it
+        target = (_a((1, 4, 4), seed=10, lo=0, hi=3)).astype(int)
+        target[0, 1, 2] = -1
+        x = _a((1, 3, 4, 4), seed=9, lo=-2, hi=2)
+        ranked = np.sort(_nll(x, target)[target != -1])
+        assert ranked[12] - ranked[11] > 1e-3
+        assert check_function(lambda v: cross_entropy(v, target, truncate=0.75), x) <= TOL
 
 
 class TestSemantics:
@@ -306,11 +305,48 @@ class TestSemantics:
             add(x, _t((4,)))
 
     def test_cross_entropy_all_ignored_is_zero_with_zero_grad(self):
-        logits = _t((1, 3, 2, 2), seed=2)
-        loss = cross_entropy(logits, np.full((1, 2, 2), -1))
-        assert float(loss.data) == 0.0
-        loss.backward()
-        assert np.all(logits.grad == 0.0)
+        for truncate in (None, 0.5):
+            logits = _t((1, 3, 2, 2), seed=2)
+            loss = cross_entropy(logits, np.full((1, 2, 2), -1), truncate=truncate)
+            assert float(loss.data) == 0.0
+            loss.backward()
+            assert np.all(logits.grad == 0.0)
+
+    def test_cross_entropy_truncation_that_drops_nothing_is_plain(self):
+        # ceil(0.99 * 30) = 30: the threshold is the largest valid loss
+        target = (_a((2, 4, 4), seed=4, lo=0, hi=3)).astype(int)
+        target[0, 0, :2] = -1
+        out = []
+        for truncate in (None, 0.99):
+            logits = Tensor(_a((2, 3, 4, 4), seed=5, lo=-3, hi=3).astype(np.float32),
+                            requires_grad=True)
+            loss = cross_entropy(logits, target, truncate=truncate)
+            loss.backward()
+            out.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert out[0] == out[1]
+
+    def test_cross_entropy_truncation_ranks_valid_pixels_only(self):
+        # 12 of 16 rows ignored: ceil(0.9 * 64) = 58 of the 64 valid pixels
+        # keep their weight, the 6 with the highest loss lose it, and the
+        # ignored pixels' logits change neither the count nor the loss
+        target = (_a((1, 16, 16), seed=14, lo=0, hi=3)).astype(int)
+        target[0, :12] = -1
+        valid = target != -1
+        x = _a((1, 3, 16, 16), seed=15, lo=-3, hi=3)
+        nll = _nll(x, target)
+        assert len(set(nll[valid])) == 64
+        dropped = valid & (nll > np.sort(nll[valid])[57])
+        assert dropped.sum() == 6
+        losses = []
+        for noise_seed in (16, 17):
+            xi = x.copy()
+            xi[:, :, :12] = _a((1, 3, 12, 16), seed=noise_seed, lo=-9, hi=9)
+            logits = Tensor(xi, requires_grad=True)
+            loss = cross_entropy(logits, target, truncate=0.9)
+            loss.backward()
+            assert np.array_equal(np.all(logits.grad == 0, axis=1) & valid, dropped)
+            losses.append(float(loss.data))
+        assert losses[0] == losses[1] == pytest.approx(nll[valid & ~dropped].mean(), abs=1e-12)
 
     def test_cross_entropy_class_out_of_range(self):
         with pytest.raises(ClassOutOfRangeError):
