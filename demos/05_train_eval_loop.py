@@ -60,7 +60,7 @@ for i, (img, mask) in enumerate(train_pairs):
     noisy.append((f"s{i:02d}", img, mask))
 tc = TrainConfig(epochs=6, learning_rate=1e-3, seed=0,
                  denoise=DenoiseConfig(quantile=2 / 3))
-model2, report2, freport = train_with_denoise(noisy, mc, tc, val_pairs=val_pairs)
+model2, report2, freport = train_with_denoise(build_model(mc), noisy, tc, val_pairs=val_pairs)
 print(f"dropped {len(freport.dropped_ids)}/48 samples "
       f"(threshold {freport.threshold:.3f})")
 print(f"retrained val mIoU: {report2.val_mious[-1]:.3f}")

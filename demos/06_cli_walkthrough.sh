@@ -33,8 +33,11 @@ segkit synth --spec spec.cfg --out data
 head -3 data/manifest.tsv
 
 echo "== train (with quantile filtering and loss curves) =="
-echo "quantile = 0.9" >> train.cfg
-segkit train --config train.cfg --data data/manifest.tsv --out run --denoise --svg
+cat >> train.cfg <<EOF
+mode = drop_samples
+quantile = 0.9
+EOF
+segkit train --config train.cfg --data data/manifest.tsv --out run --svg
 ls run
 
 echo "== eval (weighted per-robot aggregation) =="

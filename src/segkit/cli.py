@@ -9,9 +9,13 @@ image, writes its record beside it as ``<out>.run.json``.
 Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 I/O error,
 4 training divergence, 5 missing robot under GOOSE weighting.
 
-Config files are flat ``key = value`` text with ``#`` comments.  Model and
-training checkpoints embed their configuration as rank-0 ``config.*``
-entries, so ``eval`` and ``correct`` need nothing but the checkpoint.
+Config files are flat ``key = value`` text with ``#`` comments.  A ``train``
+config alone sets its run: its keys are the fields of ``ModelConfig``,
+``TrainConfig`` and ``DenoiseConfig``; setting ``mode`` or ``quantile`` turns
+denoising on, and ``--csec-checkpoint`` only names the weights of the
+corrector ``use_csec = true`` turns on.  Checkpoints embed their
+configuration as rank-0 ``config.*`` entries, so ``eval`` and ``correct``
+need nothing but the checkpoint.
 """
 
 import argparse
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .csec import CsecConfig, csec_correct, init_csec, psnr
+from .csec import CsecConfig, csec_correct, psnr
 from .dataio import (
     SynthSpec,
     load_manifest,
@@ -106,19 +110,32 @@ def _parse_like(text, current):
     if isinstance(current, tuple):
         parts = text.replace(",", " ").split()
         return tuple(int(p) for p in parts)
-    return text
+    if isinstance(current, str):
+        return text
+    raise TypeError("not settable from a config file")
 
 
-def apply_config(obj, cfg: dict, used: set):
-    """Set matching dataclass fields of obj from string config values."""
-    for f in dc_fields(obj):
-        if f.name in cfg:
-            try:
-                setattr(obj, f.name, _parse_like(cfg[f.name], getattr(obj, f.name)))
-            except (ValueError, TypeError) as exc:
-                raise ConfigInvalidError(f"bad value for {f.name!r}: {exc}")
-            used.add(f.name)
-    return obj
+def apply_config(cfg: dict, *objs):
+    """Set the dataclass fields of objs that cfg names from its string
+    values and rerun each one's ``__post_init__`` checks; a key that no
+    field takes is an error.  Returns objs."""
+    used = set()
+    for obj in objs:
+        for f in dc_fields(obj):
+            if f.name in cfg:
+                try:
+                    setattr(obj, f.name, _parse_like(cfg[f.name], getattr(obj, f.name)))
+                except (ValueError, TypeError) as exc:
+                    raise ConfigInvalidError(f"bad value for {f.name!r}: {exc}")
+                used.add(f.name)
+        try:
+            getattr(obj, "__post_init__", lambda: None)()
+        except ValueError as exc:
+            raise ConfigInvalidError(str(exc))
+    unknown = set(cfg) - used
+    if unknown:
+        raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
+    return objs
 
 
 def write_run_record(path, command, arg_view: dict, resolved: dict):
@@ -141,25 +158,25 @@ def _pack_config(cfg, prefix) -> dict:
             for f in dc_fields(cfg)}
 
 
+def _config_entry(blob: dict, key, default, path):
+    """The ``key`` entry typed like ``default`` (a tuple default holds ints)."""
+    if key not in blob:
+        raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
+    data = blob[key].data
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(v) for v in np.atleast_1d(data))
+        if isinstance(default, bool):
+            return bool(int(data))
+        return type(default)(data)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalidError(f"{path}: bad {key!r}: {exc}")
+
+
 def _unpack_config(cls, blob: dict, prefix, path):
-    """Rebuild ``cls`` from the entries ``_pack_config`` wrote, each value
-    typed like its field's default (a tuple default holds ints)."""
-    values = {}
-    for f in dc_fields(cls):
-        key = prefix + f.name
-        if key not in blob:
-            raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
-        data = blob[key].data
-        try:
-            if isinstance(f.default, tuple):
-                values[f.name] = tuple(int(v) for v in np.atleast_1d(data))
-            elif isinstance(f.default, bool):
-                values[f.name] = bool(int(data))
-            else:
-                values[f.name] = type(f.default)(data)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigInvalidError(f"{path}: bad {key!r}: {exc}")
-    return cls(**values)
+    """Rebuild ``cls`` from the entries ``_pack_config`` wrote."""
+    return cls(**{f.name: _config_entry(blob, prefix + f.name, f.default, path)
+                  for f in dc_fields(cls)})
 
 
 def save_model_checkpoint(path, model: Model):
@@ -175,7 +192,8 @@ def save_model_checkpoint(path, model: Model):
 
 def load_model_checkpoint(path) -> Model:
     blob = load_checkpoint(path)
-    if int(blob.get("config.kind", Tensor(0.0)).data) != 0:
+    # a checkpoint without config.kind passes as either kind
+    if "config.kind" in blob and _config_entry(blob, "config.kind", 0, path) != 0:
         raise ConfigInvalidError(f"{path} is not a model checkpoint")
     cfg = _unpack_config(ModelConfig, blob, "config.", path)
     cfg.validate()
@@ -210,7 +228,7 @@ def save_csec_checkpoint(path, params: dict, config: CsecConfig = CsecConfig()):
 
 def load_csec_checkpoint(path):
     blob = load_checkpoint(path)
-    if int(blob.get("config.kind", Tensor(1.0)).data) != 1:
+    if "config.kind" in blob and _config_entry(blob, "config.kind", 1, path) != 1:
         raise ConfigInvalidError(f"{path} is not a color-correction checkpoint")
     cfg = _unpack_config(CsecConfig, blob, "config.", path)
     return {k: t for k, t in blob.items() if not k.startswith("config.")}, cfg
@@ -221,9 +239,9 @@ def load_csec_checkpoint(path):
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def write_curves_svg(path, series: dict, width=480, height=320):
+def write_curves_svg(path, series: dict):
     """Plot named float series as polylines in a minimal standalone SVG."""
-    pad = 40
+    width, height, pad = 480, 320, 40
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
              f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
@@ -255,17 +273,7 @@ def write_curves_svg(path, series: dict, width=480, height=320):
 
 
 def cmd_synth(args) -> int:
-    cfg = read_config(args.spec)
-    used = set()
-    spec = SynthSpec()
-    try:
-        apply_config(spec, cfg, used)
-        spec.__post_init__()
-    except ValueError as exc:
-        raise ConfigInvalidError(str(exc))
-    unknown = set(cfg) - used
-    if unknown:
-        raise ConfigInvalidError(f"unknown spec keys: {sorted(unknown)}")
+    spec, = apply_config(read_config(args.spec), SynthSpec())
     os.makedirs(args.out, exist_ok=True)
     records, _ = synth_dataset(spec, args.out)
     write_run_record(os.path.join(args.out, "run.json"), "synth",
@@ -281,48 +289,33 @@ def _load_split(records, split):
 
 def cmd_train(args) -> int:
     cfg = read_config(args.config)
-    used = set()
-    mc = apply_config(ModelConfig(), cfg, used)
-    tc = apply_config(TrainConfig(), cfg, used)
-    dn = apply_config(DenoiseConfig(), cfg, used)
-    try:
-        dn.__post_init__()
-    except ValueError as exc:
-        raise ConfigInvalidError(str(exc))
-    unknown = set(cfg) - used
-    if unknown:
-        raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
-    mc.use_csec = mc.use_csec or args.use_csec
-    mc.validate()
-
-    csec_params, csec_cfg = None, CsecConfig()
-    if mc.use_csec:
-        if args.csec_checkpoint:
-            csec_params, csec_cfg = load_csec_checkpoint(args.csec_checkpoint)
-        else:
-            csec_params = init_csec(csec_cfg, seed=mc.seed)
+    mc, tc, dn = apply_config(cfg, ModelConfig(), TrainConfig(), DenoiseConfig())
+    if any(f.name in cfg for f in dc_fields(DenoiseConfig)):
+        tc.denoise = dn
+    if args.csec_checkpoint and not mc.use_csec:
+        raise ConfigInvalidError("--csec-checkpoint needs use_csec = true in the config")
+    csec_params, csec_cfg = (load_csec_checkpoint(args.csec_checkpoint) if args.csec_checkpoint
+                             else (None, CsecConfig()))
+    model = build_model(mc, csec_params=csec_params, csec_config=csec_cfg)
 
     records = load_manifest(args.data)
     train_records, train_pairs = _load_split(records, "train")
     _, val_pairs = _load_split(records, "val")
     os.makedirs(args.out, exist_ok=True)
 
-    if args.denoise:
-        tc.denoise = dn
+    if tc.denoise is None:
+        report = train(model, train_pairs, tc, val_pairs=val_pairs or None)
+    else:
         samples = [(r.sample_id, img, mask)
                    for r, (img, mask) in zip(train_records, train_pairs)]
-        model, report, freport = train_with_denoise(
-            samples, mc, tc, val_pairs=val_pairs or None, csec_params=csec_params,
-            csec_config=csec_cfg)
+        model, report, freport = train_with_denoise(model, samples, tc,
+                                                    val_pairs=val_pairs or None)
         with open(os.path.join(args.out, "filter_report.tsv"), "w", encoding="utf-8") as fh:
             fh.write("# sample_id\terror_rate\tstatus\n")
             dropped = set(freport.dropped_ids)
             for s in freport.scores:
                 status = "dropped" if s.sample_id in dropped else "kept"
                 fh.write(f"{s.sample_id}\t{s.error_rate:.6f}\t{status}\n")
-    else:
-        model = build_model(mc, csec_params=csec_params, csec_config=csec_cfg)
-        report = train(model, train_pairs, tc, val_pairs=val_pairs or None)
 
     save_model_checkpoint(os.path.join(args.out, "checkpoint.smk"), model)
     with open(os.path.join(args.out, "metrics.tsv"), "w", encoding="utf-8") as fh:
@@ -335,13 +328,10 @@ def cmd_train(args) -> int:
         if report.val_mious:
             curves["val_miou"] = report.val_mious
         write_curves_svg(os.path.join(args.out, "curves.svg"), curves)
-    resolved = {"model": asdict(mc), "train": asdict(tc)}
-    if args.denoise:
-        resolved["denoise"] = asdict(dn)
     write_run_record(os.path.join(args.out, "run.json"), "train",
                      {"config": args.config, "data": args.data, "out": args.out,
-                      "denoise": args.denoise, "use_csec": args.use_csec},
-                     resolved)
+                      "csec_checkpoint": args.csec_checkpoint},
+                     {"model": asdict(mc), "train": asdict(tc)})
     print(f"final loss {report.losses[-1]:.6f}" +
           (f", val mIoU {report.val_mious[-1]:.4f}" if report.val_mious else ""))
     return EXIT_OK
@@ -485,16 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the segmentation model")
+    p = sub.add_parser("train", help="train the segmentation model", description=(
+        "Train as the config file says; its keys are the fields of ModelConfig, TrainConfig "
+        "and DenoiseConfig.  Setting mode (drop_samples or truncate_pixels) or quantile "
+        "turns denoising on; use_csec = true puts frozen color correction first."))
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--data", required=True, help="dataset manifest")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--denoise", action="store_true",
-                   help="denoise by the config's mode: drop_samples or truncate_pixels")
-    p.add_argument("--use-csec", action="store_true",
-                   help="frozen color correction before the model")
     p.add_argument("--csec-checkpoint", default=None,
-                   help="trained color-correction checkpoint for --use-csec")
+                   help="color-correction weights for use_csec = true "
+                        "(default: the identity-initialized corrector)")
     p.add_argument("--svg", action="store_true", help="emit loss/mIoU curves as SVG")
     p.set_defaults(func=cmd_train)
 

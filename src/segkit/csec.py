@@ -242,15 +242,14 @@ def sym_norm(a: Tensor, eps: float = 1e-8, symmetrize: str = "as_printed",
     return mul(s, outer)
 
 
-def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, weights: FusionWeights,
-              eps: float = 1e-8, symmetrize: str = "as_printed",
-              degree: str = "diag") -> Tensor:
-    """Learned-weight fusion of correlation-normalized feature branches [..., T, c]."""
+def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, weights: FusionWeights) -> Tensor:
+    """Learned-weight fusion of correlation-normalized feature branches
+    [..., T, c], each correlation put through ``sym_norm``'s defaults."""
     if not (f_x.data.shape == f_d.data.shape == f_b.data.shape):
         raise ShapeMismatchError("feature branches must share shape")
     acc = None
     for f, gamma in ((f_x, weights.gamma_x), (f_d, weights.gamma_d), (f_b, weights.gamma_b)):
-        norm = sym_norm(self_correlation(f), eps=eps, symmetrize=symmetrize, degree=degree)
+        norm = sym_norm(self_correlation(f))
         term = scalar_mul(matmul(norm, f), gamma)
         acc = term if acc is None else add(acc, term)
     return add_bias(acc, weights.bias)
@@ -259,12 +258,12 @@ def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, weights: FusionWeights,
 # -- decoder ----------------------------------------------------------------
 
 
-def decode(params: dict, f_corr: Tensor, target_shape, image=None,
+def decode(params: dict, f_corr: Tensor, target_shape, image,
            residual_eps: float = 1e-4) -> Tensor:
     """Reconstruct a [N,3,H,W] image in [0,1] from fused token features [N,T,c].
 
-    With ``image`` given, the decoder output is a residual added in logit
-    space, which makes a zero-initialized output layer an identity map.
+    The decoder output is a residual added to ``image`` in logit space, which
+    makes a zero-initialized output layer an identity map.
     """
     h, w = target_shape
     th, tw = h // 4, w // 4
@@ -277,12 +276,10 @@ def decode(params: dict, f_corr: Tensor, target_shape, image=None,
     x = relu(conv2d(x, params["dec.w2"], stride=1, padding=1))
     x = upsample_nearest(x, 2)
     r = conv2d(x, params["dec.w3"], stride=1, padding=1)
-    if image is not None:
-        base = np.clip(np.asarray(image.data if isinstance(image, Tensor) else image,
-                                  dtype=r.dtype), residual_eps, 1.0 - residual_eps)
-        logit = np.log(base / (1.0 - base))
-        r = add(r, Tensor(logit))
-    return sigmoid(r)
+    base = np.clip(np.asarray(image.data if isinstance(image, Tensor) else image,
+                              dtype=r.dtype), residual_eps, 1.0 - residual_eps)
+    logit = np.log(base / (1.0 - base))
+    return sigmoid(add(r, Tensor(logit)))
 
 
 # -- full pipeline ----------------------------------------------------------

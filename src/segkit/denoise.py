@@ -3,9 +3,11 @@
 Every training sample is scored by its pixel-wise error rate under the
 current model; samples strictly above the nearest-rank quantile of the score
 distribution (default 97.5th percentile) are dropped before retraining
-(``mode = drop_samples``).  The other mode, ``truncate_pixels``, trains once
-and gives zero loss weight to each batch's valid pixels whose loss lies
-strictly above that quantile (``cross_entropy(truncate=q)``).
+(``mode = drop_samples``, run by ``segnet.train_with_denoise``).  The other
+mode, ``truncate_pixels``, trains once and gives zero loss weight to each
+batch's valid pixels whose loss lies strictly above that quantile
+(``cross_entropy(truncate=q)``).  A ``segkit train`` config turns
+denoising on by setting either field of ``DenoiseConfig``.
 """
 
 import math

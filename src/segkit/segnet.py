@@ -6,20 +6,24 @@ on queries/keys, MLP, residuals) -> per-patch class logits -> nearest-
 neighbor upsampling to pixel logits.  Training is cross-entropy with an
 adaptive-moment optimizer, fully deterministic from the seeds.
 
-The denoising loop has two modes (``DenoiseConfig.mode``).  drop_samples
-trains once on the full set, scores every sample's pixel-wise error rate
-under that model, drops the samples above the score quantile, and retrains
-from a fresh seed-initialized model on the rest.  truncate_pixels trains
-once, and every batch's loss leaves out its valid pixels whose loss lies
-above the quantile.
+A model has color correction exactly when ``ModelConfig.use_csec`` is set,
+and then always has CSEC parameters: given ones or the identity-initialized
+corrector ``build_model`` draws from ``ModelConfig.seed``.
+
+The denoising loop ``train_with_denoise`` has two modes
+(``DenoiseConfig.mode``).  drop_samples trains the given model on the full
+set, scores every sample's pixel-wise error rate under it, drops the samples
+above the score quantile, and retrains a fresh model built from the same
+config on the rest.  truncate_pixels trains the given model once, and every
+batch's loss leaves out its valid pixels whose loss lies above the quantile.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .csec import CsecConfig, csec_correct
+from .csec import CsecConfig, csec_correct, init_csec
 from .denoise import (
     DenoiseConfig,
     ErrorScore,
@@ -114,6 +118,9 @@ class FilterReport:
 class Model:
     def __init__(self, config: ModelConfig, params: dict, dtype=np.float32,
                  csec_params: Optional[dict] = None, csec_config: CsecConfig = CsecConfig()):
+        if config.use_csec != (csec_params is not None):
+            raise ConfigInvalidError(f"use_csec is {config.use_csec} but CSEC parameters are "
+                                     f"{'missing' if csec_params is None else 'given'}")
         self.config = config
         self.params = params
         self.dtype = dtype
@@ -133,7 +140,7 @@ class Model:
         if arr.ndim != 4 or arr.shape[1:] != (3, h, w):
             raise ShapeMismatchError(f"expected [N,3,{h},{w}], got {arr.shape}")
         n = arr.shape[0]
-        if cfg.use_csec and self.csec_params is not None:
+        if cfg.use_csec:
             # frozen preprocessing: corrected pixels, no gradient into CSEC
             arr = csec_correct(Tensor(arr), self.csec_params, self.csec_config).data
         p = cfg.patch_size
@@ -191,14 +198,14 @@ def fuse_qkv(heads) -> np.ndarray:
     return np.concatenate([hd[j] for j in range(3) for hd in heads], axis=1)
 
 
-def build_model(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32,
-                csec_params: Optional[dict] = None,
+def build_model(config: ModelConfig, dtype=np.float32, csec_params: Optional[dict] = None,
                 csec_config: CsecConfig = CsecConfig()) -> Model:
-    """Deterministically initialize a model from (config, seed)."""
+    """Deterministically initialize a model from config; with use_csec and no
+    csec_params, its corrector is the identity-initialized one of csec_config."""
     config.validate()
-    if seed is None:
-        seed = config.seed
-    rng = SplitMix64(seed)
+    if config.use_csec and csec_params is None:
+        csec_params = init_csec(csec_config, seed=config.seed, dtype=dtype)
+    rng = SplitMix64(config.seed)
     d, p, k = config.embed_dim, config.patch_size, config.n_classes
     dh = d // config.n_heads
 
@@ -244,11 +251,11 @@ def predict(model: Model, image) -> np.ndarray:
     return np.argmax(logits[0], axis=0)
 
 
-def evaluate_miou(model: Model, pairs, ignore_index=-1, excluded_classes=()) -> float:
+def evaluate_miou(model: Model, pairs, ignore_index=-1) -> float:
     cm = ConfusionMatrix(model.config.n_classes)
     for image, mask in pairs:
         cm.update(predict(model, image), mask, ignore_index=ignore_index)
-    return miou(cm, excluded_classes)
+    return miou(cm)
 
 
 def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainReport:
@@ -258,8 +265,13 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
     samples.  Its loss is the mean over the batch of each sample's own mean
     over its kept pixels: the valid ones, and when config.denoise has mode
     truncate_pixels only those whose loss is at most the batch's
-    config.denoise.quantile quantile.
+    config.denoise.quantile quantile.  Mode drop_samples needs a second
+    round on a filtered set, which train_with_denoise runs.
     """
+    dn = config.denoise
+    if dn is not None and dn.mode == "drop_samples":
+        raise ConfigInvalidError("train does not drop samples; mode drop_samples "
+                                 "runs through train_with_denoise")
     if not dataset:
         raise EmptyDatasetError("training set is empty")
     h, w = model.config.image_size
@@ -269,7 +281,6 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
                                      f"vs image size {h}x{w}")
     opt = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                beta2=config.beta2, eps=config.eps)
-    dn = config.denoise
     truncate = dn.quantile if dn is not None and dn.mode == "truncate_pixels" else None
     order_rng = SplitMix64(config.seed)
     report = TrainReport()
@@ -315,33 +326,34 @@ def score_samples(model: Model, samples, ignore_index=-1):
     return scores
 
 
-def train_with_denoise(samples, model_config: ModelConfig, train_config: TrainConfig,
-                       val_pairs=None, csec_params=None, csec_config: CsecConfig = CsecConfig()):
-    """The denoising loop of train_config.denoise.mode.
+def train_with_denoise(model: Model, samples, config: TrainConfig, val_pairs=None):
+    """Train the freshly built model by the denoising loop of
+    config.denoise.mode.
 
-    drop_samples: train -> score -> filter -> retrain a fresh seed-built
-    model on the kept samples.  truncate_pixels: train one model once with
-    the truncated loss, then score it; nothing is dropped and the report's
-    threshold is nan.
+    drop_samples: train model -> score -> filter -> retrain a fresh model
+    built from model's config, dtype and CSEC on the kept samples; both
+    rounds train with config less its denoise entry.  truncate_pixels:
+    train model once with the truncated loss, then score it; nothing is
+    dropped and the report's threshold is nan.
 
     samples: list of (sample_id, image [1,3,H,W], mask [H,W]); pixels
-    labelled train_config.ignore_index are neither scored nor trained on.
+    labelled config.ignore_index are neither scored nor trained on.
     Returns (final model, its TrainReport, FilterReport).
     """
-    dn = train_config.denoise
+    dn = config.denoise
     if dn is None:
-        raise ConfigInvalidError("train_config.denoise must be set")
+        raise ConfigInvalidError("config.denoise must be set")
     pairs = [(img, mask) for _, img, mask in samples]
-    model = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
     if dn.mode == "truncate_pixels":
-        report = train(model, pairs, train_config, val_pairs=val_pairs)
-        scores = score_samples(model, samples, ignore_index=train_config.ignore_index)
+        report = train(model, pairs, config, val_pairs=val_pairs)
+        scores = score_samples(model, samples, ignore_index=config.ignore_index)
         return model, report, FilterReport(scores=scores, threshold=float("nan"),
                                            kept_ids=[s.sample_id for s in scores],
                                            dropped_ids=[])
 
-    train(model, pairs, train_config, val_pairs=None)
-    scores = score_samples(model, samples, ignore_index=train_config.ignore_index)
+    plain = replace(config, denoise=None)
+    train(model, pairs, plain, val_pairs=None)
+    scores = score_samples(model, samples, ignore_index=config.ignore_index)
     kept_ids = [s.sample_id for s in filter_dataset(scores, dn)]
     kept_set = set(kept_ids)
     freport = FilterReport(
@@ -349,7 +361,8 @@ def train_with_denoise(samples, model_config: ModelConfig, train_config: TrainCo
         threshold=quantile_threshold([s.error_rate for s in scores], dn.quantile),
         kept_ids=kept_ids,
         dropped_ids=[s.sample_id for s in scores if s.sample_id not in kept_set])
-    model2 = build_model(model_config, csec_params=csec_params, csec_config=csec_config)
+    model2 = build_model(model.config, dtype=model.dtype, csec_params=model.csec_params,
+                         csec_config=model.csec_config)
     report2 = train(model2, [(img, mask) for sid, img, mask in samples if sid in kept_set],
-                    train_config, val_pairs=val_pairs)
+                    plain, val_pairs=val_pairs)
     return model2, report2, freport

@@ -67,14 +67,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Tensor(self.data)
 
     # -- autograd -----------------------------------------------------------
 

@@ -229,7 +229,8 @@ def test_criterion_08_denoise_ablation():
         mc = ModelConfig(seed=seed)
         tc = TrainConfig(epochs=20, learning_rate=1e-3, seed=seed,
                          denoise=DenoiseConfig(quantile=q))
-        _, rep_on, freport = train_with_denoise(samples, mc, tc, val_pairs=val_pairs)
+        _, rep_on, freport = train_with_denoise(build_model(mc), samples, tc,
+                                                val_pairs=val_pairs)
         hit = len(set(freport.dropped_ids) & corrupted)
         total_corrupted += len(corrupted)
         total_hit += hit

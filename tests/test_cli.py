@@ -11,9 +11,10 @@ from segkit.checkpoint import load_checkpoint, save_checkpoint
 from segkit.cli import main, read_config, save_csec_checkpoint
 from segkit.csec import CsecConfig, init_csec
 from segkit.dataio import load_manifest, read_pnm, write_pnm
+from segkit.denoise import DenoiseConfig
 from segkit.errors import BadMagicError, ConfigInvalidError
 from segkit.rng import SplitMix64
-from segkit.segnet import ModelConfig, build_model, predict
+from segkit.segnet import ModelConfig, TrainConfig, build_model, predict
 from segkit.tensor import Tensor
 
 
@@ -107,7 +108,7 @@ class TestTrain:
         out = tmp_path / "run_dn"
         code = main(["train", "--config", str(cfg),
                      "--data", str(dataset / "manifest.tsv"),
-                     "--out", str(out), "--denoise"])
+                     "--out", str(out)])
         assert code == 0
         lines = (out / "filter_report.tsv").read_text().strip().splitlines()
         assert len(lines) == 9  # header + 8 train samples
@@ -119,18 +120,18 @@ class TestTrain:
         out = tmp_path / "run_tr"
         code = main(["train", "--config", str(cfg),
                      "--data", str(dataset / "manifest.tsv"),
-                     "--out", str(out), "--denoise"])
+                     "--out", str(out)])
         assert code == 0
         lines = (out / "filter_report.tsv").read_text().strip().splitlines()
         assert len(lines) == 9  # header + 8 train samples
         assert all(line.split("\t")[2] == "kept" for line in lines[1:])
         run = json.loads((out / "run.json").read_text())
-        assert run["config"]["denoise"]["mode"] == "truncate_pixels"
+        assert run["config"]["train"]["denoise"]["mode"] == "truncate_pixels"
         # the two-round mode's old name is no longer a mode
         cfg.write_text(TRAIN + "mode = downweight_pixels\n")
         code = main(["train", "--config", str(cfg),
                      "--data", str(dataset / "manifest.tsv"),
-                     "--out", str(tmp_path / "run_old"), "--denoise"])
+                     "--out", str(tmp_path / "run_old")])
         assert code == 2
         assert "downweight_pixels" in capsys.readouterr().err
 
@@ -163,11 +164,11 @@ class TestTrain:
 
     def test_use_csec_flag(self, tmp_path, dataset):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text(TRAIN.replace("epochs = 2", "epochs = 1"))
+        cfg.write_text(TRAIN.replace("epochs = 2", "epochs = 1") + "use_csec = true\n")
         out = tmp_path / "run_csec"
         assert main(["train", "--config", str(cfg),
                      "--data", str(dataset / "manifest.tsv"),
-                     "--out", str(out), "--use-csec"]) == 0
+                     "--out", str(out)]) == 0
         model = cli.load_model_checkpoint(out / "checkpoint.smk")
         assert model.config.use_csec and model.csec_params is not None
 
@@ -177,12 +178,68 @@ class TestTrain:
         ckpt = tmp_path / "csec.smk"
         save_csec_checkpoint(ckpt, init_csec(csec_cfg, seed=1), csec_cfg)
         cfg = tmp_path / "train.cfg"
-        cfg.write_text(TRAIN.replace("epochs = 2", "epochs = 1") + "quantile = 0.9\n")
+        cfg.write_text(TRAIN.replace("epochs = 2", "epochs = 1") + "use_csec = true\n"
+                       + "quantile = 0.9\n" * denoise)
         out = tmp_path / "run_csec_ckpt"
         assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
-                     "--out", str(out), "--use-csec", "--csec-checkpoint", str(ckpt)]
-                    + ["--denoise"] * denoise) == 0
+                     "--out", str(out), "--csec-checkpoint", str(ckpt)]) == 0
         assert cli.load_model_checkpoint(out / "checkpoint.smk").csec_config == csec_cfg
+        run = json.loads((out / "run.json").read_text())
+        assert run["args"]["csec_checkpoint"] == str(ckpt)
+
+    def test_csec_checkpoint_without_use_csec_exits_2(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=1))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run"), "--csec-checkpoint", str(ckpt)]) == 2
+        assert "use_csec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, line", [(["--denoise"], ""), (["--use-csec"], ""),
+                                             ([], "denoise = drop_samples\n")],
+                             ids=["denoise-flag", "use-csec-flag", "denoise-key"])
+    def test_removed_flags_and_the_denoise_key_exit_2(self, tmp_path, dataset, capsys,
+                                                       extra, line):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN + line)
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run")] + extra) == 2
+        capsys.readouterr()
+
+    # every key train accepts, a value other than its field's default, and
+    # that value as run.json records it
+    KEYS = [("patch_size", "2", 2), ("embed_dim", "24", 24), ("n_blocks", "3", 3),
+            ("n_heads", "1", 1), ("n_classes", "4", 4), ("use_csec", "true", True),
+            ("use_rope", "false", False), ("image_size", "16, 16", [16, 16]),
+            ("seed", "3", 3), ("epochs", "2", 2), ("learning_rate", "0.002", 0.002),
+            ("beta1", "0.8", 0.8), ("beta2", "0.99", 0.99), ("eps", "1e-06", 1e-6),
+            ("batch_size", "2", 2), ("ignore_index", "7", 7), ("quantile", "0.9", 0.9),
+            ("mode", "truncate_pixels", "truncate_pixels")]
+
+    def test_keys_cover_every_config_field(self):
+        settable = {f.name for cls in (ModelConfig, TrainConfig, DenoiseConfig)
+                    for f in fields(cls)} - {"denoise"}
+        assert {k for k, _, _ in self.KEYS} == settable
+
+    @pytest.mark.parametrize("key, text, value", KEYS, ids=[k for k, _, _ in KEYS])
+    def test_every_key_reaches_the_run_record(self, tmp_path, dataset, capsys, key, text,
+                                              value):
+        default = {f.name: f.default for cls in (ModelConfig, TrainConfig, DenoiseConfig)
+                   for f in fields(cls)}[key]
+        assert value != (list(default) if isinstance(default, tuple) else default)
+        lines = [ln for ln in TRAIN.replace("epochs = 2", "epochs = 1").strip().splitlines()
+                 if not ln.startswith(key + " ")]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {text}"]) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        resolved = json.loads((out / "run.json").read_text())["config"]
+        sections = [resolved["model"], resolved["train"], resolved["train"]["denoise"] or {}]
+        # seed is a field of both ModelConfig and TrainConfig
+        assert [s[key] for s in sections if key in s] in ([value], [value, value])
 
 
 class TestEval:
@@ -444,6 +501,32 @@ class TestCheckpointConfig:
         save_checkpoint(path, blob)
         with pytest.raises(ConfigInvalidError, match="config.seed"):
             cli.load_model_checkpoint(path)
+
+    def test_non_scalar_kind_exits_2(self, tmp_path, dataset, capsys):
+        model = self._model()
+        cli.save_model_checkpoint(tmp_path / "m.smk", model)
+        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        for name in ("m.smk", "c.smk"):
+            blob = load_checkpoint(tmp_path / name)
+            blob["config.kind"] = Tensor(np.zeros(2))
+            save_checkpoint(tmp_path / name, blob)
+        assert main(["eval", "--checkpoint", str(tmp_path / "m.smk"), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 2
+        assert main(["correct", "--checkpoint", str(tmp_path / "c.smk"),
+                     "--in", str(dataset / "images" / "s0000.ppm"),
+                     "--out", str(tmp_path / "out.ppm")]) == 2
+        assert capsys.readouterr().err.count("config.kind") == 2
+
+    def test_use_csec_without_csec_entries_exits_2(self, tmp_path, dataset, capsys):
+        path = tmp_path / "m.smk"
+        cli.save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        blob = load_checkpoint(path)
+        blob["config.use_csec"] = Tensor(np.array(1.0, dtype=np.float32))
+        save_checkpoint(path, blob)
+        code = main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert "use_csec" in capsys.readouterr().err
 
     def test_missing_csec_config_entry_exits_2(self, tmp_path, dataset, capsys):
         path = tmp_path / "c.smk"

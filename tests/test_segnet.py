@@ -18,6 +18,7 @@ from segkit.dataio import SynthSpec, generate_sample
 from segkit.rng import SplitMix64
 from segkit.rope import rope_attention
 from segkit.segnet import (
+    Model,
     ModelConfig,
     TrainConfig,
     _train_step,
@@ -187,6 +188,18 @@ class TestForward:
             single = model.forward(imgs[n:n + 1]).data
             assert np.max(np.abs(batched[n:n + 1] - single)) <= 1e-6
 
+    def test_csec_is_on_exactly_with_use_csec(self):
+        cfg = ModelConfig(**SMALL, use_csec=True, seed=5)
+        model = build_model(cfg)
+        identity = init_csec(CsecConfig(), seed=5)
+        assert set(model.csec_params) == set(identity)
+        for k, p in identity.items():
+            assert np.array_equal(model.csec_params[k].data, p.data), k
+        with pytest.raises(ConfigInvalidError, match="use_csec"):
+            build_model(ModelConfig(**SMALL), csec_params=identity)
+        with pytest.raises(ConfigInvalidError, match="use_csec"):
+            Model(cfg, model.params)
+
     def test_argmax_tie_breaks_low(self):
         # predict uses argmax, which resolves ties toward the lower index
         assert int(np.argmax(np.zeros(3))) == 0
@@ -232,8 +245,13 @@ class TestTraining:
 class TestDenoiseLoop:
     def test_requires_denoise_config(self):
         with pytest.raises(ConfigInvalidError):
-            train_with_denoise([("s0",) + _dataset(1, 1)[0]], ModelConfig(**SMALL),
+            train_with_denoise(build_model(ModelConfig(**SMALL)), [("s0",) + _dataset(1, 1)[0]],
                                TrainConfig(epochs=1))
+
+    def test_train_leaves_drop_mode_to_the_denoise_loop(self):
+        tc = TrainConfig(epochs=1, denoise=DenoiseConfig(quantile=0.9))
+        with pytest.raises(ConfigInvalidError, match="train_with_denoise"):
+            train(build_model(ModelConfig(**SMALL)), _dataset(1, 2), tc)
 
     def test_noop_filter_equals_plain_retrain(self):
         data = _dataset(8, 5)
@@ -243,7 +261,7 @@ class TestDenoiseLoop:
                          denoise=DenoiseConfig(quantile=0.99))
         # ceil(0.99 * 5) = 5, so the threshold is the maximum score and the
         # filter is a no-op; round 2 must match a plain from-scratch run
-        model2, report2, freport = train_with_denoise(samples, mc, tc)
+        model2, report2, freport = train_with_denoise(build_model(mc), samples, tc)
         assert freport.dropped_ids == []
         plain = build_model(mc)
         plain_report = train(plain, data, TrainConfig(epochs=2, seed=1))
@@ -254,7 +272,7 @@ class TestDenoiseLoop:
         samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
         mc = ModelConfig(**SMALL, seed=2)
         tc = TrainConfig(epochs=1, seed=2, denoise=DenoiseConfig(quantile=0.6))
-        _, _, freport = train_with_denoise(samples, mc, tc)
+        _, _, freport = train_with_denoise(build_model(mc), samples, tc)
         assert set(freport.kept_ids) | set(freport.dropped_ids) == {f"s{i}" for i in range(8)}
         assert len(freport.scores) == 8
 
@@ -268,7 +286,8 @@ class TestDenoiseLoop:
         samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
         tc = TrainConfig(epochs=1, seed=4, ignore_index=3,
                          denoise=DenoiseConfig(quantile=0.9, mode=mode))
-        _, report, freport = train_with_denoise(samples, ModelConfig(**SMALL, seed=4), tc)
+        _, report, freport = train_with_denoise(build_model(ModelConfig(**SMALL, seed=4)),
+                                                samples, tc)
         assert np.isfinite(report.losses[0])
         assert [s.evaluated_pixels for s in freport.scores] == [12 * 16] * 4
 
@@ -278,7 +297,7 @@ class TestDenoiseLoop:
         mc = ModelConfig(**SMALL, seed=3)
         tc = TrainConfig(epochs=1, seed=3,
                          denoise=DenoiseConfig(quantile=0.9, mode="truncate_pixels"))
-        model, report, freport = train_with_denoise(samples, mc, tc)
+        model, report, freport = train_with_denoise(build_model(mc), samples, tc)
         assert freport.dropped_ids == [] and np.isnan(freport.threshold)
         assert freport.kept_ids == [sid for sid, _, _ in samples]
         assert len(report.losses) == 1
