@@ -15,7 +15,8 @@ config alone sets its run: its keys are the fields of ``ModelConfig``,
 denoising on, and ``--csec-checkpoint`` only names the weights of the
 corrector ``use_csec = true`` turns on.  Checkpoints embed their
 configuration as rank-0 ``config.*`` entries, so ``eval`` and ``correct``
-need nothing but the checkpoint.
+need nothing but the checkpoint; a model checkpoint without
+``config.window`` predates windowed attention and loads as window 0.
 """
 
 import argparse
@@ -195,6 +196,8 @@ def load_model_checkpoint(path) -> Model:
     # a checkpoint without config.kind passes as either kind
     if "config.kind" in blob and _config_entry(blob, "config.kind", 0, path) != 0:
         raise ConfigInvalidError(f"{path} is not a model checkpoint")
+    # checkpoints written before windowed attention all attend globally
+    blob.setdefault("config.window", Tensor(np.zeros((), dtype=np.float32)))
     cfg = _unpack_config(ModelConfig, blob, "config.", path)
     cfg.validate()
     params = {k: t for k, t in blob.items() if not k.startswith(("config.", "csec."))}

@@ -79,7 +79,9 @@ def _suite_tensor(trials, seed):
 def _suite_rope(trials, seed):
     rng = SplitMix64(seed)
     freqs = _rope.freq_table(8)
-    grid = _rope.PatchGrid(2, 2)
+    # 2x2 windows shifted by 1 on a 2x4 grid: the column shift wraps, so the
+    # check covers the window permutation and the mask at a small input
+    grid, head_freqs = _rope.PatchGrid(2, 4), _rope.freq_table(4)
     worst = {}
     for t in range(trials):
         x = _rand(rng, (3, 8))
@@ -87,13 +89,11 @@ def _suite_rope(trials, seed):
         p = rng.randint(0, 7)
         worst["rotate"] = max(worst.get("rotate", 0.0), check_function(
             lambda v: tsum(mul(_rope.rotate(v, _rope.angles(p, freqs)), Tensor(weight))), x))
-        q = _rand(rng, (4, 8))
-        k = _rand(rng, (4, 8))
-        v = _rand(rng, (4, 8))
-        worst["rope_attention.q"] = max(worst.get("rope_attention.q", 0.0), check_function(
-            lambda u: tsum(_rope.rope_attention(u, Tensor(k), Tensor(v), grid, freqs)), q))
-        worst["rope_attention.k"] = max(worst.get("rope_attention.k", 0.0), check_function(
-            lambda u: tsum(_rope.rope_attention(Tensor(q), u, Tensor(v), grid, freqs)), k))
+        qkv = _rand(rng, (1, 8, 12))
+        out_weight = _rand(rng, (1, 8, 4))
+        worst["rope_attention.qkv"] = max(worst.get("rope_attention.qkv", 0.0), check_function(
+            lambda u: tsum(mul(_rope.rope_attention(u, grid, head_freqs, 1, window=2, shift=1),
+                               Tensor(out_weight))), qkv))
     return worst
 
 
@@ -134,8 +134,9 @@ def _suite_csec(trials, seed):
 
 
 def _suite_segnet(seed):
-    cfg = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2,
-                      n_classes=3, image_size=(16, 16), seed=seed)
+    # 2x2 windows on the 4x4 patch grid: block 1 runs the shift and its mask
+    cfg = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
+                      window=2, image_size=(16, 16), seed=seed)
     model = build_model(cfg, dtype=np.float64)
     rng = SplitMix64(seed + 9)
     img = rng.uniform_array((1, 3, 16, 16), 0.0, 1.0)

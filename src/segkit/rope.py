@@ -9,15 +9,22 @@ only, so relative position enters attention purely through the inner product.
 
 Angles are computed in f64 and cast to the input dtype to avoid trig drift
 for large positions.
+
+``rope_attention`` is the segmentation model's multi-head attention as one
+graph node over the packed q/k/v projection: global, or within (shifted)
+square windows as in a Swin Transformer, with or without the rotation.
+Windows are a fixed token permutation of the grid, so rotations keep the
+global patch coordinates and stay exactly relative inside a window.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
-from .tensor import Tensor, matmul, permute, scale, softmax
+from .tensor import Tensor
 
 __all__ = ["FreqTable", "PatchGrid", "freq_table", "angles", "axial_angles", "rotate",
            "rope_attention"]
@@ -78,10 +85,7 @@ def rotate(x: Tensor, theta) -> Tensor:
     if theta.ndim == 0 or x.data.shape[-1] != 2 * theta.shape[-1]:
         raise ShapeMismatchError(f"last extent {x.data.shape[-1]} vs angles {theta.shape}")
     th = theta.astype(x.dtype)
-    return _rotation_cs(x, np.cos(th), np.sin(th))
-
-
-def _rotation_cs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    cos, sin = np.cos(th), np.sin(th)
     # the inverse rotation (by -theta) is the adjoint
     return Tensor(_rotate_pairs(x.data, cos, sin), parents=(x,),
                   backward_fn=lambda g: (_rotate_pairs(g, cos, -sin),))
@@ -106,35 +110,124 @@ def axial_angles(positions, freqs: FreqTable) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _axial_tables(rows: int, cols: int, head_dim: int, base: float, dtype: np.dtype):
-    """Read-only cos and sin tables [rows*cols, head_dim/2] of a patch grid."""
-    grid = PatchGrid(rows, cols)
-    th = axial_angles(grid.positions(), freq_table(head_dim, base)).astype(dtype)
-    cos, sin = np.cos(th), np.sin(th)
-    cos.flags.writeable = sin.flags.writeable = False
-    return cos, sin
+def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base: float,
+                   dtype: np.dtype):
+    """Read-only (perm, inv, mask, cos, sin) of attention on a patch grid.
 
-
-def rope_attention(q: Tensor, k: Tensor, v: Tensor, grid: PatchGrid, freqs: FreqTable) -> Tensor:
-    """Scaled dot-product attention with rotary positions on queries and keys.
-
-    q, k: [..., T, d]; v: [..., T, dv] with the same leading axes (batch and
-    heads); T must equal grid.rows * grid.cols and d must equal
-    freqs.head_dim.  The axial cos/sin tables are built once per
-    (grid, head_dim, dtype) and reused.
+    The grid is rolled by -shift along each axis longer than the window and
+    cut into window x window tiles.  perm lists the row-major token indices
+    tile by tile (tiles row-major, tokens row-major within a tile), so that
+    x[:, perm] holds the tiles one after the other; inv is its inverse.
+    mask [n_windows, w², w²] is 0 between two tokens of a tile and -inf when
+    exactly one of them wrapped around an edge; it is None when none did.
+    Global attention (window 0, or one tile covering the grid) has perm,
+    inv and mask None and one tile of all T tokens.  cos and sin
+    [n_windows, w², head_dim/2] hold the axial angles of the tokens' global
+    positions in tile order; they are None when head_dim is None.
     """
-    shape = q.data.shape
-    if len(shape) < 2 or k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
-        raise ShapeMismatchError(f"q {shape}, k {k.data.shape}, v {v.data.shape}")
-    t, d = shape[-2:]
+    perm = inv = mask = cos = sin = None
+    tile = rows * cols
+    if window and not window == rows == cols:
+        tile = window * window
+        sy = shift if window < rows else 0
+        sx = shift if window < cols else 0
+        # [tile row, tile col, row in tile, col in tile]
+        ys = (np.arange(rows) + sy).reshape(rows // window, 1, window, 1)
+        xs = (np.arange(cols) + sx).reshape(1, cols // window, 1, window)
+        perm = ((ys % rows) * cols + xs % cols).reshape(-1)
+        inv = np.argsort(perm)
+        wrapped = (2 * (ys >= rows) + (xs >= cols)).reshape(-1, tile)
+        if wrapped.any():
+            mask = np.where(wrapped[:, :, None] != wrapped[:, None, :], -np.inf, 0.0).astype(dtype)
+    if head_dim is not None:
+        pos = PatchGrid(rows, cols).positions()
+        th = axial_angles(pos if perm is None else pos[perm], freq_table(head_dim, base))
+        th = th.astype(dtype).reshape(-1, tile, head_dim // 2)
+        cos, sin = np.cos(th), np.sin(th)
+    for arr in (perm, inv, mask, cos, sin):
+        if arr is not None:
+            arr.flags.writeable = False
+    return perm, inv, mask, cos, sin
+
+
+def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: int = 0,
+                   shift: int = 0) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node, with rotary
+    positions on queries and keys unless freqs is None.
+
+    qkv [N, T, 3d] packs the q heads, then the k heads, then the v heads,
+    each head dh = d / n_heads wide; the result [N, T, d] concatenates the
+    heads' outputs.  T must equal grid.rows * grid.cols and dh must equal
+    freqs.head_dim.  window 0 attends over the whole grid; a nonzero window
+    must divide both grid extents, and each token then attends within its
+    window x window tile after a cyclic shift by shift (0 <= shift < window)
+    along every axis longer than the window.  Pairs that the shift wrapped
+    around an edge do not attend.  Rotations use the global patch
+    coordinates, so they stay relative within a tile.  The window layout and
+    the cos/sin tables are cached per grid, window, shift, head size and
+    dtype.
+    """
+    x = qkv.data
+    if n_heads < 1 or x.ndim != 3 or x.shape[-1] % (3 * n_heads):
+        raise ShapeMismatchError(f"qkv {x.shape} does not pack q, k, v of {n_heads} heads")
+    n, t, d3 = x.shape
+    d = d3 // 3
+    dh = d // n_heads
     if t != grid.n_patches:
         raise ShapeMismatchError(f"{t} tokens vs {grid.rows}x{grid.cols} grid")
-    if d != freqs.head_dim:
-        raise ShapeMismatchError(f"last extent {d} != head_dim {freqs.head_dim}")
-    cos, sin = _axial_tables(grid.rows, grid.cols, d, freqs.base, q.dtype)
-    qr = _rotation_cs(q, cos, sin)
-    kr = _rotation_cs(k, cos, sin)
-    nd = len(shape)
-    # scaling q rather than the [T, T] scores is the same up to rounding
-    scores = matmul(scale(qr, 1.0 / np.sqrt(d)), permute(kr, (*range(nd - 2), nd - 1, nd - 2)))
-    return matmul(softmax(scores, axis=-1), v)
+    if freqs is not None and dh != freqs.head_dim:
+        raise ShapeMismatchError(f"head width {dh} != head_dim {freqs.head_dim}")
+    if window < 0 or (window and (grid.rows % window or grid.cols % window)):
+        raise ShapeMismatchError(f"window {window} does not tile the {grid.rows}x{grid.cols} grid")
+    if not (0 <= shift < window or shift == window == 0):
+        raise ShapeMismatchError(f"shift {shift} outside [0, window {window})")
+    perm, inv, mask, cos, sin = _window_layout(
+        grid.rows, grid.cols, window, shift, None if freqs is None else dh,
+        None if freqs is None else freqs.base, x.dtype)
+    nw = 1 if perm is None else t // (window * window)
+    if perm is not None:
+        x = np.take(x, perm, axis=1)
+    # [N, tile, token, 3, head, dh] -> [3, N, head, tile, token, dh]
+    qkv_w = np.ascontiguousarray(
+        x.reshape(n, nw, t // nw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
+    qk, v = qkv_w[:2], qkv_w[2]
+    if freqs is not None:
+        qk = _rotate_pairs(qk, cos, sin)
+    s = 1.0 / math.sqrt(dh)
+    # scaling q rather than the scores is the same up to rounding
+    qs, k = qk[0] * s, qk[1]
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    p = qs @ kt
+    if mask is not None:
+        p += mask
+    # the row maxima of a transposed copy: numpy reduces short contiguous
+    # rows one at a time, but a leading axis in one vectorized sweep
+    p -= np.ascontiguousarray(p.reshape(-1, p.shape[-1]).T).max(axis=0).reshape(
+        p.shape[:-1] + (1,))
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v).transpose(0, 2, 3, 1, 4).reshape(n, t, d)
+
+    def bwd(g):
+        if perm is not None:
+            g = np.take(g, perm, axis=1)
+        g = np.ascontiguousarray(g.reshape(n, nw, t // nw, n_heads, dh).transpose(0, 3, 1, 2, 4))
+        gp = g @ np.swapaxes(v, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ g
+        gs = gp * p  # softmax backward
+        np.subtract(gp, gs.sum(axis=-1, keepdims=True), out=gs)
+        gs *= p
+        gqk = np.empty_like(qk)
+        np.matmul(gs, k, out=gqk[0])
+        gqk[0] *= s
+        gqk[1] = np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
+        if freqs is not None:  # the inverse rotation (by -theta) is the adjoint
+            gqk = _rotate_pairs(gqk, cos, -sin)
+        gx = np.empty((n, nw, t // nw, 3, n_heads, dh), dtype=x.dtype)
+        gt = gx.transpose(3, 0, 4, 1, 2, 5)
+        gt[:2], gt[2] = gqk, gv
+        gx = gx.reshape(n, t, d3)
+        return (gx if inv is None else np.take(gx, inv, axis=1),)
+
+    return Tensor(out if inv is None else np.take(out, inv, axis=1), parents=(qkv,),
+                  backward_fn=bwd)

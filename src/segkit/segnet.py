@@ -6,6 +6,12 @@ on queries/keys, MLP, residuals) -> per-patch class logits -> nearest-
 neighbor upsampling to pixel logits.  Training is cross-entropy with an
 adaptive-moment optimizer, fully deterministic from the seeds.
 
+Attention is Swin-style: with ``ModelConfig.window`` w > 0 each token
+attends within its w x w tile of the patch grid, and odd blocks shift the
+tiles by w // 2 (``rope.rope_attention``); window 0 attends over the whole
+grid.  The model reaches attention only through the module attribute
+``rope.rope_attention``, once per block.
+
 A model has color correction exactly when ``ModelConfig.use_csec`` is set,
 and then always has CSEC parameters: given ones or the identity-initialized
 corrector ``build_model`` draws from ``ModelConfig.seed``.
@@ -35,7 +41,8 @@ from .errors import ConfigInvalidError, EmptyDatasetError, ShapeMismatchError, T
 from .metrics import ConfusionMatrix, miou
 from .optim import Adam
 from .rng import SplitMix64
-from .rope import PatchGrid, freq_table, rope_attention
+from . import rope
+from .rope import PatchGrid, freq_table
 from .tensor import (
     Tensor,
     add,
@@ -46,8 +53,6 @@ from .tensor import (
     permute,
     relu,
     reshape,
-    scale,
-    softmax,
     upsample_nearest,
 )
 
@@ -75,15 +80,22 @@ class ModelConfig:
     n_classes: int = 3
     use_csec: bool = False
     use_rope: bool = True
+    window: int = 4  # attention tile side in patches; 0 attends over the whole grid
     image_size: tuple = (48, 48)
     seed: int = 0
 
     def validate(self):
         h, w = self.image_size
+        if self.patch_size < 1 or self.n_heads < 1 or self.window < 0:
+            raise ConfigInvalidError("need patch_size >= 1, n_heads >= 1 and window >= 0")
         if self.embed_dim % (4 * self.n_heads) != 0:
             raise ConfigInvalidError("embed_dim must be divisible by 4 * n_heads")
         if h % self.patch_size or w % self.patch_size:
             raise ConfigInvalidError("image size must be divisible by patch_size")
+        rows, cols = h // self.patch_size, w // self.patch_size
+        if self.window and (rows % self.window or cols % self.window):
+            raise ConfigInvalidError(f"window {self.window} must divide the "
+                                     f"{rows}x{cols} patch grid")
         if self.n_blocks < 1 or self.n_classes < 2:
             raise ConfigInvalidError("need n_blocks >= 1 and n_classes >= 2")
 
@@ -99,6 +111,10 @@ class TrainConfig:
     ignore_index: int = -1
     denoise: Optional[DenoiseConfig] = None
     seed: int = 0
+
+    def validate(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigInvalidError("need epochs >= 1 and batch_size >= 1")
 
 
 @dataclass
@@ -158,20 +174,14 @@ class Model:
 
     def _attention(self, i, x):
         """Multi-head attention with all heads in one product: wqkv's columns
-        are the q heads, then the k heads, then the v heads."""
+        are the q heads, then the k heads, then the v heads.  Odd blocks shift
+        their windows by half a window."""
         pr = self.params
         cfg = self.config
-        n, t, d = x.data.shape
-        nh, dh = cfg.n_heads, self.head_dim
         h = layer_norm(x, pr[f"b{i}.ln1.g"], pr[f"b{i}.ln1.b"])
-        qkv = permute(reshape(matmul(h, pr[f"b{i}.wqkv"]), (n, t, 3, nh, dh)), (2, 0, 3, 1, 4))
-        q, k, v = qkv[0], qkv[1], qkv[2]  # [N,h,T,dh]
-        if cfg.use_rope:
-            out = rope_attention(q, k, v, self.grid, self.freqs)
-        else:
-            scores = matmul(scale(q, 1.0 / np.sqrt(dh)), permute(k, (0, 1, 3, 2)))
-            out = matmul(softmax(scores, axis=-1), v)
-        heads = reshape(permute(out, (0, 2, 1, 3)), (n, t, d))
+        heads = rope.rope_attention(matmul(h, pr[f"b{i}.wqkv"]), self.grid,
+                                    self.freqs if cfg.use_rope else None, cfg.n_heads,
+                                    window=cfg.window, shift=cfg.window // 2 if i % 2 else 0)
         return matmul(heads, pr[f"b{i}.attn.wo"])
 
     def _mlp(self, i, x):
@@ -268,6 +278,7 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
     config.denoise.quantile quantile.  Mode drop_samples needs a second
     round on a filtered set, which train_with_denoise runs.
     """
+    config.validate()
     dn = config.denoise
     if dn is not None and dn.mode == "drop_samples":
         raise ConfigInvalidError("train does not drop samples; mode drop_samples "

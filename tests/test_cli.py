@@ -135,6 +135,19 @@ class TestTrain:
         assert code == 2
         assert "downweight_pixels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, text", [("patch_size", "0"), ("n_heads", "0"),
+                                           ("window", "-1"), ("window", "3"), ("epochs", "0"),
+                                           ("batch_size", "0"), ("batch_size", "-1")])
+    def test_invalid_values_exit_2(self, tmp_path, dataset, capsys, key, text):
+        # each value is a typed config error before training starts: no
+        # division by zero, no empty loss list, no run that trains nothing
+        lines = [ln for ln in TRAIN.strip().splitlines() if not ln.startswith(key + " ")]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {text}"]) + "\n")
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, dataset, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TRAIN.replace("learning_rate = 0.001", "learning_rate = 1e20"))
@@ -211,7 +224,8 @@ class TestTrain:
     # that value as run.json records it
     KEYS = [("patch_size", "2", 2), ("embed_dim", "24", 24), ("n_blocks", "3", 3),
             ("n_heads", "1", 1), ("n_classes", "4", 4), ("use_csec", "true", True),
-            ("use_rope", "false", False), ("image_size", "16, 16", [16, 16]),
+            ("use_rope", "false", False), ("window", "2", 2),
+            ("image_size", "16, 16", [16, 16]),
             ("seed", "3", 3), ("epochs", "2", 2), ("learning_rate", "0.002", 0.002),
             ("beta1", "0.8", 0.8), ("beta2", "0.99", 0.99), ("eps", "1e-06", 1e-6),
             ("batch_size", "2", 2), ("ignore_index", "7", 7), ("quantile", "0.9", 0.9),
@@ -429,12 +443,13 @@ class TestCheckpointConfig:
     """The ``config.*`` entries a checkpoint carries: round trip, byte layout
     and malformed checkpoints."""
 
-    # every field differs from its default; residual_eps is exact in f32
+    # every field differs from its default; residual_eps is exact in f32;
+    # the 3x5 patch grid takes no window but the whole grid
     MODEL = ModelConfig(patch_size=2, embed_dim=24, n_blocks=3, n_heads=3, n_classes=4,
-                        use_csec=True, use_rope=False, image_size=(6, 10), seed=9)
+                        use_csec=True, use_rope=False, window=0, image_size=(6, 10), seed=9)
     CSEC = CsecConfig(feat_channels=5, hidden=7, kernel=5, residual_eps=2.0 ** -9)
     MODEL_FIELDS = ("patch_size", "embed_dim", "n_blocks", "n_heads", "n_classes",
-                    "use_csec", "use_rope", "image_size", "seed")
+                    "use_csec", "use_rope", "window", "image_size", "seed")
     CSEC_FIELDS = ("feat_channels", "hidden", "kernel", "residual_eps")
 
     def _model(self):
@@ -501,6 +516,25 @@ class TestCheckpointConfig:
         save_checkpoint(path, blob)
         with pytest.raises(ConfigInvalidError, match="config.seed"):
             cli.load_model_checkpoint(path)
+
+    @pytest.mark.parametrize("use_rope", [True, False])
+    def test_checkpoint_without_window_attends_globally(self, tmp_path, use_rope):
+        # checkpoints written before windowed attention carry no config.window;
+        # they load as window 0 and predict bitwise as global attention does
+        cfg = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
+                          use_rope=use_rope, window=0, image_size=(32, 32), seed=7)
+        model = build_model(cfg)
+        path = tmp_path / "m.smk"
+        cli.save_model_checkpoint(path, model)
+        blob = load_checkpoint(path)
+        del blob["config.window"]
+        save_checkpoint(path, blob)
+        back = cli.load_model_checkpoint(path)
+        assert back.config == cfg and back.config.window == 0
+        imgs = SplitMix64(3).uniform_array((2, 3, 32, 32), 0, 1)
+        assert np.array_equal(back.forward(imgs).data, model.forward(imgs).data)
+        windowed = build_model(ModelConfig(**dict(vars(cfg), window=4)))
+        assert not np.array_equal(windowed.forward(imgs).data, model.forward(imgs).data)
 
     def test_non_scalar_kind_exits_2(self, tmp_path, dataset, capsys):
         model = self._model()

@@ -5,16 +5,18 @@ import pytest
 
 from segkit.errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
 from segkit.rng import SplitMix64
+from segkit.gradcheck import TOL, check_function
 from segkit.rope import (
     FreqTable,
     PatchGrid,
+    _window_layout,
     angles,
     axial_angles,
     freq_table,
     rope_attention,
     rotate,
 )
-from segkit.tensor import Tensor
+from segkit.tensor import Tensor, mul, tsum
 
 
 def test_freq_table_spot_values_d8():
@@ -127,14 +129,17 @@ def test_rotate_2d_relative_shift_both_axes():
         assert abs(a - b) < 1e-5
 
 
+def _pack(q, k, v):
+    """One head's q, k, v [T, d] as a packed [1, T, 3d] input."""
+    return Tensor(np.concatenate([q, k, v], axis=-1)[None])
+
+
 def test_rope_attention_matches_manual_recompute():
     ft = freq_table(8)
     grid = PatchGrid(2, 2)
     rng = SplitMix64(6)
-    q = rng.uniform_array((4, 8), -1, 1)
-    k = rng.uniform_array((4, 8), -1, 1)
-    v = rng.uniform_array((4, 5), -1, 1)
-    out = rope_attention(Tensor(q), Tensor(k), Tensor(v), grid, ft).data
+    q, k, v = (rng.uniform_array((4, 8), -1, 1) for _ in range(3))
+    out = rope_attention(_pack(q, k, v), grid, ft, 1).data[0]
 
     pos = grid.positions()
     qr = np.stack([rotate(Tensor(q[i].copy()), axial_angles(tuple(pos[i]), ft)).data
@@ -155,31 +160,128 @@ def test_rope_attention_convex_combination_property():
     ft = freq_table(8)
     grid = PatchGrid(2, 2)
     rng = SplitMix64(7)
-    q = Tensor(rng.uniform_array((4, 8), -1, 1))
-    k = Tensor(rng.uniform_array((4, 8), -1, 1))
-    v = Tensor(np.tile(np.array([2.0, -3.0, 0.5]), (4, 1)))
-    out = rope_attention(q, k, v, grid, ft).data
-    assert np.max(np.abs(out - v.data)) < 1e-6
+    q, k = rng.uniform_array((4, 8), -1, 1), rng.uniform_array((4, 8), -1, 1)
+    v = np.tile(np.array([2.0, -3.0, 0.5, 1.0, 0.0, -1.5, 4.0, 0.25]), (4, 1))
+    out = rope_attention(_pack(q, k, v), grid, ft, 1).data[0]
+    assert np.max(np.abs(out - v)) < 1e-6
 
 
 def test_rope_attention_batched_matches_per_slice():
-    # [N, h, T, d] inputs attend slice by slice, as N*h separate [T, d] calls
+    # [N, T, 3d] inputs with 3 heads attend sample by sample and head by head
     ft = freq_table(8)
     grid = PatchGrid(2, 3)
     rng = SplitMix64(8)
-    q, k, v = (rng.uniform_array((2, 3, 6, 8), -1, 1) for _ in range(3))
-    out = rope_attention(Tensor(q), Tensor(k), Tensor(v), grid, ft).data
+    qkv = rng.uniform_array((2, 6, 3 * 3 * 8), -1, 1)
+    out = rope_attention(Tensor(qkv), grid, ft, 3).data
     for n in range(2):
         for h in range(3):
-            ref = rope_attention(Tensor(q[n, h]), Tensor(k[n, h]), Tensor(v[n, h]), grid, ft).data
-            assert np.max(np.abs(out[n, h] - ref)) < 1e-12
+            q, k, v = (qkv[n, :, j * 24 + h * 8:j * 24 + (h + 1) * 8] for j in range(3))
+            ref = rope_attention(_pack(q, k, v), grid, ft, 1).data[0]
+            assert np.max(np.abs(out[n, :, h * 8:(h + 1) * 8] - ref)) < 1e-12
 
 
 def test_rope_attention_token_count_mismatch():
     ft = freq_table(8)
     with pytest.raises(ShapeMismatchError):
-        rope_attention(Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 8))),
-                       Tensor(np.zeros((3, 8))), PatchGrid(2, 2), ft)
+        rope_attention(Tensor(np.zeros((1, 3, 24))), PatchGrid(2, 2), ft, 1)
+
+
+def test_rope_attention_rejects_bad_packing_window_and_shift():
+    ft, grid = freq_table(8), PatchGrid(4, 4)
+    x = Tensor(np.zeros((1, 16, 48)))
+    for kwargs in (dict(n_heads=0), dict(n_heads=5), dict(n_heads=1),  # dh 16 != 8
+                   dict(n_heads=2, window=3), dict(n_heads=2, window=-2),
+                   dict(n_heads=2, window=2, shift=2), dict(n_heads=2, shift=1)):
+        with pytest.raises(ShapeMismatchError):
+            rope_attention(x, grid, ft, **kwargs)
+
+
+def _dense_windowed(qkv, grid, ft, n_heads, window, shift):
+    """Windowed attention as global attention under a [T, T] mask built from
+    patch coordinates: two tokens attend when the cyclic shift puts them in
+    the same tile and moves neither across an edge the other stays behind."""
+    n, t, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // n_heads
+    pos = grid.positions()
+    allowed = np.ones((t, t), dtype=bool)
+    for axis, extent in ((0, grid.rows), (1, grid.cols)):
+        s = shift if window < extent else 0
+        p = pos[:, axis]
+        ps = (p - s) % extent
+        allowed &= ps[:, None] // window == ps[None, :] // window
+        allowed &= ps[:, None] - ps[None, :] == p[:, None] - p[None, :]
+    theta = axial_angles(pos, ft) if ft is not None else None
+    out = np.zeros((n, t, d))
+    for b in range(n):
+        for h in range(n_heads):
+            q, k, v = (qkv[b, :, j * d + h * dh:j * d + (h + 1) * dh].astype(np.float64)
+                       for j in range(3))
+            if ft is not None:
+                q, k = rotate(Tensor(q), theta).data, rotate(Tensor(k), theta).data
+            scores = np.where(allowed, q @ k.T / np.sqrt(dh), -np.inf)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[b, :, h * dh:(h + 1) * dh] = (e / e.sum(axis=1, keepdims=True)) @ v
+    return out
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+@pytest.mark.parametrize("use_rope", [True, False])
+def test_windowed_attention_matches_masked_dense_reference(shift, use_rope):
+    # non-square 8x12 grid, 4x4 windows: an unshifted and a shifted block
+    grid = PatchGrid(8, 12)
+    ft = freq_table(8) if use_rope else None
+    qkv = SplitMix64(9).uniform_array((2, 96, 3 * 2 * 8), -2, 2).astype(np.float32)
+    out = rope_attention(Tensor(qkv), grid, ft, 2, window=4, shift=shift).data
+    assert out.dtype == np.float32
+    ref = _dense_windowed(qkv, grid, ft, 2, 4, shift)
+    assert np.max(np.abs(out - ref)) < 1e-6
+
+
+def test_window_covering_a_square_grid_is_global_attention_bitwise():
+    grid, ft = PatchGrid(4, 4), freq_table(8)
+    qkv = SplitMix64(10).uniform_array((2, 16, 48), -1, 1).astype(np.float32)
+    weight = Tensor(SplitMix64(11).uniform_array((2, 16, 16), -1, 1).astype(np.float32))
+    outs, grads = [], []
+    for window, shift in ((0, 0), (4, 0), (4, 2)):
+        x = Tensor(qkv.copy(), requires_grad=True)
+        out = rope_attention(x, grid, ft, 2, window=window, shift=shift)
+        tsum(mul(out, weight)).backward()
+        outs.append(out.data)
+        grads.append(x.grad)
+    for out, grad in zip(outs[1:], grads[1:]):
+        assert np.array_equal(out, outs[0]) and np.array_equal(grad, grads[0])
+
+
+@pytest.mark.parametrize("use_rope", [True, False])
+def test_shifted_window_gradient_matches_central_differences(use_rope):
+    # 4x8 grid with 4x4 windows: only the column axis shifts
+    grid = PatchGrid(4, 8)
+    ft = freq_table(4) if use_rope else None
+    weight = Tensor(SplitMix64(12).uniform_array((1, 32, 4), -1, 1))
+    err = check_function(
+        lambda u: tsum(mul(rope_attention(u, grid, ft, 1, window=4, shift=2), weight)),
+        SplitMix64(13).uniform_array((1, 32, 12), -1, 1))
+    assert err <= TOL
+
+
+def test_window_layout_is_a_cached_read_only_permutation():
+    f32 = np.dtype(np.float32)
+    perm, inv, mask, cos, sin = _window_layout(8, 12, 4, 2, 8, 10000.0, f32)
+    assert _window_layout(8, 12, 4, 2, 8, 10000.0, f32)[0] is perm
+    assert sorted(perm.tolist()) == list(range(96))
+    assert np.array_equal(perm[inv], np.arange(96))
+    assert mask.shape == (6, 16, 16) and mask.dtype == np.float32
+    assert set(np.unique(mask).tolist()) == {0.0, -np.inf}
+    # the tables keep each token's global position, in tile order
+    theta = axial_angles(PatchGrid(8, 12).positions()[perm], freq_table(8)).astype(f32)
+    assert np.array_equal(cos.reshape(96, 4), np.cos(theta))
+    assert np.array_equal(sin.reshape(96, 4), np.sin(theta))
+    for arr in (perm, inv, mask, cos, sin):
+        assert not arr.flags.writeable
+    # unshifted windows wrap nothing; one tile over the whole grid is global
+    assert _window_layout(8, 12, 4, 0, None, None, f32)[2:] == (None, None, None)
+    assert _window_layout(4, 4, 4, 2, None, None, f32) == (None,) * 5
 
 
 def test_freq_table_frozen():

@@ -16,7 +16,8 @@ from segkit.errors import (
 )
 from segkit.dataio import SynthSpec, generate_sample
 from segkit.rng import SplitMix64
-from segkit.rope import rope_attention
+from segkit import rope
+from segkit.rope import axial_angles, rotate
 from segkit.segnet import (
     Model,
     ModelConfig,
@@ -64,6 +65,33 @@ class TestConfig:
             ModelConfig(n_blocks=0).validate()
         ModelConfig().validate()
 
+    @pytest.mark.parametrize("bad", [dict(patch_size=0), dict(patch_size=-4), dict(n_heads=0),
+                                     dict(window=-1), dict(window=5),
+                                     dict(image_size=(48, 40), window=4)],
+                             ids=["patch_size=0", "patch_size=-4", "n_heads=0", "window=-1",
+                                  "window=5", "window=4-on-12x10"])
+    def test_validation_rejects_before_dividing(self, bad):
+        # rejected before validate divides by patch_size or n_heads, and
+        # before a window that does not tile the patch grid reaches a model
+        with pytest.raises(ConfigInvalidError):
+            ModelConfig(**bad).validate()
+        with pytest.raises(ConfigInvalidError):
+            build_model(ModelConfig(**bad))
+
+    def test_window_tiles_the_patch_grid(self):
+        # the default window 4 tiles the default 12x12 grid; 0 is global
+        for window in (0, 1, 2, 3, 4, 6, 12):
+            ModelConfig(window=window).validate()
+        ModelConfig(image_size=(16, 32), window=4).validate()
+
+    @pytest.mark.parametrize("bad", [dict(epochs=0), dict(batch_size=0), dict(batch_size=-1)],
+                             ids=["epochs=0", "batch_size=0", "batch_size=-1"])
+    def test_train_config_validation(self, bad):
+        with pytest.raises(ConfigInvalidError):
+            TrainConfig(**bad).validate()
+        with pytest.raises(ConfigInvalidError):
+            train(build_model(ModelConfig(**SMALL)), _dataset(1, 2), TrainConfig(**bad))
+
     def test_param_count_matches_built_model(self):
         for cfg in (ModelConfig(), ModelConfig(**SMALL)):
             model = build_model(cfg)
@@ -88,9 +116,9 @@ def _per_head_forward(model, img):
             q, k, v = (matmul(h, Tensor(wqkv[:, j * d + hd * dh:j * d + (hd + 1) * dh]))
                        for j in range(3))
             if cfg.use_rope:
-                outs.append(rope_attention(q, k, v, model.grid, model.freqs))
-            else:
-                outs.append(matmul(softmax(scale(matmul(q, k.T), dh ** -0.5), axis=1), v))
+                theta = axial_angles(model.grid.positions(), model.freqs)
+                q, k = rotate(q, theta), rotate(k, theta)
+            outs.append(matmul(softmax(scale(matmul(q, k.T), dh ** -0.5), axis=1), v))
         heads = Tensor(np.concatenate([o.data for o in outs], -1))
         x = add(x, matmul(heads, pr[f"b{i}.attn.wo"]))
         x = add(x, model._mlp(i, x))
@@ -203,6 +231,37 @@ class TestForward:
     def test_argmax_tie_breaks_low(self):
         # predict uses argmax, which resolves ties toward the lower index
         assert int(np.argmax(np.zeros(3))) == 0
+
+    def test_window_covering_the_grid_equals_global_bitwise(self):
+        # SMALL's 4x4 patch grid: window 4 is one tile, and block 1's shift
+        # applies only along an axis longer than the window
+        img = SplitMix64(2).uniform_array((2, 3, 16, 16), 0, 1).astype(np.float32)
+        for rope_on in (True, False):
+            outs = [build_model(ModelConfig(**dict(SMALL, n_blocks=2), use_rope=rope_on,
+                                            window=w)).forward(img).data for w in (0, 4)]
+            assert np.array_equal(outs[0], outs[1])
+
+    def test_windows_change_the_output(self):
+        img = SplitMix64(2).uniform_array((1, 3, 16, 16), 0, 1).astype(np.float32)
+        outs = [build_model(ModelConfig(**dict(SMALL, n_blocks=2), window=w)).forward(img).data
+                for w in (0, 2)]
+        assert not np.array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_forward_attends_only_through_rope_attention(self, monkeypatch, n_blocks):
+        # perfbench times attention by wrapping the module attribute
+        # rope.rope_attention; a forward that bypassed it would go unmeasured
+        calls = []
+        inner = rope.rope_attention
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["shift"])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rope, "rope_attention", counted)
+        model = build_model(ModelConfig(**dict(SMALL, n_blocks=n_blocks), window=2))
+        model.forward(SplitMix64(2).uniform_array((1, 3, 16, 16), 0, 1))
+        assert calls == [0, 1, 0][:n_blocks]  # odd blocks shift by half a window
 
     def test_rope_toggle_changes_output(self):
         img = SplitMix64(2).uniform_array((1, 3, 16, 16), 0, 1).astype(np.float32)
