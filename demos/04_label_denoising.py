@@ -32,7 +32,7 @@ for i in range(50):
         rate = float(np.mean(noisy != mask))
     else:
         rate = rng.uniform(0.0, 0.05)  # clean samples disagree only slightly
-    scores.append(ErrorScore(f"s{i:02d}", rate, evaluated_pixels=32 * 32))
+    scores.append(ErrorScore(f"s{i:02d}", rate))
 
 cfg = DenoiseConfig(quantile=0.8)  # matched to the known 20% corruption rate
 kept = filter_dataset(scores, cfg)

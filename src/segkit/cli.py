@@ -32,6 +32,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .csec import CsecConfig, csec_correct, psnr
 from .dataio import (
     SynthSpec,
+    _read_kind,
     load_manifest,
     load_pairs,
     read_pnm,
@@ -57,9 +58,10 @@ from .segnet import (
     Model,
     ModelConfig,
     TrainConfig,
+    _predict_masks,
+    _stack,
     build_model,
     fuse_qkv,
-    predict,
     train,
     train_with_denoise,
 )
@@ -342,21 +344,20 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    records = load_manifest(args.data)
-    chosen = [r for r in records if r.split == args.split]
+    chosen, pairs = _load_split(load_manifest(args.data), args.split)
     if not chosen:
         raise ConfigInvalidError(f"manifest has no {args.split!r} samples")
-    pairs = load_pairs(chosen)
+    robot_pairs = {}
+    for r, pair in zip(chosen, pairs):
+        robot_pairs.setdefault(r.robot_id, []).append(pair)
     k = model.config.n_classes
-    overall = ConfusionMatrix(k)
-    per_robot = {}
-    for r, (img, mask) in zip(chosen, pairs):
-        pred = predict(model, img)
-        overall.update(pred, mask)
-        per_robot.setdefault(r.robot_id, ConfusionMatrix(k)).update(pred, mask)
-
+    overall, robot_miou = ConfusionMatrix(k), {}
+    for rid, robot in sorted(robot_pairs.items()):
+        images, masks = _stack(robot)
+        cm = ConfusionMatrix(k).update(_predict_masks(model, images), masks)
+        overall.merge(cm)
+        robot_miou[rid] = miou(cm)
     ious = [class_iou(overall, c) for c in range(k)]
-    robot_miou = {rid: miou(cm) for rid, cm in sorted(per_robot.items())}
     if args.weights == "goose":
         agg = weighted_miou(robot_miou, GOOSE_WEIGHTS)
     else:
@@ -374,10 +375,10 @@ def cmd_eval(args) -> int:
     report = {
         "split": args.split,
         "samples": len(chosen),
-        "class_iou": [None if v is None else float(v) for v in ious],
-        "per_robot_miou": {rid: float(v) for rid, v in robot_miou.items()},
+        "class_iou": ious,
+        "per_robot_miou": robot_miou,
         "weighting": args.weights,
-        "weighted_miou": float(agg),
+        "weighted_miou": agg,
     }
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval_report.json"), "w", encoding="utf-8") as fh:
@@ -385,7 +386,7 @@ def cmd_eval(args) -> int:
         fh.write("\n")
     if args.svg:
         write_curves_svg(os.path.join(args.out, "eval_curves.svg"),
-                         {"class_iou": [0.0 if v is None else float(v) for v in ious]})
+                         {"class_iou": [v or 0.0 for v in ious]})
     write_run_record(os.path.join(args.out, "run.json"), "eval",
                      {"checkpoint": args.checkpoint, "data": args.data,
                       "weights": args.weights, "split": args.split},
@@ -416,17 +417,12 @@ def cmd_filter(args) -> int:
     train_records = [r for r in records if r.split == "train"]
     if not train_records:
         raise ConfigInvalidError("manifest has no train samples")
-    dn = DenoiseConfig(quantile=args.quantile)
     scores = []
     for r in train_records:
-        mask = read_pnm(r.mask_path).astype(np.int64)
-        pred_path = os.path.join(args.pred, r.sample_id + ".pgm")
-        pred = read_pnm(pred_path).astype(np.int64)
-        err = pixel_error_rate(pred, mask)
-        scores.append(ErrorScore(sample_id=r.sample_id, error_rate=err,
-                                 evaluated_pixels=int(mask.size)))
-    kept = filter_dataset(scores, dn)
-    kept_ids = {s.sample_id for s in kept}
+        mask = _read_kind(r.mask_path, image=False).astype(np.int64)
+        pred = _read_kind(os.path.join(args.pred, r.sample_id + ".pgm"), image=False)
+        scores.append(ErrorScore(sample_id=r.sample_id, error_rate=pixel_error_rate(pred, mask)))
+    kept_ids = {s.sample_id for s in filter_dataset(scores, DenoiseConfig(quantile=args.quantile))}
     os.makedirs(args.out, exist_ok=True)
     filtered = [r for r in records if r.split != "train" or r.sample_id in kept_ids]
     save_manifest(os.path.join(args.out, "manifest.tsv"), filtered)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BadFieldCountError,
     BadMagicError,
+    InputRangeError,
     MaxvalUnsupportedError,
     TruncatedError,
     UnknownSplitError,
@@ -141,16 +142,27 @@ def read_pnm(path):
     return Tensor(img.transpose(2, 0, 1)[None, :, :, :])
 
 
+def _read_kind(path, image: bool):
+    """read_pnm of a file that must hold an image (P6), or else a mask (P5)."""
+    data = read_pnm(path)
+    if isinstance(data, Tensor) != image:
+        raise BadMagicError(f"{path}: expected a {'P6 image' if image else 'P5 mask'}")
+    return data
+
+
 def write_pnm(path, data):
     """Write a binary PNM file; the inverse of read_pnm, byte-exact.
 
-    Integer [H,W] arrays become P5 masks; float images (Tensor or ndarray,
-    [1,3,H,W] or [3,H,W], values in [0,1]) become P6 with round-half-up.
+    Integer [H,W] arrays, values in [0,255], become P5 masks; float images
+    (Tensor or ndarray, [1,3,H,W] or [3,H,W], values in [0,1]) become P6
+    with round-half-up.
     """
     if isinstance(data, Tensor):
         data = data.data
     data = np.asarray(data)
     if data.ndim == 2 and np.issubdtype(data.dtype, np.integer):
+        if np.any((data < 0) | (data > 255)):
+            raise InputRangeError(f"mask values {data.min()}..{data.max()} exceed [0,255]")
         h, w = data.shape
         body = data.astype(np.uint8).tobytes()
         header = b"P5\n%d %d\n255\n" % (w, h)
@@ -208,12 +220,8 @@ def save_manifest(path, records, relative_to=None):
 
 def load_pairs(records):
     """Load (image [1,3,H,W] f32 ndarray, mask [H,W] int ndarray) pairs."""
-    pairs = []
-    for r in records:
-        img = read_pnm(r.image_path).data
-        mask = read_pnm(r.mask_path).astype(np.int64)
-        pairs.append((img, mask))
-    return pairs
+    return [(_read_kind(r.image_path, image=True).data,
+             _read_kind(r.mask_path, image=False).astype(np.int64)) for r in records]
 
 
 # -- synthetic scenes -------------------------------------------------------

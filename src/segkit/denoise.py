@@ -1,9 +1,11 @@
 """Quantile-based label denoising.
 
 Every training sample is scored by its pixel-wise error rate under the
-current model; samples strictly above the nearest-rank quantile of the score
-distribution (default 97.5th percentile) are dropped before retraining
-(``mode = drop_samples``, run by ``segnet.train_with_denoise``).  The other
+current model (``ErrorScore``: the sample id and the share of its
+non-ignored pixels that are wrong); samples strictly above the
+nearest-rank quantile of the score distribution (default 97.5th
+percentile) are dropped before retraining (``mode = drop_samples``, run by
+``segnet.train_with_denoise``).  The other
 mode, ``truncate_pixels``, trains once and gives zero loss weight to each
 batch's valid pixels whose loss lies strictly above that quantile
 (``cross_entropy(truncate=q)``).  A ``segkit train`` config turns
@@ -30,7 +32,6 @@ __all__ = [
 class ErrorScore:
     sample_id: str
     error_rate: float
-    evaluated_pixels: int
 
 
 @dataclass

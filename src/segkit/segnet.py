@@ -4,7 +4,9 @@ Architecture: optional frozen color correction -> patchify -> linear embed
 -> transformer blocks (pre-norm, multi-head attention with rotary positions
 on queries/keys, MLP, residuals) -> per-patch class logits -> nearest-
 neighbor upsampling to pixel logits.  Training is cross-entropy with an
-adaptive-moment optimizer, fully deterministic from the seeds.
+adaptive-moment optimizer, fully deterministic from the seeds.  Validation,
+scoring and ``segkit eval`` forward _CHUNK images at a time and give the
+masks ``predict`` gives image by image, bit for bit.
 
 Attention is Swin-style: with ``ModelConfig.window`` w > 0 each token
 attends within its w x w tile of the patch grid, and odd blocks shift the
@@ -69,6 +71,8 @@ __all__ = [
     "train_with_denoise",
     "param_count",
 ]
+
+_CHUNK = 4  # images per inference forward: TrainConfig's default batch_size
 
 
 @dataclass
@@ -252,20 +256,33 @@ def build_model(config: ModelConfig, dtype=np.float32, csec_params: Optional[dic
     return Model(config, params, dtype=dtype, csec_params=csec_params, csec_config=csec_config)
 
 
+def _stack(pairs):
+    """(image [1,3,H,W], mask [H,W]) pairs -> images [N,3,H,W], masks [N,H,W]."""
+    return (np.concatenate([image for image, _ in pairs]),
+            np.stack([mask for _, mask in pairs]))
+
+
+def _predict_masks(model: Model, images) -> np.ndarray:
+    """Argmax masks [N,H,W] of images [N,3,H,W], _CHUNK images per forward so
+    that one chunk's graph is alive at a time; an empty set forwards once,
+    for forward to reject it."""
+    return np.concatenate([np.argmax(model.forward(images[i:i + _CHUNK]).data, axis=1)
+                           for i in range(0, max(len(images), 1), _CHUNK)])
+
+
 def predict(model: Model, image) -> np.ndarray:
     """Per-pixel argmax mask [H,W] of one image [1,3,H,W]; ties break toward
     the lower class index."""
-    logits = model.forward(image).data
-    if logits.shape[0] != 1:
-        raise ShapeMismatchError(f"predict takes one image, got a batch of {logits.shape[0]}")
-    return np.argmax(logits[0], axis=0)
+    masks = _predict_masks(model, image.data if isinstance(image, Tensor) else np.asarray(image))
+    if len(masks) != 1:
+        raise ShapeMismatchError(f"predict takes one image, got a batch of {len(masks)}")
+    return masks[0]
 
 
 def evaluate_miou(model: Model, pairs, ignore_index=-1) -> float:
+    images, masks = _stack(pairs)
     cm = ConfusionMatrix(model.config.n_classes)
-    for image, mask in pairs:
-        cm.update(predict(model, image), mask, ignore_index=ignore_index)
-    return miou(cm)
+    return miou(cm.update(_predict_masks(model, images), masks, ignore_index=ignore_index))
 
 
 def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainReport:
@@ -315,8 +332,7 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
 def _train_step(model: Model, pairs, ignore_index, truncate) -> float:
     """Forward and backward one batch; returns the sum of its per-sample
     losses.  The graph is freed on return, before the next forward."""
-    images = np.concatenate([image for image, _ in pairs])
-    masks = np.stack([mask for _, mask in pairs])
+    images, masks = _stack(pairs)
     loss = cross_entropy(model.forward(images), masks, ignore_index=ignore_index,
                          truncate=truncate)
     lv = float(loss.data)
@@ -328,13 +344,9 @@ def _train_step(model: Model, pairs, ignore_index, truncate) -> float:
 
 def score_samples(model: Model, samples, ignore_index=-1):
     """Pixel-wise error rate of the model on every (id, image, mask) sample."""
-    scores = []
-    for sid, image, mask in samples:
-        pred = predict(model, image)
-        err = pixel_error_rate(pred, mask, ignore_index=ignore_index)
-        scores.append(ErrorScore(sample_id=sid, error_rate=err,
-                                 evaluated_pixels=int(np.count_nonzero(mask != ignore_index))))
-    return scores
+    images, masks = _stack([(image, mask) for _, image, mask in samples])
+    return [ErrorScore(sample_id=sid, error_rate=pixel_error_rate(pred, mask, ignore_index))
+            for (sid, _, _), pred, mask in zip(samples, _predict_masks(model, images), masks)]
 
 
 def train_with_denoise(model: Model, samples, config: TrainConfig, val_pairs=None):

@@ -134,22 +134,22 @@ def test_criterion_04_quantile_filter():
     drop_ok = True
     for n, expect in ((40, 1), (200, 5), (1000, 25)):
         rates = list(SplitMix64(n).uniform_array((n,), 0.0, 1.0))
-        kept = filter_dataset([ErrorScore(f"s{i}", r, 1) for i, r in enumerate(rates)], cfg)
+        kept = filter_dataset([ErrorScore(f"s{i}", r) for i, r in enumerate(rates)], cfg)
         drop_ok = drop_ok and (n - len(kept) == expect)
-    ties = filter_dataset([ErrorScore(f"s{i}", 0.4, 1) for i in range(60)], cfg)
+    ties = filter_dataset([ErrorScore(f"s{i}", 0.4) for i in range(60)], cfg)
     ties_ok = len(ties) == 60
     mono_ok = True
     rng = SplitMix64(2)
     q9 = DenoiseConfig(quantile=0.9)
     for _ in range(100):
         rates = list(rng.uniform_array((25,), 0.0, 1.0))
-        scores = [ErrorScore(f"s{i}", r, 1) for i, r in enumerate(rates)]
+        scores = [ErrorScore(f"s{i}", r) for i, r in enumerate(rates)]
         base = {s.sample_id for s in filter_dataset(scores, q9)}
         i = rng.randint(0, 25)
         bumped = list(rates)
         bumped[i] = min(1.0, bumped[i] + rng.uniform(0.0, 1.0))
         new = {s.sample_id for s in filter_dataset(
-            [ErrorScore(f"s{j}", r, 1) for j, r in enumerate(bumped)], q9)}
+            [ErrorScore(f"s{j}", r) for j, r in enumerate(bumped)], q9)}
         if f"s{i}" not in base and f"s{i}" in new:
             mono_ok = False
         if any(f"s{j}" in base and f"s{j}" not in new for j in range(25) if j != i):

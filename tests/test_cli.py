@@ -373,6 +373,34 @@ class TestFilter:
         assert statuses <= {"kept", "dropped"}
 
 
+class TestWrongPnmKind:
+    """A P6 where a mask belongs, or a P5 where an image belongs, is an I/O
+    error that names the file."""
+
+    @pytest.mark.parametrize("wrong", ["mask", "image"])
+    def test_train_exits_3(self, tmp_path, dataset, capsys, wrong):
+        bad, other = ((dataset / "masks" / "s0000.pgm", dataset / "images" / "s0000.ppm")
+                      if wrong == "mask" else
+                      (dataset / "images" / "s0000.ppm", dataset / "masks" / "s0000.pgm"))
+        bad.write_bytes(other.read_bytes())
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        code = main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
+
+    def test_filter_pred_exits_3(self, tmp_path, dataset, capsys):
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        for r in load_manifest(dataset / "manifest.tsv"):
+            (pred_dir / (r.sample_id + ".pgm")).write_bytes(open(r.image_path, "rb").read())
+        code = main(["filter", "--data", str(dataset / "manifest.tsv"),
+                     "--pred", str(pred_dir), "--out", str(tmp_path / "filtered")])
+        assert code == 3
+        assert str(pred_dir / "s0000.pgm") in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_single_module_passes(self, tmp_path, capsys):
         assert main(["gradcheck", "--module", "tensor", "--trials", "3",

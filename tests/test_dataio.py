@@ -1,5 +1,7 @@
 """Unit tests for PNM I/O, manifests, and the synthetic generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from segkit.dataio import (
 from segkit.errors import (
     BadFieldCountError,
     BadMagicError,
+    InputRangeError,
     MaxvalUnsupportedError,
     TruncatedError,
     UnknownSplitError,
@@ -95,6 +98,16 @@ class TestPnm:
         write_pnm(path, img)
         assert path.read_bytes()[-3:] == bytes([1, 1, 1])
 
+    @pytest.mark.parametrize("value", [-1, 256, 300])
+    def test_mask_values_outside_a_byte_rejected(self, tmp_path, value):
+        # as bytes, -1 (the default ignore_index) would wrap to 255 and 300 to 44
+        path = tmp_path / "m.pgm"
+        with pytest.raises(InputRangeError):
+            write_pnm(path, np.array([[0, value]]))
+        assert not path.exists()
+        write_pnm(path, np.array([[0, 255]]))
+        assert read_pnm(path).tolist() == [[0, 255]]
+
 
 class TestManifest:
     def test_empty_file(self, tmp_path):
@@ -122,6 +135,17 @@ class TestManifest:
         path.write_text("a\ti.ppm\tm.pgm\tALICE\tholdout\n")
         with pytest.raises(UnknownSplitError):
             load_manifest(path)
+
+    @pytest.mark.parametrize("wrong", ["image", "mask"])
+    def test_load_pairs_rejects_the_wrong_pnm_kind(self, tmp_path, wrong):
+        image, mask = tmp_path / "i.ppm", tmp_path / "m.pgm"
+        write_pnm(image, np.zeros((3, 4, 4)))
+        write_pnm(mask, np.zeros((4, 4), dtype=np.uint8))
+        paths = (mask, mask) if wrong == "image" else (image, image)
+        record = SampleRecord("s0", str(paths[0]), str(paths[1]), "ALICE", "train")
+        bad = paths[0] if wrong == "image" else paths[1]
+        with pytest.raises(BadMagicError, match=re.escape(str(bad))):
+            load_pairs([record])
 
     def test_save_load_roundtrip(self, tmp_path):
         records = [SampleRecord("s0", str(tmp_path / "i.ppm"), str(tmp_path / "m.pgm"),

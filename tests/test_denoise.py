@@ -17,7 +17,7 @@ from segkit.rng import SplitMix64
 
 
 def _scores(rates):
-    return [ErrorScore(sample_id=f"s{i}", error_rate=r, evaluated_pixels=100)
+    return [ErrorScore(sample_id=f"s{i}", error_rate=r)
             for i, r in enumerate(rates)]
 
 

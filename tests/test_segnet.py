@@ -1,20 +1,24 @@
 """Unit tests for the toy segmentation model and training pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from segkit.checkpoint import load_checkpoint, save_checkpoint
 from segkit.csec import CsecConfig, init_csec
-from segkit.denoise import DenoiseConfig
+from segkit.denoise import DenoiseConfig, pixel_error_rate
 from segkit.errors import (
     BadMagicError,
     ConfigInvalidError,
     EmptyDatasetError,
+    EmptyShapeError,
     ShapeMismatchError,
     TrainingDivergedError,
     TruncatedError,
 )
 from segkit.dataio import SynthSpec, generate_sample
+from segkit.metrics import ConfusionMatrix, miou
 from segkit.rng import SplitMix64
 from segkit import rope
 from segkit.rope import axial_angles, rotate
@@ -22,11 +26,13 @@ from segkit.segnet import (
     Model,
     ModelConfig,
     TrainConfig,
+    _predict_masks,
     _train_step,
     build_model,
     evaluate_miou,
     param_count,
     predict,
+    score_samples,
     train,
     train_with_denoise,
 )
@@ -270,6 +276,50 @@ class TestForward:
         assert not np.array_equal(on, off)
 
 
+class TestBatchedPrediction:
+    """Validation, scoring and eval forward _CHUNK images at a time; their
+    masks must be the per-image predict masks, bit for bit."""
+
+    @staticmethod
+    def _model(images, use_csec=False):
+        """A model whose masks differ from image to image: its head bias is
+        centred on the images' mean logits, which an untrained model's one
+        dominant class would otherwise swamp."""
+        csec = init_csec(CsecConfig(), seed=2, identity=False) if use_csec else None
+        model = build_model(ModelConfig(**SMALL, use_csec=use_csec, seed=3), csec_params=csec)
+        model.params["head.b"].data -= model.forward(images).data.mean(axis=(0, 2, 3))
+        return model
+
+    @pytest.mark.parametrize("use_csec", [False, True])
+    def test_masks_equal_per_image_predict(self, use_csec):
+        imgs = SplitMix64(4).uniform_array((7, 3, 16, 16), 0, 1).astype(np.float32)
+        model = self._model(imgs, use_csec)
+        masks = _predict_masks(model, imgs)
+        assert masks.shape == (7, 16, 16)
+        assert len({m.tobytes() for m in masks}) == 7
+        assert np.array_equal(masks, np.stack([predict(model, imgs[n:n + 1])
+                                               for n in range(7)]))
+
+    def test_scores_and_miou_equal_per_image_reference(self):
+        data = _dataset(13, 7)
+        data[2][1][:6] = -1
+        model = self._model(np.concatenate([img for img, _ in data]))
+        preds = [predict(model, img) for img, _ in data]
+        scores = score_samples(model, [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)])
+        assert [s.sample_id for s in scores] == [f"s{i}" for i in range(7)]
+        assert [s.error_rate for s in scores] == [pixel_error_rate(p, mask)
+                                                  for p, (_, mask) in zip(preds, data)]
+        assert len({s.error_rate for s in scores}) > 1
+        cm = ConfusionMatrix(3)
+        for p, (_, mask) in zip(preds, data):
+            cm.update(p, mask)
+        assert evaluate_miou(model, data) == miou(cm)
+
+    def test_empty_batch_is_rejected(self):
+        with pytest.raises(EmptyShapeError):
+            predict(build_model(ModelConfig(**SMALL)), np.zeros((0, 3, 16, 16), np.float32))
+
+
 class TestTraining:
     def test_determinism_bitwise(self):
         data = _dataset(5, 4)
@@ -345,10 +395,17 @@ class TestDenoiseLoop:
         samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
         tc = TrainConfig(epochs=1, seed=4, ignore_index=3,
                          denoise=DenoiseConfig(quantile=0.9, mode=mode))
-        _, report, freport = train_with_denoise(build_model(ModelConfig(**SMALL, seed=4)),
-                                                samples, tc)
+        model, report, freport = train_with_denoise(build_model(ModelConfig(**SMALL, seed=4)),
+                                                    samples, tc)
         assert np.isfinite(report.losses[0])
-        assert [s.evaluated_pixels for s in freport.scores] == [12 * 16] * 4
+        if mode == "drop_samples":  # round 1 scores: a plain run on every sample
+            model = build_model(ModelConfig(**SMALL, seed=4))
+            train(model, data, replace(tc, denoise=None))
+        # the model never predicts 3, so a scored ignore row would count as
+        # errors: each rate is over the 12 valid rows' 192 pixels only
+        assert [s.error_rate for s in freport.scores] == [
+            np.count_nonzero(predict(model, img)[4:] != mask[4:]) / (12 * 16)
+            for img, mask in data]
 
     def test_truncate_mode_runs(self):
         data = _dataset(10, 4)
