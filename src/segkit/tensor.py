@@ -6,6 +6,8 @@ order, on backward(). f32 is the training element type; gradient-check paths
 use f64 because central differences are unreliable in single precision.
 """
 
+import ctypes
+
 import numpy as np
 
 from .errors import (
@@ -29,6 +31,20 @@ __all__ = [
     "layer_norm",
     "add_bias",
 ]
+
+# Each forward frees its whole graph at once.  glibc hands free memory at the
+# top of the heap back to the kernel once it exceeds a trim threshold derived
+# from the sizes of past mmap-ed allocations, so left alone, whether the next
+# forward reuses that memory or page-faults it back in (about 40% of a chunk-4
+# inference forward) depends on the process's allocation history.  Both
+# thresholds are pinned at glibc's own dynamic ceilings: M_MMAP_THRESHOLD (-3)
+# 32 MiB, M_TRIM_THRESHOLD (-1) 64 MiB.  Other C libraries keep their defaults.
+try:
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt(-3, 32 << 20)
+    _libc.mallopt(-1, 64 << 20)
+except (AttributeError, OSError, TypeError):
+    pass
 
 
 class Tensor:
