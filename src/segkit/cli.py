@@ -35,7 +35,6 @@ from .dataio import (
     _read_kind,
     load_manifest,
     load_pairs,
-    read_pnm,
     save_manifest,
     synth_dataset,
     write_pnm,
@@ -48,6 +47,7 @@ from .errors import (
     MaxvalUnsupportedError,
     MissingRobotError,
     SegkitError,
+    ShapeMismatchError,
     TrainingDivergedError,
     TruncatedError,
     UnknownSplitError,
@@ -396,13 +396,14 @@ def cmd_eval(args) -> int:
 
 def cmd_correct(args) -> int:
     params, cfg = load_csec_checkpoint(args.checkpoint)
-    image = read_pnm(getattr(args, "in"))
-    if not isinstance(image, Tensor):
-        raise ConfigInvalidError("correct expects a P6 color image")
+    image = _read_kind(getattr(args, "in"), image=True)
+    clean = _read_kind(args.reference, image=True) if args.reference else None
+    if clean is not None and clean.shape != image.shape:
+        raise ShapeMismatchError(f"{args.reference}: reference {clean.shape[2]}x{clean.shape[3]} "
+                                 f"vs input {image.shape[2]}x{image.shape[3]}")
     corrected = csec_correct(image, params, cfg)
     write_pnm(args.out, corrected)
-    if args.reference:
-        clean = read_pnm(args.reference)
+    if clean is not None:
         gain = psnr(corrected, clean) - psnr(image, clean)
         print(f"PSNR improvement: {gain:+.2f} dB", file=sys.stderr)
     write_run_record(args.out + ".run.json", "correct",
@@ -441,6 +442,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ConfigInvalidError(f"--trials must be at least 1, got {args.trials}")
     modules = list(SUITES) if args.module == "all" else [args.module]
     failed = []
     for module in modules:

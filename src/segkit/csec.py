@@ -61,7 +61,6 @@ __all__ = [
 class OffsetField:
     delta_d: Tensor  # darkening offset map, same shape as the image
     delta_b: Tensor  # brightening offset map
-    tap_offsets: Tensor  # per-tap fractional displacements, [taps, 2]
 
 
 @dataclass
@@ -188,7 +187,7 @@ def cose_forward(image: Tensor, params: dict) -> OffsetField:
     c = image.data.shape[1]
     delta_d = out[:, :c]
     delta_b = out[:, c:]
-    return OffsetField(delta_d=delta_d, delta_b=delta_b, tap_offsets=params["cose.t2"])
+    return OffsetField(delta_d=delta_d, delta_b=delta_b)
 
 
 # -- COMO: correlation-normalized fusion ------------------------------------
@@ -211,15 +210,13 @@ def _rsqrt_clamp(d: Tensor, eps: float) -> Tensor:
     return Tensor(y, parents=(d,), backward_fn=bwd)
 
 
-def sym_norm(a: Tensor, eps: float = 1e-8, symmetrize: str = "as_printed",
-             degree: str = "diag") -> Tensor:
-    """D^{-1/2} S D^{-1/2} with S the symmetrized matrix and D its degree,
+def sym_norm(a: Tensor, eps: float = 1e-8, symmetrize: str = "as_printed") -> Tensor:
+    """D^{-1/2} S D^{-1/2} with S the symmetrized matrix and D its diagonal,
     for each square matrix over the last two axes of a [..., T, T].
 
     symmetrize="as_printed" uses S = (2A + A^T)/2 (so symmetric A scales by
-    1.5); "conventional" uses (A + A^T)/2.  degree="diag" takes D from the
-    diagonal of S (unit output diagonal whenever diag(S) > eps);
-    "rowsum" takes row sums.  Diagonal entries are clamped below by eps.
+    1.5); "conventional" uses (A + A^T)/2.  Diagonal entries are clamped
+    below by eps, so the output diagonal is 1 wherever diag(S) > eps.
     """
     if a.data.ndim < 2 or a.data.shape[-1] != a.data.shape[-2]:
         raise NonSquareError(f"sym_norm needs square matrices, got {a.data.shape}")
@@ -230,14 +227,7 @@ def sym_norm(a: Tensor, eps: float = 1e-8, symmetrize: str = "as_printed",
         s = scale(add(a, a.T), 0.5)
     else:
         raise ValueError(f"unknown symmetrize {symmetrize!r}")
-    if degree == "diag":
-        d = s[..., np.arange(t), np.arange(t)]
-    elif degree == "rowsum":
-        ones = Tensor(np.ones((t, 1), dtype=a.dtype))
-        d = reshape(matmul(s, ones), (*lead, t))
-    else:
-        raise ValueError(f"unknown degree {degree!r}")
-    dm = _rsqrt_clamp(d, eps)
+    dm = _rsqrt_clamp(s[..., np.arange(t), np.arange(t)], eps)
     outer = matmul(reshape(dm, (*lead, t, 1)), reshape(dm, (*lead, 1, t)))
     return mul(s, outer)
 

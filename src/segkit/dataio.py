@@ -14,7 +14,6 @@ denoising experiments.
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class SampleRecord:
     mask_path: str
     robot_id: str
     split: str
-    error_rate: Optional[float] = None
 
 
 @dataclass

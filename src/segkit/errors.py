@@ -1,100 +1,101 @@
 """Exception types shared across the toolkit.
 
-Each maps to a stable error code used in CLI exit-code handling.
+Every failure the toolkit detects raises a subclass of ``SegkitError``;
+``cli.main`` maps the class of the error to the process exit code.
 """
 
 
 class SegkitError(Exception):
-    code = "SEGKIT_ERROR"
+    pass
 
 
 class ShapeMismatchError(SegkitError):
-    code = "SHAPE_MISMATCH"
+    pass
 
 
 class EmptyShapeError(SegkitError):
-    code = "EMPTY_SHAPE"
+    pass
 
 
 class AxisOutOfRangeError(SegkitError):
-    code = "AXIS_OUT_OF_RANGE"
+    pass
 
 
 class ClassOutOfRangeError(SegkitError):
-    code = "CLASS_OUT_OF_RANGE"
+    pass
 
 
 class NonScalarLossError(SegkitError):
-    code = "NON_SCALAR_LOSS"
+    pass
 
 
 class NegativeOutputExtentError(SegkitError):
-    code = "NEGATIVE_OUTPUT_EXTENT"
+    pass
 
 
 class OddHeadDimError(SegkitError):
-    code = "ODD_HEAD_DIM"
+    pass
 
 
 class DimNotDivisibleBy4Error(SegkitError):
-    code = "DIM_NOT_DIVISIBLE_BY_4"
+    pass
 
 
 class NonFiniteOffsetError(SegkitError):
-    code = "NONFINITE_OFFSET"
+    pass
 
 
 class InputRangeError(SegkitError):
-    code = "INPUT_RANGE"
+    pass
 
 
 class NonSquareError(SegkitError):
-    code = "NON_SQUARE"
+    pass
 
 
 class EmptyListError(SegkitError):
-    code = "EMPTY_LIST"
+    pass
 
 
 class UnscoredRecordError(SegkitError):
-    code = "UNSCORED_RECORD"
+    pass
 
 
 class AllClassesExcludedError(SegkitError):
-    code = "ALL_CLASSES_EXCLUDED_OR_UNDEFINED"
+    pass
 
 
 class MissingRobotError(SegkitError):
-    code = "MISSING_ROBOT"
+    pass
 
 
 class BadMagicError(SegkitError):
-    code = "BAD_MAGIC"
+    pass
 
 
 class TruncatedError(SegkitError):
-    code = "TRUNCATED"
+    pass
 
 
 class MaxvalUnsupportedError(SegkitError):
-    code = "MAXVAL_UNSUPPORTED"
+    pass
 
 
 class BadFieldCountError(SegkitError):
-    code = "BAD_FIELD_COUNT"
+    pass
 
 
 class UnknownSplitError(SegkitError):
-    code = "UNKNOWN_SPLIT"
+    pass
 
 
 class ConfigInvalidError(SegkitError):
-    code = "CONFIG_INVALID"
+    pass
 
 
 class EmptyDatasetError(SegkitError):
-    code = "EMPTY_DATASET"
+    pass
 
 
 class TrainingDivergedError(SegkitError):
-    code = "TRAINING_DIVERGED"
+    pass

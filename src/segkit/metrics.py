@@ -54,10 +54,6 @@ class ConfusionMatrix:
         self.counts += other.counts
         return self
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def class_iou(cm: ConfusionMatrix, k: int):
     """IoU of class k, or None when the class is absent from both masks (0/0)."""

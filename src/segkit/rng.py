@@ -63,7 +63,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def split(self) -> "SplitMix64":
-        """Derive an independent child generator."""
-        return SplitMix64(self.next_u64())

@@ -69,7 +69,6 @@ __all__ = [
     "train",
     "predict",
     "train_with_denoise",
-    "param_count",
 ]
 
 _CHUNK = 4  # images per inference forward: TrainConfig's default batch_size
@@ -193,17 +192,6 @@ class Model:
         h = layer_norm(x, pr[f"b{i}.ln2.g"], pr[f"b{i}.ln2.b"])
         h = relu(linear(h, pr[f"b{i}.mlp.w1"], pr[f"b{i}.mlp.b1"]))
         return linear(h, pr[f"b{i}.mlp.w2"], pr[f"b{i}.mlp.b2"])
-
-
-def param_count(config: ModelConfig) -> int:
-    """Closed-form parameter count for a given configuration."""
-    d, p, k = config.embed_dim, config.patch_size, config.n_classes
-    per_block = (2 * d  # ln1
-                 + d * 3 * d  # wqkv
-                 + d * d  # output projection
-                 + 2 * d  # ln2
-                 + d * 2 * d + 2 * d + 2 * d * d + d)  # mlp
-    return (3 * p * p * d + d) + config.n_blocks * per_block + (d * k + k)
 
 
 def fuse_qkv(heads) -> np.ndarray:

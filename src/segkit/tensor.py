@@ -4,6 +4,8 @@ Numpy holds the flat storage (row-major, NCHW for image data); the graph is
 recorded dynamically as ops execute and traversed once, in reverse topological
 order, on backward(). f32 is the training element type; gradient-check paths
 use f64 because central differences are unreliable in single precision.
+Every op is a module function of tensors (``scale`` is the one scalar
+multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
 """
 
 import ctypes
@@ -25,7 +27,6 @@ __all__ = [
     "matmul",
     "permute",
     "conv2d",
-    "softmax",
     "cross_entropy",
     "upsample_nearest",
     "layer_norm",
@@ -54,8 +55,8 @@ class Tensor:
     Gradients accumulate across backward() calls until ``zero_grad``.
     """
 
-    def __init__(self, data, requires_grad=False, dtype=None, parents=(), backward_fn=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         if arr.ndim > 0 and 0 in arr.shape:
@@ -75,10 +76,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -129,27 +126,7 @@ class Tensor:
                 acc = flow.get(id(parent))
                 flow[id(parent)] = pg if acc is None else acc + pg
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=self.dtype))
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- slicing and transpose ----------------------------------------------
 
     def __getitem__(self, key):
         sub = self.data[key]
@@ -167,42 +144,21 @@ class Tensor:
         nd = self.data.ndim
         return permute(self, (*range(nd - 2), nd - 1, nd - 2))
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
 
 # -- elementwise ------------------------------------------------------------
 
 
-def _as_pair(a, b):
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
-        return b, None
-    return None, float(b)
-
-
 def add(a, b):
-    bt, bs = _as_pair(a, b)
-    if bt is None:
-        return Tensor(a.data + bs, parents=(a,), backward_fn=lambda g: (g,))
-    return Tensor(a.data + bt.data, parents=(a, bt), backward_fn=lambda g: (g, g))
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
+    return Tensor(a.data + b.data, parents=(a, b), backward_fn=lambda g: (g, g))
 
 
 def mul(a, b):
-    bt, bs = _as_pair(a, b)
-    if bt is None:
-        return Tensor(a.data * bs, parents=(a,), backward_fn=lambda g: (g * bs,))
-    return Tensor(a.data * bt.data, parents=(a, bt),
-                  backward_fn=lambda g: (g * bt.data, g * a.data))
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
+    return Tensor(a.data * b.data, parents=(a, b),
+                  backward_fn=lambda g: (g * b.data, g * a.data))
 
 
 def scale(a, s):
@@ -312,9 +268,8 @@ def add_bias(a, bias):
     return Tensor(a.data + bias.data, parents=(a, bias), backward_fn=bwd)
 
 
-def linear(x, w, b=None):
-    y = matmul(x, w)
-    return y if b is None else add_bias(y, b)
+def linear(x, w, b):
+    return add_bias(matmul(x, w), b)
 
 
 # -- convolution ------------------------------------------------------------
@@ -385,24 +340,6 @@ def upsample_nearest(x, factor):
 
 
 # -- normalization and losses ----------------------------------------------
-
-
-def softmax(x, axis):
-    nd = x.data.ndim
-    if not -nd <= axis < nd:
-        raise AxisOutOfRangeError(f"axis {axis} for rank {nd}")
-    y = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        gx = g * y
-        dot = gx.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=gx)
-        gx *= y
-        return (gx,)
-
-    return Tensor(y, parents=(x,), backward_fn=bwd)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):

@@ -307,13 +307,40 @@ class TestCorrect:
         assert dst.read_bytes()[:2] == b"P6"
         assert "PSNR improvement" in capsys.readouterr().err
 
-    def test_p5_input_rejected(self, tmp_path, dataset):
+    def test_p5_input_rejected(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "csec.smk"
         save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
         mask = next((dataset / "masks").iterdir())
         code = main(["correct", "--checkpoint", str(ckpt), "--in", str(mask),
                      "--out", str(tmp_path / "o.ppm")])
+        assert code == 3
+        assert str(mask) in capsys.readouterr().err
+
+    def test_p5_reference_rejected(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
+        src = next((dataset / "images").iterdir())
+        mask = next((dataset / "masks").iterdir())
+        out = tmp_path / "o.ppm"
+        code = main(["correct", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(out), "--reference", str(mask)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(mask) in err and "PSNR" not in err
+        assert not out.exists()
+
+    def test_reference_of_another_size_is_config_error(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
+        src = next((dataset / "images").iterdir())
+        ref = tmp_path / "small.ppm"
+        write_pnm(ref, np.full((1, 3, 8, 8), 0.5))
+        out = tmp_path / "o.ppm"
+        code = main(["correct", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(out), "--reference", str(ref)])
         assert code == 2
+        assert f"{ref}: reference 8x8 vs input 16x16" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_record_beside_output_keeps_other_run_json(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "csec.smk"
@@ -411,6 +438,13 @@ class TestGradcheck:
     def test_unknown_module_is_usage_error(self, capsys):
         assert main(["gradcheck", "--module", "bogus"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("module,trials", [("tensor", "0"), ("rope", "-3"), ("all", "0")])
+    def test_trials_below_one_is_usage_error(self, module, trials, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+        assert main(["gradcheck", "--module", module, "--trials", trials]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"--trials must be at least 1, got {trials}" in out.err
 
     def test_broken_gradient_negative_control(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: {"broken_op": 1.0})

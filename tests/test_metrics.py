@@ -33,12 +33,12 @@ class TestConfusionMatrix:
         cm = ConfusionMatrix(3)
         cm.update(np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2]))
         assert cm.counts[1, 2] == 1 and cm.counts.trace() == 3
-        assert cm.total == 4
+        assert cm.counts.sum() == 4
 
     def test_ignore_pixels_not_counted(self):
         cm = ConfusionMatrix(2)
         cm.update(np.array([0, 1]), np.array([-1, 1]))
-        assert cm.total == 1
+        assert cm.counts.sum() == 1
 
     def test_class_out_of_range(self):
         with pytest.raises(ClassOutOfRangeError):

@@ -31,10 +31,3 @@ def test_shuffle_is_permutation():
     ys = list(xs)
     rng.shuffle(ys)
     assert sorted(ys) == xs and ys != xs
-
-
-def test_split_streams_differ():
-    rng = SplitMix64(1)
-    c1 = rng.split()
-    c2 = rng.split()
-    assert c1.next_u64() != c2.next_u64()

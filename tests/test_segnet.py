@@ -32,7 +32,6 @@ from segkit.segnet import (
     _train_step,
     build_model,
     evaluate_miou,
-    param_count,
     predict,
     score_samples,
     train,
@@ -46,7 +45,6 @@ from segkit.tensor import (
     linear,
     matmul,
     scale,
-    softmax,
 )
 
 SMALL = dict(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2,
@@ -100,12 +98,6 @@ class TestConfig:
         with pytest.raises(ConfigInvalidError):
             train(build_model(ModelConfig(**SMALL)), _dataset(1, 2), TrainConfig(**bad))
 
-    def test_param_count_matches_built_model(self):
-        for cfg in (ModelConfig(), ModelConfig(**SMALL)):
-            model = build_model(cfg)
-            actual = sum(p.data.size for p in model.params.values())
-            assert param_count(cfg) == actual
-
 
 def _per_head_forward(model, img):
     """One image through the model with every head computed on its own, as
@@ -126,8 +118,10 @@ def _per_head_forward(model, img):
             if cfg.use_rope:
                 theta = axial_angles(model.grid.positions(), model.freqs)
                 q, k = rotate(q, theta), rotate(k, theta)
-            outs.append(matmul(softmax(scale(matmul(q, k.T), dh ** -0.5), axis=1), v))
-        heads = Tensor(np.concatenate([o.data for o in outs], -1))
+            s = scale(matmul(q, k.T), dh ** -0.5).data
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            outs.append((e / e.sum(axis=1, keepdims=True)) @ v.data)
+        heads = Tensor(np.concatenate(outs, -1))
         x = add(x, matmul(heads, pr[f"b{i}.attn.wo"]))
         x = add(x, model._mlp(i, x))
     logits = linear(x, pr["head.w"], pr["head.b"]).data
