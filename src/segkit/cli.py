@@ -65,7 +65,7 @@ from .segnet import (
     train,
     train_with_denoise,
 )
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -401,7 +401,8 @@ def cmd_correct(args) -> int:
     if clean is not None and clean.shape != image.shape:
         raise ShapeMismatchError(f"{args.reference}: reference {clean.shape[2]}x{clean.shape[3]} "
                                  f"vs input {image.shape[2]}x{image.shape[3]}")
-    corrected = csec_correct(image, params, cfg)
+    with no_grad():
+        corrected = csec_correct(image, params, cfg)
     write_pnm(args.out, corrected)
     if clean is not None:
         gain = psnr(corrected, clean) - psnr(image, clean)

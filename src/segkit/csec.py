@@ -198,11 +198,15 @@ def self_correlation(f: Tensor) -> Tensor:
     return matmul(f, f.T)
 
 
-def _rsqrt_clamp(d: Tensor, eps: float) -> Tensor:
-    """1/sqrt(max(d, eps)) elementwise; zero gradient where the clamp binds."""
-    clamped = np.maximum(d.data, eps)
+SYM_NORM_EPS = 1e-8  # sym_norm's lower clamp on the diagonal of S
+
+
+def _rsqrt_clamp(d: Tensor) -> Tensor:
+    """1/sqrt(max(d, SYM_NORM_EPS)) elementwise; zero gradient where the
+    clamp binds."""
+    clamped = np.maximum(d.data, SYM_NORM_EPS)
     y = 1.0 / np.sqrt(clamped)
-    open_mask = d.data > eps
+    open_mask = d.data > SYM_NORM_EPS
 
     def bwd(g):
         return (np.where(open_mask, -0.5 * g * y / clamped, 0.0),)
@@ -210,13 +214,14 @@ def _rsqrt_clamp(d: Tensor, eps: float) -> Tensor:
     return Tensor(y, parents=(d,), backward_fn=bwd)
 
 
-def sym_norm(a: Tensor, eps: float = 1e-8, symmetrize: str = "as_printed") -> Tensor:
+def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:
     """D^{-1/2} S D^{-1/2} with S the symmetrized matrix and D its diagonal,
     for each square matrix over the last two axes of a [..., T, T].
 
     symmetrize="as_printed" uses S = (2A + A^T)/2 (so symmetric A scales by
     1.5); "conventional" uses (A + A^T)/2.  Diagonal entries are clamped
-    below by eps, so the output diagonal is 1 wherever diag(S) > eps.
+    below by SYM_NORM_EPS, so the output diagonal is 1 wherever diag(S)
+    exceeds it.
     """
     if a.data.ndim < 2 or a.data.shape[-1] != a.data.shape[-2]:
         raise NonSquareError(f"sym_norm needs square matrices, got {a.data.shape}")
@@ -227,7 +232,7 @@ def sym_norm(a: Tensor, eps: float = 1e-8, symmetrize: str = "as_printed") -> Te
         s = scale(add(a, a.T), 0.5)
     else:
         raise ValueError(f"unknown symmetrize {symmetrize!r}")
-    dm = _rsqrt_clamp(s[..., np.arange(t), np.arange(t)], eps)
+    dm = _rsqrt_clamp(s[..., np.arange(t), np.arange(t)])
     outer = matmul(reshape(dm, (*lead, t, 1)), reshape(dm, (*lead, 1, t)))
     return mul(s, outer)
 

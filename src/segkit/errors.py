@@ -99,3 +99,7 @@ class EmptyDatasetError(SegkitError):
 
 class TrainingDivergedError(SegkitError):
     pass
+
+
+class NoGradientError(SegkitError):
+    pass

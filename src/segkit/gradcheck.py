@@ -18,6 +18,7 @@ from .tensor import (
     cross_entropy,
     matmul,
     mul,
+    no_grad,
     relu,
     tsum,
 )
@@ -36,12 +37,12 @@ def _rand(rng, shape, lo=-1.0, hi=1.0):
     return rng.uniform_array(shape, lo, hi)
 
 
-def check_function(f, x_arr, h=H_STEP):
+def check_function(f, x_arr):
     """Worst relative error between backward and central differences of
     ``f`` at a private f64 copy of ``x_arr`` (the caller's array and anything
     ``f`` reads from it stay unperturbed)."""
     x = Tensor(np.array(x_arr, dtype=np.float64), requires_grad=True)
-    return _check_params({"x": x}, lambda: f(x), h=h)
+    return _check_params({"x": x}, lambda: f(x))
 
 
 def _suite_tensor(trials, seed):
@@ -143,27 +144,29 @@ def _suite_segnet(seed):
     return {"segnet.params": worst}
 
 
-def _check_params(params, loss_fn, h=H_STEP):
-    """Finite-difference every entry of every parameter tensor against
-    backward gradients of loss_fn; returns the worst relative error."""
+def _check_params(params, loss_fn):
+    """Finite-difference every entry of every parameter tensor, with step
+    H_STEP, against backward gradients of loss_fn; returns the worst relative
+    error.  The difference quotients' evaluations record no graph."""
     for p in params.values():
         p.zero_grad()
     loss_fn().backward()
     analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for k, p in params.items()}
     worst = 0.0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        num = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(loss_fn().data)
-            flat[i] = orig - h
-            fm = float(loss_fn().data)
-            flat[i] = orig
-            num[i] = (fp - fm) / (2 * h)
-        worst = max(worst, _rel_error(analytic[name].reshape(-1), num))
+    with no_grad():
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            num = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + H_STEP
+                fp = float(loss_fn().data)
+                flat[i] = orig - H_STEP
+                fm = float(loss_fn().data)
+                flat[i] = orig
+                num[i] = (fp - fm) / (2 * H_STEP)
+            worst = max(worst, _rel_error(analytic[name].reshape(-1), num))
     return worst
 
 

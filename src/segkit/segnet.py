@@ -5,8 +5,10 @@ Architecture: optional frozen color correction -> patchify -> linear embed
 on queries/keys, MLP, residuals) -> per-patch class logits -> nearest-
 neighbor upsampling to pixel logits.  Training is cross-entropy with an
 adaptive-moment optimizer, fully deterministic from the seeds.  Validation,
-scoring and ``segkit eval`` forward _CHUNK images at a time and give the
-masks ``predict`` gives image by image, bit for bit.
+scoring and ``segkit eval`` forward _CHUNK images at a time under
+``tensor.no_grad`` and give the masks ``predict`` gives image by image, bit
+for bit.  The chunk stays small for the cache, not for graph memory (see
+``_CHUNK``).
 
 Attention is Swin-style: with ``ModelConfig.window`` w > 0 each token
 attends within its w x w tile of the patch grid, and odd blocks shift the
@@ -52,6 +54,7 @@ from .tensor import (
     layer_norm,
     linear,
     matmul,
+    no_grad,
     permute,
     relu,
     reshape,
@@ -71,7 +74,13 @@ __all__ = [
     "train_with_denoise",
 ]
 
-_CHUNK = 4  # images per inference forward: TrainConfig's default batch_size
+# Images per inference forward, TrainConfig's default batch_size.  A no-grad
+# forward of the default model costs 1.95x as much per image over 128 images
+# at once as over chunks of 4 (1.08 vs 0.55 ms/image; 0.54 at 8, 0.64 at 32;
+# 1 BLAS thread, 2-vCPU Xeon with 2 MiB of L2 per core): at 4 a block's
+# largest activation, the MLP's [4,144,128] f32, is 295 kB and stays in L2,
+# at 128 it is 9.4 MB and does not.
+_CHUNK = 4
 
 
 @dataclass
@@ -161,7 +170,8 @@ class Model:
         n = arr.shape[0]
         if cfg.use_csec:
             # frozen preprocessing: corrected pixels, no gradient into CSEC
-            arr = csec_correct(Tensor(arr), self.csec_params, self.csec_config).data
+            with no_grad():
+                arr = csec_correct(Tensor(arr), self.csec_params, self.csec_config).data
         p = cfg.patch_size
         hp, wp = h // p, w // p
         patches = (arr.reshape(n, 3, hp, p, wp, p)
@@ -251,11 +261,18 @@ def _stack(pairs):
 
 
 def _predict_masks(model: Model, images) -> np.ndarray:
-    """Argmax masks [N,H,W] of images [N,3,H,W], _CHUNK images per forward so
-    that one chunk's graph is alive at a time; an empty set forwards once,
-    for forward to reject it."""
-    return np.concatenate([np.argmax(model.forward(images[i:i + _CHUNK]).data, axis=1)
-                           for i in range(0, max(len(images), 1), _CHUNK)])
+    """Argmax masks [N,H,W] of images [N,3,H,W], _CHUNK images per forward,
+    recording no graph; an empty set forwards once, for forward to reject it.
+
+    The pixel logits are a nearest upsampling of the patch logits by the
+    patch size p, so the argmax is taken once per patch and repeated p times
+    along both axes: np.argmax over the pixel logits, ties included."""
+    p = model.config.patch_size
+    with no_grad():
+        logits = (model.forward(images[i:i + _CHUNK]).data[:, :, ::p, ::p]
+                  for i in range(0, max(len(images), 1), _CHUNK))
+        grid = np.concatenate([np.argmax(z, axis=1) for z in logits])
+    return grid.repeat(p, axis=1).repeat(p, axis=2)
 
 
 def predict(model: Model, image) -> np.ndarray:

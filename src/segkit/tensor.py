@@ -9,6 +9,7 @@ multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
 """
 
 import ctypes
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import (
     ClassOutOfRangeError,
     EmptyShapeError,
     NegativeOutputExtentError,
+    NoGradientError,
     NonScalarLossError,
     ShapeMismatchError,
 )
@@ -24,6 +26,7 @@ from .denoise import quantile_threshold
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "matmul",
     "permute",
     "conv2d",
@@ -48,6 +51,26 @@ except (AttributeError, OSError, TypeError):
     pass
 
 
+LN_EPS = 1e-5  # layer_norm's variance floor
+
+_grad_enabled = True  # read by Tensor.__init__; no_grad clears it
+
+
+@contextmanager
+def no_grad():
+    """Within the block, op results record no graph: no parents, no backward
+    function and ``requires_grad`` False, so each intermediate is freed as
+    soon as nothing reads it.  Values are bitwise those of a graph forward.
+    A leaf created with ``requires_grad=True`` keeps it.  The previous state
+    is restored on exit, also after an exception."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 class Tensor:
     """Dense n-d array with an optional gradient slot.
 
@@ -63,9 +86,14 @@ class Tensor:
             raise EmptyShapeError(f"zero extent in shape {arr.shape}")
         self.data = arr
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents)
-        self._backward_fn = backward_fn
+        if _grad_enabled:
+            self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+            self._parents = tuple(parents)
+            self._backward_fn = backward_fn
+        else:  # no generator over the parents: oracle forwards make millions of tensors
+            self.requires_grad = bool(requires_grad)
+            self._parents = ()
+            self._backward_fn = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -92,6 +120,9 @@ class Tensor:
         as they have been passed on."""
         if self.data.size != 1:
             raise NonScalarLossError(f"backward needs a scalar loss, got shape {self.data.shape}")
+        if not self.requires_grad:
+            raise NoGradientError("backward on a tensor that requires no gradient (no "
+                                  "parameter reaches it, or it was computed under no_grad)")
         # iterative post-order DFS: no recursion limit, and no closure that
         # keeps the graph alive; constant subgraphs get no gradient, so they
         # are not walked
@@ -168,8 +199,11 @@ def scale(a, s):
 
 def relu(a):
     mask = a.data > 0
-    return Tensor(np.where(mask, a.data, 0), parents=(a,),
-                  backward_fn=lambda g: (g * mask,))
+    # bitwise np.where(mask, x, 0), NaN, -0 and subnormals included, without
+    # a branchy select: fmax drops NaN and negatives, += 0 turns -0 into +0
+    y = np.fmax(a.data, 0)
+    y += 0
+    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * mask,))
 
 
 def sigmoid(a):
@@ -342,15 +376,18 @@ def upsample_nearest(x, factor):
 # -- normalization and losses ----------------------------------------------
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+
+    Each mean is a sum and one division by d, which is np.mean bit for bit
+    without its Python overhead."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeMismatchError("layer_norm scale/shift must match last extent")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     y = xhat * gamma.data + beta.data
 
@@ -358,8 +395,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
         gbeta = g.reshape(-1, d).sum(axis=0)
         gh = g * gamma.data
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d
+                    - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d))
         return gx, ggamma, gbeta
 
     return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd)

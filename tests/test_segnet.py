@@ -44,6 +44,7 @@ from segkit.tensor import (
     layer_norm,
     linear,
     matmul,
+    no_grad,
     scale,
 )
 
@@ -311,14 +312,40 @@ class TestBatchedPrediction:
             cm.update(p, mask)
         assert evaluate_miou(model, data) == miou(cm)
 
+    @pytest.mark.parametrize("window,use_csec", [(0, False), (4, False), (4, True)])
+    def test_no_grad_forward_equals_graph_forward(self, window, use_csec):
+        imgs = SplitMix64(6).uniform_array((3, 3, 48, 48), 0, 1).astype(np.float32)
+        csec = init_csec(CsecConfig(), seed=2, identity=False) if use_csec else None
+        model = build_model(ModelConfig(window=window, use_csec=use_csec, seed=4),
+                            csec_params=csec)
+        graph = model.forward(imgs)
+        assert graph.requires_grad and graph._parents
+        with no_grad():
+            free = model.forward(imgs)
+        assert not free.requires_grad and free._parents == () and free._backward_fn is None
+        assert free.data.tobytes() == graph.data.tobytes()
+
+    @pytest.mark.parametrize("use_csec", [False, True])
+    def test_masks_equal_argmax_of_pixel_logits(self, use_csec):
+        imgs = SplitMix64(7).uniform_array((6, 3, 16, 16), 0, 1).astype(np.float32)
+        model = self._model(imgs, use_csec)
+        want = np.argmax(model.forward(imgs).data, axis=1)
+        got = _predict_masks(model, imgs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # an all-tie head: every class's logit is 0 everywhere, and every
+        # pixel goes to class 0, as np.argmax breaks ties
+        model.params["head.w"].data[:] = 0
+        model.params["head.b"].data[:] = 0
+        assert not _predict_masks(model, imgs).any()
+
     def test_empty_batch_is_rejected(self):
         with pytest.raises(EmptyShapeError):
             predict(build_model(ModelConfig(**SMALL)), np.zeros((0, 3, 16, 16), np.float32))
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
     def test_repeated_forwards_reuse_the_freed_heap(self):
-        """Each chunk frees its whole graph; the next chunk must reuse that
-        memory, not fault it back in after the heap was trimmed.  Unfixed,
+        """Each chunk frees what its forward allocated; the next chunk must
+        reuse that memory, not fault it back in after the heap was trimmed.  Unfixed,
         a default-size chunk faulted in about 2300 pages."""
         imgs = SplitMix64(5).uniform_array((8, 3, 48, 48), 0, 1).astype(np.float32)
         model = build_model(ModelConfig())

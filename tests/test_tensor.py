@@ -11,6 +11,7 @@ from segkit.errors import (
     ClassOutOfRangeError,
     EmptyShapeError,
     NegativeOutputExtentError,
+    NoGradientError,
     NonScalarLossError,
     ShapeMismatchError,
 )
@@ -26,6 +27,7 @@ from segkit.tensor import (
     linear,
     matmul,
     mul,
+    no_grad,
     permute,
     relu,
     reshape,
@@ -69,6 +71,19 @@ class TestBackwardMechanics:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(NonScalarLossError):
             _t((3,)).backward()
+
+    def test_backward_without_gradient_raises(self):
+        # no parameter reaches the loss, or it was computed under no_grad:
+        # backward would leave every grad None and the optimizer would skip
+        # every parameter
+        with pytest.raises(NoGradientError):
+            tsum(Tensor(_a((3,)))).backward()
+        x = _t((3,))
+        with no_grad():
+            loss = tsum(x)
+        with pytest.raises(NoGradientError):
+            loss.backward()
+        assert x.grad is None
 
     def test_gradients_accumulate_until_zero_grad(self):
         x = _t((4,))
@@ -129,6 +144,81 @@ class TestBackwardMechanics:
         y = add(mul(x, x), scale(x, 3.0))  # x^2 + 3x
         tsum(y).backward()
         assert abs(float(x.grad[0]) - 7.0) < 1e-6  # 2x + 3
+
+
+class TestNoGrad:
+    def test_results_record_no_graph(self):
+        x = _t((2, 3))
+        with no_grad():
+            y = relu(add(x, x))
+            leaf = Tensor(_a((3,)), requires_grad=True)
+        assert not y.requires_grad and y._parents == () and y._backward_fn is None
+        assert np.array_equal(y.data, relu(add(x, x)).data)
+        assert leaf.requires_grad  # an explicit leaf keeps its flag
+        z = scale(x, 2.0)  # the graph is recorded again after the block
+        assert z.requires_grad and z._parents == (x,)
+
+    def test_flag_restored_after_exception_and_nesting(self):
+        x = _t((3,))
+        with pytest.raises(ShapeMismatchError):
+            with no_grad():
+                add(x, _t((4,)))
+        assert add(x, x).requires_grad
+        with no_grad():
+            with no_grad():
+                pass
+            assert not add(x, x).requires_grad
+        assert add(x, x).requires_grad
+
+
+class TestExactKernels:
+    """Fast kernels must give the bytes of the plain numpy formula."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_where_by_bytes(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny,
+                            np.finfo(dtype).tiny, np.finfo(dtype).max, -1.5, 2.5], dtype=dtype)
+        x = np.concatenate([special, _a((64,), seed=11).astype(dtype)])
+        t = Tensor(x, requires_grad=True)
+        y = relu(t)
+        want = np.where(x > 0, x, 0)
+        assert y.dtype == want.dtype == dtype
+        assert y.data.tobytes() == want.tobytes()
+        # np.fmax keeps -0 or not depending on the length (SIMD body or
+        # scalar tail), so every short length of -0 must come out +0
+        for n in range(1, 40):
+            z = np.full(n, -0.0, dtype=dtype)
+            assert relu(Tensor(z)).data.tobytes() == np.where(z > 0, z, 0).tobytes()
+        g = _a(x.shape, seed=12).astype(dtype)
+        tsum(mul(y, Tensor(g))).backward()
+        # a leaf's grad accumulates onto zeros, which turns -0 into +0
+        assert t.grad.tobytes() == (np.zeros_like(x) + g * (x > 0)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [3, 5, 16, 64, 128, 192])
+    def test_layer_norm_matches_mean_reference_by_bytes(self, d, dtype):
+        x = (_a((3, 5, d), seed=d) * 7).astype(dtype)
+        g = _a((d,), seed=d + 1, lo=0.5, hi=1.5).astype(dtype)
+        b = _a((d,), seed=d + 2).astype(dtype)
+        up = _a((3, 5, d), seed=d + 3).astype(dtype)
+        xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, g, b))
+        y = layer_norm(xt, gt, bt)
+        tsum(mul(y, Tensor(up))).backward()
+        # the formula with np.mean, as layer_norm read before its means
+        # became sums divided by d
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        gh = up * g
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        want = (xhat * g + b, gx, (up * xhat).reshape(-1, d).sum(axis=0),
+                up.reshape(-1, d).sum(axis=0))
+        for got, ref in zip((y.data, xt.grad, gt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype == dtype
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestGradients:
