@@ -46,7 +46,7 @@ segkit eval --checkpoint run/checkpoint.smk --data data/manifest.tsv \
 
 echo "== correct (identity-initialized corrector is a near no-op) =="
 python3 - <<'EOF'
-from segkit.cli import save_csec_checkpoint
+from segkit.checkpoint import save_csec_checkpoint
 from segkit.csec import CsecConfig, init_csec
 from segkit.dataio import corrupt_gamma_region, read_pnm, write_pnm
 save_csec_checkpoint("csec.smk", init_csec(CsecConfig(), seed=0), CsecConfig())
@@ -59,7 +59,7 @@ segkit correct --checkpoint csec.smk --in corrupted.ppm \
 echo "== filter (standalone, using the trained model's predictions) =="
 python3 - <<'EOF'
 from pathlib import Path
-from segkit.cli import load_model_checkpoint
+from segkit.checkpoint import load_model_checkpoint
 from segkit.dataio import load_manifest, read_pnm, write_pnm
 from segkit.segnet import predict
 model = load_model_checkpoint("run/checkpoint.smk")

@@ -1,21 +1,31 @@
-"""Flat binary checkpoint format.
+"""Flat binary checkpoint format, and the model and corrector checkpoints.
 
-Layout (all integers little-endian u32):
-  magic bytes ``SMK1``
-  tensor count
-  per tensor: name length, name bytes (utf-8), rank, extents, f32 payload
+Layout, all integers little-endian u32: magic bytes ``SMK1``, tensor count,
+then per tensor its name length, utf-8 name bytes, rank, extents and f32 payload.
+
+Model and color-correction checkpoints add f32 entries ``config.kind`` (0
+model, 1 corrector) and ``config.<field>`` per ``ModelConfig`` or
+``CsecConfig`` field, and a model's corrector as ``csec.*`` and
+``config.csec.<field>``.  Older files load: without ``config.kind`` as
+either kind, without ``config.window`` as window 0, and per-head
+``b{i}.h{hd}.w{q,k,v}`` weights fused into ``b{i}.wqkv``.
 """
 
+import math
 import struct
+from dataclasses import fields as dc_fields
 
 import numpy as np
 
-from .errors import BadMagicError, TruncatedError
+from .csec import CsecConfig
+from .errors import BadMagicError, ConfigInvalidError, TruncatedError
+from .segnet import Model, ModelConfig, fuse_qkv
 from .tensor import Tensor
 
 MAGIC = b"SMK1"
 
-__all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
+__all__ = ["MAGIC", "save_checkpoint", "load_checkpoint", "save_model_checkpoint",
+           "load_model_checkpoint", "save_csec_checkpoint", "load_csec_checkpoint"]
 
 
 def save_checkpoint(path, params: dict):
@@ -25,11 +35,7 @@ def save_checkpoint(path, params: dict):
         for name, t in params.items():
             arr = (t.data if isinstance(t, Tensor) else np.asarray(t)).astype("<f4")
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            for ext in arr.shape:
-                fh.write(struct.pack("<I", ext))
+            fh.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
             fh.write(arr.tobytes())
 
 
@@ -44,10 +50,9 @@ def load_checkpoint(path) -> dict:
     def take(n):
         nonlocal pos
         if pos + n > len(buf):
-            raise TruncatedError("checkpoint ended early")
-        chunk = buf[pos:pos + n]
+            raise TruncatedError(f"checkpoint ended early, {n} bytes wanted")
         pos += n
-        return chunk
+        return buf[pos - n:pos]
 
     (count,) = struct.unpack("<I", take(4))
     params = {}
@@ -59,8 +64,96 @@ def load_checkpoint(path) -> dict:
         except UnicodeDecodeError:
             raise BadMagicError(f"tensor name {raw!r} is not utf-8")
         (rank,) = struct.unpack("<I", take(4))
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape)
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        if 0 in shape:
+            raise BadMagicError(f"checkpoint tensor {name!r} has a zero extent {shape}")
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         params[name] = Tensor(arr.copy(), requires_grad=True)
     return params
+
+
+# -- checkpoints with embedded configuration ---------------------------------
+
+def _pack_config(cfg, prefix) -> dict:
+    """Every field of a config dataclass as an f32 ``prefix + name`` entry."""
+    return {prefix + f.name: np.array(getattr(cfg, f.name), dtype=np.float32)
+            for f in dc_fields(cfg)}
+
+
+def _config_entry(blob: dict, key, default, path):
+    """The ``key`` entry typed like ``default`` (a tuple default holds ints)."""
+    if key not in blob:
+        raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
+    data = blob[key].data
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(v) for v in np.atleast_1d(data))
+        if isinstance(default, bool):
+            return bool(int(data))
+        return type(default)(data)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalidError(f"{path}: bad {key!r}: {exc}")
+
+
+def _unpack_config(cls, blob: dict, prefix, path):
+    """Rebuild ``cls`` from the entries ``_pack_config`` wrote."""
+    return cls(**{f.name: _config_entry(blob, prefix + f.name, f.default, path)
+                  for f in dc_fields(cls)})
+
+
+def _load_kind(path, kind, what) -> dict:
+    """load_checkpoint, refusing a ``config.kind`` other than ``kind``."""
+    blob = load_checkpoint(path)
+    if "config.kind" in blob and _config_entry(blob, "config.kind", kind, path) != kind:
+        raise ConfigInvalidError(f"{path} is not a {what} checkpoint")
+    return blob
+
+
+def _with_config(params: dict, kind, cfg) -> dict:
+    return {**params, "config.kind": np.array(float(kind)), **_pack_config(cfg, "config.")}
+
+
+def save_model_checkpoint(path, model: Model):
+    blob = _with_config(model.params, 0, model.config)
+    if model.csec_params is not None:
+        blob.update({"csec." + k: t for k, t in model.csec_params.items()})
+        blob.update(_pack_config(model.csec_config, "config.csec."))
+    save_checkpoint(path, blob)
+
+
+def load_model_checkpoint(path) -> Model:
+    blob = _load_kind(path, 0, "model")
+    blob.setdefault("config.window", Tensor(np.zeros((), dtype=np.float32)))
+    cfg = _unpack_config(ModelConfig, blob, "config.", path)
+    cfg.validate()
+    params = {k: t for k, t in blob.items() if not k.startswith(("config.", "csec."))}
+    csec_params = {k[len("csec."):]: t for k, t in blob.items() if k.startswith("csec.")}
+    _fuse_legacy_heads(params, cfg, path)
+    csec_cfg = (_unpack_config(CsecConfig, blob, "config.csec.", path) if csec_params
+                else CsecConfig())
+    return Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
+
+
+def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):
+    """Pack the per-head ``b{i}.h{hd}.w{q,k,v}`` entries of checkpoints
+    written before the heads were fused into each block's ``b{i}.wqkv``."""
+    for i in range(cfg.n_blocks):
+        names = [[f"b{i}.h{hd}.w{c}" for c in "qkv"] for hd in range(cfg.n_heads)]
+        present = [n in params for row in names for n in row]
+        if not any(present):
+            continue
+        if not all(present):
+            raise ConfigInvalidError(f"{path}: block {i} lacks some per-head q/k/v matrices")
+        heads = [[params.pop(n).data for n in row] for row in names]
+        params[f"b{i}.wqkv"] = Tensor(fuse_qkv(heads), requires_grad=True)
+
+
+def save_csec_checkpoint(path, params: dict, config: CsecConfig = CsecConfig()):
+    save_checkpoint(path, _with_config(params, 1, config))
+
+
+def load_csec_checkpoint(path):
+    """(parameters, CsecConfig) of a color-correction checkpoint."""
+    blob = _load_kind(path, 1, "color-correction")
+    cfg = _unpack_config(CsecConfig, blob, "config.", path)
+    return {k: t for k, t in blob.items() if not k.startswith("config.")}, cfg

@@ -13,10 +13,7 @@ Config files are flat ``key = value`` text with ``#`` comments.  A ``train``
 config alone sets its run: its keys are the fields of ``ModelConfig``,
 ``TrainConfig`` and ``DenoiseConfig``; setting ``mode`` or ``quantile`` turns
 denoising on, and ``--csec-checkpoint`` only names the weights of the
-corrector ``use_csec = true`` turns on.  Checkpoints embed their
-configuration as rank-0 ``config.*`` entries, so ``eval`` and ``correct``
-need nothing but the checkpoint; a model checkpoint without
-``config.window`` predates windowed attention and loads as window 0.
+corrector ``use_csec = true`` turns on.
 """
 
 import argparse
@@ -28,7 +25,7 @@ from dataclasses import asdict, fields as dc_fields
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_csec_checkpoint, load_model_checkpoint, save_model_checkpoint
 from .csec import CsecConfig, csec_correct, psnr
 from .dataio import (
     SynthSpec,
@@ -55,17 +52,15 @@ from .errors import (
 from .gradcheck import SUITES, TOL, run_suite
 from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_miou
 from .segnet import (
-    Model,
     ModelConfig,
     TrainConfig,
     _predict_masks,
     _stack,
     build_model,
-    fuse_qkv,
     train,
     train_with_denoise,
 )
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -74,9 +69,7 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_MISSING_ROBOT = 5
 
-__all__ = ["main", "read_config",
-           "save_model_checkpoint", "load_model_checkpoint",
-           "save_csec_checkpoint", "load_csec_checkpoint"]
+__all__ = ["main", "read_config"]
 
 
 # -- config files ------------------------------------------------------------
@@ -141,102 +134,24 @@ def apply_config(cfg: dict, *objs):
     return objs
 
 
-def write_run_record(path, command, arg_view: dict, resolved: dict):
-    record = {
-        "command": command,
-        "args": arg_view,
-        "config": resolved,
-        "version": __version__,
-    }
+def write_filter_report(out_dir, scores, kept_ids):
+    """``filter_report.tsv``: each ErrorScore's id, error rate and status."""
+    with open(os.path.join(out_dir, "filter_report.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("# sample_id\terror_rate\tstatus\n")
+        for s in scores:
+            status = "kept" if s.sample_id in kept_ids else "dropped"
+            fh.write(f"{s.sample_id}\t{s.error_rate:.6f}\t{status}\n")
+
+
+def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-# -- checkpoints with embedded configuration ---------------------------------
-
-def _pack_config(cfg, prefix) -> dict:
-    """Every field of a config dataclass as an f32 ``prefix + name`` entry."""
-    return {prefix + f.name: np.array(getattr(cfg, f.name), dtype=np.float32)
-            for f in dc_fields(cfg)}
-
-
-def _config_entry(blob: dict, key, default, path):
-    """The ``key`` entry typed like ``default`` (a tuple default holds ints)."""
-    if key not in blob:
-        raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
-    data = blob[key].data
-    try:
-        if isinstance(default, tuple):
-            return tuple(int(v) for v in np.atleast_1d(data))
-        if isinstance(default, bool):
-            return bool(int(data))
-        return type(default)(data)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalidError(f"{path}: bad {key!r}: {exc}")
-
-
-def _unpack_config(cls, blob: dict, prefix, path):
-    """Rebuild ``cls`` from the entries ``_pack_config`` wrote."""
-    return cls(**{f.name: _config_entry(blob, prefix + f.name, f.default, path)
-                  for f in dc_fields(cls)})
-
-
-def save_model_checkpoint(path, model: Model):
-    blob = dict(model.params)
-    blob["config.kind"] = np.array(0.0)
-    blob.update(_pack_config(model.config, "config."))
-    if model.csec_params is not None:
-        for k, t in model.csec_params.items():
-            blob["csec." + k] = t
-        blob.update(_pack_config(model.csec_config, "config.csec."))
-    save_checkpoint(path, blob)
-
-
-def load_model_checkpoint(path) -> Model:
-    blob = load_checkpoint(path)
-    # a checkpoint without config.kind passes as either kind
-    if "config.kind" in blob and _config_entry(blob, "config.kind", 0, path) != 0:
-        raise ConfigInvalidError(f"{path} is not a model checkpoint")
-    # checkpoints written before windowed attention all attend globally
-    blob.setdefault("config.window", Tensor(np.zeros((), dtype=np.float32)))
-    cfg = _unpack_config(ModelConfig, blob, "config.", path)
-    cfg.validate()
-    params = {k: t for k, t in blob.items() if not k.startswith(("config.", "csec."))}
-    csec_params = {k[len("csec."):]: t for k, t in blob.items() if k.startswith("csec.")}
-    _fuse_legacy_heads(params, cfg, path)
-    csec_cfg = (_unpack_config(CsecConfig, blob, "config.csec.", path) if csec_params
-                else CsecConfig())
-    return Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
-
-
-def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):
-    """Pack the per-head ``b{i}.h{hd}.w{q,k,v}`` entries of checkpoints
-    written before the heads were fused into each block's ``b{i}.wqkv``."""
-    for i in range(cfg.n_blocks):
-        names = [[f"b{i}.h{hd}.w{c}" for c in "qkv"] for hd in range(cfg.n_heads)]
-        present = [n in params for row in names for n in row]
-        if not any(present):
-            continue
-        if not all(present):
-            raise ConfigInvalidError(f"{path}: block {i} lacks some per-head q/k/v matrices")
-        heads = [[params.pop(n).data for n in row] for row in names]
-        params[f"b{i}.wqkv"] = Tensor(fuse_qkv(heads), requires_grad=True)
-
-
-def save_csec_checkpoint(path, params: dict, config: CsecConfig = CsecConfig()):
-    blob = dict(params)
-    blob["config.kind"] = np.array(1.0)
-    blob.update(_pack_config(config, "config."))
-    save_checkpoint(path, blob)
-
-
-def load_csec_checkpoint(path):
-    blob = load_checkpoint(path)
-    if "config.kind" in blob and _config_entry(blob, "config.kind", 1, path) != 1:
-        raise ConfigInvalidError(f"{path} is not a color-correction checkpoint")
-    cfg = _unpack_config(CsecConfig, blob, "config.", path)
-    return {k: t for k, t in blob.items() if not k.startswith("config.")}, cfg
+def write_run_record(path, command, arg_view: dict, resolved: dict):
+    _write_json(path, {"command": command, "args": arg_view, "config": resolved,
+                       "version": __version__})
 
 
 # -- SVG curve emission ------------------------------------------------------
@@ -315,12 +230,7 @@ def cmd_train(args) -> int:
                    for r, (img, mask) in zip(train_records, train_pairs)]
         model, report, freport = train_with_denoise(model, samples, tc,
                                                     val_pairs=val_pairs or None)
-        with open(os.path.join(args.out, "filter_report.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("# sample_id\terror_rate\tstatus\n")
-            dropped = set(freport.dropped_ids)
-            for s in freport.scores:
-                status = "dropped" if s.sample_id in dropped else "kept"
-                fh.write(f"{s.sample_id}\t{s.error_rate:.6f}\t{status}\n")
+        write_filter_report(args.out, freport.scores, set(freport.kept_ids))
 
     save_model_checkpoint(os.path.join(args.out, "checkpoint.smk"), model)
     with open(os.path.join(args.out, "metrics.tsv"), "w", encoding="utf-8") as fh:
@@ -381,9 +291,7 @@ def cmd_eval(args) -> int:
         "weighted_miou": agg,
     }
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "eval_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "eval_report.json"), report)
     if args.svg:
         write_curves_svg(os.path.join(args.out, "eval_curves.svg"),
                          {"class_iou": [v or 0.0 for v in ious]})
@@ -405,8 +313,10 @@ def cmd_correct(args) -> int:
         corrected = csec_correct(image, params, cfg)
     write_pnm(args.out, corrected)
     if clean is not None:
-        gain = psnr(corrected, clean) - psnr(image, clean)
-        print(f"PSNR improvement: {gain:+.2f} dB", file=sys.stderr)
+        before = psnr(image, clean)
+        gain = ("none, the input already matches the reference" if np.isinf(before)
+                else f"{psnr(corrected, clean) - before:+.2f} dB")
+        print(f"PSNR improvement: {gain}", file=sys.stderr)
     write_run_record(args.out + ".run.json", "correct",
                      {"checkpoint": args.checkpoint, "in": getattr(args, "in"),
                       "out": args.out, "reference": args.reference},
@@ -421,18 +331,14 @@ def cmd_filter(args) -> int:
         raise ConfigInvalidError("manifest has no train samples")
     scores = []
     for r in train_records:
-        mask = _read_kind(r.mask_path, image=False).astype(np.int64)
+        mask = _read_kind(r.mask_path, image=False)
         pred = _read_kind(os.path.join(args.pred, r.sample_id + ".pgm"), image=False)
         scores.append(ErrorScore(sample_id=r.sample_id, error_rate=pixel_error_rate(pred, mask)))
     kept_ids = {s.sample_id for s in filter_dataset(scores, DenoiseConfig(quantile=args.quantile))}
     os.makedirs(args.out, exist_ok=True)
     filtered = [r for r in records if r.split != "train" or r.sample_id in kept_ids]
     save_manifest(os.path.join(args.out, "manifest.tsv"), filtered)
-    with open(os.path.join(args.out, "filter_report.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("# sample_id\terror_rate\tstatus\n")
-        for s in scores:
-            status = "kept" if s.sample_id in kept_ids else "dropped"
-            fh.write(f"{s.sample_id}\t{s.error_rate:.6f}\t{status}\n")
+    write_filter_report(args.out, scores, kept_ids)
     write_run_record(os.path.join(args.out, "run.json"), "filter",
                      {"data": args.data, "pred": args.pred, "out": args.out,
                       "quantile": args.quantile},

@@ -2,7 +2,7 @@
 
 Interchange formats are deliberately minimal and bit-exact:
   - binary PNM images: P6 (RGB, maxval 255) for images, P5 (one byte per
-    pixel = class id) for label masks
+    pixel: class id 0-254, or 255 = unlabelled, read as IGNORE) for masks
   - plain TSV manifests: sample_id, image_path, mask_path, robot_id, split
 
 Synthetic scenes (flat background plus colored rectangles / disks /
@@ -25,6 +25,7 @@ from .errors import (
     TruncatedError,
     UnknownSplitError,
 )
+from .metrics import IGNORE
 from .rng import SplitMix64
 from .tensor import Tensor
 
@@ -72,8 +73,8 @@ class SynthSpec:
     label_noise_p: float = 0.1
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+        if not 2 <= self.n_classes <= 255:
+            raise ValueError(f"n_classes must be in [2,255], got {self.n_classes}")
         if not 0.0 <= self.label_noise_p <= 1.0:
             raise ValueError("label_noise_p must be in [0,1]")
         if self.corruption not in ("none", "gamma_region", "label_noise"):
@@ -141,11 +142,11 @@ def read_pnm(path):
 
 
 def _read_kind(path, image: bool):
-    """read_pnm of a file that must hold an image (P6), or else a mask (P5)."""
+    """read_pnm of a P6 image, or of a P5 mask as int64 with 255 read as IGNORE."""
     data = read_pnm(path)
     if isinstance(data, Tensor) != image:
         raise BadMagicError(f"{path}: expected a {'P6 image' if image else 'P5 mask'}")
-    return data
+    return data if image else np.where(data == 255, IGNORE, data.astype(np.int64))
 
 
 def write_pnm(path, data):
@@ -217,9 +218,9 @@ def save_manifest(path, records, relative_to=None):
 
 
 def load_pairs(records):
-    """Load (image [1,3,H,W] f32 ndarray, mask [H,W] int ndarray) pairs."""
+    """Load (image [1,3,H,W] f32 ndarray, mask [H,W] int64 ndarray) pairs."""
     return [(_read_kind(r.image_path, image=True).data,
-             _read_kind(r.mask_path, image=False).astype(np.int64)) for r in records]
+             _read_kind(r.mask_path, image=False)) for r in records]
 
 
 # -- synthetic scenes -------------------------------------------------------
@@ -336,7 +337,7 @@ def synth_dataset(spec: SynthSpec, out_dir):
         img_path = os.path.join(img_dir, sid + ".ppm")
         mask_path = os.path.join(mask_dir, sid + ".pgm")
         write_pnm(img_path, image)
-        write_pnm(mask_path, mask.astype(np.uint8))
+        write_pnm(mask_path, mask)
         split = "train" if i < n_train else ("val" if i < n_train + spec.n_val else "test")
         records.append(SampleRecord(
             sample_id=sid, image_path=img_path, mask_path=mask_path,

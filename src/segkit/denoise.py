@@ -2,7 +2,7 @@
 
 Every training sample is scored by its pixel-wise error rate under the
 current model (``ErrorScore``: the sample id and the share of its
-non-ignored pixels that are wrong); samples strictly above the
+pixels not labelled ``IGNORE`` that are wrong); samples strictly above the
 nearest-rank quantile of the score distribution (default 97.5th
 percentile) are dropped before retraining (``mode = drop_samples``, run by
 ``segnet.train_with_denoise``).  The other
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyListError, ShapeMismatchError, UnscoredRecordError
+from .metrics import IGNORE
 
 __all__ = [
     "ErrorScore",
@@ -46,16 +47,14 @@ class DenoiseConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def pixel_error_rate(pred, gt, ignore_index: int = -1) -> float:
-    """Fraction of non-ignored pixels where prediction and ground truth differ.
-
-    All pixels ignored -> 0 by convention.
-    """
+def pixel_error_rate(pred, gt) -> float:
+    """Fraction of pixels not labelled IGNORE where prediction and truth
+    differ; 0 by convention when every pixel is IGNORE."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ShapeMismatchError(f"pred {pred.shape} vs gt {gt.shape}")
-    valid = gt != ignore_index
+    valid = gt != IGNORE
     n = int(valid.sum())
     if n == 0:
         return 0.0

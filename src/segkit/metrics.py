@@ -5,7 +5,7 @@ prediction); division happens only at read-out in f64.  Classes absent from
 both prediction and ground truth have undefined IoU and are skipped, not
 scored as 0 or 1.  The challenge's "other" class is a normal class index
 placed in the exclusion set, so it still shows up in the confusion counts
-but never in mIoU.
+but never in mIoU.  Ground-truth pixels labelled ``IGNORE`` are not counted.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from .errors import (
 )
 
 __all__ = [
+    "IGNORE",
     "ConfusionMatrix",
     "GOOSE_WEIGHTS",
     "class_iou",
@@ -25,6 +26,8 @@ __all__ = [
     "weighted_miou",
     "miou_bruteforce",
 ]
+
+IGNORE = -1  # the label of an unlabelled pixel; 255 in a P5 mask file
 
 # Test-split proportions of the four robot platforms.
 GOOSE_WEIGHTS = {"MuCAR-3": 0.67, "ALICE": 0.24, "Spot v2": 0.06, "Spot v1": 0.03}
@@ -35,12 +38,12 @@ class ConfusionMatrix:
         self.n_classes = int(n_classes)
         self.counts = np.zeros((self.n_classes, self.n_classes), dtype=np.int64)
 
-    def update(self, pred, gt, ignore_index: int = -1) -> "ConfusionMatrix":
+    def update(self, pred, gt) -> "ConfusionMatrix":
         pred = np.asarray(pred)
         gt = np.asarray(gt)
         if pred.shape != gt.shape:
             raise ShapeMismatchError(f"pred {pred.shape} vs gt {gt.shape}")
-        valid = gt != ignore_index
+        valid = gt != IGNORE
         k = self.n_classes
         if np.any((gt[valid] < 0) | (gt[valid] >= k)) or np.any((pred[valid] < 0) | (pred[valid] >= k)):
             raise ClassOutOfRangeError(f"class ids must be in [0,{k})")
@@ -82,7 +85,7 @@ def weighted_miou(per_robot: dict, weights: dict = GOOSE_WEIGHTS) -> float:
     return float(sum(w * per_robot[r] for r, w in weights.items()))
 
 
-def miou_bruteforce(pred, gt, n_classes: int, ignore_index: int = -1, excluded_classes=()):
+def miou_bruteforce(pred, gt, n_classes: int, excluded_classes=()):
     """Independent mIoU oracle: per-pixel set counting, no confusion matrix."""
     pred = np.asarray(pred).reshape(-1)
     gt = np.asarray(gt).reshape(-1)
@@ -93,7 +96,7 @@ def miou_bruteforce(pred, gt, n_classes: int, ignore_index: int = -1, excluded_c
             continue
         inter = union = 0
         for p, g in zip(pred, gt):
-            if g == ignore_index:
+            if g == IGNORE:
                 continue
             in_p = p == k
             in_g = g == k

@@ -120,7 +120,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     batch_size: int = 4
-    ignore_index: int = -1
     denoise: Optional[DenoiseConfig] = None
     seed: int = 0
 
@@ -284,10 +283,10 @@ def predict(model: Model, image) -> np.ndarray:
     return masks[0]
 
 
-def evaluate_miou(model: Model, pairs, ignore_index=-1) -> float:
+def evaluate_miou(model: Model, pairs) -> float:
     images, masks = _stack(pairs)
     cm = ConfusionMatrix(model.config.n_classes)
-    return miou(cm.update(_predict_masks(model, images), masks, ignore_index=ignore_index))
+    return miou(cm.update(_predict_masks(model, images), masks))
 
 
 def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainReport:
@@ -324,22 +323,19 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
         for start in range(0, len(idx), config.batch_size):
             batch = idx[start:start + config.batch_size]
             opt.zero_grad()
-            total += _train_step(model, [dataset[j] for j in batch], config.ignore_index,
-                                 truncate)
+            total += _train_step(model, [dataset[j] for j in batch], truncate)
             opt.step()
         report.losses.append(total / len(idx))
         if val_pairs:
-            report.val_mious.append(evaluate_miou(model, val_pairs,
-                                                  ignore_index=config.ignore_index))
+            report.val_mious.append(evaluate_miou(model, val_pairs))
     return report
 
 
-def _train_step(model: Model, pairs, ignore_index, truncate) -> float:
+def _train_step(model: Model, pairs, truncate) -> float:
     """Forward and backward one batch; returns the sum of its per-sample
     losses.  The graph is freed on return, before the next forward."""
     images, masks = _stack(pairs)
-    loss = cross_entropy(model.forward(images), masks, ignore_index=ignore_index,
-                         truncate=truncate)
+    loss = cross_entropy(model.forward(images), masks, truncate=truncate)
     lv = float(loss.data)
     if not np.isfinite(lv):
         raise TrainingDivergedError("non-finite training loss")
@@ -347,10 +343,10 @@ def _train_step(model: Model, pairs, ignore_index, truncate) -> float:
     return lv * len(pairs)
 
 
-def score_samples(model: Model, samples, ignore_index=-1):
+def score_samples(model: Model, samples):
     """Pixel-wise error rate of the model on every (id, image, mask) sample."""
     images, masks = _stack([(image, mask) for _, image, mask in samples])
-    return [ErrorScore(sample_id=sid, error_rate=pixel_error_rate(pred, mask, ignore_index))
+    return [ErrorScore(sample_id=sid, error_rate=pixel_error_rate(pred, mask))
             for (sid, _, _), pred, mask in zip(samples, _predict_masks(model, images), masks)]
 
 
@@ -365,7 +361,7 @@ def train_with_denoise(model: Model, samples, config: TrainConfig, val_pairs=Non
     dropped and the report's threshold is nan.
 
     samples: list of (sample_id, image [1,3,H,W], mask [H,W]); pixels
-    labelled config.ignore_index are neither scored nor trained on.
+    labelled ``metrics.IGNORE`` are neither scored nor trained on.
     Returns (final model, its TrainReport, FilterReport).
     """
     dn = config.denoise
@@ -374,14 +370,14 @@ def train_with_denoise(model: Model, samples, config: TrainConfig, val_pairs=Non
     pairs = [(img, mask) for _, img, mask in samples]
     if dn.mode == "truncate_pixels":
         report = train(model, pairs, config, val_pairs=val_pairs)
-        scores = score_samples(model, samples, ignore_index=config.ignore_index)
+        scores = score_samples(model, samples)
         return model, report, FilterReport(scores=scores, threshold=float("nan"),
                                            kept_ids=[s.sample_id for s in scores],
                                            dropped_ids=[])
 
     plain = replace(config, denoise=None)
     train(model, pairs, plain, val_pairs=None)
-    scores = score_samples(model, samples, ignore_index=config.ignore_index)
+    scores = score_samples(model, samples)
     kept_ids = [s.sample_id for s in filter_dataset(scores, dn)]
     kept_set = set(kept_ids)
     freport = FilterReport(

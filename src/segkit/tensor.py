@@ -23,6 +23,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .denoise import quantile_threshold
+from .metrics import IGNORE
 
 __all__ = [
     "Tensor",
@@ -402,13 +403,13 @@ def layer_norm(x, gamma, beta):
     return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd)
 
 
-def cross_entropy(logits, target, ignore_index=-1, truncate=None):
+def cross_entropy(logits, target, truncate=None):
     """Mean over samples of each sample's mean negative log-likelihood.
 
     logits: [N,K,H,W]; target: integer array [N,H,W].  A sample's loss is the
-    mean over its kept pixels: the non-ignored ones, and with truncate=q in
-    (0,1) only those whose loss is at most the nearest-rank q quantile of the
-    per-pixel loss over the batch's non-ignored pixels.  Which pixels are kept
+    mean over its kept pixels: those not labelled IGNORE, and with truncate=q
+    in (0,1) only those whose loss is at most the nearest-rank q quantile of
+    the per-pixel loss over the batch's labelled pixels.  Which pixels are kept
     is a constant in backward.  A sample with no kept pixel adds 0 to the sum
     but still counts in N, so the batch loss equals the mean of N
     single-sample losses.
@@ -419,9 +420,9 @@ def cross_entropy(logits, target, ignore_index=-1, truncate=None):
     target = np.asarray(target)
     if target.shape != (n, h, w):
         raise ShapeMismatchError(f"target {target.shape} vs logits {logits.data.shape}")
-    valid = target != ignore_index
+    valid = target != IGNORE
     if np.any(((target < 0) | (target >= k)) & valid):
-        raise ClassOutOfRangeError(f"class ids must be in [0,{k}) or {ignore_index}")
+        raise ClassOutOfRangeError(f"class ids must be in [0,{k}) or {IGNORE}")
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

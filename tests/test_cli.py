@@ -1,18 +1,26 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import segkit.cli as cli
-from segkit.checkpoint import load_checkpoint, save_checkpoint
-from segkit.cli import main, read_config, save_csec_checkpoint
+from segkit.checkpoint import (
+    load_checkpoint,
+    load_csec_checkpoint,
+    load_model_checkpoint,
+    save_checkpoint,
+    save_csec_checkpoint,
+    save_model_checkpoint,
+)
+from segkit.cli import main, read_config
 from segkit.csec import CsecConfig, init_csec
 from segkit.dataio import load_manifest, read_pnm, write_pnm
 from segkit.denoise import DenoiseConfig
-from segkit.errors import BadMagicError, ConfigInvalidError
+from segkit.errors import BadMagicError, ConfigInvalidError, TruncatedError
 from segkit.rng import SplitMix64
 from segkit.segnet import ModelConfig, TrainConfig, build_model, predict
 from segkit.tensor import Tensor
@@ -86,6 +94,14 @@ class TestSynth:
         spec = tmp_path / "spec.cfg"
         spec.write_text("bogus_key = 3\n")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+
+    def test_class_ids_beyond_the_mask_format_exit_2(self, tmp_path, capsys):
+        # P5 holds a byte and 255 means unlabelled, so class ids stop at 254
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC.replace("n_classes = 3", "n_classes = 256"))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert "n_classes" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_line(self, tmp_path):
         spec = tmp_path / "spec.cfg"
@@ -182,7 +198,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg),
                      "--data", str(dataset / "manifest.tsv"),
                      "--out", str(out)]) == 0
-        model = cli.load_model_checkpoint(out / "checkpoint.smk")
+        model = load_model_checkpoint(out / "checkpoint.smk")
         assert model.config.use_csec and model.csec_params is not None
 
     @pytest.mark.parametrize("denoise", [False, True])
@@ -196,7 +212,7 @@ class TestTrain:
         out = tmp_path / "run_csec_ckpt"
         assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
                      "--out", str(out), "--csec-checkpoint", str(ckpt)]) == 0
-        assert cli.load_model_checkpoint(out / "checkpoint.smk").csec_config == csec_cfg
+        assert load_model_checkpoint(out / "checkpoint.smk").csec_config == csec_cfg
         run = json.loads((out / "run.json").read_text())
         assert run["args"]["csec_checkpoint"] == str(ckpt)
 
@@ -210,8 +226,10 @@ class TestTrain:
         assert "use_csec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, line", [(["--denoise"], ""), (["--use-csec"], ""),
-                                             ([], "denoise = drop_samples\n")],
-                             ids=["denoise-flag", "use-csec-flag", "denoise-key"])
+                                             ([], "denoise = drop_samples\n"),
+                                             ([], "ignore_index = 7\n")],
+                             ids=["denoise-flag", "use-csec-flag", "denoise-key",
+                                  "ignore-index-key"])
     def test_removed_flags_and_the_denoise_key_exit_2(self, tmp_path, dataset, capsys,
                                                        extra, line):
         cfg = tmp_path / "train.cfg"
@@ -228,7 +246,7 @@ class TestTrain:
             ("image_size", "16, 16", [16, 16]),
             ("seed", "3", 3), ("epochs", "2", 2), ("learning_rate", "0.002", 0.002),
             ("beta1", "0.8", 0.8), ("beta2", "0.99", 0.99), ("eps", "1e-06", 1e-6),
-            ("batch_size", "2", 2), ("ignore_index", "7", 7), ("quantile", "0.9", 0.9),
+            ("batch_size", "2", 2), ("quantile", "0.9", 0.9),
             ("mode", "truncate_pixels", "truncate_pixels")]
 
     def test_keys_cover_every_config_field(self):
@@ -307,6 +325,16 @@ class TestCorrect:
         assert dst.read_bytes()[:2] == b"P6"
         assert "PSNR improvement" in capsys.readouterr().err
 
+    def test_reference_equal_to_input_says_so(self, tmp_path, dataset, capsys):
+        # the input's PSNR against itself is infinite, so no gain is finite
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
+        src = dataset / "images" / "s0000.ppm"
+        assert main(["correct", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(tmp_path / "o.ppm"), "--reference", str(src)]) == 0
+        err = capsys.readouterr().err
+        assert "input already matches the reference" in err and "inf" not in err
+
     def test_p5_input_rejected(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "csec.smk"
         save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
@@ -372,7 +400,7 @@ class TestCorrect:
 
 class TestFilter:
     def test_filter_writes_manifest_and_report(self, tmp_path, dataset, trained, capsys):
-        model = cli.load_model_checkpoint(trained / "checkpoint.smk")
+        model = load_model_checkpoint(trained / "checkpoint.smk")
         pred_dir = tmp_path / "preds"
         pred_dir.mkdir()
         records = load_manifest(dataset / "manifest.tsv")
@@ -398,6 +426,50 @@ class TestFilter:
         report = (out / "filter_report.tsv").read_text().strip().splitlines()[1:]
         statuses = {line.split("\t")[2] for line in report}
         assert statuses <= {"kept", "dropped"}
+
+
+class TestUnlabelledPixels:
+    """Mask rows 0-3 of every sample hold 255, the on-disk unlabelled
+    value; train, eval and filter all leave those pixels out."""
+
+    @pytest.fixture()
+    def labels(self, dataset):
+        """Unlabel the dataset's rows 0-3 and return its masks as they were."""
+        labels = {}
+        for r in load_manifest(dataset / "manifest.tsv"):
+            mask = read_pnm(r.mask_path)
+            labels[r.sample_id] = mask.copy()
+            mask[:4] = 255
+            write_pnm(r.mask_path, mask)
+        return labels
+
+    def test_train_exits_0(self, tmp_path, dataset, labels, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+
+    def test_eval_exits_0(self, tmp_path, dataset, trained, labels, capsys):
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"),
+                     "--data", str(dataset / "manifest.tsv"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(json.loads((out / "eval_report.json").read_text())["class_iou"]) == 3
+
+    def test_filter_scores_labelled_pixels_only(self, tmp_path, dataset, labels, capsys):
+        # predictions equal to every labelled pixel score 0, not 64/256
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        for sid, mask in labels.items():
+            write_pnm(pred_dir / (sid + ".pgm"), mask)
+        out = tmp_path / "filtered"
+        assert main(["filter", "--data", str(dataset / "manifest.tsv"),
+                     "--pred", str(pred_dir), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = (out / "filter_report.tsv").read_text().strip().splitlines()[1:]
+        assert len(report) == 8
+        assert {line.split("\t")[1] for line in report} == {"0.000000"}
 
 
 class TestWrongPnmKind:
@@ -467,7 +539,7 @@ class TestModelCheckpoint:
         """The model saved the way checkpoints were written before the heads
         were fused: one [d, dh] matrix per head and per q/k/v."""
         path = tmp_path / "fused.smk"
-        cli.save_model_checkpoint(path, model)
+        save_model_checkpoint(path, model)
         blob = load_checkpoint(path)
         cfg = model.config
         dh = cfg.embed_dim // cfg.n_heads
@@ -485,7 +557,7 @@ class TestModelCheckpoint:
         model = build_model(self.CFG)
         legacy, blob = self._per_head_blob(tmp_path, model)
         assert "b0.h1.wk" in blob and "b0.wqkv" not in blob
-        back = cli.load_model_checkpoint(legacy)
+        back = load_model_checkpoint(legacy)
         assert set(back.params) == set(model.params)
         for k, p in model.params.items():
             assert np.array_equal(back.params[k].data, p.data), k
@@ -498,7 +570,7 @@ class TestModelCheckpoint:
         del blob["b1.h0.wv"]
         save_checkpoint(legacy, blob)
         with pytest.raises(ConfigInvalidError):
-            cli.load_model_checkpoint(legacy)
+            load_model_checkpoint(legacy)
 
 
 class TestCheckpointConfig:
@@ -522,10 +594,10 @@ class TestCheckpointConfig:
         for cfg in (self.MODEL, self.CSEC):
             assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
         model = self._model()
-        cli.save_model_checkpoint(tmp_path / "m.smk", model)
-        back = cli.load_model_checkpoint(tmp_path / "m.smk")
-        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
-        params, csec_cfg = cli.load_csec_checkpoint(tmp_path / "c.smk")
+        save_model_checkpoint(tmp_path / "m.smk", model)
+        back = load_model_checkpoint(tmp_path / "m.smk")
+        save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        params, csec_cfg = load_csec_checkpoint(tmp_path / "c.smk")
         for got, want in ((back.config, self.MODEL), (back.csec_config, self.CSEC),
                           (csec_cfg, self.CSEC)):
             assert got == want
@@ -544,7 +616,7 @@ class TestCheckpointConfig:
         blob.update({"config.csec." + n: np.array(getattr(self.CSEC, n), dtype=np.float32)
                      for n in self.CSEC_FIELDS})
         save_checkpoint(tmp_path / "hand.smk", blob)
-        cli.save_model_checkpoint(tmp_path / "m.smk", model)
+        save_model_checkpoint(tmp_path / "m.smk", model)
         assert (tmp_path / "m.smk").read_bytes() == (tmp_path / "hand.smk").read_bytes()
 
         blob = dict(model.csec_params)
@@ -552,21 +624,21 @@ class TestCheckpointConfig:
         blob.update({"config." + n: np.array(getattr(self.CSEC, n), dtype=np.float32)
                      for n in self.CSEC_FIELDS})
         save_checkpoint(tmp_path / "hand_c.smk", blob)
-        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
         assert (tmp_path / "c.smk").read_bytes() == (tmp_path / "hand_c.smk").read_bytes()
 
     def test_wrong_kind_is_config_error(self, tmp_path):
         model = self._model()
-        cli.save_model_checkpoint(tmp_path / "m.smk", model)
-        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        save_model_checkpoint(tmp_path / "m.smk", model)
+        save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
         with pytest.raises(ConfigInvalidError):
-            cli.load_csec_checkpoint(tmp_path / "m.smk")
+            load_csec_checkpoint(tmp_path / "m.smk")
         with pytest.raises(ConfigInvalidError):
-            cli.load_model_checkpoint(tmp_path / "c.smk")
+            load_model_checkpoint(tmp_path / "c.smk")
 
     def test_missing_model_config_entry_exits_2(self, tmp_path, dataset, capsys):
         path = tmp_path / "m.smk"
-        cli.save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
         blob = load_checkpoint(path)
         del blob["config.seed"]
         save_checkpoint(path, blob)
@@ -577,7 +649,7 @@ class TestCheckpointConfig:
         blob["config.seed"] = Tensor(np.zeros(2))
         save_checkpoint(path, blob)
         with pytest.raises(ConfigInvalidError, match="config.seed"):
-            cli.load_model_checkpoint(path)
+            load_model_checkpoint(path)
 
     @pytest.mark.parametrize("use_rope", [True, False])
     def test_checkpoint_without_window_attends_globally(self, tmp_path, use_rope):
@@ -587,11 +659,11 @@ class TestCheckpointConfig:
                           use_rope=use_rope, window=0, image_size=(32, 32), seed=7)
         model = build_model(cfg)
         path = tmp_path / "m.smk"
-        cli.save_model_checkpoint(path, model)
+        save_model_checkpoint(path, model)
         blob = load_checkpoint(path)
         del blob["config.window"]
         save_checkpoint(path, blob)
-        back = cli.load_model_checkpoint(path)
+        back = load_model_checkpoint(path)
         assert back.config == cfg and back.config.window == 0
         imgs = SplitMix64(3).uniform_array((2, 3, 32, 32), 0, 1)
         assert np.array_equal(back.forward(imgs).data, model.forward(imgs).data)
@@ -600,8 +672,8 @@ class TestCheckpointConfig:
 
     def test_non_scalar_kind_exits_2(self, tmp_path, dataset, capsys):
         model = self._model()
-        cli.save_model_checkpoint(tmp_path / "m.smk", model)
-        cli.save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
+        save_model_checkpoint(tmp_path / "m.smk", model)
+        save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
         for name in ("m.smk", "c.smk"):
             blob = load_checkpoint(tmp_path / name)
             blob["config.kind"] = Tensor(np.zeros(2))
@@ -615,7 +687,7 @@ class TestCheckpointConfig:
 
     def test_use_csec_without_csec_entries_exits_2(self, tmp_path, dataset, capsys):
         path = tmp_path / "m.smk"
-        cli.save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
         blob = load_checkpoint(path)
         blob["config.use_csec"] = Tensor(np.array(1.0, dtype=np.float32))
         save_checkpoint(path, blob)
@@ -636,9 +708,23 @@ class TestCheckpointConfig:
         assert code == 2
         assert "config.hidden" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape, error", [((2 ** 31, 2 ** 31, 4), TruncatedError),
+                                              ((3, 0), BadMagicError)],
+                             ids=["product-overflows-int64", "zero-extent"])
+    def test_bad_extents_exit_3(self, tmp_path, dataset, capsys, shape, error):
+        path = tmp_path / "m.smk"
+        path.write_bytes(b"SMK1" + struct.pack("<II", 1, 1) + b"w"
+                         + struct.pack(f"<{1 + len(shape)}I", len(shape), *shape) + bytes(64))
+        with pytest.raises(error):
+            load_checkpoint(path)
+        code = main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
+        assert code == 3
+        assert "checkpoint" in capsys.readouterr().err
+
     def test_non_utf8_tensor_name_exits_3(self, tmp_path, dataset, capsys):
         path = tmp_path / "m.smk"
-        cli.save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
         blob = load_checkpoint(path)
         blob["zz"] = Tensor(np.zeros(1))
         save_checkpoint(path, blob)

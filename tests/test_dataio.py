@@ -28,6 +28,7 @@ from segkit.errors import (
     TruncatedError,
     UnknownSplitError,
 )
+from segkit.metrics import IGNORE
 from segkit.rng import SplitMix64
 from segkit.tensor import Tensor
 
@@ -100,7 +101,7 @@ class TestPnm:
 
     @pytest.mark.parametrize("value", [-1, 256, 300])
     def test_mask_values_outside_a_byte_rejected(self, tmp_path, value):
-        # as bytes, -1 (the default ignore_index) would wrap to 255 and 300 to 44
+        # as bytes, -1 (IGNORE in memory) would wrap to 255 and 300 to 44
         path = tmp_path / "m.pgm"
         with pytest.raises(InputRangeError):
             write_pnm(path, np.array([[0, value]]))
@@ -146,6 +147,14 @@ class TestManifest:
         bad = paths[0] if wrong == "image" else paths[1]
         with pytest.raises(BadMagicError, match=re.escape(str(bad))):
             load_pairs([record])
+
+    def test_load_pairs_reads_255_as_ignore(self, tmp_path):
+        image, mask = tmp_path / "i.ppm", tmp_path / "m.pgm"
+        write_pnm(image, np.zeros((3, 2, 2)))
+        write_pnm(mask, np.array([[0, 255], [254, 1]]))
+        assert read_pnm(mask).tolist() == [[0, 255], [254, 1]]
+        (_, got), = load_pairs([SampleRecord("s0", str(image), str(mask), "ALICE", "train")])
+        assert got.dtype == np.int64 and got.tolist() == [[0, IGNORE], [254, 1]]
 
     def test_save_load_roundtrip(self, tmp_path):
         records = [SampleRecord("s0", str(tmp_path / "i.ppm"), str(tmp_path / "m.pgm"),

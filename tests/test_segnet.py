@@ -20,7 +20,7 @@ from segkit.errors import (
     TruncatedError,
 )
 from segkit.dataio import SynthSpec, generate_sample
-from segkit.metrics import ConfusionMatrix, miou
+from segkit.metrics import IGNORE, ConfusionMatrix, miou
 from segkit.rng import SplitMix64
 from segkit import rope
 from segkit.rope import axial_angles, rotate
@@ -176,7 +176,7 @@ class TestFusedHeads:
         # every sample's own: truncation keeps every pixel, batched or not
         truncate = 0.999
 
-        total = _train_step(model, pairs, -1, truncate)
+        total = _train_step(model, pairs, truncate)
         batched = {k: p.grad.copy() for k, p in model.params.items()}
         for p in model.params.values():
             p.zero_grad()
@@ -423,21 +423,20 @@ class TestDenoiseLoop:
 
     @pytest.mark.parametrize("mode", ["drop_samples", "truncate_pixels"])
     def test_train_ignore_index_is_the_only_ignore_label(self, mode):
-        # label 3 marks "ignore" with 3 classes: it must neither be scored
-        # nor index the class probabilities of the loss
+        # IGNORE rows must neither be scored nor index the class
+        # probabilities of the loss
         data = _dataset(11, 4)
         for _, mask in data:
-            mask[:4] = 3
+            mask[:4] = IGNORE
         samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
-        tc = TrainConfig(epochs=1, seed=4, ignore_index=3,
-                         denoise=DenoiseConfig(quantile=0.9, mode=mode))
+        tc = TrainConfig(epochs=1, seed=4, denoise=DenoiseConfig(quantile=0.9, mode=mode))
         model, report, freport = train_with_denoise(build_model(ModelConfig(**SMALL, seed=4)),
                                                     samples, tc)
         assert np.isfinite(report.losses[0])
         if mode == "drop_samples":  # round 1 scores: a plain run on every sample
             model = build_model(ModelConfig(**SMALL, seed=4))
             train(model, data, replace(tc, denoise=None))
-        # the model never predicts 3, so a scored ignore row would count as
+        # the model never predicts IGNORE, so a scored ignore row would count as
         # errors: each rate is over the 12 valid rows' 192 pixels only
         assert [s.error_rate for s in freport.scores] == [
             np.count_nonzero(predict(model, img)[4:] != mask[4:]) / (12 * 16)
