@@ -26,6 +26,8 @@ from .optim import Adam
 from .rng import SplitMix64
 from .tensor import (
     Tensor,
+    _col2im,
+    _tap_planes,
     add,
     add_bias,
     conv2d,
@@ -90,6 +92,10 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     displaced by a learned fractional offset dp_i, via bilinear
     interpolation.  Offsets are clamped to the kernel extent per axis.
     Differentiable in x, w and tap_offsets.
+
+    y and the x and w gradients are bitwise the sums of a loop over taps and
+    their live (nonzero-weight) corners; the tap-offset gradient's f64 sums
+    run in BLAS order.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatchError("offset_conv expects NCHW input and OIHW kernel")
@@ -107,34 +113,57 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     taps = kh * kw
     ry, rx = (kh - 1) // 2, (kw - 1) // 2
     raw = tap_offsets.data.astype(np.float64)
-    clamped = np.stack([np.clip(raw[:, 0], -kh, kh), np.clip(raw[:, 1], -kw, kw)], axis=1)
+    ext = np.array([kh, kw])
+    clamped = np.minimum(np.maximum(raw, -ext), ext)
     active = clamped == raw  # clamp passes no gradient where it binds
     iy, ix = np.divmod(np.arange(taps), kw)
-    sy = (iy - ry) + clamped[:, 0]
-    sx = (ix - rx) + clamped[:, 1]
-    fy, fx = np.floor(sy).astype(int), np.floor(sx).astype(int)
-    ay, ax = sy - fy, sx - fx
+    # [taps, 2] per axis (y, x): the sample point, its floor and its fraction
+    s = np.stack([iy - ry, ix - rx], axis=1) + clamped
+    f = np.floor(s)
+    frac = s - f
+    f = f.astype(int)
 
     # a tap's shift is at most r + k per axis (the clamp) and its far corner
-    # one more, so every corner of every tap is a view of one zero-padded copy
+    # one more, so every corner of every tap is a window of one zero-padded copy
     py, px = kh + ry + 1, kw + rx + 1
     xp = np.zeros((n, cin, h + 2 * py, wd + 2 * px), dtype=x.dtype)
     xp[:, :, py:py + h, px:px + wd] = x.data
+    hp, wp = xp.shape[2], xp.shape[3]
 
-    def corner(buf, t, a, b):
-        y0, x0 = py + fy[t] + a, px + fx[t] + b
-        return buf[:, :, y0:y0 + h, x0:x0 + wd]
+    # [taps, 4] over corners (0,0), (0,1), (1,0), (1,1): the bilinear weight in
+    # x's dtype, whether it is nonzero, and the flat offset in a plane of xp
+    # where the corner's window starts
+    lin = np.stack([1.0 - frac, frac], axis=2)  # [taps, axis, corner side]
+    weight = (lin[:, 0, :, None] * lin[:, 1, None, :]).reshape(taps, 4).astype(x.dtype)
+    nz = lin != 0.0
+    live = (nz[:, 0, :, None] & nz[:, 1, None, :]).reshape(taps, 4)
+    oy, ox = py + f[:, 0], px + f[:, 1]  # corner (0,0)'s window origin in xp
+    start = (oy * wp + ox)[:, None] + np.array([0, 1, wp, wp + 1])
+    # the live corners tap-major, corner-minor, and each one's rank among its
+    # tap's live corners; corner (0,0) is always live, so rank 0 is every tap
+    lt, lc = np.nonzero(live)
+    rank = np.cumsum(live, axis=1)[lt, lc] - 1
 
-    # per tap, its corners (a, b) with nonzero bilinear weight, the weight in
-    # x's dtype so that the gather and its adjoint stay in that dtype
-    corners = [[(a, b, x.dtype.type(wy * wx))
-                for a, wy in ((0, 1.0 - ay[t]), (1, ay[t])) if wy != 0.0
-                for b, wx in ((0, 1.0 - ax[t]), (1, ax[t])) if wx != 0.0]
-               for t in range(taps)]
-    cols = np.zeros((n, cin, taps, h, wd), dtype=x.dtype)
-    for t in range(taps):
-        for a, b, c in corners[t]:
-            cols[:, :, t] += c * corner(xp, t, a, b)
+    # cols[:, :, t] is its live corners times their weights, summed in corner
+    # order from +0: per rank, one gather of that corner of every tap that has
+    # one, one scale and one add
+    sn, sc, sh, sw = xp.strides
+    windows = np.ndarray((n, cin, (hp - h) * wp + wp - wd + 1, h, wd), xp.dtype, xp, 0,
+                         (sn, sc, sw, sh, sw))  # [..., o, :, :] starts at flat offset o
+    for r in range(4):
+        tr, cr = lt[rank == r], lc[rank == r]
+        if not len(tr):
+            break
+        part = windows[:, :, start[tr, cr]]
+        part *= weight[tr, cr][:, None, None]
+        if r == 0:
+            part += 0.0
+            cols = part
+        elif len(tr) == taps:
+            cols += part
+        else:
+            for j, t in enumerate(tr):
+                cols[:, :, t] += part[:, :, j]
     cols2 = cols.reshape(n, cin * taps, h * wd)
     w2 = w.data.reshape(cout, cin * taps)
     y = (w2 @ cols2).reshape(n, cout, h, wd)
@@ -144,44 +173,71 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
         gx = gw = gt = None
         if w.requires_grad:
             gw = (g2 @ cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+        if not (x.requires_grad or tap_offsets.requires_grad):
+            return gx, gw, gt
         gcols = (w2.T @ g2).reshape(n, cin, taps, h, wd)
-        if x.requires_grad:  # the adjoint of the gather: scatter into the pad
-            gxp = np.zeros_like(xp)
-            for t in range(taps):
-                for a, b, c in corners[t]:
-                    view = corner(gxp, t, a, b)
-                    view += c * gcols[:, :, t]
+        if x.requires_grad:
+            # the adjoint of the gather, in its order: each live corner's
+            # weighted columns on zeroed planes of xp's shape, added at the
+            # corner's start
+            gxp = _col2im(_tap_planes(gcols, xp.shape, 1, lt, weight[live]), xp.shape,
+                          xp.dtype, start[live].tolist())
             gx = np.ascontiguousarray(gxp[:, :, py:py + h, px:px + wd])
         if tap_offsets.requires_grad:
-            # d/dsy = (1-ax)(s10-s00) + ax(s11-s01), d/dsx its twin, taken as
-            # f64 inner products of the tap's gradient with its four corners
+            # d/dsy = (1-ax)(s10-s00) + ax(s11-s01), d/dsx its twin, with
+            # s_ab the f64 inner product of tap t's gradient with corner ab
+            d = _corner_products(gcols, xp, oy, ox)
             gt = np.zeros_like(tap_offsets.data)
-            xp64 = xp.astype(np.float64, copy=False)
-            for t in range(taps):
-                g64 = gcols[:, :, t].astype(np.float64, copy=False)
-                d00, d01, d10, d11 = (np.einsum("nchw,nchw->", g64, corner(xp64, t, a, b))
-                                      for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
-                if active[t, 0]:
-                    gt[t, 0] = (1.0 - ax[t]) * (d10 - d00) + ax[t] * (d11 - d01)
-                if active[t, 1]:
-                    gt[t, 1] = (1.0 - ay[t]) * (d01 - d00) + ay[t] * (d11 - d10)
+            ay, ax = frac[:, 0], frac[:, 1]
+            gy = (1.0 - ax) * (d[:, 2] - d[:, 0]) + ax * (d[:, 3] - d[:, 1])
+            gxo = (1.0 - ay) * (d[:, 1] - d[:, 0]) + ay * (d[:, 3] - d[:, 2])
+            gt[:, 0] = np.where(active[:, 0], gy, 0.0)
+            gt[:, 1] = np.where(active[:, 1], gxo, 0.0)
         return gx, gw, gt
 
     return Tensor(y, parents=(x, w, tap_offsets), backward_fn=bwd)
+
+
+def _corner_products(gcols, xp, oy, ox):
+    """[taps, 4] f64 inner products of each tap's gradient gcols[:, :, t]
+    with its four corner windows of xp, at (oy[t] + a, ox[t] + b).
+
+    Each is one BLAS dot over flattened planes: xp cut to the rows and
+    columns some corner reads, and the tap's gradient at the head of zeroed
+    planes of that cut, so a window's offset pairs each value with its own
+    and all else with a zero.  One tap at a time bounds the f64 copies.
+    """
+    n, cin, taps, h, wd = gcols.shape
+    y0, x0 = oy.min(), ox.min()
+    ht, wt = oy.max() + 1 + h - y0, ox.max() + 1 + wd - x0
+    xf = np.zeros((n * cin + 1, ht, wt))  # a zero plane past the last
+    xf[:-1] = xp[:, :, y0:y0 + ht, x0:x0 + wt].reshape(n * cin, ht, wt)
+    gb = np.zeros((n * cin, ht, wt))
+    m = (n * cin - 1) * ht * wt + (h - 1) * wt + wd
+    gflat, xflat = gb.reshape(-1)[:m], xf.reshape(-1)
+    base = (oy - y0) * wt + (ox - x0)
+    d = np.empty((taps, 4))
+    for t in range(taps):
+        gb[:, :h, :wd] = gcols[:, :, t].reshape(n * cin, h, wd)
+        for c, step in enumerate((0, 1, wt, wt + 1)):
+            o = base[t] + step
+            d[t, c] = gflat @ xflat[o:o + m]
+    return d
 
 
 # -- COSE: offset estimation ------------------------------------------------
 
 
 def _check_image_range(image: Tensor):
+    """Every pixel finite and in [0,1], up to 1e-6."""
     lo, hi = float(image.data.min()), float(image.data.max())
-    if lo < -1e-6 or hi > 1.0 + 1e-6:
-        raise InputRangeError(f"pixel values [{lo:.4g}, {hi:.4g}] outside [0,1]")
+    if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):  # a NaN fails both comparisons
+        raise InputRangeError(f"pixel values [{lo:.4g}, {hi:.4g}] are not all finite and in [0,1]")
 
 
 def cose_forward(image: Tensor, params: dict) -> OffsetField:
-    """Predict darkening/brightening offset maps from the image."""
-    _check_image_range(image)
+    """Predict darkening/brightening offset maps from the image (whose range
+    ``csec_correct`` checks)."""
     h1 = relu(offset_conv(image, params["cose.w1"], params["cose.t1"]))
     out = offset_conv(h1, params["cose.w2"], params["cose.t2"])
     c = image.data.shape[1]

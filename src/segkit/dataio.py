@@ -81,6 +81,20 @@ class SynthSpec:
             raise ValueError(f"unknown corruption {self.corruption!r}")
         if self.n_val + self.n_test > self.n_samples:
             raise ValueError("n_val + n_test exceeds n_samples")
+        if self.shapes_min > self.shapes_max:
+            raise ValueError(f"shapes_min {self.shapes_min} exceeds shapes_max {self.shapes_max}")
+        if self.shapes_max >= 1:
+            # every range _paint_shape draws from must be non-empty in every
+            # band (the whole image unless banded): a disk's radius reaches
+            # max(3, bh // 4) - 1 and must fit twice in the band and the width
+            h, w = self.image_size
+            nb = self.n_classes - 1 if self.position_banded else 1
+            for bh in sorted({(k + 1) * h // nb - k * h // nb for k in range(nb)}):
+                need = 2 * max(3, bh // 4) - 1
+                if bh < 5 or w < need:
+                    raise ValueError(f"band height {bh} of a {h}x{w} image in {nb} band(s) cannot "
+                                     f"hold a shape: it needs a band height of at least 5 and "
+                                     f"an image width of at least {need}")
 
 
 # -- PNM --------------------------------------------------------------------

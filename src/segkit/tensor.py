@@ -6,6 +6,8 @@ order, on backward(). f32 is the training element type; gradient-check paths
 use f64 because central differences are unreliable in single precision.
 Every op is a module function of tensors (``scale`` is the one scalar
 multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
+The convolution kernels run a few large numpy operations in place of one
+per tap, and give bitwise the sums of the per-tap forms, -0 included.
 """
 
 import ctypes
@@ -311,15 +313,20 @@ def linear(x, w, b):
 
 
 def _im2col(xp, kh, kw, stride, ho, wo):
-    n, c = xp.shape[0], xp.shape[1]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
-    return cols
+    """[n, c, kh, kw, ho, wo] patches of the C-contiguous xp: one copy of a
+    strided view of it."""
+    sn, sc, sh, sw = xp.strides
+    return np.ndarray((xp.shape[0], xp.shape[1], kh, kw, ho, wo), xp.dtype, xp, 0,
+                      (sn, sc, sh, sw, sh * stride, sw * stride)).copy()
 
 
 def conv2d(x, w, stride=1, padding=0):
+    """Cross-correlation of NCHW x with an OIHW kernel of odd extents.
+
+    Forward is one product of the kernel with the im2col patches.  The input
+    gradient is the kernel's transpose times g, scattered back tap by tap in
+    tap order (see ``_col2im``).
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatchError("conv2d expects NCHW input and OIHW kernel")
     n, cin, h, wd = x.data.shape
@@ -339,7 +346,7 @@ def conv2d(x, w, stride=1, padding=0):
         xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
         xp[:, :, padding:padding + h, padding:padding + wd] = x.data
     else:
-        xp = x.data
+        xp = np.ascontiguousarray(x.data)
     cols = _im2col(xp, kh, kw, stride, ho, wo).reshape(n, cin * kh * kw, ho * wo)
     w2 = w.data.reshape(cout, cin * kh * kw)
     y = (w2 @ cols).reshape(n, cout, ho, wo)
@@ -350,26 +357,97 @@ def conv2d(x, w, stride=1, padding=0):
         if w.requires_grad:
             gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
         if x.requires_grad:
-            gcols = (w2.T @ g2).reshape(n, cin, kh, kw, ho, wo)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    view = gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
-                    view += gcols[:, :, i, j]
+            hp, wp = xp.shape[2], xp.shape[3]
+            if stride == 1 and cin * kw > 1 and ho * wo > 1:
+                # g zero-padded to xp's planes, times the kernel reordered
+                # tap-major, one product per kernel row to bound what is held:
+                # the products lay each tap's columns on the planes (the pad
+                # gets exact ±0 for a finite kernel).  This relies on a matrix
+                # product giving each element the value it has in a narrower
+                # one; numpy computes a one-row or one-column product as gemv,
+                # which need not, so those shapes take the copy below.
+                gr = np.zeros((n, cout, hp, wp), dtype=g.dtype)
+                gr[:, :, :ho, :wo] = g
+                gr = gr.reshape(n, cout, hp * wp)
+                wt = w2.reshape(cout, cin, kh, kw).transpose(2, 3, 1, 0).reshape(kh, -1, cout)
+
+                def row_planes():
+                    for i in range(kh):
+                        row = (wt[i] @ gr).reshape(n, kw, -1)
+                        yield from (row[:, j] for j in range(kw))
+
+                planes = row_planes()
+            else:
+                planes = _tap_planes((w2.T @ g2).reshape(n, cin, kh * kw, ho, wo),
+                                     xp.shape, stride)
+            starts = [i * wp + j for i in range(kh) for j in range(kw)]
+            gxp = _col2im(planes, xp.shape, xp.dtype, starts)
             gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
         return gx, gw
 
     return Tensor(y, parents=(x, w), backward_fn=bwd)
 
 
+def _tap_planes(gcols, shape, stride=1, taps=None, weights=None):
+    """For each t of ``taps`` (default: every tap in order), gcols[:, :, t]
+    of gcols [n, c, taps, ho, wo], times weights[k] if given, on zeroed
+    planes of the padded input's ``shape`` [n, c, hp, wp], at every
+    stride-th row and column from the origin, as a flat [n, c * hp * wp]
+    array.  One buffer serves every tap: use each before taking the next."""
+    n, c, ntaps, ho, wo = gcols.shape
+    buf = np.zeros(shape, dtype=gcols.dtype)
+    block = buf[:, :, :ho * stride:stride, :wo * stride:stride]
+    for k, t in enumerate(range(ntaps) if taps is None else taps):
+        if weights is None:
+            block[...] = gcols[:, :, t]
+        else:
+            np.multiply(gcols[:, :, t], weights[k], out=block)
+        yield buf.reshape(n, -1)
+
+
+def _col2im(planes, shape, dtype, starts):
+    """The adjoint of gathering windows of a padded input of ``shape``
+    [n, c, hp, wp]: each of ``planes``, flat [n, c * hp * wp], is added in
+    order at the matching flat offset of ``starts`` of every channel's plane.
+
+    Each add is one contiguous run over every channel of a flat buffer.  The
+    planes' padding is exact zeros, and an accumulator that started at +0 is
+    never -0, so those zeros change nothing: every element gets the sums of
+    per-window strided adds, in their order.
+    """
+    n, c, hp, wp = shape
+    size = c * hp * wp
+    flat = np.zeros((n, size + hp * wp), dtype=dtype)
+    for plane, o in zip(planes, starts):
+        flat[:, o:o + size] += plane
+    return flat[:, :size].reshape(shape)
+
+
 def upsample_nearest(x, factor):
-    """Nearest-neighbor upsampling of an NCHW tensor by an integer factor."""
+    """Nearest-neighbor upsampling of an NCHW tensor by an integer factor.
+
+    The adjoint sums each f×f patch of g bitwise as numpy's
+    ``sum(axis=(3, 5))`` does: the column replicas in order, then those row
+    sums in order, then + 0.0 (numpy's sum starts from +0, so an all-(-0)
+    patch gives +0).  Where numpy sums a patch as one run or pairwise (w = 1,
+    or f >= 8), and at f = 1, the adjoint is that sum itself.
+    """
     n, c, h, w = x.data.shape
     f = int(factor)
     y = x.data.repeat(f, axis=2).repeat(f, axis=3)
 
     def bwd(g):
-        return (g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)),)
+        g6 = g.reshape(n, c, h, f, w, f)
+        if w == 1 or f == 1 or f >= 8:
+            return (g6.sum(axis=(3, 5)),)
+        rows = g6[..., 0] + g6[..., 1]
+        for b in range(2, f):
+            rows += g6[..., b]
+        gx = rows[:, :, :, 0] + rows[:, :, :, 1]
+        for a in range(2, f):
+            gx += rows[:, :, :, a]
+        gx += 0.0
+        return (gx,)
 
     return Tensor(y, parents=(x,), backward_fn=bwd)
 

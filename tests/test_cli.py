@@ -103,6 +103,13 @@ class TestSynth:
         assert "n_classes" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_bands_too_thin_for_a_shape_exit_2_before_writing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC.replace("n_classes = 3", "n_classes = 20\nposition_banded = true"))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert "band height 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_line(self, tmp_path):
         spec = tmp_path / "spec.cfg"
         spec.write_text("no equals sign here\n")

@@ -393,6 +393,44 @@ def test_input_validation():
         csec_correct(Tensor(np.full((1, 3, 8, 8), 1.5)), params, cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixels_rejected(bad):
+    # min and max alone let a NaN through: the output would be NaN
+    cfg = CsecConfig()
+    image = np.full((1, 3, 8, 8), 0.5, dtype=np.float32)
+    image[0, 1, 2, 3] = bad
+    with pytest.raises(InputRangeError):
+        csec_correct(Tensor(image), init_csec(cfg, seed=0), cfg)
+
+
+def test_range_checked_once_per_correction(monkeypatch):
+    import segkit.csec as csec_module
+
+    calls = []
+    check = csec_module._check_image_range
+    monkeypatch.setattr(csec_module, "_check_image_range",
+                        lambda image: calls.append(1) or check(image))
+    cfg = CsecConfig()
+    csec_correct(Tensor(np.full((2, 3, 8, 8), 0.5)), init_csec(cfg, seed=0), cfg)
+    assert len(calls) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="from the identity init the offset branch gets an "
+                                       "exactly zero gradient (ROADMAP item 5)")
+def test_identity_init_trains_the_offset_branch():
+    # cose.w2 = 0 makes the offset maps 0, so the ed/eb tokens F are 0, and
+    # the gradient of gamma * sym_norm(F F^T) F at F = 0 is exactly 0
+    cfg = CsecConfig()
+    params = init_csec(cfg, seed=3)
+    init = {k: p.data.copy() for k, p in params.items()}
+    rng = SplitMix64(5)
+    clean = rng.uniform_array((1, 3, 8, 8), 0.1, 0.9).astype(np.float32)
+    pairs = [(np.clip(clean * 0.6, 0.0, 1.0), clean)]
+    train_csec(pairs, params, cfg, epochs=3, lr=1e-2, seed=0)
+    assert not np.array_equal(params["dec.w3"].data, init["dec.w3"])  # the step did run
+    assert not np.array_equal(params["cose.w2"].data, init["cose.w2"])
+
+
 def test_train_csec_overfits_one_pair():
     cfg = CsecConfig()
     params = init_csec(cfg, seed=3)

@@ -216,6 +216,36 @@ class TestSynthesis:
             SynthSpec(corruption="fog")
         with pytest.raises(ValueError):
             SynthSpec(n_samples=4, n_val=3, n_test=2)
+        with pytest.raises(ValueError):
+            SynthSpec(shapes_min=3, shapes_max=2)
+
+    @pytest.mark.parametrize("kw", [dict(n_classes=20, image_size=(16, 16), position_banded=True),
+                                    dict(n_classes=4, image_size=(12, 64), position_banded=True),
+                                    dict(image_size=(4, 16)), dict(image_size=(16, 4)),
+                                    dict(image_size=(64, 20))])
+    def test_spec_whose_band_cannot_hold_a_shape_rejected(self, kw):
+        with pytest.raises(ValueError, match="band"):
+            SynthSpec(**kw)
+
+    def test_every_accepted_spec_paints(self):
+        # a spec passes the checks exactly when no shape can draw an empty range
+        rng = SplitMix64(4)
+        accepted = rejected = 0
+        for h in range(1, 25, 3):
+            for w in range(1, 25, 4):
+                for n_classes in (2, 3, 6):
+                    for banded in (False, True):
+                        try:
+                            spec = SynthSpec(image_size=(h, w), n_classes=n_classes,
+                                             position_banded=banded, shapes_min=3, shapes_max=5)
+                        except ValueError:
+                            rejected += 1
+                            continue
+                        accepted += 1
+                        for _ in range(4):
+                            generate_sample(rng.next_u64(), spec)
+        assert accepted and rejected
+        SynthSpec(image_size=(2, 2), shapes_min=0, shapes_max=0)  # nothing to paint
 
 
 class TestCorruption:
