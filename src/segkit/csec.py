@@ -159,11 +159,8 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
         if r == 0:
             part += 0.0
             cols = part
-        elif len(tr) == taps:
-            cols += part
-        else:
-            for j, t in enumerate(tr):
-                cols[:, :, t] += part[:, :, j]
+        else:  # a tap has at most one corner of each rank
+            cols[:, :, tr] += part
     cols2 = cols.reshape(n, cin * taps, h * wd)
     w2 = w.data.reshape(cout, cin * taps)
     y = (w2 @ cols2).reshape(n, cout, h, wd)
@@ -206,15 +203,21 @@ def _corner_products(gcols, xp, oy, ox):
     columns some corner reads, and the tap's gradient at the head of zeroed
     planes of that cut, so a window's offset pairs each value with its own
     and all else with a zero.  One tap at a time bounds the f64 copies.
+    Two things follow from the dot.  Its summation order is BLAS's, which
+    for long vectors depends on the BLAS thread count, so the sums move by
+    f64 round-off with it.  And a zero times an inf is NaN, so a non-finite
+    value anywhere in the cut makes every tap's products NaN, not only
+    those of the taps whose windows hold it.
     """
     n, cin, taps, h, wd = gcols.shape
     y0, x0 = oy.min(), ox.min()
     ht, wt = oy.max() + 1 + h - y0, ox.max() + 1 + wd - x0
-    xf = np.zeros((n * cin + 1, ht, wt))  # a zero plane past the last
-    xf[:-1] = xp[:, :, y0:y0 + ht, x0:x0 + wt].reshape(n * cin, ht, wt)
+    xflat = xp[:, :, y0:y0 + ht, x0:x0 + wt].astype(np.float64).reshape(-1)
     gb = np.zeros((n * cin, ht, wt))
+    # the last corner's window, (1, 1) of the tap at (oy.max(), ox.max()),
+    # ends at the last element of xflat
     m = (n * cin - 1) * ht * wt + (h - 1) * wt + wd
-    gflat, xflat = gb.reshape(-1)[:m], xf.reshape(-1)
+    gflat = gb.reshape(-1)[:m]
     base = (oy - y0) * wt + (ox - x0)
     d = np.empty((taps, 4))
     for t in range(taps):

@@ -357,29 +357,8 @@ def conv2d(x, w, stride=1, padding=0):
         if w.requires_grad:
             gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
         if x.requires_grad:
-            hp, wp = xp.shape[2], xp.shape[3]
-            if stride == 1 and cin * kw > 1 and ho * wo > 1:
-                # g zero-padded to xp's planes, times the kernel reordered
-                # tap-major, one product per kernel row to bound what is held:
-                # the products lay each tap's columns on the planes (the pad
-                # gets exact ±0 for a finite kernel).  This relies on a matrix
-                # product giving each element the value it has in a narrower
-                # one; numpy computes a one-row or one-column product as gemv,
-                # which need not, so those shapes take the copy below.
-                gr = np.zeros((n, cout, hp, wp), dtype=g.dtype)
-                gr[:, :, :ho, :wo] = g
-                gr = gr.reshape(n, cout, hp * wp)
-                wt = w2.reshape(cout, cin, kh, kw).transpose(2, 3, 1, 0).reshape(kh, -1, cout)
-
-                def row_planes():
-                    for i in range(kh):
-                        row = (wt[i] @ gr).reshape(n, kw, -1)
-                        yield from (row[:, j] for j in range(kw))
-
-                planes = row_planes()
-            else:
-                planes = _tap_planes((w2.T @ g2).reshape(n, cin, kh * kw, ho, wo),
-                                     xp.shape, stride)
+            wp = xp.shape[3]
+            planes = _tap_planes((w2.T @ g2).reshape(n, cin, kh * kw, ho, wo), xp.shape, stride)
             starts = [i * wp + j for i in range(kh) for j in range(kw)]
             gxp = _col2im(planes, xp.shape, xp.dtype, starts)
             gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])

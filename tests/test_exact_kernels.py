@@ -4,8 +4,8 @@ Each test holds a plain copy of the earlier per-tap (for Adam, per-tensor)
 form of a kernel and asserts that the engine's kernel gives the same bytes:
 f32 and f64, with -0 (and, where it reaches the kernel, inf and NaN) in the
 inputs.  Rerun this file with more than one BLAS thread as well: the
-stride-1 conv2d adjoint relies on a matrix product giving each element the
-same value when the product is wider or its rows come in another order.
+kernels take the same matrix products as the per-tap forms, so their bytes
+must not depend on how BLAS splits those products.
 """
 
 import numpy as np
@@ -64,7 +64,7 @@ def _conv2d_reference(x, w, g, stride, padding):
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_conv2d_matches_per_tap_form(stride, padding, k, dtype):
     rng = np.random.default_rng(100 * stride + 10 * padding + k)
-    one = max(1, k - 2 * padding)  # a 1x1 output: numpy multiplies by gemv there
+    one = max(1, k - 2 * padding)  # a 1x1 output, a one-column product
     for n, cin, cout, h, wd in ((1, 3, 4, 9, 11), (2, 5, 3, 7, 6), (1, 1, 2, 6, 5),
                                 (2, 2, 3, one, one)):
         x = _signed(rng, (n, cin, h, wd), dtype)
