@@ -22,7 +22,7 @@ from .errors import (
     NonSquareError,
     ShapeMismatchError,
 )
-from .optim import Adam
+from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from .tensor import (
     Tensor,
@@ -373,11 +373,6 @@ def csec_correct(image: Tensor, params: dict, config: CsecConfig = CsecConfig())
 # -- parameters and training ------------------------------------------------
 
 
-def _uniform_init(rng: SplitMix64, shape, fan_in, dtype):
-    limit = float(np.sqrt(3.0 / fan_in))
-    return Tensor(rng.uniform_array(shape, -limit, limit).astype(dtype), requires_grad=True)
-
-
 def init_csec(config: CsecConfig = CsecConfig(), seed: int = 0, dtype=np.float32,
               identity: bool = True) -> dict:
     """Initialize all CSEC parameters.
@@ -400,22 +395,22 @@ def init_csec(config: CsecConfig = CsecConfig(), seed: int = 0, dtype=np.float32
         return Tensor(rng.uniform_array((k * k, 2), -0.4, 0.4).astype(dtype),
                       requires_grad=True)
 
-    p["cose.w1"] = _uniform_init(rng, (hid, 3, k, k), 3 * k * k, dtype)
+    p["cose.w1"] = fan_in_uniform(rng, (hid, 3, k, k), 3 * k * k, dtype)
     p["cose.t1"] = taps()
-    p["cose.w2"] = zeros((6, hid, k, k)) if identity else _uniform_init(
+    p["cose.w2"] = zeros((6, hid, k, k)) if identity else fan_in_uniform(
         rng, (6, hid, k, k), hid * k * k, dtype)
     p["cose.t2"] = taps()
     for prefix in ("ex", "ed", "eb"):
-        p[prefix + ".w1"] = _uniform_init(rng, (hid, 3, k, k), 3 * k * k, dtype)
-        p[prefix + ".w2"] = _uniform_init(rng, (hid, hid, k, k), hid * k * k, dtype)
-        p[prefix + ".w3"] = _uniform_init(rng, (c, hid, k, k), hid * k * k, dtype)
+        p[prefix + ".w1"] = fan_in_uniform(rng, (hid, 3, k, k), 3 * k * k, dtype)
+        p[prefix + ".w2"] = fan_in_uniform(rng, (hid, hid, k, k), hid * k * k, dtype)
+        p[prefix + ".w3"] = fan_in_uniform(rng, (c, hid, k, k), hid * k * k, dtype)
     p["fuse.gx"] = Tensor(np.array(1.0, dtype=dtype), requires_grad=True)
     p["fuse.gd"] = Tensor(np.array(0.1, dtype=dtype), requires_grad=True)
     p["fuse.gb"] = Tensor(np.array(0.1, dtype=dtype), requires_grad=True)
     p["fuse.bias"] = zeros((c,))
-    p["dec.w1"] = _uniform_init(rng, (hid, c, 3, 3), c * 9, dtype)
-    p["dec.w2"] = _uniform_init(rng, (hid, hid, 3, 3), hid * 9, dtype)
-    p["dec.w3"] = zeros((3, hid, 3, 3)) if identity else _uniform_init(
+    p["dec.w1"] = fan_in_uniform(rng, (hid, c, 3, 3), c * 9, dtype)
+    p["dec.w2"] = fan_in_uniform(rng, (hid, hid, 3, 3), hid * 9, dtype)
+    p["dec.w3"] = zeros((3, hid, 3, 3)) if identity else fan_in_uniform(
         rng, (3, hid, 3, 3), hid * 9, dtype)
     return p
 
@@ -439,20 +434,8 @@ def train_csec(pairs, params: dict, config: CsecConfig = CsecConfig(),
                epochs: int = 20, lr: float = 1e-3, seed: int = 0):
     """Self-supervised training on (corrupted, clean) image pairs with
     mean-squared pixel error.  Returns the per-epoch mean loss."""
-    opt = Adam(params, lr=lr)
-    order_rng = SplitMix64(seed)
-    losses = []
-    for _ in range(epochs):
-        idx = list(range(len(pairs)))
-        order_rng.shuffle(idx)
-        total = 0.0
-        for i in idx:
-            corrupted, clean = pairs[i]
-            out = csec_correct(Tensor(np.asarray(corrupted)), params, config)
-            loss = mse_loss(out, clean)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data)
-        losses.append(total / len(pairs))
-    return losses
+    def pair_loss(batch):
+        corrupted, clean = pairs[batch[0]]
+        return mse_loss(csec_correct(Tensor(np.asarray(corrupted)), params, config), clean)
+
+    return list(fit(Adam(params, lr=lr), len(pairs), pair_loss, epochs, 1, seed))

@@ -9,7 +9,17 @@ flat array; a parameter whose gradient is None is left untouched.
 
 import numpy as np
 
-__all__ = ["Adam"]
+from .errors import ConfigInvalidError, EmptyDatasetError, TrainingDivergedError
+from .rng import SplitMix64
+from .tensor import Tensor
+
+__all__ = ["Adam", "fan_in_uniform", "fit"]
+
+
+def fan_in_uniform(rng: SplitMix64, shape, fan_in, dtype=np.float32) -> Tensor:
+    """A trainable weight drawn from rng, uniform in +-sqrt(3 / fan_in)."""
+    limit = float(np.sqrt(3.0 / fan_in))
+    return Tensor(rng.uniform_array(shape, -limit, limit).astype(dtype), requires_grad=True)
 
 
 class Adam:
@@ -72,3 +82,33 @@ class Adam:
         for p in ps:
             p.data = flat[start:start + p.data.size].reshape(p.data.shape)
             start += p.data.size
+
+
+def fit(opt, n_samples, batch_loss, epochs, batch_size, seed):
+    """Yield each epoch's mean loss as opt minimizes batch_loss(indices), the mean
+    loss of batch_size samples, in an order SplitMix64(seed) reshuffles each epoch."""
+    if n_samples < 1:
+        raise EmptyDatasetError("training set is empty")
+    if epochs < 1 or batch_size < 1:
+        raise ConfigInvalidError("need epochs >= 1 and batch_size >= 1")
+    order_rng = SplitMix64(seed)
+    for _ in range(epochs):
+        idx = list(range(n_samples))
+        order_rng.shuffle(idx)
+        total = 0.0
+        for start in range(0, n_samples, batch_size):
+            batch = idx[start:start + batch_size]
+            total += _step(opt, batch_loss, batch) * len(batch)
+        yield total / n_samples
+
+
+def _step(opt, batch_loss, batch) -> float:
+    """One step on batch; returns its loss.  Its graph dies on return."""
+    opt.zero_grad()
+    loss = batch_loss(batch)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise TrainingDivergedError("non-finite training loss")
+    loss.backward()
+    opt.step()
+    return value

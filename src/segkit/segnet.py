@@ -41,9 +41,9 @@ from .denoise import (
     pixel_error_rate,
     quantile_threshold,
 )
-from .errors import ConfigInvalidError, EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
+from .errors import ConfigInvalidError, ShapeMismatchError
 from .metrics import ConfusionMatrix, miou
-from .optim import Adam
+from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from . import rope
 from .rope import PatchGrid, freq_table
@@ -68,6 +68,7 @@ __all__ = [
     "FilterReport",
     "Model",
     "build_model",
+    "param_shapes",
     "fuse_qkv",
     "train",
     "predict",
@@ -209,6 +210,19 @@ def fuse_qkv(heads) -> np.ndarray:
     return np.concatenate([hd[j] for j in range(3) for hd in heads], axis=1)
 
 
+def param_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of each parameter of config's model, in build_model's order."""
+    d, p, k = config.embed_dim, config.patch_size, config.n_classes
+    shapes = {"embed.w": (3 * p * p, d), "embed.b": (d,)}
+    for i in range(config.n_blocks):
+        shapes.update({f"b{i}.ln1.g": (d,), f"b{i}.ln1.b": (d,), f"b{i}.wqkv": (d, 3 * d),
+                       f"b{i}.attn.wo": (d, d), f"b{i}.ln2.g": (d,), f"b{i}.ln2.b": (d,),
+                       f"b{i}.mlp.w1": (d, 2 * d), f"b{i}.mlp.b1": (2 * d,),
+                       f"b{i}.mlp.w2": (2 * d, d), f"b{i}.mlp.b2": (d,)})
+    shapes.update({"head.w": (d, k), "head.b": (k,)})
+    return shapes
+
+
 def build_model(config: ModelConfig, dtype=np.float32, csec_params: Optional[dict] = None,
                 csec_config: CsecConfig = CsecConfig()) -> Model:
     """Deterministically initialize a model from config; with use_csec and no
@@ -217,39 +231,17 @@ def build_model(config: ModelConfig, dtype=np.float32, csec_params: Optional[dic
     if config.use_csec and csec_params is None:
         csec_params = init_csec(csec_config, seed=config.seed, dtype=dtype)
     rng = SplitMix64(config.seed)
-    d, p, k = config.embed_dim, config.patch_size, config.n_classes
-    dh = d // config.n_heads
-
-    def draw(shape, fan_in):
-        limit = float(np.sqrt(3.0 / fan_in))
-        return rng.uniform_array(shape, -limit, limit).astype(dtype)
-
-    def uni(shape, fan_in):
-        return Tensor(draw(shape, fan_in), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    params = {"embed.w": uni((3 * p * p, d), 3 * p * p), "embed.b": zeros((d,))}
-    for i in range(config.n_blocks):
-        params[f"b{i}.ln1.g"] = ones((d,))
-        params[f"b{i}.ln1.b"] = zeros((d,))
-        # drawn head by head (q, k, v each), so a seed gives the same weights
-        # as the per-head layout of older checkpoints
-        heads = [[draw((d, dh), d) for _ in range(3)] for _ in range(config.n_heads)]
-        params[f"b{i}.wqkv"] = Tensor(fuse_qkv(heads), requires_grad=True)
-        params[f"b{i}.attn.wo"] = uni((d, d), d)
-        params[f"b{i}.ln2.g"] = ones((d,))
-        params[f"b{i}.ln2.b"] = zeros((d,))
-        params[f"b{i}.mlp.w1"] = uni((d, 2 * d), d)
-        params[f"b{i}.mlp.b1"] = zeros((2 * d,))
-        params[f"b{i}.mlp.w2"] = uni((2 * d, d), 2 * d)
-        params[f"b{i}.mlp.b2"] = zeros((d,))
-    params["head.w"] = uni((d, k), d)
-    params["head.b"] = zeros((k,))
+    d, dh = config.embed_dim, config.embed_dim // config.n_heads
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".wqkv"):  # q, k, v per head: a seed gives older checkpoints' weights
+            value = fuse_qkv([[fan_in_uniform(rng, (d, dh), d, dtype).data for _ in range(3)]
+                              for _ in range(config.n_heads)])
+        elif len(shape) == 2:
+            value = fan_in_uniform(rng, shape, shape[0], dtype).data
+        else:  # layer-norm gains 1, biases 0
+            value = np.full(shape, float(name.endswith(".g")), dtype)
+        params[name] = Tensor(value, requires_grad=True)
     return Model(config, params, dtype=dtype, csec_params=csec_params, csec_config=csec_config)
 
 
@@ -304,8 +296,6 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
     if dn is not None and dn.mode == "drop_samples":
         raise ConfigInvalidError("train does not drop samples; mode drop_samples "
                                  "runs through train_with_denoise")
-    if not dataset:
-        raise EmptyDatasetError("training set is empty")
     h, w = model.config.image_size
     for image, mask in dataset:
         if np.shape(image) != (1, 3, h, w) or np.shape(mask) != (h, w):
@@ -314,33 +304,18 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
     opt = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                beta2=config.beta2, eps=config.eps)
     truncate = dn.quantile if dn is not None and dn.mode == "truncate_pixels" else None
-    order_rng = SplitMix64(config.seed)
     report = TrainReport()
-    for _ in range(config.epochs):
-        idx = list(range(len(dataset)))
-        order_rng.shuffle(idx)
-        total = 0.0
-        for start in range(0, len(idx), config.batch_size):
-            batch = idx[start:start + config.batch_size]
-            opt.zero_grad()
-            total += _train_step(model, [dataset[j] for j in batch], truncate)
-            opt.step()
-        report.losses.append(total / len(idx))
+
+    def batch_loss(batch):
+        images, masks = _stack([dataset[j] for j in batch])
+        return cross_entropy(model.forward(images), masks, truncate=truncate)
+
+    for loss in fit(opt, len(dataset), batch_loss, config.epochs, config.batch_size,
+                    config.seed):
+        report.losses.append(loss)
         if val_pairs:
             report.val_mious.append(evaluate_miou(model, val_pairs))
     return report
-
-
-def _train_step(model: Model, pairs, truncate) -> float:
-    """Forward and backward one batch; returns the sum of its per-sample
-    losses.  The graph is freed on return, before the next forward."""
-    images, masks = _stack(pairs)
-    loss = cross_entropy(model.forward(images), masks, truncate=truncate)
-    lv = float(loss.data)
-    if not np.isfinite(lv):
-        raise TrainingDivergedError("non-finite training loss")
-    loss.backward()
-    return lv * len(pairs)
 
 
 def score_samples(model: Model, samples):
