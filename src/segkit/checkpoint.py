@@ -8,7 +8,9 @@ model, 1 corrector) and ``config.<field>`` per ``ModelConfig`` or
 ``CsecConfig`` field, and a model's corrector as ``csec.*`` and
 ``config.csec.<field>``.  Older files load: without ``config.kind`` as
 either kind, without ``config.window`` as window 0, and per-head
-``b{i}.h{hd}.w{q,k,v}`` weights fused into ``b{i}.wqkv``.
+``b{i}.h{hd}.w{q,k,v}`` weights fused into ``b{i}.wqkv``.  A loaded
+checkpoint must hold exactly the parameters its config builds, by name and
+shape; a missing, misshapen or unknown one is a ConfigInvalidError.
 """
 
 import math
@@ -18,8 +20,9 @@ from dataclasses import fields as dc_fields
 import numpy as np
 
 from .csec import CsecConfig
+from .csec import param_shapes as csec_param_shapes
 from .errors import BadMagicError, ConfigInvalidError, TruncatedError
-from .segnet import Model, ModelConfig, fuse_qkv
+from .segnet import Model, ModelConfig, fuse_qkv, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"SMK1"
@@ -131,7 +134,23 @@ def load_model_checkpoint(path) -> Model:
     _fuse_legacy_heads(params, cfg, path)
     csec_cfg = (_unpack_config(CsecConfig, blob, "config.csec.", path) if csec_params
                 else CsecConfig())
-    return Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
+    model = Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
+    _check_params(params, param_shapes(cfg), path)
+    if csec_params:
+        _check_params(csec_params, csec_param_shapes(csec_cfg), path, "csec.")
+    return model
+
+
+def _check_params(params: dict, shapes: dict, path, prefix=""):
+    """Refuse params unless they are shapes' names with shapes' shapes."""
+    for name in sorted(shapes.keys() | params.keys()):
+        if name not in params:
+            raise ConfigInvalidError(f"{path}: checkpoint lacks {prefix + name!r}")
+        if name not in shapes:
+            raise ConfigInvalidError(f"{path}: {prefix + name!r} is no parameter of its config")
+        if params[name].data.shape != shapes[name]:
+            raise ConfigInvalidError(f"{path}: {prefix + name!r} has shape "
+                                     f"{params[name].data.shape}, its config builds {shapes[name]}")
 
 
 def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):
@@ -156,4 +175,6 @@ def load_csec_checkpoint(path):
     """(parameters, CsecConfig) of a color-correction checkpoint."""
     blob = _load_kind(path, 1, "color-correction")
     cfg = _unpack_config(CsecConfig, blob, "config.", path)
-    return {k: t for k, t in blob.items() if not k.startswith("config.")}, cfg
+    params = {k: t for k, t in blob.items() if not k.startswith("config.")}
+    _check_params(params, csec_param_shapes(cfg), path)
+    return params, cfg

@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run finite-difference gradient suites")
     p.add_argument("--module", choices=("all",) + SUITES, default="all")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=20,
+                   help="random trials per op check; the whole-pipeline checks "
+                        "csec_correct.params and segnet.params run once")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional directory for run.json")
     p.set_defaults(func=cmd_gradcheck)

@@ -10,6 +10,11 @@ weights; a small upsampling decoder reconstructs the corrected image.
 Identity-at-init: the offset head's output layer and the decoder's output
 layer are zero-initialized and the decoder carries a residual connection
 from the input image, so the untrained module is a near-no-op.
+
+``train_csec`` fits the corrector to (corrupted, clean) pairs one pair per
+Adam step through ``optim.fit``, the loop ``segnet.train`` runs too; its
+weights are drawn by ``optim.fan_in_uniform`` in the order of
+``param_shapes``.
 """
 
 from dataclasses import dataclass
@@ -54,6 +59,7 @@ __all__ = [
     "decode",
     "csec_correct",
     "init_csec",
+    "param_shapes",
     "train_csec",
     "psnr",
 ]
@@ -373,45 +379,46 @@ def csec_correct(image: Tensor, params: dict, config: CsecConfig = CsecConfig())
 # -- parameters and training ------------------------------------------------
 
 
+_FUSE_INIT = {"fuse.gx": 1.0, "fuse.gd": 0.1, "fuse.gb": 0.1, "fuse.bias": 0.0}
+
+
+def param_shapes(config: CsecConfig = CsecConfig()) -> dict:
+    """Name -> shape of each CSEC parameter of config, in init_csec's order."""
+    hid, c, k = config.hidden, config.feat_channels, config.kernel
+    shapes = {"cose.w1": (hid, 3, k, k), "cose.t1": (k * k, 2), "cose.w2": (6, hid, k, k),
+              "cose.t2": (k * k, 2)}
+    for prefix in ("ex", "ed", "eb"):
+        shapes.update({prefix + ".w1": (hid, 3, k, k), prefix + ".w2": (hid, hid, k, k),
+                       prefix + ".w3": (c, hid, k, k)})
+    shapes.update({"fuse.gx": (), "fuse.gd": (), "fuse.gb": (), "fuse.bias": (c,),
+                   "dec.w1": (hid, c, 3, 3), "dec.w2": (hid, hid, 3, 3),
+                   "dec.w3": (3, hid, 3, 3)})
+    return shapes
+
+
 def init_csec(config: CsecConfig = CsecConfig(), seed: int = 0, dtype=np.float32,
               identity: bool = True) -> dict:
     """Initialize all CSEC parameters.
 
-    identity=True zero-initializes the offset head's output layer, all tap
-    offsets and the decoder's output layer (the identity-at-init contract);
+    Weights [out, in, kh, kw] are fan_in_uniform, the fusion weights
+    _FUSE_INIT's constants.  identity=True
+    zero-initializes the offset head's output layer, all tap offsets and
+    the decoder's output layer (the identity-at-init contract);
     identity=False draws everything small and random, which is what the
     finite-difference checks want (no flat zero regions).
     """
-    hid, c, k = config.hidden, config.feat_channels, config.kernel
     rng = SplitMix64(seed)
     p = {}
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def taps():
-        if identity:
-            return zeros((k * k, 2))
-        return Tensor(rng.uniform_array((k * k, 2), -0.4, 0.4).astype(dtype),
-                      requires_grad=True)
-
-    p["cose.w1"] = fan_in_uniform(rng, (hid, 3, k, k), 3 * k * k, dtype)
-    p["cose.t1"] = taps()
-    p["cose.w2"] = zeros((6, hid, k, k)) if identity else fan_in_uniform(
-        rng, (6, hid, k, k), hid * k * k, dtype)
-    p["cose.t2"] = taps()
-    for prefix in ("ex", "ed", "eb"):
-        p[prefix + ".w1"] = fan_in_uniform(rng, (hid, 3, k, k), 3 * k * k, dtype)
-        p[prefix + ".w2"] = fan_in_uniform(rng, (hid, hid, k, k), hid * k * k, dtype)
-        p[prefix + ".w3"] = fan_in_uniform(rng, (c, hid, k, k), hid * k * k, dtype)
-    p["fuse.gx"] = Tensor(np.array(1.0, dtype=dtype), requires_grad=True)
-    p["fuse.gd"] = Tensor(np.array(0.1, dtype=dtype), requires_grad=True)
-    p["fuse.gb"] = Tensor(np.array(0.1, dtype=dtype), requires_grad=True)
-    p["fuse.bias"] = zeros((c,))
-    p["dec.w1"] = fan_in_uniform(rng, (hid, c, 3, 3), c * 9, dtype)
-    p["dec.w2"] = fan_in_uniform(rng, (hid, hid, 3, 3), hid * 9, dtype)
-    p["dec.w3"] = zeros((3, hid, 3, 3)) if identity else fan_in_uniform(
-        rng, (3, hid, 3, 3), hid * 9, dtype)
+    for name, shape in param_shapes(config).items():
+        if name in _FUSE_INIT:
+            value = np.full(shape, _FUSE_INIT[name], dtype)
+        elif identity and name in ("cose.t1", "cose.w2", "cose.t2", "dec.w3"):
+            value = np.zeros(shape, dtype)
+        elif name in ("cose.t1", "cose.t2"):  # tap offsets
+            value = rng.uniform_array(shape, -0.4, 0.4).astype(dtype)
+        else:
+            value = fan_in_uniform(rng, shape, int(np.prod(shape[1:])), dtype)
+        p[name] = Tensor(value, requires_grad=True)
     return p
 
 
@@ -433,7 +440,9 @@ def psnr(a, b) -> float:
 def train_csec(pairs, params: dict, config: CsecConfig = CsecConfig(),
                epochs: int = 20, lr: float = 1e-3, seed: int = 0):
     """Self-supervised training on (corrupted, clean) image pairs with
-    mean-squared pixel error.  Returns the per-epoch mean loss."""
+    mean-squared pixel error, one pair per step of ``optim.fit``.  Returns
+    the per-epoch mean loss.  No pairs raise EmptyDatasetError, epochs < 1
+    ConfigInvalidError and a non-finite loss TrainingDivergedError."""
     def pair_loss(batch):
         corrupted, clean = pairs[batch[0]]
         return mse_loss(csec_correct(Tensor(np.asarray(corrupted)), params, config), clean)

@@ -166,18 +166,20 @@ def _read_kind(path, image: bool):
 def write_pnm(path, data):
     """Write a binary PNM file; the inverse of read_pnm, byte-exact.
 
-    Integer [H,W] arrays, values in [0,255], become P5 masks; float images
-    (Tensor or ndarray, [1,3,H,W] or [3,H,W], values in [0,1]) become P6
-    with round-half-up.
+    Integer [H,W] arrays, values in [0,255] or IGNORE (written as 255, the
+    inverse of _read_kind), become P5 masks; float images (Tensor or
+    ndarray, [1,3,H,W] or [3,H,W], values in [0,1]) become P6 with
+    round-half-up.
     """
     if isinstance(data, Tensor):
         data = data.data
     data = np.asarray(data)
     if data.ndim == 2 and np.issubdtype(data.dtype, np.integer):
-        if np.any((data < 0) | (data > 255)):
-            raise InputRangeError(f"mask values {data.min()}..{data.max()} exceed [0,255]")
+        if np.any(((data < 0) & (data != IGNORE)) | (data > 255)):
+            raise InputRangeError(f"mask values {data.min()}..{data.max()} are neither "
+                                  f"IGNORE nor in [0,255]")
         h, w = data.shape
-        body = data.astype(np.uint8).tobytes()
+        body = np.where(data == IGNORE, 255, data).astype(np.uint8).tobytes()
         header = b"P5\n%d %d\n255\n" % (w, h)
     else:
         if data.ndim == 4:

@@ -1,8 +1,11 @@
 """Finite-difference gradient suites for every differentiable operation.
 
 Each suite runs seeded random trials in f64 and reports the worst relative
-error per op.  The CLI's gradcheck subcommand and the acceptance tests both
-drive these.
+error per op.  Every suite takes (trials, seed), but the whole-pipeline
+checks, ``csec_correct.params`` and all of the segnet suite, run once per
+call whatever the trial count: one check differences every parameter entry
+(a segnet check takes seconds).  The CLI's gradcheck subcommand and the
+acceptance tests both drive these.
 """
 
 import numpy as np
@@ -131,7 +134,7 @@ def _suite_csec(trials, seed):
     return worst
 
 
-def _suite_segnet(seed):
+def _suite_segnet(trials, seed):
     # 2x2 windows on the 4x4 patch grid: block 1 runs the shift and its mask
     cfg = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
                       window=2, image_size=(16, 16), seed=seed)
@@ -180,15 +183,11 @@ def _rel_error(a, b, floor=1e-8):
 
 def run_suite(module: str, trials: int = 20, seed: int = 0):
     """Run one named suite; returns {op name: worst relative error}."""
-    if module == "tensor":
-        return _suite_tensor(trials, seed)
-    if module == "rope":
-        return _suite_rope(trials, seed)
-    if module == "csec":
-        return _suite_csec(trials, seed)
-    if module == "segnet":
-        return _suite_segnet(seed)
-    raise ValueError(f"unknown module {module!r}")
+    if module not in _SUITES:
+        raise ValueError(f"unknown module {module!r}")
+    return _SUITES[module](trials, seed)
 
 
-SUITES = ("tensor", "rope", "csec", "segnet")
+_SUITES = {"tensor": _suite_tensor, "rope": _suite_rope, "csec": _suite_csec,
+           "segnet": _suite_segnet}
+SUITES = tuple(_SUITES)

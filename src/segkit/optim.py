@@ -1,7 +1,14 @@
-"""First-order adaptive-moment optimizer (Adam) over named parameter dicts.
+"""Training parameters: the one initializer, Adam and the one training loop.
 
-The moments of all parameters live in one flat buffer each, so a step is a
-handful of whole-buffer numpy operations.  Every element goes through the
+``fan_in_uniform`` draws every weight of the segmenter (``segnet.build_model``)
+and the color corrector (``csec.init_csec``).  ``fit`` trains both
+(``segnet.train``, ``csec.train_csec``): it owns the seeded shuffle, the step
+(zero_grad, forward, finite-loss check, backward, Adam step), the per-epoch
+mean loss, and freeing each step's graph before the next forward.
+Per-epoch and per-step telemetry belongs in it.
+
+Adam keeps the moments of all parameters in one flat buffer each, so a step
+is a handful of whole-buffer numpy operations.  Every element goes through the
 same operations in the same order as a per-tensor update, so the result is
 bitwise the same.  Each step writes the parameters back as views of one new
 flat array; a parameter whose gradient is None is left untouched.
@@ -11,15 +18,14 @@ import numpy as np
 
 from .errors import ConfigInvalidError, EmptyDatasetError, TrainingDivergedError
 from .rng import SplitMix64
-from .tensor import Tensor
 
 __all__ = ["Adam", "fan_in_uniform", "fit"]
 
 
-def fan_in_uniform(rng: SplitMix64, shape, fan_in, dtype=np.float32) -> Tensor:
-    """A trainable weight drawn from rng, uniform in +-sqrt(3 / fan_in)."""
+def fan_in_uniform(rng: SplitMix64, shape, fan_in, dtype=np.float32) -> np.ndarray:
+    """Weights drawn from rng uniform in +-sqrt(3 / fan_in), cast to dtype."""
     limit = float(np.sqrt(3.0 / fan_in))
-    return Tensor(rng.uniform_array(shape, -limit, limit).astype(dtype), requires_grad=True)
+    return rng.uniform_array(shape, -limit, limit).astype(dtype)
 
 
 class Adam:
@@ -86,29 +92,42 @@ class Adam:
 
 def fit(opt, n_samples, batch_loss, epochs, batch_size, seed):
     """Yield each epoch's mean loss as opt minimizes batch_loss(indices), the mean
-    loss of batch_size samples, in an order SplitMix64(seed) reshuffles each epoch."""
+    loss of batch_size samples, in an order SplitMix64(seed) reshuffles each epoch.
+
+    A non-finite batch loss raises TrainingDivergedError naming the epoch and
+    step (from 1), the batch's sample indices and the last finite epoch-mean
+    loss.  The check runs before backward, so there is no gradient norm to
+    report, and the parameters keep the last finite step's values.
+    """
     if n_samples < 1:
         raise EmptyDatasetError("training set is empty")
     if epochs < 1 or batch_size < 1:
         raise ConfigInvalidError("need epochs >= 1 and batch_size >= 1")
     order_rng = SplitMix64(seed)
-    for _ in range(epochs):
+    last = None
+    for epoch in range(1, epochs + 1):
         idx = list(range(n_samples))
         order_rng.shuffle(idx)
         total = 0.0
-        for start in range(0, n_samples, batch_size):
+        for step, start in enumerate(range(0, n_samples, batch_size), 1):
             batch = idx[start:start + batch_size]
-            total += _step(opt, batch_loss, batch) * len(batch)
-        yield total / n_samples
+            loss = _step(opt, batch_loss, batch)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite training loss {loss} at epoch {epoch}, step {step}, "
+                    f"samples {batch}; last finite epoch-mean loss {last}")
+            total += loss * len(batch)
+        last = total / n_samples
+        yield last
 
 
 def _step(opt, batch_loss, batch) -> float:
-    """One step on batch; returns its loss.  Its graph dies on return."""
+    """One step on batch; returns its loss, and runs backward and the
+    optimizer step only if that is finite.  Its graph dies on return."""
     opt.zero_grad()
     loss = batch_loss(batch)
     value = float(loss.data)
-    if not np.isfinite(value):
-        raise TrainingDivergedError("non-finite training loss")
-    loss.backward()
-    opt.step()
+    if np.isfinite(value):
+        loss.backward()
+        opt.step()
     return value

@@ -3,8 +3,10 @@
 Architecture: optional frozen color correction -> patchify -> linear embed
 -> transformer blocks (pre-norm, multi-head attention with rotary positions
 on queries/keys, MLP, residuals) -> per-patch class logits -> nearest-
-neighbor upsampling to pixel logits.  Training is cross-entropy with an
-adaptive-moment optimizer, fully deterministic from the seeds.  Validation,
+neighbor upsampling to pixel logits.  ``train`` minimizes cross-entropy
+with Adam through ``optim.fit``, the loop ``csec.train_csec`` runs too,
+fully deterministic from the seeds; the model's weights are drawn by
+``optim.fan_in_uniform`` in the order of ``param_shapes``.  Validation,
 scoring and ``segkit eval`` forward _CHUNK images at a time under
 ``tensor.no_grad`` and give the masks ``predict`` gives image by image, bit
 for bit.  The chunk stays small for the cache, not for graph memory (see
@@ -234,11 +236,11 @@ def build_model(config: ModelConfig, dtype=np.float32, csec_params: Optional[dic
     d, dh = config.embed_dim, config.embed_dim // config.n_heads
     params = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith(".wqkv"):  # q, k, v per head: a seed gives older checkpoints' weights
-            value = fuse_qkv([[fan_in_uniform(rng, (d, dh), d, dtype).data for _ in range(3)]
+        if name.endswith(".wqkv"):  # drawn per head, q, k, v each, as older checkpoints hold it
+            value = fuse_qkv([[fan_in_uniform(rng, (d, dh), d, dtype) for _ in range(3)]
                               for _ in range(config.n_heads)])
         elif len(shape) == 2:
-            value = fan_in_uniform(rng, shape, shape[0], dtype).data
+            value = fan_in_uniform(rng, shape, shape[0], dtype)
         else:  # layer-norm gains 1, biases 0
             value = np.full(shape, float(name.endswith(".g")), dtype)
         params[name] = Tensor(value, requires_grad=True)

@@ -2,12 +2,13 @@
 
 import json
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import segkit.cli as cli
+import segkit.gradcheck as gradcheck
 from segkit.checkpoint import (
     load_checkpoint,
     load_csec_checkpoint,
@@ -525,6 +526,18 @@ class TestGradcheck:
         out = capsys.readouterr()
         assert out.out == "" and f"--trials must be at least 1, got {trials}" in out.err
 
+    @pytest.mark.parametrize("module, checks", [("segnet", ["segnet.params"]),
+                                                ("csec", ["csec_correct.params"])])
+    def test_whole_pipeline_checks_run_once_whatever_the_trials(self, monkeypatch, capsys,
+                                                               module, checks):
+        # as --trials --help says; the op checks of a suite run trials times
+        calls = []
+        monkeypatch.setattr(gradcheck, "_check_params",
+                            lambda params, loss_fn: calls.append(len(params)) or 0.0)
+        monkeypatch.setattr(gradcheck, "check_function", lambda f, x: 0.0)
+        assert main(["gradcheck", "--module", module, "--trials", "3"]) == 0
+        assert len(calls) == 1 and all(c in capsys.readouterr().out for c in checks)
+
     def test_broken_gradient_negative_control(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: {"broken_op": 1.0})
         assert main(["gradcheck", "--module", "tensor"]) == 1
@@ -714,6 +727,49 @@ class TestCheckpointConfig:
                      "--out", str(tmp_path / "out.ppm")])
         assert code == 2
         assert "config.hidden" in capsys.readouterr().err
+
+    # each parameter is checked by name and shape against what the stored
+    # config builds; an extra name is refused too, since no code would read it
+    @pytest.mark.parametrize("name, value", [
+        ("dec.w3", None), ("dec.w3", np.zeros((3, 16, 3, 2))), ("dec.w4", np.zeros(1))],
+        ids=["missing", "wrong-shape", "unknown"])
+    def test_csec_parameter_mismatch_exits_2(self, tmp_path, dataset, capsys, name, value):
+        path = tmp_path / "c.smk"
+        save_csec_checkpoint(path, init_csec(CsecConfig(), seed=0))
+        blob = load_checkpoint(path)
+        if value is None:
+            del blob[name]
+        else:
+            blob[name] = Tensor(value)
+        save_checkpoint(path, blob)
+        code = main(["correct", "--checkpoint", str(path),
+                     "--in", str(dataset / "images" / "s0000.ppm"),
+                     "--out", str(tmp_path / "out.ppm")])
+        assert code == 2
+        assert repr(name) in capsys.readouterr().err
+        with pytest.raises(ConfigInvalidError, match=name):
+            load_csec_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("head.w", None), ("head.w", np.zeros((5, 3))), ("b2.wqkv", np.zeros((16, 48))),
+        ("csec.dec.w3", None), ("csec.fuse.gx", np.zeros(2))],
+        ids=["missing", "wrong-shape", "unknown", "csec-missing", "csec-wrong-shape"])
+    def test_model_parameter_mismatch_exits_2(self, tmp_path, dataset, capsys, name, value):
+        path = tmp_path / "m.smk"
+        cfg = replace(TestModelCheckpoint.CFG, use_csec=True)
+        save_model_checkpoint(path, build_model(cfg))
+        blob = load_checkpoint(path)
+        if value is None:
+            del blob[name]
+        else:
+            blob[name] = Tensor(value)
+        save_checkpoint(path, blob)
+        code = main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert repr(name) in capsys.readouterr().err
+        with pytest.raises(ConfigInvalidError, match=name):
+            load_model_checkpoint(path)
 
     @pytest.mark.parametrize("shape, error", [((2 ** 31, 2 ** 31, 4), TruncatedError),
                                               ((3, 0), BadMagicError)],

@@ -99,10 +99,15 @@ class TestPnm:
         write_pnm(path, img)
         assert path.read_bytes()[-3:] == bytes([1, 1, 1])
 
-    @pytest.mark.parametrize("value", [-1, 256, 300])
+    @pytest.mark.parametrize("value", [-1, -2, 256, 300])
     def test_mask_values_outside_a_byte_rejected(self, tmp_path, value):
-        # as bytes, -1 (IGNORE in memory) would wrap to 255 and 300 to 44
+        # as bytes, -2 would wrap to 254 and 300 to 44; -1 is IGNORE, which
+        # is written as the unlabelled 255 that the mask readers map back
         path = tmp_path / "m.pgm"
+        if value == IGNORE:
+            write_pnm(path, np.array([[0, value]]))
+            assert read_pnm(path).tolist() == [[0, 255]]
+            return
         with pytest.raises(InputRangeError):
             write_pnm(path, np.array([[0, value]]))
         assert not path.exists()
@@ -155,6 +160,8 @@ class TestManifest:
         assert read_pnm(mask).tolist() == [[0, 255], [254, 1]]
         (_, got), = load_pairs([SampleRecord("s0", str(image), str(mask), "ALICE", "train")])
         assert got.dtype == np.int64 and got.tolist() == [[0, IGNORE], [254, 1]]
+        write_pnm(tmp_path / "back.pgm", got)  # the mask codec round-trips
+        assert (tmp_path / "back.pgm").read_bytes() == mask.read_bytes()
 
     def test_save_load_roundtrip(self, tmp_path):
         records = [SampleRecord("s0", str(tmp_path / "i.ppm"), str(tmp_path / "m.pgm"),
