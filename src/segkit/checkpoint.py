@@ -10,7 +10,8 @@ model, 1 corrector) and ``config.<field>`` per ``ModelConfig`` or
 either kind, without ``config.window`` as window 0, and per-head
 ``b{i}.h{hd}.w{q,k,v}`` weights fused into ``b{i}.wqkv``.  A loaded
 checkpoint must hold exactly the parameters its config builds, by name and
-shape; a missing, misshapen or unknown one is a ConfigInvalidError.
+shape, and no ``config.*`` entry its configs do not read; a missing,
+misshapen or unknown one is a ConfigInvalidError.
 """
 
 import math
@@ -84,10 +85,11 @@ def _pack_config(cfg, prefix) -> dict:
 
 
 def _config_entry(blob: dict, key, default, path):
-    """The ``key`` entry typed like ``default`` (a tuple default holds ints)."""
+    """The ``key`` entry, taken out of blob, typed like ``default`` (a tuple
+    default holds ints)."""
     if key not in blob:
         raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
-    data = blob[key].data
+    data = blob.pop(key).data
     try:
         if isinstance(default, tuple):
             return tuple(int(v) for v in np.atleast_1d(data))
@@ -99,13 +101,23 @@ def _config_entry(blob: dict, key, default, path):
 
 
 def _unpack_config(cls, blob: dict, prefix, path):
-    """Rebuild ``cls`` from the entries ``_pack_config`` wrote."""
+    """Rebuild ``cls`` from the entries ``_pack_config`` wrote, taking them
+    out of blob."""
     return cls(**{f.name: _config_entry(blob, prefix + f.name, f.default, path)
                   for f in dc_fields(cls)})
 
 
+def _refuse_unknown_config(blob: dict, path):
+    """Refuse any ``config.*`` entry left in blob once its configs are
+    unpacked: no code reads it, so a misspelled field would load as its
+    default."""
+    for key in sorted(blob):
+        if key.startswith("config."):
+            raise ConfigInvalidError(f"{path}: {key!r} is no entry of its config")
+
+
 def _load_kind(path, kind, what) -> dict:
-    """load_checkpoint, refusing a ``config.kind`` other than ``kind``."""
+    """load_checkpoint less ``config.kind``, refusing a kind other than ``kind``."""
     blob = load_checkpoint(path)
     if "config.kind" in blob and _config_entry(blob, "config.kind", kind, path) != kind:
         raise ConfigInvalidError(f"{path} is not a {what} checkpoint")
@@ -134,6 +146,7 @@ def load_model_checkpoint(path) -> Model:
     _fuse_legacy_heads(params, cfg, path)
     csec_cfg = (_unpack_config(CsecConfig, blob, "config.csec.", path) if csec_params
                 else CsecConfig())
+    _refuse_unknown_config(blob, path)
     model = Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
     _check_params(params, param_shapes(cfg), path)
     if csec_params:
@@ -175,6 +188,6 @@ def load_csec_checkpoint(path):
     """(parameters, CsecConfig) of a color-correction checkpoint."""
     blob = _load_kind(path, 1, "color-correction")
     cfg = _unpack_config(CsecConfig, blob, "config.", path)
-    params = {k: t for k, t in blob.items() if not k.startswith("config.")}
-    _check_params(params, csec_param_shapes(cfg), path)
-    return params, cfg
+    _refuse_unknown_config(blob, path)
+    _check_params(blob, csec_param_shapes(cfg), path)
+    return blob, cfg

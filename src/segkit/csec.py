@@ -198,7 +198,7 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
             gt[:, 1] = np.where(active[:, 1], gxo, 0.0)
         return gx, gw, gt
 
-    return Tensor(y, parents=(x, w, tap_offsets), backward_fn=bwd)
+    return Tensor(y, parents=(x, w, tap_offsets), backward_fn=bwd, call=(offset_conv,))
 
 
 def _corner_products(gcols, xp, oy, ox):
@@ -276,7 +276,7 @@ def _rsqrt_clamp(d: Tensor) -> Tensor:
     def bwd(g):
         return (np.where(open_mask, -0.5 * g * y / clamped, 0.0),)
 
-    return Tensor(y, parents=(d,), backward_fn=bwd)
+    return Tensor(y, parents=(d,), backward_fn=bwd, call=(_rsqrt_clamp,))
 
 
 def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:

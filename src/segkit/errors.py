@@ -98,7 +98,12 @@ class EmptyDatasetError(SegkitError):
 
 
 class TrainingDivergedError(SegkitError):
-    pass
+    """A non-finite training loss; ``samples`` are the failing batch's
+    positions in the list of samples the loop was given."""
+
+    def __init__(self, message, samples=()):
+        super().__init__(message)
+        self.samples = list(samples)
 
 
 class NoGradientError(SegkitError):

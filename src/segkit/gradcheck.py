@@ -6,6 +6,14 @@ checks, ``csec_correct.params`` and all of the segnet suite, run once per
 call whatever the trial count: one check differences every parameter entry
 (a segnet check takes seconds).  The CLI's gradcheck subcommand and the
 acceptance tests both drive these.
+
+A check evaluates its loss once, with a graph, for the backward gradients.
+Each central difference then recomputes only the ops that the perturbed
+parameter reaches: every graph node records the call that made it, and the
+check re-calls, under ``no_grad``, those of the parameter's cone with
+their parents' new values; all other nodes keep their graph values.  The
+quotients are bitwise those of whole no-graph forwards, since no_grad
+changes no value and each replayed op sees a full forward's inputs.
 """
 
 import numpy as np
@@ -16,6 +24,7 @@ from .rng import SplitMix64
 from .segnet import ModelConfig, build_model
 from .tensor import (
     Tensor,
+    _graph_order,
     add,
     conv2d,
     cross_entropy,
@@ -148,29 +157,85 @@ def _suite_segnet(trials, seed):
 
 
 def _check_params(params, loss_fn):
-    """Finite-difference every entry of every parameter tensor, with step
-    H_STEP, against backward gradients of loss_fn; returns the worst relative
-    error.  The difference quotients' evaluations record no graph."""
+    """Worst relative error between the backward gradients of loss_fn and
+    its central differences with step H_STEP, over every entry of every
+    parameter tensor."""
+    analytic, numeric = _gradients(params, loss_fn)
+    worst = 0.0
+    for name in params:
+        worst = max(worst, _rel_error(analytic[name], numeric[name]))
+    return worst
+
+
+def _gradients(params, loss_fn):
+    """{name: backward gradient} and {name: central-difference quotients},
+    flat, of the scalar loss_fn() in every parameter (leaves that require a
+    gradient, each perturbed in place entry by entry).  loss_fn runs once;
+    each perturbed loss is a ``_replay`` of its graph."""
     for p in params.values():
         p.zero_grad()
-    loss_fn().backward()
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for k, p in params.items()}
-    worst = 0.0
+    loss = loss_fn()
+    loss.backward()
+    nodes = _graph_order(loss)
+    analytic, numeric = {}, {}
     with no_grad():
         for name, p in params.items():
+            if not p.requires_grad:
+                raise ValueError(f"parameter {name!r} requires no gradient")
+            analytic[name] = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
+            replay = _replay(nodes, p)
             flat = p.data.reshape(-1)
             num = np.zeros_like(flat)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + H_STEP
-                fp = float(loss_fn().data)
+                fp = replay()
                 flat[i] = orig - H_STEP
-                fm = float(loss_fn().data)
+                fm = replay()
                 flat[i] = orig
                 num[i] = (fp - fm) / (2 * H_STEP)
-            worst = max(worst, _rel_error(analytic[name].reshape(-1), num))
-    return worst
+            numeric[name] = num
+    return analytic, numeric
+
+
+def _replay(nodes, p):
+    """A function of no arguments that gives float(loss) at p's current data,
+    where nodes are a loss's graph, parents first and the loss last.
+
+    It calls again, in order, the recorded call of each node that p reaches
+    (its cone), each with its parents' new values and otherwise its recorded
+    arguments; every node outside the cone keeps its value.  The loss is
+    then bitwise that of a full forward: a graph value is bitwise a no-graph
+    one (see ``no_grad``), and each cone op sees the inputs it would see in
+    a full forward.  A value read off p's data outside the graph's ops
+    would be missed, as the backward pass misses it.  A cone node without a
+    recorded call raises RuntimeError.
+    """
+    slot = {}  # id(cone node) -> its position in plan
+    plan = []  # (op, its arguments, [(argument index, slot of its new value)])
+    for node in nodes:
+        if not any(q is p or id(q) in slot for q in node._parents):
+            continue
+        if node._call is None:
+            op = node._backward_fn.__qualname__.split(".<locals>")[0]
+            raise RuntimeError(f"{op} made a graph node with no recorded call, "
+                               "so the gradient oracle cannot replay it")
+        slot[id(node)] = len(plan)
+        plan.append((node._call[0], [*node._parents, *node._call[1:]],
+                     [(i, slot[id(q)]) for i, q in enumerate(node._parents) if id(q) in slot]))
+    if not plan:  # p does not reach the loss
+        value = float(nodes[-1].data)
+        return lambda: value
+
+    def replay():
+        values = []
+        for op, args, links in plan:
+            for i, j in links:
+                args[i] = values[j]
+            values.append(op(*args))
+        return float(values[-1].data)
+
+    return replay
 
 
 def _rel_error(a, b, floor=1e-8):

@@ -115,7 +115,7 @@ def fit(opt, n_samples, batch_loss, epochs, batch_size, seed):
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss {loss} at epoch {epoch}, step {step}, "
-                    f"samples {batch}; last finite epoch-mean loss {last}")
+                    f"samples {batch}; last finite epoch-mean loss {last}", batch)
             total += loss * len(batch)
         last = total / n_samples
         yield last

@@ -88,7 +88,7 @@ def rotate(x: Tensor, theta) -> Tensor:
     cos, sin = np.cos(th), np.sin(th)
     # the inverse rotation (by -theta) is the adjoint
     return Tensor(_rotate_pairs(x.data, cos, sin), parents=(x,),
-                  backward_fn=lambda g: (_rotate_pairs(g, cos, -sin),))
+                  backward_fn=lambda g: (_rotate_pairs(g, cos, -sin),), call=(rotate, theta))
 
 
 def angles(p, freqs: FreqTable) -> np.ndarray:
@@ -230,4 +230,4 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
         return (gx if inv is None else np.take(gx, inv, axis=1),)
 
     return Tensor(out if inv is None else np.take(out, inv, axis=1), parents=(qkv,),
-                  backward_fn=bwd)
+                  backward_fn=bwd, call=(rope_attention, grid, freqs, n_heads, window, shift))

@@ -43,7 +43,7 @@ from .denoise import (
     pixel_error_rate,
     quantile_threshold,
 )
-from .errors import ConfigInvalidError, ShapeMismatchError
+from .errors import ConfigInvalidError, ShapeMismatchError, TrainingDivergedError
 from .metrics import ConfusionMatrix, miou
 from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
@@ -339,21 +339,23 @@ def train_with_denoise(model: Model, samples, config: TrainConfig, val_pairs=Non
 
     samples: list of (sample_id, image [1,3,H,W], mask [H,W]); pixels
     labelled ``metrics.IGNORE`` are neither scored nor trained on.
-    Returns (final model, its TrainReport, FilterReport).
+    Returns (final model, its TrainReport, FilterReport).  A round that
+    diverges raises TrainingDivergedError naming the round and the failing
+    batch's sample ids.
     """
     dn = config.denoise
     if dn is None:
         raise ConfigInvalidError("config.denoise must be set")
-    pairs = [(img, mask) for _, img, mask in samples]
     if dn.mode == "truncate_pixels":
-        report = train(model, pairs, config, val_pairs=val_pairs)
+        report = _train_round(model, samples, config, val_pairs,
+                              f"round 1 of 1, on all {len(samples)} samples")
         scores = score_samples(model, samples)
         return model, report, FilterReport(scores=scores, threshold=float("nan"),
                                            kept_ids=[s.sample_id for s in scores],
                                            dropped_ids=[])
 
     plain = replace(config, denoise=None)
-    train(model, pairs, plain, val_pairs=None)
+    _train_round(model, samples, plain, None, f"round 1 of 2, on all {len(samples)} samples")
     scores = score_samples(model, samples)
     kept_ids = [s.sample_id for s in filter_dataset(scores, dn)]
     kept_set = set(kept_ids)
@@ -364,6 +366,17 @@ def train_with_denoise(model: Model, samples, config: TrainConfig, val_pairs=Non
         dropped_ids=[s.sample_id for s in scores if s.sample_id not in kept_set])
     model2 = build_model(model.config, dtype=model.dtype, csec_params=model.csec_params,
                          csec_config=model.csec_config)
-    report2 = train(model2, [(img, mask) for sid, img, mask in samples if sid in kept_set],
-                    plain, val_pairs=val_pairs)
+    report2 = _train_round(model2, [s for s in samples if s[0] in kept_set], plain, val_pairs,
+                           f"round 2 of 2, retraining on the {len(kept_ids)} kept samples")
     return model2, report2, freport
+
+
+def _train_round(model, samples, config, val_pairs, what):
+    """train on the (id, image, mask) samples; a divergence names the round
+    (``what``) and the batch's sample ids."""
+    try:
+        return train(model, [(img, mask) for _, img, mask in samples], config,
+                     val_pairs=val_pairs)
+    except TrainingDivergedError as exc:
+        ids = [samples[j][0] for j in exc.samples]
+        raise TrainingDivergedError(f"{what}: {exc}; sample ids {ids}", exc.samples) from exc

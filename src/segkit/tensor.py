@@ -8,6 +8,10 @@ Every op is a module function of tensors (``scale`` is the one scalar
 multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
 The convolution kernels run a few large numpy operations in place of one
 per tap, and give bitwise the sums of the per-tap forms, -0 included.
+Each graph node records the call that made it (the op and its arguments),
+so the gradient oracle can recompute only the nodes a perturbed parameter
+reaches; under no_grad nothing is recorded.  An operand that needs no
+gradient gets none computed in backward.
 """
 
 import ctypes
@@ -62,8 +66,9 @@ _grad_enabled = True  # read by Tensor.__init__; no_grad clears it
 @contextmanager
 def no_grad():
     """Within the block, op results record no graph: no parents, no backward
-    function and ``requires_grad`` False, so each intermediate is freed as
-    soon as nothing reads it.  Values are bitwise those of a graph forward.
+    function, no call and ``requires_grad`` False, so each intermediate is
+    freed as soon as nothing reads it.  Values are bitwise those of a graph
+    forward.
     A leaf created with ``requires_grad=True`` keeps it.  The previous state
     is restored on exit, also after an exception."""
     global _grad_enabled
@@ -79,9 +84,13 @@ class Tensor:
 
     Data is immutable by convention after creation; only ``grad`` mutates.
     Gradients accumulate across backward() calls until ``zero_grad``.
+    Outside ``no_grad`` an op's result records its parents (the op's tensor
+    arguments, in order), its backward function and ``call``: the op
+    followed by its other arguments, so that ``call[0](*parents,
+    *call[1:])`` computes the node again.
     """
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, call=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -93,10 +102,12 @@ class Tensor:
             self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
             self._parents = tuple(parents)
             self._backward_fn = backward_fn
+            self._call = call
         else:  # no generator over the parents: oracle forwards make millions of tensors
             self.requires_grad = bool(requires_grad)
             self._parents = ()
             self._backward_fn = None
+            self._call = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -126,25 +137,10 @@ class Tensor:
         if not self.requires_grad:
             raise NoGradientError("backward on a tensor that requires no gradient (no "
                                   "parameter reaches it, or it was computed under no_grad)")
-        # iterative post-order DFS: no recursion limit, and no closure that
-        # keeps the graph alive; constant subgraphs get no gradient, so they
-        # are not walked
-        topo, seen = [], {id(self)}
-        stack = [(self, iter(self._parents))]
-        while stack:
-            node, parents = stack[-1]
-            for p in parents:
-                if p.requires_grad and id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    break
-            else:
-                stack.pop()
-                topo.append(node)
         # flow gradients through a local table so repeated backward calls
         # (with leaf zeroing in between) stay deterministic
         flow = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        for node in reversed(_graph_order(self)):
             g = flow.pop(id(node), None)
             if g is None:
                 continue
@@ -170,7 +166,8 @@ class Tensor:
             gx[key] = g
             return (gx,)
 
-        return Tensor(np.ascontiguousarray(sub), parents=(self,), backward_fn=bwd)
+        return Tensor(np.ascontiguousarray(sub), parents=(self,), backward_fn=bwd,
+                      call=(Tensor.__getitem__, key))
 
     @property
     def T(self):
@@ -179,25 +176,45 @@ class Tensor:
         return permute(self, (*range(nd - 2), nd - 1, nd - 2))
 
 
+def _graph_order(root):
+    """root and every node that needs a gradient and root was computed
+    from, each after its parents (so root is last).  An iterative post-order
+    DFS: no recursion limit, and no closure that keeps the graph alive;
+    constant subgraphs get no gradient, so they are not walked."""
+    topo, seen = [], {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            stack.pop()
+            topo.append(node)
+    return topo
+
+
 # -- elementwise ------------------------------------------------------------
 
 
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
-    return Tensor(a.data + b.data, parents=(a, b), backward_fn=lambda g: (g, g))
+    return Tensor(a.data + b.data, parents=(a, b), backward_fn=lambda g: (g, g), call=(add,))
 
 
 def mul(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
     return Tensor(a.data * b.data, parents=(a, b),
-                  backward_fn=lambda g: (g * b.data, g * a.data))
+                  backward_fn=lambda g: (g * b.data, g * a.data), call=(mul,))
 
 
 def scale(a, s):
     s = float(s)
-    return Tensor(a.data * s, parents=(a,), backward_fn=lambda g: (g * s,))
+    return Tensor(a.data * s, parents=(a,), backward_fn=lambda g: (g * s,), call=(scale, s))
 
 
 def relu(a):
@@ -206,12 +223,12 @@ def relu(a):
     # a branchy select: fmax drops NaN and negatives, += 0 turns -0 into +0
     y = np.fmax(a.data, 0)
     y += 0
-    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * mask,))
+    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * mask,), call=(relu,))
 
 
 def sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y * (1.0 - y),))
+    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y * (1.0 - y),), call=(sigmoid,))
 
 
 def scalar_mul(x, s):
@@ -223,7 +240,7 @@ def scalar_mul(x, s):
     def bwd(g):
         return g * sv, np.array((g * x.data).sum(), dtype=s.dtype)
 
-    return Tensor(x.data * sv, parents=(x, s), backward_fn=bwd)
+    return Tensor(x.data * sv, parents=(x, s), backward_fn=bwd, call=(scalar_mul,))
 
 
 # -- shape ops --------------------------------------------------------------
@@ -233,7 +250,7 @@ def reshape(a, shape):
     shape = tuple(shape)
     out = a.data.reshape(shape)
     return Tensor(out, parents=(a,),
-                  backward_fn=lambda g: (g.reshape(a.data.shape),))
+                  backward_fn=lambda g: (g.reshape(a.data.shape),), call=(reshape, shape))
 
 
 def permute(a, axes):
@@ -250,18 +267,19 @@ def permute(a, axes):
     # C order both ways: numpy multiplies small strided operands more slowly,
     # and products and sums over a strided view can round differently
     return Tensor(out, parents=(a,),
-                  backward_fn=lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
+                  backward_fn=lambda g: (np.ascontiguousarray(g.transpose(inverse)),),
+                  call=(permute, axes))
 
 
 def tsum(a):
     return Tensor(np.array(a.data.sum(), dtype=a.dtype), parents=(a,),
-                  backward_fn=lambda g: (np.full_like(a.data, float(g)),))
+                  backward_fn=lambda g: (np.full_like(a.data, float(g)),), call=(tsum,))
 
 
 def tmean(a):
     n = a.data.size
     return Tensor(np.array(a.data.mean(), dtype=a.dtype), parents=(a,),
-                  backward_fn=lambda g: (np.full_like(a.data, float(g) / n),))
+                  backward_fn=lambda g: (np.full_like(a.data, float(g) / n),), call=(tmean,))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -278,20 +296,24 @@ def matmul(a, b):
             or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
         raise ShapeMismatchError(f"matmul {ad.shape} x {bd.shape}")
 
+    # an operand that needs no gradient gets none computed
     if bd.ndim > 2:
         def bwd(g):
-            return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+            return (g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None,
+                    np.swapaxes(ad, -1, -2) @ g if b.requires_grad else None)
 
-        return Tensor(ad @ bd, parents=(a, b), backward_fn=bwd)
+        return Tensor(ad @ bd, parents=(a, b), backward_fn=bwd, call=(matmul,))
 
     k, n = bd.shape
     a2 = ad.reshape(-1, k)  # fold the leading axes into one product
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+        return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
+                a2.T @ g2 if b.requires_grad else None)
 
-    return Tensor((a2 @ bd).reshape(ad.shape[:-1] + (n,)), parents=(a, b), backward_fn=bwd)
+    return Tensor((a2 @ bd).reshape(ad.shape[:-1] + (n,)), parents=(a, b), backward_fn=bwd,
+                  call=(matmul,))
 
 
 def add_bias(a, bias):
@@ -302,7 +324,7 @@ def add_bias(a, bias):
     def bwd(g):
         return g, g.reshape(-1, bias.data.shape[0]).sum(axis=0)
 
-    return Tensor(a.data + bias.data, parents=(a, bias), backward_fn=bwd)
+    return Tensor(a.data + bias.data, parents=(a, bias), backward_fn=bwd, call=(add_bias,))
 
 
 def linear(x, w, b):
@@ -364,7 +386,7 @@ def conv2d(x, w, stride=1, padding=0):
             gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
         return gx, gw
 
-    return Tensor(y, parents=(x, w), backward_fn=bwd)
+    return Tensor(y, parents=(x, w), backward_fn=bwd, call=(conv2d, stride, padding))
 
 
 def _tap_planes(gcols, shape, stride=1, taps=None, weights=None):
@@ -428,7 +450,7 @@ def upsample_nearest(x, factor):
         gx += 0.0
         return (gx,)
 
-    return Tensor(y, parents=(x,), backward_fn=bwd)
+    return Tensor(y, parents=(x,), backward_fn=bwd, call=(upsample_nearest, factor))
 
 
 # -- normalization and losses ----------------------------------------------
@@ -457,7 +479,7 @@ def layer_norm(x, gamma, beta):
                     - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d))
         return gx, ggamma, gbeta
 
-    return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd)
+    return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd, call=(layer_norm,))
 
 
 def cross_entropy(logits, target, truncate=None):
@@ -477,14 +499,18 @@ def cross_entropy(logits, target, truncate=None):
     target = np.asarray(target)
     if target.shape != (n, h, w):
         raise ShapeMismatchError(f"target {target.shape} vs logits {logits.data.shape}")
-    valid = target != IGNORE
-    if np.any(((target < 0) | (target >= k)) & valid):
+    if target.min() < IGNORE or target.max() >= k:  # IGNORE (-1) is the one id below 0
         raise ClassOutOfRangeError(f"class ids must be in [0,{k}) or {IGNORE}")
+    valid = target != IGNORE
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    tsafe = np.where(valid, target, 0)[:, None]
-    nll = -np.take_along_axis(logp, tsafe, axis=1)[:, 0]
+    # the flat index in logp of each pixel's target logit, class 0's where
+    # the pixel is ignored: a take in place of take_along_axis's index grids
+    hw = h * w
+    pick = np.maximum(target, 0, dtype=np.intp) * hw
+    pick += np.arange(0, n * k * hw, k * hw)[:, None, None] + np.arange(hw).reshape(h, w)
+    nll = -logp.reshape(-1).take(pick)
     weights = valid.astype(logits.dtype)
     if truncate is not None and valid.any():
         weights[nll > quantile_threshold(nll[valid], truncate)] = 0
@@ -497,9 +523,10 @@ def cross_entropy(logits, target, truncate=None):
         s = np.divide(float(g), n * denom.astype(np.float64),
                       out=np.zeros(n), where=live).astype(logits.dtype)
         gl = np.exp(logp)
-        np.put_along_axis(gl, tsafe, np.take_along_axis(gl, tsafe, axis=1) - 1.0, axis=1)
+        gl.reshape(-1)[pick] -= 1.0
         gl *= weights[:, None]
         gl *= s[:, None, None, None]
         return (gl,)
 
-    return Tensor(np.array(loss, dtype=logits.dtype), parents=(logits,), backward_fn=bwd)
+    return Tensor(np.array(loss, dtype=logits.dtype), parents=(logits,), backward_fn=bwd,
+                  call=(cross_entropy, target, truncate))

@@ -182,6 +182,18 @@ class TestTrain:
         assert code == 4
         assert "error" in capsys.readouterr().err
 
+    def test_denoise_divergence_exit_code_names_the_round(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN.replace("learning_rate = 0.001", "learning_rate = 1e20")
+                       + "quantile = 0.5\nmode = drop_samples\n")
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(cfg),
+                         "--data", str(dataset / "manifest.tsv"),
+                         "--out", str(tmp_path / "boom")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "round 1 of 2, on all 8 samples" in err and "sample ids ['s" in err
+
     def test_missing_config_is_io_error(self, tmp_path, dataset, capsys):
         code = main(["train", "--config", str(tmp_path / "none.cfg"),
                      "--data", str(dataset / "manifest.tsv"),
@@ -727,6 +739,39 @@ class TestCheckpointConfig:
                      "--out", str(tmp_path / "out.ppm")])
         assert code == 2
         assert "config.hidden" in capsys.readouterr().err
+
+    # a misspelled entry would otherwise load as the field's default
+    @pytest.mark.parametrize("use_csec, name", [
+        (False, "config.windw"), (False, "config.csec.hidden"), (True, "config.csec.hiden")],
+        ids=["model", "csec-entry-without-csec", "csec-of-model"])
+    def test_unknown_model_config_entry_exits_2(self, tmp_path, dataset, capsys, use_csec,
+                                                name):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(replace(TestModelCheckpoint.CFG,
+                                                        use_csec=use_csec)))
+        blob = load_checkpoint(path)
+        blob[name] = Tensor(np.array(2.0, dtype=np.float32))
+        save_checkpoint(path, blob)
+        code = main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert repr(name) in capsys.readouterr().err
+        with pytest.raises(ConfigInvalidError, match=name):
+            load_model_checkpoint(path)
+
+    def test_unknown_csec_config_entry_exits_2(self, tmp_path, dataset, capsys):
+        path = tmp_path / "c.smk"
+        save_csec_checkpoint(path, init_csec(CsecConfig(), seed=0))
+        blob = load_checkpoint(path)
+        blob["config.hiden"] = Tensor(np.array(4.0, dtype=np.float32))
+        save_checkpoint(path, blob)
+        code = main(["correct", "--checkpoint", str(path),
+                     "--in", str(dataset / "images" / "s0000.ppm"),
+                     "--out", str(tmp_path / "out.ppm")])
+        assert code == 2
+        assert "'config.hiden'" in capsys.readouterr().err
+        with pytest.raises(ConfigInvalidError, match="config.hiden"):
+            load_csec_checkpoint(path)
 
     # each parameter is checked by name and shape against what the stored
     # config builds; an extra name is refused too, since no code would read it

@@ -23,7 +23,7 @@ from segkit.dataio import SynthSpec, generate_sample
 from segkit.metrics import IGNORE, ConfusionMatrix, miou
 from segkit.optim import Adam, _step
 from segkit.rng import SplitMix64
-from segkit import rope
+from segkit import rope, segnet
 from segkit.rope import axial_angles, rotate
 from segkit.segnet import (
     Model,
@@ -447,6 +447,41 @@ class TestDenoiseLoop:
         assert [s.error_rate for s in freport.scores] == [
             np.count_nonzero(predict(model, img)[4:] != mask[4:]) / (12 * 16)
             for img, mask in data]
+
+    def test_first_round_divergence_names_round_and_sample_ids(self):
+        data = _dataset(12, 4)
+        data[2] = (np.full_like(data[2][0], np.nan), data[2][1])
+        samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
+        tc = TrainConfig(epochs=1, batch_size=1, seed=5, denoise=DenoiseConfig(quantile=0.5))
+        with pytest.raises(TrainingDivergedError, match=r"round 1 of 2, on all 4 samples: .*"
+                                                        r"sample ids \['s2'\]"), \
+                np.errstate(invalid="ignore"):
+            train_with_denoise(build_model(ModelConfig(**SMALL)), samples, tc)
+
+    def test_retrain_divergence_names_round_and_kept_sample_ids(self, monkeypatch):
+        # only the retrain sees a NaN image, at its third position: the
+        # error's batch positions index the kept samples, its ids name them
+        samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(_dataset(13, 6))]
+        real_train, rounds = segnet.train, []
+
+        def train_poisoning_round_2(model, dataset, config, val_pairs=None):
+            rounds.append([next(sid for sid, img, _ in samples if img is pair[0])
+                           for pair in dataset])
+            if len(rounds) == 2:
+                dataset = list(dataset)
+                dataset[2] = (np.full_like(dataset[2][0], np.nan), dataset[2][1])
+            return real_train(model, dataset, config, val_pairs=val_pairs)
+
+        monkeypatch.setattr(segnet, "train", train_poisoning_round_2)
+        tc = TrainConfig(epochs=1, batch_size=1, seed=6, denoise=DenoiseConfig(quantile=0.5))
+        with pytest.raises(TrainingDivergedError) as err, np.errstate(invalid="ignore"):
+            train_with_denoise(build_model(ModelConfig(**SMALL)), samples, tc)
+        kept = rounds[1]
+        assert len(rounds) == 2 and len(kept) < 6
+        assert str(err.value).startswith(
+            f"round 2 of 2, retraining on the {len(kept)} kept samples: non-finite")
+        assert str(err.value).endswith(f"samples [2]; last finite epoch-mean loss None; "
+                                       f"sample ids {[kept[2]]}")
 
     def test_truncate_mode_runs(self):
         data = _dataset(10, 4)

@@ -268,6 +268,18 @@ class TestGradients:
         assert check_function(lambda v: tsum(matmul(v, Tensor(b))), _a((2, 3, 4), seed=3)) <= TOL
         assert check_function(lambda v: tsum(matmul(Tensor(a), v)), _a((2, 4, 5), seed=4)) <= TOL
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))],
+                             ids=["shared-b", "batched"])
+    def test_matmul_computes_only_the_gradients_needed(self, a_shape, b_shape):
+        a, b = _a(a_shape, seed=1), _a(b_shape, seed=2)
+        g = _a(a_shape[:-1] + b_shape[-1:], seed=3)
+        both = matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        ga, gb = both._backward_fn(g)
+        only_b = matmul(Tensor(a), Tensor(b, requires_grad=True))._backward_fn(g)
+        only_a = matmul(Tensor(a, requires_grad=True), Tensor(b))._backward_fn(g)
+        assert only_b[0] is None and only_b[1].tobytes() == gb.tobytes()
+        assert only_a[1] is None and only_a[0].tobytes() == ga.tobytes()
+
     def test_getitem_scatter(self):
         assert check_function(lambda v: tsum(v[1:3]), _a((5,), seed=6)) <= TOL
 
