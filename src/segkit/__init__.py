@@ -10,8 +10,6 @@ from .tensor import Tensor
 from .rope import FreqTable, PatchGrid, angles, axial_angles, freq_table, rotate, rope_attention
 from .csec import (
     CsecConfig,
-    FusionWeights,
-    OffsetField,
     como_fuse,
     cose_forward,
     csec_correct,

@@ -30,6 +30,7 @@ from .csec import CsecConfig, csec_correct, psnr
 from .dataio import (
     SynthSpec,
     _read_kind,
+    _text_lines,
     load_manifest,
     load_pairs,
     save_manifest,
@@ -78,15 +79,14 @@ __all__ = ["main", "read_config"]
 def read_config(path) -> dict:
     """Parse a flat ``key = value`` config file into a str -> str dict."""
     cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigInvalidError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+    for lineno, line in enumerate(_text_lines(path, ConfigInvalidError), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigInvalidError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip()
     return cfg
 
 

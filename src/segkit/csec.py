@@ -48,8 +48,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "OffsetField",
-    "FusionWeights",
     "CsecConfig",
     "offset_conv",
     "cose_forward",
@@ -63,20 +61,6 @@ __all__ = [
     "train_csec",
     "psnr",
 ]
-
-
-@dataclass
-class OffsetField:
-    delta_d: Tensor  # darkening offset map, same shape as the image
-    delta_b: Tensor  # brightening offset map
-
-
-@dataclass
-class FusionWeights:
-    gamma_x: Tensor  # scalar
-    gamma_d: Tensor
-    gamma_b: Tensor
-    bias: Tensor  # [c], broadcast over tokens
 
 
 @dataclass
@@ -244,15 +228,13 @@ def _check_image_range(image: Tensor):
         raise InputRangeError(f"pixel values [{lo:.4g}, {hi:.4g}] are not all finite and in [0,1]")
 
 
-def cose_forward(image: Tensor, params: dict) -> OffsetField:
-    """Predict darkening/brightening offset maps from the image (whose range
-    ``csec_correct`` checks)."""
+def cose_forward(image: Tensor, params: dict):
+    """Predict (darkening, brightening) offset maps, each of the image's
+    shape, from the image (whose range ``csec_correct`` checks)."""
     h1 = relu(offset_conv(image, params["cose.w1"], params["cose.t1"]))
     out = offset_conv(h1, params["cose.w2"], params["cose.t2"])
     c = image.data.shape[1]
-    delta_d = out[:, :c]
-    delta_b = out[:, c:]
-    return OffsetField(delta_d=delta_d, delta_b=delta_b)
+    return out[:, :c], out[:, c:]
 
 
 # -- COMO: correlation-normalized fusion ------------------------------------
@@ -302,17 +284,19 @@ def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:
     return mul(s, outer)
 
 
-def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, weights: FusionWeights) -> Tensor:
+def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, params: dict) -> Tensor:
     """Learned-weight fusion of correlation-normalized feature branches
-    [..., T, c], each correlation put through ``sym_norm``'s defaults."""
+    [..., T, c], each correlation put through ``sym_norm``'s defaults; the
+    scalar weights ``fuse.gx``, ``fuse.gd``, ``fuse.gb`` and the [c] bias
+    ``fuse.bias`` are read from params."""
     if not (f_x.data.shape == f_d.data.shape == f_b.data.shape):
         raise ShapeMismatchError("feature branches must share shape")
     acc = None
-    for f, gamma in ((f_x, weights.gamma_x), (f_d, weights.gamma_d), (f_b, weights.gamma_b)):
+    for f, gamma in ((f_x, params["fuse.gx"]), (f_d, params["fuse.gd"]), (f_b, params["fuse.gb"])):
         norm = sym_norm(self_correlation(f))
         term = scalar_mul(matmul(norm, f), gamma)
         acc = term if acc is None else add(acc, term)
-    return add_bias(acc, weights.bias)
+    return add_bias(acc, params["fuse.bias"])
 
 
 # -- decoder ----------------------------------------------------------------
@@ -366,13 +350,11 @@ def csec_correct(image: Tensor, params: dict, config: CsecConfig = CsecConfig())
     if h % 4 or w % 4 or h > 64 or w > 64:
         raise ShapeMismatchError("spatial extents must be multiples of 4, at most 64")
     _check_image_range(image)
-    field = cose_forward(image, params)
+    delta_d, delta_b = cose_forward(image, params)
     f_x = _extract_tokens(image, params, "ex")
-    f_d = _extract_tokens(field.delta_d, params, "ed")
-    f_b = _extract_tokens(field.delta_b, params, "eb")
-    weights = FusionWeights(gamma_x=params["fuse.gx"], gamma_d=params["fuse.gd"],
-                            gamma_b=params["fuse.gb"], bias=params["fuse.bias"])
-    f_corr = como_fuse(f_x, f_d, f_b, weights)
+    f_d = _extract_tokens(delta_d, params, "ed")
+    f_b = _extract_tokens(delta_b, params, "eb")
+    f_corr = como_fuse(f_x, f_d, f_b, params)
     return decode(params, f_corr, (h, w), image=image, residual_eps=config.residual_eps)
 
 

@@ -12,6 +12,7 @@ exposure-shift and label-noise fixtures used by the correction and
 denoising experiments.
 """
 
+import io
 import os
 from dataclasses import dataclass
 
@@ -198,27 +199,39 @@ def write_pnm(path, data):
 # -- manifests --------------------------------------------------------------
 
 
+def _text_lines(path, error):
+    """The lines of the utf-8 text file at path, newlines translated as a
+    text-mode read translates them; a byte that is not utf-8 raises
+    ``error`` naming the file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {lineno} is not utf-8") from None
+
+
 def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise BadFieldCountError(f"line {lineno}: expected 5 fields, got {len(fields)}")
-            sid, img, mask, robot, split = fields
-            if split not in SPLITS:
-                raise UnknownSplitError(f"line {lineno}: unknown split {split!r}")
-            records.append(SampleRecord(
-                sample_id=sid,
-                image_path=img if os.path.isabs(img) else os.path.join(base, img),
-                mask_path=mask if os.path.isabs(mask) else os.path.join(base, mask),
-                robot_id=robot,
-                split=split,
-            ))
+    for lineno, line in enumerate(_text_lines(path, BadMagicError), 1):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise BadFieldCountError(f"line {lineno}: expected 5 fields, got {len(fields)}")
+        sid, img, mask, robot, split = fields
+        if split not in SPLITS:
+            raise UnknownSplitError(f"line {lineno}: unknown split {split!r}")
+        records.append(SampleRecord(
+            sample_id=sid,
+            image_path=img if os.path.isabs(img) else os.path.join(base, img),
+            mask_path=mask if os.path.isabs(mask) else os.path.join(base, mask),
+            robot_id=robot,
+            split=split,
+        ))
     return records
 
 

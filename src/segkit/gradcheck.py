@@ -1,11 +1,16 @@
 """Finite-difference gradient suites for every differentiable operation.
 
-Each suite runs seeded random trials in f64 and reports the worst relative
-error per op.  Every suite takes (trials, seed), but the whole-pipeline
-checks, ``csec_correct.params`` and all of the segnet suite, run once per
-call whatever the trial count: one check differences every parameter entry
-(a segnet check takes seconds).  The CLI's gradcheck subcommand and the
-acceptance tests both drive these.
+A suite is a table entry of ``_SUITES``: its op checks and its pipeline
+check.  The op checks are a generator that draws one trial's f64 inputs
+from the suite's ``SplitMix64(seed)`` and yields a named ``(name, f, x)``
+for each op; ``run_suite`` runs them ``trials`` times through
+``check_function`` and keeps each name's worst relative error.  The
+pipeline check, ``csec_correct.params`` or ``segnet.params``, is built from
+the seed as ``(name, params, loss_fn)`` and runs once per call whatever the
+trial count: it differences every parameter entry (a segnet check takes
+seconds), so ``--trials`` repeats only the op checks.  The CLI's gradcheck
+subcommand and the acceptance tests both drive these.  A non-finite
+gradient or quotient reads as an infinite error, never as a match.
 
 A check evaluates its loss once, with a graph, for the backward gradients.
 Each central difference then recomputes only the ops that the perturbed
@@ -57,103 +62,81 @@ def check_function(f, x_arr):
     return _check_params({"x": x}, lambda: f(x))
 
 
-def _suite_tensor(trials, seed):
-    rng = SplitMix64(seed)
-    worst = {}
-    for t in range(trials):
-        a = _rand(rng, (3, 4))
-        b = _rand(rng, (4, 2))
-        worst["matmul"] = max(worst.get("matmul", 0.0), check_function(
-            lambda x: tsum(matmul(x, Tensor(b))), a))
-        x = _rand(rng, (1, 2, 5, 5))
-        w = _rand(rng, (3, 2, 3, 3))
-        # a constant shift keeps every pre-activation off relu's kink at 0
-        pre = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
-        shift = Tensor(np.where(np.abs(pre) < KINK_MARGIN,
-                                np.where(pre < 0, -KINK_MARGIN, KINK_MARGIN), 0.0))
-        worst["conv2d.input"] = max(worst.get("conv2d.input", 0.0), check_function(
-            lambda v: tsum(relu(add(conv2d(v, Tensor(w), stride=1, padding=1), shift))), x))
-        worst["conv2d.kernel"] = max(worst.get("conv2d.kernel", 0.0), check_function(
-            lambda v: tsum(relu(add(conv2d(Tensor(x), v, stride=1, padding=1), shift))), w))
-        m = _rand(rng, (6,))
-        other = _rand(rng, (6,))
-        worst["mul"] = max(worst.get("mul", 0.0), check_function(
-            lambda v: tsum(mul(v, Tensor(other))), m))
-        logits = _rand(rng, (1, 4, 3, 3), -2.0, 2.0)
-        target = np.array([[rng.randint(0, 4) for _ in range(9)]]).reshape(1, 3, 3)
-        worst["cross_entropy"] = max(worst.get("cross_entropy", 0.0), check_function(
-            lambda v: cross_entropy(v, target), logits))
-    return worst
+def _tensor_checks(rng):
+    a = _rand(rng, (3, 4))
+    b = _rand(rng, (4, 2))
+    yield "matmul", lambda v: tsum(matmul(v, Tensor(b))), a
+    x = _rand(rng, (1, 2, 5, 5))
+    w = _rand(rng, (3, 2, 3, 3))
+    # a constant shift keeps every pre-activation off relu's kink at 0
+    pre = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+    shift = Tensor(np.where(np.abs(pre) < KINK_MARGIN,
+                            np.where(pre < 0, -KINK_MARGIN, KINK_MARGIN), 0.0))
+
+    def conv(xv, wv):
+        return tsum(relu(add(conv2d(xv, wv, stride=1, padding=1), shift)))
+
+    yield "conv2d.input", lambda v: conv(v, Tensor(w)), x
+    yield "conv2d.kernel", lambda v: conv(Tensor(x), v), w
+    m = _rand(rng, (6,))
+    other = _rand(rng, (6,))
+    yield "mul", lambda v: tsum(mul(v, Tensor(other))), m
+    logits = _rand(rng, (1, 4, 3, 3), -2.0, 2.0)
+    target = np.array([[rng.randint(0, 4) for _ in range(9)]]).reshape(1, 3, 3)
+    yield "cross_entropy", lambda v: cross_entropy(v, target), logits
 
 
-def _suite_rope(trials, seed):
-    rng = SplitMix64(seed)
+def _rope_checks(rng):
+    x = _rand(rng, (3, 8))
+    weight = _rand(rng, (3, 8))
+    p = rng.randint(0, 7)
     freqs = _rope.freq_table(8)
+    yield "rotate", lambda v: tsum(mul(_rope.rotate(v, _rope.angles(p, freqs)), Tensor(weight))), x
     # 2x2 windows shifted by 1 on a 2x4 grid: the column shift wraps, so the
     # check covers the window permutation and the mask at a small input
     grid, head_freqs = _rope.PatchGrid(2, 4), _rope.freq_table(4)
-    worst = {}
-    for t in range(trials):
-        x = _rand(rng, (3, 8))
-        weight = _rand(rng, (3, 8))
-        p = rng.randint(0, 7)
-        worst["rotate"] = max(worst.get("rotate", 0.0), check_function(
-            lambda v: tsum(mul(_rope.rotate(v, _rope.angles(p, freqs)), Tensor(weight))), x))
-        qkv = _rand(rng, (1, 8, 12))
-        out_weight = _rand(rng, (1, 8, 4))
-        worst["rope_attention.qkv"] = max(worst.get("rope_attention.qkv", 0.0), check_function(
-            lambda u: tsum(mul(_rope.rope_attention(u, grid, head_freqs, 1, window=2, shift=1),
-                               Tensor(out_weight))), qkv))
-    return worst
+    qkv = _rand(rng, (1, 8, 12))
+    out_weight = _rand(rng, (1, 8, 4))
+    yield "rope_attention.qkv", lambda v: tsum(mul(
+        _rope.rope_attention(v, grid, head_freqs, 1, window=2, shift=1), Tensor(out_weight))), qkv
 
 
-def _suite_csec(trials, seed):
-    rng = SplitMix64(seed)
-    worst = {}
-    for t in range(trials):
-        x = _rand(rng, (1, 2, 5, 5))
-        w = _rand(rng, (2, 2, 3, 3))
-        taps = _rand(rng, (9, 2), -0.8, 0.8)
-        taps += np.where(np.abs(taps - np.round(taps)) < 0.05, 0.1, 0.0)  # stay off integer kinks
-        worst["offset_conv.input"] = max(worst.get("offset_conv.input", 0.0), check_function(
-            lambda v: tsum(_csec.offset_conv(v, Tensor(w), Tensor(taps))), x))
-        worst["offset_conv.kernel"] = max(worst.get("offset_conv.kernel", 0.0), check_function(
-            lambda v: tsum(_csec.offset_conv(Tensor(x), v, Tensor(taps))), w))
-        worst["offset_conv.taps"] = max(worst.get("offset_conv.taps", 0.0), check_function(
-            lambda v: tsum(_csec.offset_conv(Tensor(x), Tensor(w), v)), taps))
-        f = _rand(rng, (4, 3), 0.2, 1.0)
-        worst["sym_norm"] = max(worst.get("sym_norm", 0.0), check_function(
-            lambda v: tsum(_csec.sym_norm(matmul(v, Tensor(f.T.copy())))), f))
-        fx, fd, fb = (_rand(rng, (4, 3), 0.2, 1.0) for _ in range(3))
-        weights = _csec.FusionWeights(
-            gamma_x=Tensor(np.array(0.7), requires_grad=True),
-            gamma_d=Tensor(np.array(0.5), requires_grad=True),
-            gamma_b=Tensor(np.array(0.3), requires_grad=True),
-            bias=Tensor(_rand(rng, (3,)), requires_grad=True))
-        worst["como_fuse"] = max(worst.get("como_fuse", 0.0), check_function(
-            lambda v: tsum(_csec.como_fuse(v, Tensor(fd), Tensor(fb), weights)), fx))
-    # end-to-end: every learned parameter of a small random-init pipeline
+def _csec_checks(rng):
+    x = _rand(rng, (1, 2, 5, 5))
+    w = _rand(rng, (2, 2, 3, 3))
+    taps = _rand(rng, (9, 2), -0.8, 0.8)
+    taps += np.where(np.abs(taps - np.round(taps)) < 0.05, 0.1, 0.0)  # stay off integer kinks
+    yield "offset_conv.input", lambda v: tsum(_csec.offset_conv(v, Tensor(w), Tensor(taps))), x
+    yield "offset_conv.kernel", lambda v: tsum(_csec.offset_conv(Tensor(x), v, Tensor(taps))), w
+    yield "offset_conv.taps", lambda v: tsum(_csec.offset_conv(Tensor(x), Tensor(w), v)), taps
+    f = _rand(rng, (4, 3), 0.2, 1.0)
+    yield "sym_norm", lambda v: tsum(_csec.sym_norm(matmul(v, Tensor(f.T.copy())))), f
+    fx, fd, fb = (_rand(rng, (4, 3), 0.2, 1.0) for _ in range(3))
+    fuse = {"fuse.gx": Tensor(np.array(0.7)), "fuse.gd": Tensor(np.array(0.5)),
+            "fuse.gb": Tensor(np.array(0.3)), "fuse.bias": Tensor(_rand(rng, (3,)))}
+    yield "como_fuse", lambda v: tsum(_csec.como_fuse(v, Tensor(fd), Tensor(fb), fuse)), fx
+
+
+def _csec_pipeline(seed):
+    """Every learned parameter of a small random-init corrector."""
     cfg = _csec.CsecConfig(feat_channels=3, hidden=4)
     params = _csec.init_csec(cfg, seed=seed + 1, dtype=np.float64, identity=False)
     img = SplitMix64(seed + 2).uniform_array((1, 3, 8, 8), 0.05, 0.95)
     target = SplitMix64(seed + 3).uniform_array((1, 3, 8, 8), 0.05, 0.95)
-    worst["csec_correct.params"] = _check_params(
-        params,
-        lambda: _csec.mse_loss(_csec.csec_correct(Tensor(img), params, cfg), target))
-    return worst
+    return ("csec_correct.params", params,
+            lambda: _csec.mse_loss(_csec.csec_correct(Tensor(img), params, cfg), target))
 
 
-def _suite_segnet(trials, seed):
-    # 2x2 windows on the 4x4 patch grid: block 1 runs the shift and its mask
+def _segnet_pipeline(seed):
+    """Every parameter of a small segmenter; 2x2 windows on its 4x4 patch
+    grid, so block 1 runs the shift and its mask."""
     cfg = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
                       window=2, image_size=(16, 16), seed=seed)
     model = build_model(cfg, dtype=np.float64)
     rng = SplitMix64(seed + 9)
     img = rng.uniform_array((1, 3, 16, 16), 0.0, 1.0)
     mask = np.array([[rng.randint(0, 3) for _ in range(16 * 16)]]).reshape(1, 16, 16)
-    worst = _check_params(model.params,
-                          lambda: cross_entropy(model.forward(img), mask))
-    return {"segnet.params": worst}
+    return "segnet.params", model.params, lambda: cross_entropy(model.forward(img), mask)
 
 
 def _check_params(params, loss_fn):
@@ -161,10 +144,7 @@ def _check_params(params, loss_fn):
     its central differences with step H_STEP, over every entry of every
     parameter tensor."""
     analytic, numeric = _gradients(params, loss_fn)
-    worst = 0.0
-    for name in params:
-        worst = max(worst, _rel_error(analytic[name], numeric[name]))
-    return worst
+    return max((_rel_error(analytic[name], numeric[name]) for name in params), default=0.0)
 
 
 def _gradients(params, loss_fn):
@@ -239,20 +219,37 @@ def _replay(nodes, p):
 
 
 def _rel_error(a, b, floor=1e-8):
-    """Max elementwise relative error with denominator max(|a|,|b|,floor)."""
+    """Max elementwise relative error with denominator max(|a|,|b|,floor);
+    inf where either side holds a non-finite entry."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return float("inf")
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
 
 
 def run_suite(module: str, trials: int = 20, seed: int = 0):
-    """Run one named suite; returns {op name: worst relative error}."""
+    """Run one named suite: its op checks ``trials`` times over one
+    ``SplitMix64(seed)``, then its pipeline check once; returns {check
+    name: worst relative error}."""
     if module not in _SUITES:
         raise ValueError(f"unknown module {module!r}")
-    return _SUITES[module](trials, seed)
+    op_checks, pipeline = _SUITES[module]
+    rng = SplitMix64(seed)
+    worst = {}
+    for _ in range(trials):
+        for name, f, x in op_checks(rng):
+            worst[name] = max(worst.get(name, 0.0), check_function(f, x))
+    if pipeline is not None:
+        name, params, loss_fn = pipeline(seed)
+        worst[name] = _check_params(params, loss_fn)
+    return worst
 
 
-_SUITES = {"tensor": _suite_tensor, "rope": _suite_rope, "csec": _suite_csec,
-           "segnet": _suite_segnet}
+# module -> (op checks: a generator of one trial's (name, f, x), drawing its
+# inputs from the suite's rng; pipeline check: (name, params, loss_fn) built
+# from the seed, or None)
+_SUITES = {"tensor": (_tensor_checks, None), "rope": (_rope_checks, None),
+           "csec": (_csec_checks, _csec_pipeline), "segnet": (lambda rng: (), _segnet_pipeline)}
 SUITES = tuple(_SUITES)

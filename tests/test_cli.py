@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import re
 import struct
 from dataclasses import fields, replace
 
@@ -561,6 +562,45 @@ class TestConfigPlumbing:
         p = tmp_path / "c.cfg"
         p.write_text("# comment\n a = 1 \nb=two # trailing\n\n")
         assert read_config(p) == {"a": "1", "b": "two"}
+
+
+class TestNonUtf8Input:
+    MANIFEST_HEAD = b"# sample_id\timage_path\tmask_path\trobot_id\tsplit\n"
+
+    @pytest.mark.parametrize("line, message", [
+        (b"s0\timages/s0\xff.ppm\tmasks/s0.pgm\trobot_a\ttrain\n", "line 2 is not utf-8"),
+        (b"s0\timages/s0.ppm\tmasks/s0.pgm\n", "line 2: expected 5 fields, got 3")],
+        ids=["non-utf8", "three-fields"])
+    def test_bad_manifest_line_exits_3(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(self.MANIFEST_HEAD + line)
+        code = main(["train", "--config", str(cfg), "--data", str(manifest),
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_non_utf8_manifest_names_its_file(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(self.MANIFEST_HEAD + b"\n\xff\n")
+        with pytest.raises(BadMagicError, match=rf"^{re.escape(str(manifest))}: line 3 is not utf-8$"):
+            load_manifest(manifest)
+
+    def test_non_utf8_config_exits_2_naming_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(TRAIN.encode() + b"# caf\xe9\n")
+        with pytest.raises(ConfigInvalidError, match=rf"^{re.escape(str(cfg))}: line 11 is not utf-8$"):
+            read_config(cfg)
+        code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "none.tsv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"{cfg}: line 11 is not utf-8" in capsys.readouterr().err
+
+    def test_text_mode_newlines_still_read(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"a = 1\r\nb = 2\rc = 3\n")
+        assert read_config(cfg) == {"a": "1", "b": "2", "c": "3"}
 
 
 class TestModelCheckpoint:

@@ -5,7 +5,6 @@ import pytest
 
 from segkit.csec import (
     CsecConfig,
-    FusionWeights,
     como_fuse,
     csec_correct,
     init_csec,
@@ -293,8 +292,8 @@ def test_self_correlation_is_psd():
 
 def test_self_correlation_and_como_fuse_batched_match_per_slice():
     fx, fd, fb = (_rand(15 + i, (3, 8, 4), 0.2, 1.0) for i in range(3))
-    weights = FusionWeights(gamma_x=Tensor(np.array(0.7)), gamma_d=Tensor(np.array(0.5)),
-                            gamma_b=Tensor(np.array(0.3)), bias=Tensor(_rand(18, (4,))))
+    weights = {"fuse.gx": Tensor(np.array(0.7)), "fuse.gd": Tensor(np.array(0.5)),
+               "fuse.gb": Tensor(np.array(0.3)), "fuse.bias": Tensor(_rand(18, (4,)))}
     corr = self_correlation(Tensor(fx)).data
     fused = como_fuse(Tensor(fx), Tensor(fd), Tensor(fb), weights).data
     assert corr.shape == (3, 8, 8) and fused.shape == (3, 8, 4)
@@ -305,8 +304,8 @@ def test_self_correlation_and_como_fuse_batched_match_per_slice():
 
 
 def test_como_fuse_shape_mismatch():
-    weights = FusionWeights(gamma_x=Tensor(np.array(1.0)), gamma_d=Tensor(np.array(0.1)),
-                            gamma_b=Tensor(np.array(0.1)), bias=Tensor(np.zeros(3)))
+    weights = {"fuse.gx": Tensor(np.array(1.0)), "fuse.gd": Tensor(np.array(0.1)),
+               "fuse.gb": Tensor(np.array(0.1)), "fuse.bias": Tensor(np.zeros(3))}
     with pytest.raises(ShapeMismatchError):
         como_fuse(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))),
                   Tensor(np.ones((4, 3))), weights)

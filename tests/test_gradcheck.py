@@ -5,6 +5,7 @@ quotient of a full forward."""
 import numpy as np
 import pytest
 
+import segkit.csec as _csec
 import segkit.gradcheck as gradcheck
 from segkit.gradcheck import H_STEP, check_function, run_suite
 from segkit.tensor import Tensor, add, matmul, mul, no_grad, relu, tsum
@@ -104,3 +105,39 @@ def test_parameter_that_misses_the_loss_gets_zero_quotients():
     assert np.array_equal(analytic["unused"], np.zeros(3))
     assert numeric["unused"].tobytes() == want["unused"].tobytes() == np.zeros(3).tobytes()
     assert numeric["w"].tobytes() == want["w"].tobytes()
+
+
+def test_a_non_finite_value_reads_as_an_infinite_error():
+    # max(0.0, nan) is 0.0, so a NaN must not reach a max fold as NaN
+    nan_weight = Tensor(np.array([np.nan, 1.0]))
+    assert check_function(lambda v: tsum(mul(v, nan_weight)), np.array([0.5, 0.25])) == np.inf
+    assert gradcheck._rel_error([1.0, np.inf], [1.0, np.inf]) == np.inf
+    assert gradcheck._rel_error([0.5, 1.0], [0.5, np.nan]) == np.inf
+    assert gradcheck._rel_error([0.5, 1.0], [0.5, 1.0]) == 0.0
+
+
+# -- seeded mutants: a wrong backward must fail the checks that cover it ------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sigmoid_backward_without_its_one_minus_y_fails_the_csec_pipeline(monkeypatch, seed):
+    def sigmoid_without_one_minus_y(a):
+        y = 1.0 / (1.0 + np.exp(-a.data))
+        return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y,),
+                      call=(sigmoid_without_one_minus_y,))
+
+    monkeypatch.setattr(_csec, "sigmoid", sigmoid_without_one_minus_y)
+    assert run_suite("csec", trials=0, seed=seed)["csec_correct.params"] > gradcheck.TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relu_backward_passing_every_gradient_fails_the_conv_checks(monkeypatch, seed):
+    def relu_passing_every_gradient(a):
+        return Tensor(relu(a).data, parents=(a,), backward_fn=lambda g: (g,),
+                      call=(relu_passing_every_gradient,))
+
+    monkeypatch.setattr(gradcheck, "relu", relu_passing_every_gradient)
+    worst = run_suite("tensor", trials=2, seed=seed)
+    assert worst["conv2d.input"] > gradcheck.TOL
+    assert worst["conv2d.kernel"] > gradcheck.TOL
+    assert max(worst["matmul"], worst["mul"], worst["cross_entropy"]) <= gradcheck.TOL
