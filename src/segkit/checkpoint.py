@@ -102,9 +102,13 @@ def _config_entry(blob: dict, key, default, path):
 
 def _unpack_config(cls, blob: dict, prefix, path):
     """Rebuild ``cls`` from the entries ``_pack_config`` wrote, taking them
-    out of blob."""
-    return cls(**{f.name: _config_entry(blob, prefix + f.name, f.default, path)
-                  for f in dc_fields(cls)})
+    out of blob; a config its checks refuse is an error naming path."""
+    values = {f.name: _config_entry(blob, prefix + f.name, f.default, path)
+              for f in dc_fields(cls)}
+    try:
+        return cls(**values)
+    except ConfigInvalidError as exc:
+        raise ConfigInvalidError(f"{path}: {exc}") from None
 
 
 def _refuse_unknown_config(blob: dict, path):
@@ -140,7 +144,6 @@ def load_model_checkpoint(path) -> Model:
     blob = _load_kind(path, 0, "model")
     blob.setdefault("config.window", Tensor(np.zeros((), dtype=np.float32)))
     cfg = _unpack_config(ModelConfig, blob, "config.", path)
-    cfg.validate()
     params = {k: t for k, t in blob.items() if not k.startswith(("config.", "csec."))}
     csec_params = {k[len("csec."):]: t for k, t in blob.items() if k.startswith("csec.")}
     _fuse_legacy_heads(params, cfg, path)

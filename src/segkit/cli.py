@@ -2,12 +2,14 @@
 
 Subcommands: synth, train, eval, correct, filter, gradcheck.  Outputs are
 files and plain-text reports; every run that writes an output directory
-also writes a ``run.json`` provenance record (resolved config, seeds,
-version) sufficient to reproduce it bitwise; ``correct``, which writes one
-image, writes its record beside it as ``<out>.run.json``.
+also writes a ``run.json`` provenance record (every argument, the resolved
+config, seeds, version) sufficient to reproduce it bitwise; ``correct``,
+which writes one image, writes its record beside it as ``<out>.run.json``.
 
-Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 I/O error,
-4 training divergence, 5 missing robot under GOOSE weighting.
+Exit codes: 0 ok, 1 check failure, 2 usage error; an error ends ``main``
+in its one handler, with a ``SegkitError``'s ``exit_code``, 3 for any other
+``OSError`` and 2 for any other ``ValueError``.  A config, spec or manifest
+error names its file.
 
 Config files are flat ``key = value`` text with ``#`` comments.  A ``train``
 config alone sets its run: its keys are the fields of ``ModelConfig``,
@@ -38,18 +40,7 @@ from .dataio import (
     write_pnm,
 )
 from .denoise import DenoiseConfig, ErrorScore, filter_dataset, pixel_error_rate
-from .errors import (
-    BadFieldCountError,
-    BadMagicError,
-    ConfigInvalidError,
-    MaxvalUnsupportedError,
-    MissingRobotError,
-    SegkitError,
-    ShapeMismatchError,
-    TrainingDivergedError,
-    TruncatedError,
-    UnknownSplitError,
-)
+from .errors import ConfigInvalidError, SegkitError, ShapeMismatchError
 from .gradcheck import SUITES, TOL, run_suite
 from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_miou
 from .segnet import (
@@ -67,8 +58,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_DIVERGED = 4
-EXIT_MISSING_ROBOT = 5
 
 __all__ = ["main", "read_config"]
 
@@ -111,26 +100,25 @@ def _parse_like(text, current):
     raise TypeError("not settable from a config file")
 
 
-def apply_config(cfg: dict, *objs):
-    """Set the dataclass fields of objs that cfg names from its string
-    values and rerun each one's ``__post_init__`` checks; a key that no
-    field takes is an error.  Returns objs."""
-    used = set()
-    for obj in objs:
-        for f in dc_fields(obj):
-            if f.name in cfg:
-                try:
-                    setattr(obj, f.name, _parse_like(cfg[f.name], getattr(obj, f.name)))
-                except (ValueError, TypeError) as exc:
-                    raise ConfigInvalidError(f"bad value for {f.name!r}: {exc}")
-                used.add(f.name)
-        try:
-            getattr(obj, "__post_init__", lambda: None)()
-        except ValueError as exc:
-            raise ConfigInvalidError(str(exc))
-    unknown = set(cfg) - used
-    if unknown:
-        raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
+def apply_config(path, cfg: dict, *objs):
+    """Set the dataclass fields of objs that cfg, read from the file at path,
+    names from its string values and rerun each one's ``__post_init__``
+    checks.  A value that does not parse, a config its checks refuse and a
+    key that no field takes are errors naming path.  Returns objs."""
+    try:
+        for obj in objs:
+            for f in dc_fields(obj):
+                if f.name in cfg:
+                    try:
+                        setattr(obj, f.name, _parse_like(cfg[f.name], getattr(obj, f.name)))
+                    except (ValueError, TypeError) as exc:
+                        raise ConfigInvalidError(f"bad value for {f.name!r}: {exc}")
+            obj.__post_init__()
+        unknown = set(cfg) - {f.name for obj in objs for f in dc_fields(obj)}
+        if unknown:
+            raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
+    except ConfigInvalidError as exc:
+        raise ConfigInvalidError(f"{path}: {exc}") from None
     return objs
 
 
@@ -149,8 +137,10 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def write_run_record(path, command, arg_view: dict, resolved: dict):
-    _write_json(path, {"command": command, "args": arg_view, "config": resolved,
+def write_run_record(path, args, resolved: dict):
+    """The command, every argument, the resolved config and the version."""
+    arg_view = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    _write_json(path, {"command": args.command, "args": arg_view, "config": resolved,
                        "version": __version__})
 
 
@@ -193,23 +183,31 @@ def write_curves_svg(path, series: dict):
 
 
 def cmd_synth(args) -> int:
-    spec, = apply_config(read_config(args.spec), SynthSpec())
+    spec, = apply_config(args.spec, read_config(args.spec), SynthSpec())
     os.makedirs(args.out, exist_ok=True)
     records, _ = synth_dataset(spec, args.out)
-    write_run_record(os.path.join(args.out, "run.json"), "synth",
-                     {"spec": args.spec, "out": args.out}, asdict(spec))
+    write_run_record(os.path.join(args.out, "run.json"), args, asdict(spec))
     print(f"wrote {len(records)} samples to {args.out}")
     return EXIT_OK
 
 
-def _load_split(records, split):
+def _load_split(records, split, image_size):
+    """The records of split and their (image, mask) pairs; a pair of another
+    size than image_size is an error naming its sample."""
     chosen = [r for r in records if r.split == split]
-    return chosen, load_pairs(chosen)
+    pairs = load_pairs(chosen)
+    h, w = image_size
+    for r, (image, mask) in zip(chosen, pairs):
+        if image.shape[2:] != (h, w) or mask.shape != (h, w):
+            raise ShapeMismatchError(f"sample {r.sample_id!r} ({r.image_path}, {r.mask_path}): "
+                                     f"image {image.shape[2:]}, mask {mask.shape} vs image "
+                                     f"size {h}x{w}")
+    return chosen, pairs
 
 
 def cmd_train(args) -> int:
     cfg = read_config(args.config)
-    mc, tc, dn = apply_config(cfg, ModelConfig(), TrainConfig(), DenoiseConfig())
+    mc, tc, dn = apply_config(args.config, cfg, ModelConfig(), TrainConfig(), DenoiseConfig())
     if any(f.name in cfg for f in dc_fields(DenoiseConfig)):
         tc.denoise = dn
     if args.csec_checkpoint and not mc.use_csec:
@@ -219,8 +217,8 @@ def cmd_train(args) -> int:
     model = build_model(mc, csec_params=csec_params, csec_config=csec_cfg)
 
     records = load_manifest(args.data)
-    train_records, train_pairs = _load_split(records, "train")
-    _, val_pairs = _load_split(records, "val")
+    train_records, train_pairs = _load_split(records, "train", mc.image_size)
+    _, val_pairs = _load_split(records, "val", mc.image_size)
     os.makedirs(args.out, exist_ok=True)
 
     if tc.denoise is None:
@@ -243,9 +241,7 @@ def cmd_train(args) -> int:
         if report.val_mious:
             curves["val_miou"] = report.val_mious
         write_curves_svg(os.path.join(args.out, "curves.svg"), curves)
-    write_run_record(os.path.join(args.out, "run.json"), "train",
-                     {"config": args.config, "data": args.data, "out": args.out,
-                      "csec_checkpoint": args.csec_checkpoint},
+    write_run_record(os.path.join(args.out, "run.json"), args,
                      {"model": asdict(mc), "train": asdict(tc)})
     print(f"final loss {report.losses[-1]:.6f}" +
           (f", val mIoU {report.val_mious[-1]:.4f}" if report.val_mious else ""))
@@ -254,7 +250,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    chosen, pairs = _load_split(load_manifest(args.data), args.split)
+    chosen, pairs = _load_split(load_manifest(args.data), args.split, model.config.image_size)
     if not chosen:
         raise ConfigInvalidError(f"manifest has no {args.split!r} samples")
     robot_pairs = {}
@@ -295,10 +291,7 @@ def cmd_eval(args) -> int:
     if args.svg:
         write_curves_svg(os.path.join(args.out, "eval_curves.svg"),
                          {"class_iou": [v or 0.0 for v in ious]})
-    write_run_record(os.path.join(args.out, "run.json"), "eval",
-                     {"checkpoint": args.checkpoint, "data": args.data,
-                      "weights": args.weights, "split": args.split},
-                     report)
+    write_run_record(os.path.join(args.out, "run.json"), args, report)
     return EXIT_OK
 
 
@@ -317,10 +310,7 @@ def cmd_correct(args) -> int:
         gain = ("none, the input already matches the reference" if np.isinf(before)
                 else f"{psnr(corrected, clean) - before:+.2f} dB")
         print(f"PSNR improvement: {gain}", file=sys.stderr)
-    write_run_record(args.out + ".run.json", "correct",
-                     {"checkpoint": args.checkpoint, "in": getattr(args, "in"),
-                      "out": args.out, "reference": args.reference},
-                     asdict(cfg))
+    write_run_record(args.out + ".run.json", args, asdict(cfg))
     return EXIT_OK
 
 
@@ -339,9 +329,7 @@ def cmd_filter(args) -> int:
     filtered = [r for r in records if r.split != "train" or r.sample_id in kept_ids]
     save_manifest(os.path.join(args.out, "manifest.tsv"), filtered)
     write_filter_report(args.out, scores, kept_ids)
-    write_run_record(os.path.join(args.out, "run.json"), "filter",
-                     {"data": args.data, "pred": args.pred, "out": args.out,
-                      "quantile": args.quantile},
+    write_run_record(os.path.join(args.out, "run.json"), args,
                      {"quantile": args.quantile, "kept": len(kept_ids),
                       "dropped": len(scores) - len(kept_ids)})
     print(f"kept {len(kept_ids)} of {len(scores)} train samples")
@@ -362,8 +350,7 @@ def cmd_gradcheck(args) -> int:
                 failed.append(op)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_run_record(os.path.join(args.out, "run.json"), "gradcheck",
-                         {"module": args.module, "trials": args.trials, "seed": args.seed},
+        write_run_record(os.path.join(args.out, "run.json"), args,
                          {"tolerance": TOL, "failed": failed})
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
@@ -441,19 +428,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except TrainingDivergedError as exc:
+    except (SegkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except MissingRobotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ROBOT
-    except (BadMagicError, TruncatedError, MaxvalUnsupportedError,
-            BadFieldCountError, UnknownSplitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SegkitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return getattr(exc, "exit_code", EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG)
 
 
 if __name__ == "__main__":

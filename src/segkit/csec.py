@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigInvalidError,
     InputRangeError,
     NonFiniteOffsetError,
     NonSquareError,
@@ -69,6 +70,16 @@ class CsecConfig:
     hidden: int = 16
     kernel: int = 3
     residual_eps: float = 1e-4  # input clip for the logit-space residual
+
+    def __post_init__(self):
+        for name in ("feat_channels", "hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigInvalidError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigInvalidError(f"kernel must be odd and at least 1, got {self.kernel}")
+        # decode clips its input to [eps, 1 - eps]: from 0.5 on, to one value
+        if not 0.0 < self.residual_eps < 0.5:
+            raise ConfigInvalidError(f"residual_eps must be in (0, 0.5), got {self.residual_eps}")
 
 
 # -- deformable sampling ----------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BadFieldCountError,
     BadMagicError,
+    ConfigInvalidError,
     InputRangeError,
     MaxvalUnsupportedError,
     TruncatedError,
@@ -74,16 +75,19 @@ class SynthSpec:
     label_noise_p: float = 0.1
 
     def __post_init__(self):
+        if len(self.image_size) != 2:
+            raise ConfigInvalidError(f"image_size must hold 2 extents, got {self.image_size}")
         if not 2 <= self.n_classes <= 255:
-            raise ValueError(f"n_classes must be in [2,255], got {self.n_classes}")
+            raise ConfigInvalidError(f"n_classes must be in [2,255], got {self.n_classes}")
         if not 0.0 <= self.label_noise_p <= 1.0:
-            raise ValueError("label_noise_p must be in [0,1]")
+            raise ConfigInvalidError("label_noise_p must be in [0,1]")
         if self.corruption not in ("none", "gamma_region", "label_noise"):
-            raise ValueError(f"unknown corruption {self.corruption!r}")
+            raise ConfigInvalidError(f"unknown corruption {self.corruption!r}")
         if self.n_val + self.n_test > self.n_samples:
-            raise ValueError("n_val + n_test exceeds n_samples")
+            raise ConfigInvalidError("n_val + n_test exceeds n_samples")
         if self.shapes_min > self.shapes_max:
-            raise ValueError(f"shapes_min {self.shapes_min} exceeds shapes_max {self.shapes_max}")
+            raise ConfigInvalidError(f"shapes_min {self.shapes_min} exceeds "
+                                     f"shapes_max {self.shapes_max}")
         if self.shapes_max >= 1:
             # every range _paint_shape draws from must be non-empty in every
             # band (the whole image unless banded): a disk's radius reaches
@@ -93,9 +97,10 @@ class SynthSpec:
             for bh in sorted({(k + 1) * h // nb - k * h // nb for k in range(nb)}):
                 need = 2 * max(3, bh // 4) - 1
                 if bh < 5 or w < need:
-                    raise ValueError(f"band height {bh} of a {h}x{w} image in {nb} band(s) cannot "
-                                     f"hold a shape: it needs a band height of at least 5 and "
-                                     f"an image width of at least {need}")
+                    raise ConfigInvalidError(
+                        f"band height {bh} of a {h}x{w} image in {nb} band(s) cannot hold a "
+                        f"shape: it needs a band height of at least 5 and an image width of "
+                        f"at least {need}")
 
 
 # -- PNM --------------------------------------------------------------------
@@ -221,10 +226,11 @@ def load_manifest(path):
             continue
         fields = line.split("\t")
         if len(fields) != 5:
-            raise BadFieldCountError(f"line {lineno}: expected 5 fields, got {len(fields)}")
+            raise BadFieldCountError(f"{path}: line {lineno}: expected 5 fields, "
+                                     f"got {len(fields)}")
         sid, img, mask, robot, split = fields
         if split not in SPLITS:
-            raise UnknownSplitError(f"line {lineno}: unknown split {split!r}")
+            raise UnknownSplitError(f"{path}: line {lineno}: unknown split {split!r}")
         records.append(SampleRecord(
             sample_id=sid,
             image_path=img if os.path.isabs(img) else os.path.join(base, img),

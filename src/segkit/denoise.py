@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyListError, ShapeMismatchError, UnscoredRecordError
+from .errors import ConfigInvalidError, EmptyListError, ShapeMismatchError, UnscoredRecordError
 from .metrics import IGNORE
 
 __all__ = [
@@ -42,9 +42,9 @@ class DenoiseConfig:
 
     def __post_init__(self):
         if not 0.0 < self.quantile < 1.0:
-            raise ValueError(f"quantile must be in (0,1), got {self.quantile}")
+            raise ConfigInvalidError(f"quantile must be in (0,1), got {self.quantile}")
         if self.mode not in ("drop_samples", "truncate_pixels"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigInvalidError(f"unknown mode {self.mode!r}")
 
 
 def pixel_error_rate(pred, gt) -> float:

@@ -1,12 +1,13 @@
 """Exception types shared across the toolkit.
 
 Every failure the toolkit detects raises a subclass of ``SegkitError``;
-``cli.main`` maps the class of the error to the process exit code.
+its ``exit_code``, 2 unless the class sets another, is the code ``cli.main``
+exits with.  ``ConfigInvalidError`` is also a ``ValueError``.
 """
 
 
 class SegkitError(Exception):
-    pass
+    exit_code = 2
 
 
 class ShapeMismatchError(SegkitError):
@@ -66,30 +67,30 @@ class AllClassesExcludedError(SegkitError):
 
 
 class MissingRobotError(SegkitError):
-    pass
+    exit_code = 5
 
 
 class BadMagicError(SegkitError):
-    pass
+    exit_code = 3
 
 
 class TruncatedError(SegkitError):
-    pass
+    exit_code = 3
 
 
 class MaxvalUnsupportedError(SegkitError):
-    pass
+    exit_code = 3
 
 
 class BadFieldCountError(SegkitError):
-    pass
+    exit_code = 3
 
 
 class UnknownSplitError(SegkitError):
-    pass
+    exit_code = 3
 
 
-class ConfigInvalidError(SegkitError):
+class ConfigInvalidError(SegkitError, ValueError):
     pass
 
 
@@ -100,6 +101,8 @@ class EmptyDatasetError(SegkitError):
 class TrainingDivergedError(SegkitError):
     """A non-finite training loss; ``samples`` are the failing batch's
     positions in the list of samples the loop was given."""
+
+    exit_code = 4
 
     def __init__(self, message, samples=()):
         super().__init__(message)

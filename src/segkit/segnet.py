@@ -99,7 +99,9 @@ class ModelConfig:
     image_size: tuple = (48, 48)
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        if len(self.image_size) != 2:
+            raise ConfigInvalidError(f"image_size must hold 2 extents, got {self.image_size}")
         h, w = self.image_size
         if self.patch_size < 1 or self.n_heads < 1 or self.window < 0:
             raise ConfigInvalidError("need patch_size >= 1, n_heads >= 1 and window >= 0")
@@ -126,7 +128,7 @@ class TrainConfig:
     denoise: Optional[DenoiseConfig] = None
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigInvalidError("need epochs >= 1 and batch_size >= 1")
 
@@ -229,7 +231,6 @@ def build_model(config: ModelConfig, dtype=np.float32, csec_params: Optional[dic
                 csec_config: CsecConfig = CsecConfig()) -> Model:
     """Deterministically initialize a model from config; with use_csec and no
     csec_params, its corrector is the identity-initialized one of csec_config."""
-    config.validate()
     if config.use_csec and csec_params is None:
         csec_params = init_csec(csec_config, seed=config.seed, dtype=dtype)
     rng = SplitMix64(config.seed)
@@ -293,16 +294,16 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
     config.denoise.quantile quantile.  Mode drop_samples needs a second
     round on a filtered set, which train_with_denoise runs.
     """
-    config.validate()
     dn = config.denoise
     if dn is not None and dn.mode == "drop_samples":
         raise ConfigInvalidError("train does not drop samples; mode drop_samples "
                                  "runs through train_with_denoise")
     h, w = model.config.image_size
-    for image, mask in dataset:
-        if np.shape(image) != (1, 3, h, w) or np.shape(mask) != (h, w):
-            raise ShapeMismatchError(f"training pair {np.shape(image)}, {np.shape(mask)} "
-                                     f"vs image size {h}x{w}")
+    for what, pairs in (("training", dataset), ("val", val_pairs or [])):
+        for i, (image, mask) in enumerate(pairs):
+            if np.shape(image) != (1, 3, h, w) or np.shape(mask) != (h, w):
+                raise ShapeMismatchError(f"{what} pair {i}: {np.shape(image)}, "
+                                         f"{np.shape(mask)} vs image size {h}x{w}")
     opt = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                beta2=config.beta2, eps=config.eps)
     truncate = dn.quantile if dn is not None and dn.mode == "truncate_pixels" else None

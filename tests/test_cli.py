@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import pathlib
 import re
 import struct
 from dataclasses import fields, replace
@@ -22,7 +23,7 @@ from segkit.cli import main, read_config
 from segkit.csec import CsecConfig, init_csec
 from segkit.dataio import load_manifest, read_pnm, write_pnm
 from segkit.denoise import DenoiseConfig
-from segkit.errors import BadMagicError, ConfigInvalidError, TruncatedError
+from segkit.errors import BadMagicError, ConfigInvalidError, SegkitError, TruncatedError
 from segkit.rng import SplitMix64
 from segkit.segnet import ModelConfig, TrainConfig, build_model, predict
 from segkit.tensor import Tensor
@@ -885,3 +886,210 @@ class TestCheckpointConfig:
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
         assert code == 3
         capsys.readouterr()
+
+
+class TestMixedImageSizes:
+    """A sample of another size than the model's ends in a typed error naming
+    it, not in numpy's concatenation error."""
+
+    @pytest.fixture(params=[("val", "image"), ("val", "mask"), ("train", "image")],
+                    ids=["val-image", "val-mask", "train-image"])
+    def odd(self, request, dataset):
+        """Rewrite one sample's image or mask at 20x20 and return its record."""
+        split, part = request.param
+        r = next(r for r in load_manifest(dataset / "manifest.tsv") if r.split == split)
+        if part == "image":
+            write_pnm(r.image_path, np.full((1, 3, 20, 20), 0.5))
+        else:
+            write_pnm(r.mask_path, np.zeros((20, 20), dtype=np.int64))
+        return r
+
+    def _assert_named(self, err, r):
+        assert r.sample_id in err and r.image_path in err
+        assert "concatenation" not in err and "same shape" not in err
+
+    def test_train_exits_2_naming_the_sample(self, tmp_path, dataset, odd, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run")]) == 2
+        self._assert_named(capsys.readouterr().err, odd)
+
+    def test_eval_exits_2_naming_the_sample(self, tmp_path, dataset, trained, odd, capsys):
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"),
+                     "--data", str(dataset / "manifest.tsv"), "--split", odd.split,
+                     "--out", str(tmp_path / "ev")]) == 2
+        self._assert_named(capsys.readouterr().err, odd)
+
+
+class TestErrorsNameTheirFile:
+    """Config, spec and manifest errors start with the file they are in; the
+    exit codes stay those of their classes."""
+
+    @pytest.mark.parametrize("key, line, message", [
+        ("epochs", "epochs = x", "bad value for 'epochs'"),
+        ("use_rope", "use_rope = maybe", "bad value for 'use_rope'"),
+        ("image_size", "image_size = 16", "image_size must hold 2 extents, got (16,)"),
+        ("windw", "windw = 2", "unknown config keys: ['windw']"),
+        ("window", "window = 5", "window 5 must divide the 4x4 patch grid")],
+        ids=["bad-int", "bad-bool", "short-tuple", "unknown-key", "post-init"])
+    def test_train_config(self, tmp_path, dataset, capsys, key, line, message):
+        lines = [ln for ln in TRAIN.strip().splitlines() if not ln.startswith(key + " ")]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(lines + [line]) + "\n")
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+    def test_synth_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC + "corruption = fog\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {spec}: unknown corruption 'fog'" in capsys.readouterr().err
+
+    def test_synth_spec_image_size(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC.replace("image_size = 16, 16", "image_size = 16, 16, 16"))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {spec}: image_size must hold 2 extents" in capsys.readouterr().err
+
+    def test_model_checkpoint(self, tmp_path, dataset, capsys):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        blob = load_checkpoint(path)
+        blob["config.image_size"] = Tensor(np.full(3, 16.0, dtype=np.float32))
+        save_checkpoint(path, blob)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 2
+        assert f"error: {path}: image_size must hold 2 extents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("s0\timages/s0.ppm\tmasks/s0.pgm\n", "line 2: expected 5 fields, got 3"),
+        ("s0\timages/s0.ppm\tmasks/s0.pgm\tr\tholdout\n", "line 2: unknown split 'holdout'")],
+        ids=["three-fields", "unknown-split"])
+    def test_manifest(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("# sample_id\timage_path\tmask_path\trobot_id\tsplit\n" + line)
+        assert main(["train", "--config", str(cfg), "--data", str(manifest),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert f"error: {manifest}: {message}" in capsys.readouterr().err
+
+
+class TestCsecConfigInCheckpoints:
+    """A corrector config outside CsecConfig's checks is refused on load,
+    naming the file, before any image is written."""
+
+    BAD = [("residual_eps", 0.6), ("kernel", 4.0), ("hidden", 0.0)]
+
+    @pytest.mark.parametrize("field, value", BAD, ids=[f for f, _ in BAD])
+    def test_correct_exits_2(self, tmp_path, dataset, capsys, field, value):
+        path = tmp_path / "c.smk"
+        save_csec_checkpoint(path, init_csec(CsecConfig(), seed=0))
+        blob = load_checkpoint(path)
+        blob["config." + field] = Tensor(np.array(value, dtype=np.float32))
+        save_checkpoint(path, blob)
+        out = tmp_path / "out.ppm"
+        assert main(["correct", "--checkpoint", str(path),
+                     "--in", str(dataset / "images" / "s0000.ppm"), "--out", str(out)]) == 2
+        assert f"error: {path}: {field} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", BAD, ids=[f for f, _ in BAD])
+    def test_eval_of_a_model_with_a_corrector_exits_2(self, tmp_path, dataset, capsys,
+                                                      field, value):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(replace(TestModelCheckpoint.CFG, use_csec=True)))
+        blob = load_checkpoint(path)
+        blob["config.csec." + field] = Tensor(np.array(value, dtype=np.float32))
+        save_checkpoint(path, blob)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 2
+        assert f"error: {path}: {field} must" in capsys.readouterr().err
+
+
+class TestRunRecordArguments:
+    """run.json holds every argument of its command, flags included."""
+
+    def test_train(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN.replace("epochs = 2", "epochs = 1"))
+        out = tmp_path / "run"
+        data = dataset / "manifest.tsv"
+        assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                     "--svg"]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "run.json").read_text())["args"] == {
+            "config": str(cfg), "data": str(data), "out": str(out), "csec_checkpoint": None,
+            "svg": True}
+
+    def test_eval(self, tmp_path, dataset, trained, capsys):
+        out = tmp_path / "ev"
+        ckpt, data = trained / "checkpoint.smk", dataset / "manifest.tsv"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out), "--svg"]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "run.json").read_text())["args"] == {
+            "checkpoint": str(ckpt), "data": str(data), "weights": "goose", "split": "val",
+            "out": str(out), "svg": True}
+
+    def test_gradcheck(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: {"op": 0.0})
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--module", "rope", "--trials", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "run.json").read_text())["args"] == {
+            "module": "rope", "trials": 2, "seed": 0, "out": str(out)}
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_exit_codes():
+    """Exception class name -> exit code, from the rows of the README's
+    exit-code table that name classes."""
+    codes = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\|\s*(\d)\s*\|", line)
+        if row:
+            codes.update({name: int(row.group(1)) for name in re.findall(r"`(\w+Error)`", line)})
+    return codes
+
+
+class TestExitCodes:
+    """The exit code is the error class's ``exit_code``, as the README's
+    table lists it, and ``main`` returns it from its one handler."""
+
+    ERRORS = [SegkitError] + sorted(SegkitError.__subclasses__(), key=lambda c: c.__name__)
+
+    def test_table_names_only_known_classes(self):
+        table = _readme_exit_codes()
+        known = {c.__name__ for c in self.ERRORS} | {"OSError", "ValueError"}
+        assert set(table) <= known
+        assert table["SegkitError"] == table["ValueError"] == 2 and table["OSError"] == 3
+
+    @pytest.mark.parametrize("cls", ERRORS, ids=[c.__name__ for c in ERRORS])
+    def test_every_segkit_error(self, monkeypatch, capsys, cls):
+        table = _readme_exit_codes()
+        want = table.get(cls.__name__, table["SegkitError"])
+        assert cls.exit_code == want
+
+        def fail(*args, **kwargs):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "run_suite", fail)
+        assert main(["gradcheck", "--module", "tensor", "--trials", "1"]) == want
+        assert capsys.readouterr().err == "error: boom\n"
+
+    @pytest.mark.parametrize("exc, want", [
+        (FileNotFoundError(2, "No such file or directory"), 3), (PermissionError("denied"), 3),
+        (ValueError("stray"), 2), (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"), 2)],
+        ids=["FileNotFoundError", "PermissionError", "ValueError", "UnicodeDecodeError"])
+    def test_other_os_and_value_errors(self, monkeypatch, capsys, exc, want):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_suite", fail)
+        assert main(["gradcheck", "--module", "tensor", "--trials", "1"]) == want
+        assert capsys.readouterr().err.startswith("error: ")

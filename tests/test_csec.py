@@ -16,6 +16,7 @@ from segkit.csec import (
     train_csec,
 )
 from segkit.errors import (
+    ConfigInvalidError,
     InputRangeError,
     NonFiniteOffsetError,
     NonSquareError,
@@ -323,6 +324,18 @@ def test_identity_at_init():
         out = csec_correct(img, params, cfg)
         assert out.data.shape == img.data.shape
         assert float(np.max(np.abs(out.data - img.data))) < 1e-3
+
+
+@pytest.mark.parametrize("bad", [dict(residual_eps=0.6), dict(residual_eps=0.5),
+                                 dict(residual_eps=0.0), dict(kernel=4), dict(kernel=0),
+                                 dict(kernel=-1), dict(hidden=0), dict(feat_channels=0)],
+                         ids=["residual_eps=0.6", "residual_eps=0.5", "residual_eps=0",
+                              "kernel=4", "kernel=0", "kernel=-1", "hidden=0",
+                              "feat_channels=0"])
+def test_config_checks_itself(bad):
+    # residual_eps >= 0.5 clips every residual input to one value, a flat image
+    with pytest.raises(ConfigInvalidError, match=next(iter(bad))):
+        CsecConfig(**bad)
 
 
 @pytest.mark.parametrize("kernel", [1, 5])

@@ -12,7 +12,12 @@ from segkit.denoise import (
     pixel_error_rate,
     quantile_threshold,
 )
-from segkit.errors import EmptyListError, ShapeMismatchError, UnscoredRecordError
+from segkit.errors import (
+    ConfigInvalidError,
+    EmptyListError,
+    ShapeMismatchError,
+    UnscoredRecordError,
+)
 from segkit.rng import SplitMix64
 
 
@@ -147,3 +152,8 @@ class TestConfigAndWeights:
         with pytest.raises(ValueError):
             DenoiseConfig(mode="downweight_pixels")
         assert DenoiseConfig().quantile == 0.975
+
+    def test_config_error_is_typed_and_a_value_error(self):
+        with pytest.raises(ConfigInvalidError, match="quantile"):
+            DenoiseConfig(quantile=0.0)
+        assert issubclass(ConfigInvalidError, ValueError)

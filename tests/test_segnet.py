@@ -66,12 +66,12 @@ def _dataset(seed, n, spec=None):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigInvalidError):
-            ModelConfig(embed_dim=30, n_heads=4).validate()
+            ModelConfig(embed_dim=30, n_heads=4)
         with pytest.raises(ConfigInvalidError):
-            ModelConfig(image_size=(50, 50), patch_size=4).validate()
+            ModelConfig(image_size=(50, 50), patch_size=4)
         with pytest.raises(ConfigInvalidError):
-            ModelConfig(n_blocks=0).validate()
-        ModelConfig().validate()
+            ModelConfig(n_blocks=0)
+        ModelConfig()
 
     @pytest.mark.parametrize("bad", [dict(patch_size=0), dict(patch_size=-4), dict(n_heads=0),
                                      dict(window=-1), dict(window=5),
@@ -79,24 +79,32 @@ class TestConfig:
                              ids=["patch_size=0", "patch_size=-4", "n_heads=0", "window=-1",
                                   "window=5", "window=4-on-12x10"])
     def test_validation_rejects_before_dividing(self, bad):
-        # rejected before validate divides by patch_size or n_heads, and
+        # rejected before the checks divide by patch_size or n_heads, and
         # before a window that does not tile the patch grid reaches a model
         with pytest.raises(ConfigInvalidError):
-            ModelConfig(**bad).validate()
+            ModelConfig(**bad)
         with pytest.raises(ConfigInvalidError):
             build_model(ModelConfig(**bad))
 
     def test_window_tiles_the_patch_grid(self):
         # the default window 4 tiles the default 12x12 grid; 0 is global
         for window in (0, 1, 2, 3, 4, 6, 12):
-            ModelConfig(window=window).validate()
-        ModelConfig(image_size=(16, 32), window=4).validate()
+            ModelConfig(window=window)
+        ModelConfig(image_size=(16, 32), window=4)
+
+    def test_val_pairs_of_another_size_are_refused(self):
+        # as training pairs are, before numpy's concatenation would fail
+        val = _dataset(2, 2)
+        val[1] = (np.zeros((1, 3, 20, 20), np.float32), np.zeros((20, 20), np.int64))
+        with pytest.raises(ShapeMismatchError, match="val pair 1"):
+            train(build_model(ModelConfig(**SMALL)), _dataset(1, 2), TrainConfig(epochs=1),
+                  val_pairs=val)
 
     @pytest.mark.parametrize("bad", [dict(epochs=0), dict(batch_size=0), dict(batch_size=-1)],
                              ids=["epochs=0", "batch_size=0", "batch_size=-1"])
     def test_train_config_validation(self, bad):
         with pytest.raises(ConfigInvalidError):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
         with pytest.raises(ConfigInvalidError):
             train(build_model(ModelConfig(**SMALL)), _dataset(1, 2), TrainConfig(**bad))
 
