@@ -10,8 +10,9 @@ model, 1 corrector) and ``config.<field>`` per ``ModelConfig`` or
 either kind, without ``config.window`` as window 0, and per-head
 ``b{i}.h{hd}.w{q,k,v}`` weights fused into ``b{i}.wqkv``.  A loaded
 checkpoint must hold exactly the parameters its config builds, by name and
-shape, and no ``config.*`` entry its configs do not read; a missing,
-misshapen or unknown one is a ConfigInvalidError.
+shape, and no ``config.*`` entry its configs do not read, each typed as a
+config-file line holding its values (``dataio._parse_like``); a missing,
+misshapen, unknown or mistyped one is a ConfigInvalidError.
 """
 
 import math
@@ -22,6 +23,7 @@ import numpy as np
 
 from .csec import CsecConfig
 from .csec import param_shapes as csec_param_shapes
+from .dataio import _parse_like
 from .errors import BadMagicError, ConfigInvalidError, TruncatedError
 from .segnet import Model, ModelConfig, fuse_qkv, param_shapes
 from .tensor import Tensor
@@ -85,19 +87,15 @@ def _pack_config(cfg, prefix) -> dict:
 
 
 def _config_entry(blob: dict, key, default, path):
-    """The ``key`` entry, taken out of blob, typed like ``default`` (a tuple
-    default holds ints)."""
+    """The ``key`` entry, taken out of blob, its values written out exactly
+    and typed like ``default``."""
     if key not in blob:
         raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
-    data = blob.pop(key).data
+    text = " ".join(f"{v:.17g}" for v in np.atleast_1d(blob.pop(key).data).tolist())
     try:
-        if isinstance(default, tuple):
-            return tuple(int(v) for v in np.atleast_1d(data))
-        if isinstance(default, bool):
-            return bool(int(data))
-        return type(default)(data)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalidError(f"{path}: bad {key!r}: {exc}")
+        return _parse_like(text, default)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"{path}: bad {key!r}: {exc}") from None
 
 
 def _unpack_config(cls, blob: dict, prefix, path):

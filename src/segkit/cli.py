@@ -30,7 +30,9 @@ from . import __version__
 from .checkpoint import load_csec_checkpoint, load_model_checkpoint, save_model_checkpoint
 from .csec import CsecConfig, csec_correct, psnr
 from .dataio import (
+    SPLITS,
     SynthSpec,
+    _parse_like,
     _read_kind,
     _text_lines,
     load_manifest,
@@ -77,27 +79,6 @@ def read_config(path) -> dict:
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
-
-
-def _parse_like(text, current):
-    """Parse ``text`` with the type of the existing field value ``current``."""
-    if isinstance(current, bool):
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigInvalidError(f"expected a boolean, got {text!r}")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if isinstance(current, tuple):
-        parts = text.replace(",", " ").split()
-        return tuple(int(p) for p in parts)
-    if isinstance(current, str):
-        return text
-    raise TypeError("not settable from a config file")
 
 
 def apply_config(path, cfg: dict, *objs):
@@ -388,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset manifest")
     p.add_argument("--weights", choices=("goose", "uniform"), default="goose")
-    p.add_argument("--split", choices=("train", "val", "test"), default="val")
+    p.add_argument("--split", choices=SPLITS, default="val")
     p.add_argument("--out", default=".", help="directory for eval_report.json")
     p.add_argument("--svg", action="store_true", help="emit per-class IoU bars as SVG")
     p.set_defaults(func=cmd_eval)
@@ -406,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True,
                    help="directory of predicted masks, <sample_id>.pgm")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--quantile", type=float, default=0.975)
+    p.add_argument("--quantile", type=float, default=DenoiseConfig.quantile)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("gradcheck", help="run finite-difference gradient suites")

@@ -56,6 +56,7 @@ __all__ = [
     "sym_norm",
     "como_fuse",
     "decode",
+    "check_extents",
     "csec_correct",
     "init_csec",
     "param_shapes",
@@ -313,14 +314,13 @@ def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, params: dict) -> Tensor:
 # -- decoder ----------------------------------------------------------------
 
 
-def decode(params: dict, f_corr: Tensor, target_shape, image,
-           residual_eps: float = 1e-4) -> Tensor:
-    """Reconstruct a [N,3,H,W] image in [0,1] from fused token features [N,T,c].
+def decode(params: dict, f_corr: Tensor, image: Tensor, residual_eps: float) -> Tensor:
+    """Reconstruct a [N,3,H,W] image in [0,1], ``image``'s size, from token features [N,T,c].
 
     The decoder output is a residual added to ``image`` in logit space, which
     makes a zero-initialized output layer an identity map.
     """
-    h, w = target_shape
+    h, w = image.data.shape[2:]
     th, tw = h // 4, w // 4
     n, t, c = f_corr.data.shape
     if t != th * tw:
@@ -331,8 +331,7 @@ def decode(params: dict, f_corr: Tensor, target_shape, image,
     x = relu(conv2d(x, params["dec.w2"], stride=1, padding=1))
     x = upsample_nearest(x, 2)
     r = conv2d(x, params["dec.w3"], stride=1, padding=1)
-    base = np.clip(np.asarray(image.data if isinstance(image, Tensor) else image,
-                              dtype=r.dtype), residual_eps, 1.0 - residual_eps)
+    base = np.clip(np.asarray(image.data, dtype=r.dtype), residual_eps, 1.0 - residual_eps)
     logit = np.log(base / (1.0 - base))
     return sigmoid(add(r, Tensor(logit)))
 
@@ -351,22 +350,27 @@ def _extract_tokens(x: Tensor, params: dict, prefix: str) -> Tensor:
     return reshape(h3, (n, c, th * tw)).T
 
 
+def check_extents(h, w, error=ShapeMismatchError):
+    """Raise ``error`` unless h x w is an image size ``csec_correct`` takes."""
+    if h % 4 or w % 4 or h > 64 or w > 64:
+        raise error(f"color correction needs spatial extents that are multiples of 4, "
+                    f"at most 64, got {h}x{w}")
+
+
 def csec_correct(image: Tensor, params: dict, config: CsecConfig = CsecConfig()) -> Tensor:
     """Correct each image of [N,3,H,W]: offsets -> branch features -> fusion -> decode."""
     if not isinstance(image, Tensor):
         image = Tensor(image)
     if image.data.ndim != 4 or image.data.shape[1] != 3:
         raise ShapeMismatchError(f"expected [N,3,H,W], got {image.data.shape}")
-    _, _, h, w = image.data.shape
-    if h % 4 or w % 4 or h > 64 or w > 64:
-        raise ShapeMismatchError("spatial extents must be multiples of 4, at most 64")
+    check_extents(*image.data.shape[2:])
     _check_image_range(image)
     delta_d, delta_b = cose_forward(image, params)
     f_x = _extract_tokens(image, params, "ex")
     f_d = _extract_tokens(delta_d, params, "ed")
     f_b = _extract_tokens(delta_b, params, "eb")
     f_corr = como_fuse(f_x, f_d, f_b, params)
-    return decode(params, f_corr, (h, w), image=image, residual_eps=config.residual_eps)
+    return decode(params, f_corr, image, config.residual_eps)
 
 
 # -- parameters and training ------------------------------------------------

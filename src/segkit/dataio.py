@@ -27,7 +27,7 @@ from .errors import (
     TruncatedError,
     UnknownSplitError,
 )
-from .metrics import IGNORE
+from .metrics import GOOSE_WEIGHTS, IGNORE
 from .rng import SplitMix64
 from .tensor import Tensor
 
@@ -45,7 +45,7 @@ __all__ = [
     "corrupt_labels",
 ]
 
-ROBOTS = ["MuCAR-3", "ALICE", "Spot v2", "Spot v1"]
+ROBOTS = list(GOOSE_WEIGHTS)
 SPLITS = ("train", "val", "test")
 
 
@@ -217,6 +217,27 @@ def _text_lines(path, error):
         raise error(f"{path}: line {lineno} is not utf-8") from None
 
 
+def _parse_like(text, current):
+    """Parse ``text`` with the type of the existing field value ``current``."""
+    if isinstance(current, bool):
+        low = text.lower()
+        if low in ("1", "true", "yes", "on"):
+            return True
+        if low in ("0", "false", "no", "off"):
+            return False
+        raise ConfigInvalidError(f"expected a boolean, got {text!r}")
+    if isinstance(current, int):
+        return int(text)
+    if isinstance(current, float):
+        return float(text)
+    if isinstance(current, tuple):
+        parts = text.replace(",", " ").split()
+        return tuple(int(p) for p in parts)
+    if isinstance(current, str):
+        return text
+    raise TypeError("not settable from a config file")
+
+
 def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     records = []
@@ -284,11 +305,9 @@ def _hsv_to_rgb(h, s, v):
     return [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
 
 
-def _paint_shape(mask, rng, h, w, y_lo=0, y_hi=None):
+def _paint_shape(rng, h, w, y_lo, y_hi):
     """Return a boolean region for one random shape placed within rows
     [y_lo, y_hi)."""
-    if y_hi is None:
-        y_hi = h
     bh = y_hi - y_lo
     kind = rng.randint(0, 3)
     yy, xx = np.mgrid[0:h, 0:w]
@@ -317,29 +336,19 @@ def _paint_shape(mask, rng, h, w, y_lo=0, y_hi=None):
 def generate_sample(seed, spec: SynthSpec):
     """One synthetic scene: (image [3,H,W] f32, mask [H,W] int64, area ledger).
 
-    The ledger maps class id -> painted pixel count, maintained incrementally
-    while painting (not recounted from the mask afterwards).
+    The ledger maps each class id to its pixel count in the finished mask,
+    0 for a class no shape shows.
     """
     h, w = spec.image_size
     rng = SplitMix64(seed)
     mask = np.zeros((h, w), dtype=np.int64)
-    ledger = {k: 0 for k in range(spec.n_classes)}
-    ledger[0] = h * w
     n_shapes = rng.randint(spec.shapes_min, spec.shapes_max + 1)
-    n_bands = spec.n_classes - 1
+    n_bands = spec.n_classes - 1 if spec.position_banded else 1
     for _ in range(n_shapes):
         cls = rng.randint(1, spec.n_classes)
-        if spec.position_banded:
-            y_lo = (cls - 1) * h // n_bands
-            y_hi = cls * h // n_bands
-            region = _paint_shape(mask, rng, h, w, y_lo, y_hi)
-        else:
-            region = _paint_shape(mask, rng, h, w)
-        overwritten, counts = np.unique(mask[region], return_counts=True)
-        for old, cnt in zip(overwritten, counts):
-            ledger[int(old)] -= int(cnt)
-        ledger[cls] += int(region.sum())
-        mask[region] = cls
+        band = cls - 1 if spec.position_banded else 0
+        mask[_paint_shape(rng, h, w, band * h // n_bands, (band + 1) * h // n_bands)] = cls
+    ledger = dict(enumerate(np.bincount(mask.ravel(), minlength=spec.n_classes).tolist()))
     palette = class_palette(spec.n_classes, spec.twin_delta)
     image = palette[mask].transpose(2, 0, 1)
     noise = rng.uniform_array((3, h, w), -spec.noise, spec.noise)

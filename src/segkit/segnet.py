@@ -30,12 +30,13 @@ config on the rest.  truncate_pixels trains the given model once, and every
 batch's loss leaves out its valid pixels whose loss lies above the quantile.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .csec import CsecConfig, csec_correct, init_csec
+from .csec import CsecConfig, check_extents, csec_correct, init_csec
 from .denoise import (
     DenoiseConfig,
     ErrorScore,
@@ -105,16 +106,21 @@ class ModelConfig:
         h, w = self.image_size
         if self.patch_size < 1 or self.n_heads < 1 or self.window < 0:
             raise ConfigInvalidError("need patch_size >= 1, n_heads >= 1 and window >= 0")
-        if self.embed_dim % (4 * self.n_heads) != 0:
-            raise ConfigInvalidError("embed_dim must be divisible by 4 * n_heads")
-        if h % self.patch_size or w % self.patch_size:
-            raise ConfigInvalidError("image size must be divisible by patch_size")
+        if self.embed_dim < 4 * self.n_heads or self.embed_dim % (4 * self.n_heads) != 0:
+            raise ConfigInvalidError("embed_dim must be a positive multiple of 4 * n_heads")
+        if min(h, w) < self.patch_size or h % self.patch_size or w % self.patch_size:
+            raise ConfigInvalidError("image size must be a positive multiple of patch_size")
         rows, cols = h // self.patch_size, w // self.patch_size
         if self.window and (rows % self.window or cols % self.window):
             raise ConfigInvalidError(f"window {self.window} must divide the "
                                      f"{rows}x{cols} patch grid")
         if self.n_blocks < 1 or self.n_classes < 2:
             raise ConfigInvalidError("need n_blocks >= 1 and n_classes >= 2")
+        # SMK1 checkpoints store the seed as f32, exact up to 2**24
+        if abs(self.seed) > 2 ** 24:
+            raise ConfigInvalidError(f"seed must be within +-2**24, got {self.seed}")
+        if self.use_csec:
+            check_extents(h, w, ConfigInvalidError)
 
 
 @dataclass
@@ -131,6 +137,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigInvalidError("need epochs >= 1 and batch_size >= 1")
+        for name in ("learning_rate", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigInvalidError(f"{name} must be finite and positive, "
+                                         f"got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigInvalidError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass

@@ -163,16 +163,33 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, text", [("patch_size", "0"), ("n_heads", "0"),
                                            ("window", "-1"), ("window", "3"), ("epochs", "0"),
-                                           ("batch_size", "0"), ("batch_size", "-1")])
+                                           ("batch_size", "0"), ("batch_size", "-1"),
+                                           ("learning_rate", "-1"), ("learning_rate", "0"),
+                                           ("learning_rate", "nan"), ("beta1", "1.5"),
+                                           ("beta2", "1"), ("eps", "0")])
     def test_invalid_values_exit_2(self, tmp_path, dataset, capsys, key, text):
         # each value is a typed config error before training starts: no
-        # division by zero, no empty loss list, no run that trains nothing
+        # division by zero, no empty loss list, no run that trains nothing,
+        # climbs the loss or diverges at its first steps
         lines = [ln for ln in TRAIN.strip().splitlines() if not ln.startswith(key + " ")]
         cfg = tmp_path / "train.cfg"
         cfg.write_text("\n".join(lines + [f"{key} = {text}"]) + "\n")
         assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
                      "--out", str(tmp_path / "run")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_corrector_that_cannot_take_the_images_exits_2_before_writing(self, tmp_path,
+                                                                          capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_samples = 2\nimage_size = 80, 80\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs = 1\nimage_size = 80, 80\nuse_csec = true\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data",
+                     str(tmp_path / "data" / "manifest.tsv"), "--out", str(out)]) == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_divergence_exit_code(self, tmp_path, dataset, capsys):
         cfg = tmp_path / "train.cfg"
@@ -652,8 +669,8 @@ class TestCheckpointConfig:
 
     # every field differs from its default; residual_eps is exact in f32;
     # the 3x5 patch grid takes no window but the whole grid
-    MODEL = ModelConfig(patch_size=2, embed_dim=24, n_blocks=3, n_heads=3, n_classes=4,
-                        use_csec=True, use_rope=False, window=0, image_size=(6, 10), seed=9)
+    MODEL = ModelConfig(patch_size=8, embed_dim=24, n_blocks=3, n_heads=3, n_classes=4,
+                        use_csec=True, use_rope=False, window=0, image_size=(24, 40), seed=9)
     CSEC = CsecConfig(feat_channels=5, hidden=7, kernel=5, residual_eps=2.0 ** -9)
     MODEL_FIELDS = ("patch_size", "embed_dim", "n_blocks", "n_heads", "n_classes",
                     "use_csec", "use_rope", "window", "image_size", "seed")
@@ -699,6 +716,33 @@ class TestCheckpointConfig:
         save_checkpoint(tmp_path / "hand_c.smk", blob)
         save_csec_checkpoint(tmp_path / "c.smk", model.csec_params, self.CSEC)
         assert (tmp_path / "c.smk").read_bytes() == (tmp_path / "hand_c.smk").read_bytes()
+
+    def test_seed_at_the_f32_bound_round_trips(self, tmp_path):
+        for seed in (2 ** 24, -2 ** 24):
+            cfg = replace(TestModelCheckpoint.CFG, seed=seed)
+            save_model_checkpoint(tmp_path / "m.smk", build_model(cfg))
+            assert load_model_checkpoint(tmp_path / "m.smk").config == cfg
+
+    # an entry is typed as a config line holding its stored value would be,
+    # so a value such a line is refused for is refused here too, not rounded
+    LENIENT = [("n_blocks", 2.5), ("window", 2.9), ("use_rope", 0.5), ("use_rope", 7.0),
+               ("image_size", [16, 16.5])]
+
+    @pytest.mark.parametrize("name, value", LENIENT,
+                             ids=["n_blocks=2.5", "window=2.9", "use_rope=0.5", "use_rope=7",
+                                  "image_size=16x16.5"])
+    def test_entry_no_config_line_could_hold_exits_2(self, tmp_path, dataset, capsys, name,
+                                                     value):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        blob = load_checkpoint(path)
+        blob["config." + name] = Tensor(np.array(value, dtype=np.float32))
+        save_checkpoint(path, blob)
+        code = main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert f"error: {path}: bad 'config.{name}'" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_wrong_kind_is_config_error(self, tmp_path):
         model = self._model()

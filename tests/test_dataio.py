@@ -1,5 +1,6 @@
 """Unit tests for PNM I/O, manifests, and the synthetic generators."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -194,6 +195,24 @@ class TestSynthesis:
             _, mask, ledger = generate_sample(rng.next_u64(), spec)
             for k in range(4):
                 assert ledger[k] == int(np.count_nonzero(mask == k))
+
+    # digests of 8 scenes' images, masks and ledgers per spec; a change to
+    # the generator's draws or painting shows here
+    @pytest.mark.parametrize("banded, digest", [
+        (False, "56df6d3c9d7fad22d0bac2f1231897612e93a65d6ebdaa6f50fd58409db71db6"),
+        (True, "8d8c95296208030cbae952a33d8b3869c98b33e19fb6941608c5577604ea892f")],
+        ids=["unbanded", "banded"])
+    def test_scenes_are_pinned(self, banded, digest):
+        spec = SynthSpec(n_classes=4, shapes_min=2, shapes_max=5, image_size=(24, 32),
+                         position_banded=banded)
+        rng = SplitMix64(5)
+        h = hashlib.sha256()
+        for _ in range(8):
+            image, mask, ledger = generate_sample(rng.next_u64(), spec)
+            h.update(image.tobytes())
+            h.update(mask.tobytes())
+            h.update(repr(sorted(ledger.items())).encode())
+        assert h.hexdigest() == digest
 
     def test_image_mask_color_consistency(self):
         spec = SynthSpec(seed=0, n_classes=3, noise=0.05)

@@ -86,6 +86,28 @@ class TestConfig:
         with pytest.raises(ConfigInvalidError):
             build_model(ModelConfig(**bad))
 
+    # each would build a model whose forward cannot run: no patch fits the
+    # image, the heads have no width, or the corrector cannot take the image
+    @pytest.mark.parametrize("bad", [dict(image_size=(0, 0)), dict(image_size=(0, 16)),
+                                     dict(image_size=(-4, 16), window=0),
+                                     dict(embed_dim=-16),
+                                     dict(embed_dim=0), dict(image_size=(80, 80), use_csec=True),
+                                     dict(patch_size=5, window=0, image_size=(20, 30),
+                                          use_csec=True)],
+                             ids=["image=0x0", "image=0x16", "image=-4x16", "embed_dim=-16",
+                                  "embed_dim=0", "csec-at-80x80", "csec-at-20x30"])
+    def test_a_model_that_cannot_run_its_forward_is_refused(self, bad):
+        with pytest.raises(ConfigInvalidError):
+            ModelConfig(**bad)
+
+    def test_seed_is_one_that_a_checkpoint_holds_exactly(self):
+        # SMK1 stores config values as f32, exact for every integer up to 2**24
+        for seed in (2 ** 24, -2 ** 24):
+            ModelConfig(seed=seed)
+        for seed in (2 ** 24 + 1, -2 ** 24 - 1):
+            with pytest.raises(ConfigInvalidError, match="seed"):
+                ModelConfig(seed=seed)
+
     def test_window_tiles_the_patch_grid(self):
         # the default window 4 tiles the default 12x12 grid; 0 is global
         for window in (0, 1, 2, 3, 4, 6, 12):
@@ -100,8 +122,16 @@ class TestConfig:
             train(build_model(ModelConfig(**SMALL)), _dataset(1, 2), TrainConfig(epochs=1),
                   val_pairs=val)
 
-    @pytest.mark.parametrize("bad", [dict(epochs=0), dict(batch_size=0), dict(batch_size=-1)],
-                             ids=["epochs=0", "batch_size=0", "batch_size=-1"])
+    @pytest.mark.parametrize("bad", [dict(epochs=0), dict(batch_size=0), dict(batch_size=-1),
+                                     dict(learning_rate=-1.0), dict(learning_rate=0.0),
+                                     dict(learning_rate=float("nan")),
+                                     dict(learning_rate=float("inf")), dict(beta1=1.5),
+                                     dict(beta1=-0.1), dict(beta1=1.0), dict(beta2=1.0),
+                                     dict(eps=0.0), dict(eps=float("nan"))],
+                             ids=["epochs=0", "batch_size=0", "batch_size=-1",
+                                  "learning_rate=-1", "learning_rate=0", "learning_rate=nan",
+                                  "learning_rate=inf", "beta1=1.5", "beta1=-0.1", "beta1=1",
+                                  "beta2=1", "eps=0", "eps=nan"])
     def test_train_config_validation(self, bad):
         with pytest.raises(ConfigInvalidError):
             TrainConfig(**bad)
