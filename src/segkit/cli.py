@@ -11,7 +11,8 @@ in its one handler, with a ``SegkitError``'s ``exit_code``, 3 for any other
 ``OSError`` and 2 for any other ``ValueError``.  A config, spec or manifest
 error names its file.
 
-Config files are flat ``key = value`` text with ``#`` comments.  A ``train``
+Config files are flat ``key = value`` text; a ``#`` at the start of a line
+or after whitespace starts a comment, one inside a value is part of it.  A ``train``
 config alone sets its run: its keys are the fields of ``ModelConfig``,
 ``TrainConfig`` and ``DenoiseConfig``; setting ``mode`` or ``quantile`` turns
 denoising on, and ``--csec-checkpoint`` only names the weights of the
@@ -21,6 +22,7 @@ corrector ``use_csec = true`` turns on.
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, fields as dc_fields
 
@@ -67,11 +69,16 @@ __all__ = ["main", "read_config"]
 # -- config files ------------------------------------------------------------
 
 
+# a '#' at the start of a line or after whitespace starts a comment; inside
+# a value ('n_classes = 3#4') it is part of the value
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config(path) -> dict:
     """Parse a flat ``key = value`` config file into a str -> str dict."""
     cfg = {}
     for lineno, line in enumerate(_text_lines(path, ConfigInvalidError), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -321,6 +328,11 @@ def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ConfigInvalidError(f"--trials must be at least 1, got {args.trials}")
     modules = list(SUITES) if args.module == "all" else [args.module]
+    if "segnet" in modules:  # its test model takes the seed, which ModelConfig bounds
+        try:
+            ModelConfig(seed=args.seed)
+        except ConfigInvalidError as exc:
+            raise ConfigInvalidError(f"--seed: {exc}") from None
     failed = []
     for module in modules:
         results = run_suite(module, trials=args.trials, seed=args.seed)

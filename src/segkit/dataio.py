@@ -13,6 +13,7 @@ denoising experiments.
 """
 
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -81,6 +82,10 @@ class SynthSpec:
             raise ConfigInvalidError(f"n_classes must be in [2,255], got {self.n_classes}")
         if not 0.0 <= self.label_noise_p <= 1.0:
             raise ConfigInvalidError("label_noise_p must be in [0,1]")
+        for name in ("noise", "twin_delta"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigInvalidError(f"{name} must be finite and >= 0, "
+                                         f"got {getattr(self, name)}")
         if self.corruption not in ("none", "gamma_region", "label_noise"):
             raise ConfigInvalidError(f"unknown corruption {self.corruption!r}")
         if self.n_val + self.n_test > self.n_samples:

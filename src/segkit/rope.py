@@ -8,13 +8,19 @@ each with its own frequency table of head_dim d/2.  Rotations touch Q and K
 only, so relative position enters attention purely through the inner product.
 
 Angles are computed in f64 and cast to the input dtype to avoid trig drift
-for large positions.
+for large positions.  A rotation runs in pair-swap form, x·C2 + swap(x)·S2,
+with the cosines twice, (c_i, c_i), in C2 and the sines as (-s_i, +s_i) in
+S2: bitwise the pairwise (e·c - o·s, e·s + o·c), signed zeros included.
 
 ``rope_attention`` is the segmentation model's multi-head attention as one
 graph node over the packed q/k/v projection: global, or within (shifted)
 square windows as in a Swin Transformer, with or without the rotation.
 Windows are a fixed token permutation of the grid, so rotations keep the
-global patch coordinates and stay exactly relative inside a window.
+global patch coordinates and stay exactly relative inside a window.  The
+softmax takes its row maxima, and over many short rows (``_key_major``) its
+row sums (in numpy's own order, ``tensor._key_major_sum``), on a key-major
+copy of the scores, as the backward takes the row sums of its softmax
+gradient; every output and gradient is bitwise that of the row-wise form.
 """
 
 import functools
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
-from .tensor import Tensor
+from .tensor import Tensor, _key_major_sum
 
 __all__ = ["FreqTable", "PatchGrid", "freq_table", "angles", "axial_angles", "rotate",
            "rope_attention"]
@@ -64,15 +70,29 @@ def freq_table(head_dim: int, base: float = 10000.0) -> FreqTable:
     return FreqTable(head_dim=head_dim, base=float(base), freqs=freqs)
 
 
-def _rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate pairs (x_{2i}, x_{2i+1}) by the angles with cosines cos[..., i]
-    and sines sin[..., i] (broadcast against the leading axes of x)."""
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+def _rotate_pairs(x: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """x·c2 + swap(x)·s2, where swap exchanges x_{2i} and x_{2i+1} along the
+    last axis: the pairs of x rotated by the angles whose cosines c2 holds
+    twice, (c_i, c_i), and whose sines s2 holds as (-s_i, +s_i), broadcast
+    against x.  Bitwise the pairwise form (e·c - o·s, e·s + o·c), signed
+    zeros included: e·c + o·(-s) is e·c - o·s and o·c + e·s is e·s + o·c
+    in IEEE arithmetic."""
+    sw = np.empty_like(x)
+    sw[..., 0::2] = x[..., 1::2]
+    sw[..., 1::2] = x[..., 0::2]
+    sw *= s2
+    out = x * c2
+    out += sw
     return out
+
+
+def _pair_tables(theta, dtype):
+    """(c2, s2) of ``_rotate_pairs`` for the angles theta [..., n], f64, each
+    [..., 2n] in dtype."""
+    th = np.asarray(theta).astype(dtype)
+    cos, sin = np.cos(th), np.sin(th)
+    s2 = np.stack([-sin, sin], axis=-1).reshape(cos.shape[:-1] + (-1,))
+    return np.repeat(cos, 2, axis=-1), s2
 
 
 def rotate(x: Tensor, theta) -> Tensor:
@@ -84,11 +104,10 @@ def rotate(x: Tensor, theta) -> Tensor:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 0 or x.data.shape[-1] != 2 * theta.shape[-1]:
         raise ShapeMismatchError(f"last extent {x.data.shape[-1]} vs angles {theta.shape}")
-    th = theta.astype(x.dtype)
-    cos, sin = np.cos(th), np.sin(th)
+    c2, s2 = _pair_tables(theta, x.dtype)
     # the inverse rotation (by -theta) is the adjoint
-    return Tensor(_rotate_pairs(x.data, cos, sin), parents=(x,),
-                  backward_fn=lambda g: (_rotate_pairs(g, cos, -sin),), call=(rotate, theta))
+    return Tensor(_rotate_pairs(x.data, c2, s2), parents=(x,),
+                  backward_fn=lambda g: (_rotate_pairs(g, c2, -s2),), call=(rotate, theta))
 
 
 def angles(p, freqs: FreqTable) -> np.ndarray:
@@ -112,7 +131,7 @@ def axial_angles(positions, freqs: FreqTable) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base: float,
                    dtype: np.dtype):
-    """Read-only (perm, inv, mask, cos, sin) of attention on a patch grid.
+    """Read-only (perm, inv, mask, c2, s2) of attention on a patch grid.
 
     The grid is rolled by -shift along each axis longer than the window and
     cut into window x window tiles.  perm lists the row-major token indices
@@ -121,12 +140,12 @@ def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base
     mask [n_windows, w², w²] is 0 between two tokens of a tile and -inf when
     exactly one of them wrapped around an edge; it is None when none did.
     Global attention (window 0, or one tile covering the grid) has perm,
-    inv and mask None and one tile of all T tokens.  cos and sin
-    [n_windows, w², head_dim/2] hold the axial angles of the tokens' global
-    positions in tile order; they are None when head_dim is None.
+    inv and mask None and one tile of all T tokens.  c2 and s2, flat
+    [T * head_dim], are the ``_rotate_pairs`` tables of the axial angles of
+    the tokens' global positions in tile order; they are None when head_dim
+    is None.
     """
-    perm = inv = mask = cos = sin = None
-    tile = rows * cols
+    perm = inv = mask = c2 = s2 = None
     if window and not window == rows == cols:
         tile = window * window
         sy = shift if window < rows else 0
@@ -142,12 +161,51 @@ def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base
     if head_dim is not None:
         pos = PatchGrid(rows, cols).positions()
         th = axial_angles(pos if perm is None else pos[perm], freq_table(head_dim, base))
-        th = th.astype(dtype).reshape(-1, tile, head_dim // 2)
-        cos, sin = np.cos(th), np.sin(th)
-    for arr in (perm, inv, mask, cos, sin):
+        c2, s2 = (a.reshape(-1) for a in _pair_tables(th, dtype))
+    for arr in (perm, inv, mask, c2, s2):
         if arr is not None:
             arr.flags.writeable = False
-    return perm, inv, mask, cos, sin
+    return perm, inv, mask, c2, s2
+
+
+def _key_major(rows: np.ndarray) -> bool:
+    """Whether the softmax passes over rows [R, L] run on a key-major copy:
+    for at least 512 rows of at most 16 entries, where numpy's one reduce
+    per row costs more than the transposed copies.  Below that, or over
+    longer rows, the row-wise passes cost less."""
+    return rows.shape[0] >= 512 and rows.shape[1] <= 16
+
+
+def _softmax_rows(p: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of the scores p, whose memory it may
+    reuse: exp(p - max) / sum, bitwise whichever path runs.
+
+    numpy reduces short contiguous rows one at a time, but a leading axis in
+    one vectorized sweep, so the maxima come from a key-major copy.  Where
+    ``_key_major``, the subtraction, exp, sums (numpy's own order,
+    ``tensor._key_major_sum``) and division run on that copy too, and one
+    transposed copy returns the result.
+    """
+    rows = p.reshape(-1, p.shape[-1])
+    pt = np.ascontiguousarray(rows.T)
+    if not _key_major(rows):
+        p -= pt.max(axis=0).reshape(p.shape[:-1] + (1,))
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+    pt -= pt.max(axis=0)
+    np.exp(pt, out=pt)
+    pt /= _key_major_sum(pt)
+    return np.ascontiguousarray(pt.T).reshape(p.shape)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), bitwise, taken from a key-major copy
+    where ``_key_major``."""
+    rows = a.reshape(-1, a.shape[-1])
+    if not _key_major(rows):
+        return a.sum(axis=-1, keepdims=True)
+    return _key_major_sum(np.ascontiguousarray(rows.T)).reshape(a.shape[:-1] + (1,))
 
 
 def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: int = 0,
@@ -164,7 +222,7 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
     along every axis longer than the window.  Pairs that the shift wrapped
     around an edge do not attend.  Rotations use the global patch
     coordinates, so they stay relative within a tile.  The window layout and
-    the cos/sin tables are cached per grid, window, shift, head size and
+    the rotation tables are cached per grid, window, shift, head size and
     dtype.
     """
     x = qkv.data
@@ -181,18 +239,19 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
         raise ShapeMismatchError(f"window {window} does not tile the {grid.rows}x{grid.cols} grid")
     if not (0 <= shift < window or shift == window == 0):
         raise ShapeMismatchError(f"shift {shift} outside [0, window {window})")
-    perm, inv, mask, cos, sin = _window_layout(
+    perm, inv, mask, c2, s2 = _window_layout(
         grid.rows, grid.cols, window, shift, None if freqs is None else dh,
         None if freqs is None else freqs.base, x.dtype)
     nw = 1 if perm is None else t // (window * window)
+    tw = t // nw
     if perm is not None:
         x = np.take(x, perm, axis=1)
     # [N, tile, token, 3, head, dh] -> [3, N, head, tile, token, dh]
     qkv_w = np.ascontiguousarray(
-        x.reshape(n, nw, t // nw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
+        x.reshape(n, nw, tw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
     qk, v = qkv_w[:2], qkv_w[2]
-    if freqs is not None:
-        qk = _rotate_pairs(qk, cos, sin)
+    if freqs is not None:  # each multiply runs over one [T * dh] row per head
+        qk = _rotate_pairs(qk.reshape(-1, t * dh), c2, s2).reshape(qk.shape)
     s = 1.0 / math.sqrt(dh)
     # scaling q rather than the scores is the same up to rounding
     qs, k = qk[0] * s, qk[1]
@@ -200,30 +259,25 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
     p = qs @ kt
     if mask is not None:
         p += mask
-    # the row maxima of a transposed copy: numpy reduces short contiguous
-    # rows one at a time, but a leading axis in one vectorized sweep
-    p -= np.ascontiguousarray(p.reshape(-1, p.shape[-1]).T).max(axis=0).reshape(
-        p.shape[:-1] + (1,))
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = _softmax_rows(p)
     out = (p @ v).transpose(0, 2, 3, 1, 4).reshape(n, t, d)
 
     def bwd(g):
         if perm is not None:
             g = np.take(g, perm, axis=1)
-        g = np.ascontiguousarray(g.reshape(n, nw, t // nw, n_heads, dh).transpose(0, 3, 1, 2, 4))
+        g = np.ascontiguousarray(g.reshape(n, nw, tw, n_heads, dh).transpose(0, 3, 1, 2, 4))
         gp = g @ np.swapaxes(v, -1, -2)
         gv = np.swapaxes(p, -1, -2) @ g
         gs = gp * p  # softmax backward
-        np.subtract(gp, gs.sum(axis=-1, keepdims=True), out=gs)
+        np.subtract(gp, _row_sums(gs), out=gs)
         gs *= p
         gqk = np.empty_like(qk)
         np.matmul(gs, k, out=gqk[0])
         gqk[0] *= s
         gqk[1] = np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
         if freqs is not None:  # the inverse rotation (by -theta) is the adjoint
-            gqk = _rotate_pairs(gqk, cos, -sin)
-        gx = np.empty((n, nw, t // nw, 3, n_heads, dh), dtype=x.dtype)
+            gqk = _rotate_pairs(gqk.reshape(-1, t * dh), c2, -s2).reshape(qk.shape)
+        gx = np.empty((n, nw, tw, 3, n_heads, dh), dtype=x.dtype)
         gt = gx.transpose(3, 0, 4, 1, 2, 5)
         gt[:2], gt[2] = gqk, gv
         gx = gx.reshape(n, t, d3)

@@ -178,7 +178,12 @@ class Model:
         self.freqs = freq_table(self.head_dim)
 
     def forward(self, images) -> Tensor:
-        """images [N,3,H,W] -> pixel logits [N,K,H,W]."""
+        """images [N,3,H,W] -> pixel logits [N,K,H,W]: the patch logits,
+        each repeated over its patch's p x p pixels."""
+        return upsample_nearest(self.patch_logits(images), self.config.patch_size)
+
+    def patch_logits(self, images) -> Tensor:
+        """images [N,3,H,W] -> patch logits [N,K,H/p,W/p]."""
         cfg = self.config
         h, w = cfg.image_size
         arr = np.asarray(images.data if isinstance(images, Tensor) else images, dtype=self.dtype)
@@ -199,8 +204,7 @@ class Model:
             x = add(x, self._attention(i, x))
             x = add(x, self._mlp(i, x))
         logits = linear(x, self.params["head.w"], self.params["head.b"])  # [N,T,K]
-        grid_logits = reshape(permute(logits, (0, 2, 1)), (n, cfg.n_classes, hp, wp))
-        return upsample_nearest(grid_logits, p)
+        return reshape(permute(logits, (0, 2, 1)), (n, cfg.n_classes, hp, wp))
 
     def _attention(self, i, x):
         """Multi-head attention with all heads in one product: wqkv's columns
@@ -269,14 +273,15 @@ def _stack(pairs):
 
 def _predict_masks(model: Model, images) -> np.ndarray:
     """Argmax masks [N,H,W] of images [N,3,H,W], _CHUNK images per forward,
-    recording no graph; an empty set forwards once, for forward to reject it.
+    recording no graph; an empty set forwards once, for the model to reject
+    it.
 
-    The pixel logits are a nearest upsampling of the patch logits by the
-    patch size p, so the argmax is taken once per patch and repeated p times
-    along both axes: np.argmax over the pixel logits, ties included."""
+    The pixel logits repeat each patch's logits over its p x p pixels, so
+    the argmax of the patch logits, repeated p times along both axes, is
+    np.argmax over the pixel logits, ties included."""
     p = model.config.patch_size
     with no_grad():
-        logits = (model.forward(images[i:i + _CHUNK]).data[:, :, ::p, ::p]
+        logits = (model.patch_logits(images[i:i + _CHUNK]).data
                   for i in range(0, max(len(images), 1), _CHUNK))
         grid = np.concatenate([np.argmax(z, axis=1) for z in logits])
     return grid.repeat(p, axis=1).repeat(p, axis=2)

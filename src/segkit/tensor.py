@@ -8,6 +8,9 @@ Every op is a module function of tensors (``scale`` is the one scalar
 multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
 The convolution kernels run a few large numpy operations in place of one
 per tap, and give bitwise the sums of the per-tap forms, -0 included.
+``_key_major_sum`` takes short rows' sums from a transposed copy in numpy's
+own summation order, one vectorized sweep per step in place of one reduce
+per row.
 Each graph node records the call that made it (the op and its arguments),
 so the gradient oracle can recompute only the nodes a perturbed parameter
 reaches; under no_grad nothing is recorded.  An operand that needs no
@@ -424,6 +427,44 @@ def _col2im(planes, shape, dtype, starts):
     return flat[:, :size].reshape(shape)
 
 
+def _key_major_sum(at):
+    """The row sums of ``at.T`` from at [n, rows], a key-major copy: bitwise
+    ``at.T.sum(axis=-1)`` as numpy sums one contiguous row, each step one
+    vectorized sweep over all rows.
+
+    numpy adds a row of n < 8 entries in order; one of 8 to 128 entries in
+    8 accumulators, entry j into accumulator j % 8 in order, then the tree
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last n % 8
+    entries in order; a longer row as the sums of its first n2 and its other
+    entries added, n2 = n // 2 rounded down to a multiple of 8.  The sum
+    then adds the row to numpy's +0 start, so a row of -0 gives +0.
+    """
+    return _pairwise(at) + 0
+
+
+def _pairwise(a):
+    """numpy's pairwise sum of a contiguous row, over a's leading axis."""
+    n = len(a)
+    if n > 128:
+        n2 = n // 2 - n // 2 % 8
+        return _pairwise(a[:n2]) + _pairwise(a[n2:])
+    if n < 8:
+        res = a[0]
+        for i in range(1, n):
+            res = res + a[i]
+        return res
+    m = n - n % 8
+    r = a[:8] + a[8:16] if m > 8 else a[:8]
+    for i in range(16, m, 8):
+        r += a[i:i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    res = r[0] + r[1]
+    for i in range(m, n):
+        res += a[i]
+    return res
+
+
 def upsample_nearest(x, factor):
     """Nearest-neighbor upsampling of an NCHW tensor by an integer factor.
 
@@ -460,23 +501,39 @@ def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then scale-shift.
 
     Each mean is a sum and one division by d, which is np.mean bit for bit
-    without its Python overhead."""
+    without its Python overhead.  Forward and backward run the formula's
+    operations in its order, into reused buffers."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeMismatchError("layer_norm scale/shift must match last extent")
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    y = xhat * gamma.data + beta.data
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu  # x - mu until scaled by inv below
+    buf = xhat * xhat
+    inv = buf.sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += LN_EPS
+    np.sqrt(inv, inv)
+    np.divide(1.0, inv, inv)
+    xhat *= inv
+    # y takes the buffer unless a wider gamma or beta promotes it
+    out = buf if gamma.dtype == beta.dtype == buf.dtype else None
+    y = np.add(np.multiply(xhat, gamma.data, out), beta.data, out)
 
     def bwd(g):
-        ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        buf = g * xhat
+        ggamma = buf.reshape(-1, d).sum(axis=0)
         gbeta = g.reshape(-1, d).sum(axis=0)
-        gh = g * gamma.data
-        gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d
-                    - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d))
+        gx = g * gamma.data  # gh, then gx in place
+        np.multiply(gx, xhat, buf)
+        dot = buf.sum(axis=-1, keepdims=True)
+        dot /= d
+        mean = gx.sum(axis=-1, keepdims=True)
+        mean /= d
+        gx -= mean
+        np.multiply(xhat, dot, buf)
+        gx -= buf
+        np.multiply(inv, gx, gx)
         return gx, ggamma, gbeta
 
     return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd, call=(layer_norm,))

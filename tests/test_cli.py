@@ -118,6 +118,18 @@ class TestSynth:
         spec.write_text("no equals sign here\n")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("line", ["noise = nan", "noise = -0.5", "noise = inf",
+                                      "twin_delta = nan", "twin_delta = -0.01",
+                                      "twin_delta = inf"])
+    def test_non_finite_or_negative_noise_and_twin_delta_exit_2(self, tmp_path, capsys, line):
+        # a NaN noise amplitude used to write all-black images with exit 0
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC + line + "\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        key = line.split()[0]
+        assert f"error: {spec}: {key} must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_checkpoint_and_reports(self, trained):
@@ -569,6 +581,15 @@ class TestGradcheck:
         assert main(["gradcheck", "--module", module, "--trials", "3"]) == 0
         assert len(calls) == 1 and all(c in capsys.readouterr().out for c in checks)
 
+    @pytest.mark.parametrize("module", ["all", "segnet"])
+    @pytest.mark.parametrize("seed", [2 ** 24 + 1, -2 ** 24 - 1])
+    def test_seed_beyond_the_model_config_limit_exits_2_before_any_suite(
+            self, monkeypatch, capsys, module, seed):
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+        assert main(["gradcheck", "--module", module, "--seed", str(seed)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"--seed: seed must be within +-2**24, got {seed}" in out.err
+
     def test_broken_gradient_negative_control(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: {"broken_op": 1.0})
         assert main(["gradcheck", "--module", "tensor"]) == 1
@@ -580,6 +601,18 @@ class TestConfigPlumbing:
         p = tmp_path / "c.cfg"
         p.write_text("# comment\n a = 1 \nb=two # trailing\n\n")
         assert read_config(p) == {"a": "1", "b": "two"}
+
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path, capsys):
+        # '#' starts a comment at the start of a line or after whitespace
+        # only, so '3#4' is refused rather than read as 3
+        p = tmp_path / "c.cfg"
+        p.write_text("#top\na = 3#4\nb = x\t# tab\nc = #\n")
+        assert read_config(p) == {"a": "3#4", "b": "x", "c": ""}
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN.replace("n_classes = 3", "n_classes = 3#4"))
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "missing.tsv"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "bad value for 'n_classes'" in capsys.readouterr().err
 
 
 class TestNonUtf8Input:

@@ -1,19 +1,24 @@
 """Byte-exactness of the rewritten training kernels.
 
-Each test holds a plain copy of the earlier per-tap (for Adam, per-tensor)
-form of a kernel and asserts that the engine's kernel gives the same bytes:
-f32 and f64, with -0 (and, where it reaches the kernel, inf and NaN) in the
-inputs.  Rerun this file with more than one BLAS thread as well: the
-kernels take the same matrix products as the per-tap forms, so their bytes
-must not depend on how BLAS splits those products.
+Each test holds a plain copy of the earlier per-tap (for Adam, per-tensor;
+for attention and layer norm, the pairwise-rotation and row-wise) form of a
+kernel and asserts that the engine's kernel gives the same bytes: f32 and
+f64, with -0 (and, where it reaches the kernel, inf and NaN) in the inputs.
+Rerun this file with more than one BLAS thread as well: the kernels take
+the same matrix products as the earlier forms, so their bytes must not
+depend on how BLAS splits those products.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from segkit.csec import offset_conv
 from segkit.optim import Adam
-from segkit.tensor import Tensor, conv2d, upsample_nearest
+from segkit.rope import (PatchGrid, _key_major, _window_layout, axial_angles, freq_table,
+                         rope_attention)
+from segkit.tensor import LN_EPS, Tensor, _key_major_sum, conv2d, layer_norm, upsample_nearest
 
 
 def _signed(rng, shape, dtype, zeros=0.2):
@@ -295,3 +300,194 @@ def test_adam_refuses_mixed_dtypes():
               "d": Tensor(np.zeros(3, np.float64), requires_grad=True)}
     with pytest.raises(TypeError):
         Adam(params)
+
+
+# -- row sums ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_key_major_sum_matches_numpy_row_sum_at_every_length(dtype):
+    # a numpy release that sums a contiguous row in another order fails here
+    rng = np.random.default_rng(3)
+    for n in range(1, 301):
+        a = _signed(rng, (7, n), dtype, zeros=0.4)
+        a[0] = -0.0  # numpy's +0 start turns an all-(-0) row into +0
+        a[1, rng.random(n) < 0.5] = np.inf
+        assert _bytes_equal(_key_major_sum(np.ascontiguousarray(a.T)), a.sum(axis=-1)), n
+
+
+# -- rope_attention ---------------------------------------------------------
+
+
+def _rotate_pairs_reference(x, cos, sin):
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
+    """The pairwise rotation over [tile, token, dh/2] tables and row-wise
+    softmax sums: (out, gx)."""
+    n, t, d3 = x.shape
+    d = d3 // 3
+    dh = d // n_heads
+    perm, inv, mask, _, _ = _window_layout(grid.rows, grid.cols, window, shift, None, None,
+                                           x.dtype)
+    nw = 1 if perm is None else t // (window * window)
+    if freqs is not None:
+        pos = grid.positions()
+        th = axial_angles(pos if perm is None else pos[perm], freqs)
+        th = th.astype(x.dtype).reshape(-1, t // nw, dh // 2)
+        cos, sin = np.cos(th), np.sin(th)
+    if perm is not None:
+        x = np.take(x, perm, axis=1)
+    qkv_w = np.ascontiguousarray(
+        x.reshape(n, nw, t // nw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
+    qk, v = qkv_w[:2], qkv_w[2]
+    if freqs is not None:
+        qk = _rotate_pairs_reference(qk, cos, sin)
+    s = 1.0 / math.sqrt(dh)
+    qs, k = qk[0] * s, qk[1]
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    p = qs @ kt
+    if mask is not None:
+        p += mask
+    p -= np.ascontiguousarray(p.reshape(-1, p.shape[-1]).T).max(axis=0).reshape(
+        p.shape[:-1] + (1,))
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v).transpose(0, 2, 3, 1, 4).reshape(n, t, d)
+    out = out if inv is None else np.take(out, inv, axis=1)
+
+    if perm is not None:
+        g = np.take(g, perm, axis=1)
+    g = np.ascontiguousarray(g.reshape(n, nw, t // nw, n_heads, dh).transpose(0, 3, 1, 2, 4))
+    gp = g @ np.swapaxes(v, -1, -2)
+    gv = np.swapaxes(p, -1, -2) @ g
+    gs = gp * p
+    np.subtract(gp, gs.sum(axis=-1, keepdims=True), out=gs)
+    gs *= p
+    gqk = np.empty_like(qk)
+    np.matmul(gs, k, out=gqk[0])
+    gqk[0] *= s
+    gqk[1] = np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
+    if freqs is not None:
+        gqk = _rotate_pairs_reference(gqk, cos, -sin)
+    gx = np.empty((n, nw, t // nw, 3, n_heads, dh), dtype=x.dtype)
+    gt = gx.transpose(3, 0, 4, 1, 2, 5)
+    gt[:2], gt[2] = gqk, gv
+    gx = gx.reshape(n, t, d3)
+    return out, (gx if inv is None else np.take(gx, inv, axis=1))
+
+
+def _equal_up_to_nan(a, b):
+    """Same dtype, shape and NaN positions, and the same bytes elsewhere:
+    which NaN a sum returns when two meet is the order of its operands."""
+    nan = np.isnan(b)
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(np.isnan(a), nan)
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+# grid (rows, cols), window, shift; windows on the 8x12 grid at N = 4 run
+# the key-major softmax, every other case the row-wise one, and global
+# attention on 12x12 has rows of 144 keys, more than numpy's 128-entry block
+_ATTENTION_CASES = [(grid, w, shift) for grid in ((4, 4), (8, 12)) for w in (0, 2, 4)
+                    for shift in sorted({0, w // 2})] + [((12, 12), 0, 0)]
+
+
+def test_attention_cases_run_both_softmax_paths():
+    paths = set()
+    for (rows, cols), window, _ in _ATTENTION_CASES:
+        tile = window * window if window and not window == rows == cols else rows * cols
+        for n in (1, 4):  # n_heads = 2
+            paths.add(_key_major(np.empty((n * 2 * rows * cols, tile))))
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("use_rope", [True, False])
+@pytest.mark.parametrize("grid,window,shift", _ATTENTION_CASES)
+def test_rope_attention_matches_pairwise_row_wise_form(grid, window, shift, use_rope, n, dtype):
+    rng = np.random.default_rng(1000 * window + 100 * shift + 10 * n + grid[0])
+    grid = PatchGrid(*grid)
+    n_heads, dh = 2, 8
+    freqs = freq_table(dh) if use_rope else None
+    shape = (n, grid.n_patches, 3 * n_heads * dh)
+    for trial in range(3):
+        x = _signed(rng, shape, dtype) if trial else np.full(shape, -0.0, dtype)
+        g = _signed(rng, (n, grid.n_patches, n_heads * dh), dtype, zeros=0.5)
+        xt = Tensor(x, requires_grad=True)
+        out = rope_attention(xt, grid, freqs, n_heads, window=window, shift=shift)
+        (gx,) = out._backward_fn(g)
+        out_ref, gx_ref = _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift)
+        assert _bytes_equal(out.data, out_ref) and out.data.flags.c_contiguous
+        assert _bytes_equal(gx, gx_ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grid,window,shift", [((4, 4), 2, 1), ((8, 12), 4, 2)])
+def test_rope_attention_keeps_inf_and_nan_where_the_pairwise_form_has_them(grid, window, shift,
+                                                                          dtype):
+    rng = np.random.default_rng(window)
+    grid = PatchGrid(*grid)
+    x = _signed(rng, (2, grid.n_patches, 48), dtype)
+    x[0, 1, 3] = np.inf  # a q entry: one query row of NaN scores
+    x[1, 2, 20] = -np.inf  # a k entry: NaN in every score of its key
+    x[1, 5, 40] = np.nan  # a v entry
+    g = _signed(rng, (2, grid.n_patches, 16), dtype)
+    g[0, 3, 5] = np.inf
+    with np.errstate(invalid="ignore"):
+        out = rope_attention(Tensor(x, requires_grad=True), grid, freq_table(8), 2,
+                             window=window, shift=shift)
+        (gx,) = out._backward_fn(g)
+        out_ref, gx_ref = _rope_attention_reference(x, g, grid, freq_table(8), 2, window, shift)
+    assert np.isnan(out_ref).any() and np.isnan(gx_ref).any()
+    assert _equal_up_to_nan(out.data, out_ref)
+    assert _equal_up_to_nan(gx, gx_ref)
+
+
+# -- layer_norm -------------------------------------------------------------
+
+
+def _layer_norm_reference(x, gamma, beta, g):
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    y = xhat * gamma + beta
+    ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
+    gbeta = g.reshape(-1, d).sum(axis=0)
+    gh = g * gamma
+    gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d
+                - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d))
+    return y, gx, ggamma, gbeta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 144, 64), (2, 3, 5), (1, 8), (7, 1)])
+def test_layer_norm_matches_formula_form(shape, dtype):
+    rng = np.random.default_rng(shape[-1])
+    d = shape[-1]
+    for trial in range(4):
+        x = _signed(rng, shape, dtype)
+        if trial == 1:
+            x[0] = -0.0  # a row of -0: zero variance
+        gamma, beta = _signed(rng, (d,), dtype), _signed(rng, (d,), dtype)
+        g = _signed(rng, shape, dtype, zeros=0.5)
+        if trial == 3:  # inf and NaN wherever they reach
+            x.reshape(-1)[::11] = np.inf
+            x.reshape(-1)[5::13] = np.nan
+            g.reshape(-1)[2::7] = -np.inf
+        ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = layer_norm(*ts)
+            got = (y.data,) + tuple(y._backward_fn(g))
+            ref = _layer_norm_reference(x, gamma, beta, g)
+        for a, b in zip(got, ref):
+            assert _equal_up_to_nan(a, b) if trial == 3 else _bytes_equal(a, b)

@@ -267,17 +267,19 @@ def test_shifted_window_gradient_matches_central_differences(use_rope):
 
 def test_window_layout_is_a_cached_read_only_permutation():
     f32 = np.dtype(np.float32)
-    perm, inv, mask, cos, sin = _window_layout(8, 12, 4, 2, 8, 10000.0, f32)
+    perm, inv, mask, c2, s2 = _window_layout(8, 12, 4, 2, 8, 10000.0, f32)
     assert _window_layout(8, 12, 4, 2, 8, 10000.0, f32)[0] is perm
     assert sorted(perm.tolist()) == list(range(96))
     assert np.array_equal(perm[inv], np.arange(96))
     assert mask.shape == (6, 16, 16) and mask.dtype == np.float32
     assert set(np.unique(mask).tolist()) == {0.0, -np.inf}
-    # the tables keep each token's global position, in tile order
+    # the tables keep each token's global position, in tile order: cosines
+    # twice, (c_i, c_i), and sines as (-s_i, +s_i), flat
     theta = axial_angles(PatchGrid(8, 12).positions()[perm], freq_table(8)).astype(f32)
-    assert np.array_equal(cos.reshape(96, 4), np.cos(theta))
-    assert np.array_equal(sin.reshape(96, 4), np.sin(theta))
-    for arr in (perm, inv, mask, cos, sin):
+    assert c2.shape == s2.shape == (96 * 8,)
+    assert np.array_equal(c2.reshape(96, 4, 2), np.stack([np.cos(theta)] * 2, axis=-1))
+    assert np.array_equal(s2.reshape(96, 4, 2), np.stack([-np.sin(theta), np.sin(theta)], -1))
+    for arr in (perm, inv, mask, c2, s2):
         assert not arr.flags.writeable
     # unshifted windows wrap nothing; one tile over the whole grid is global
     assert _window_layout(8, 12, 4, 0, None, None, f32)[2:] == (None, None, None)

@@ -382,6 +382,21 @@ class TestBatchedPrediction:
         model.params["head.b"].data[:] = 0
         assert not _predict_masks(model, imgs).any()
 
+    @pytest.mark.parametrize("patch_size", [4, 8])
+    def test_patch_logit_masks_equal_pixel_logit_argmax(self, patch_size):
+        # prediction argmaxes the patch logits, forward upsamples them
+        imgs = SplitMix64(8).uniform_array((5, 3, 32, 32), 0, 1).astype(np.float32)
+        cfg = ModelConfig(**dict(SMALL, patch_size=patch_size, image_size=(32, 32), seed=5))
+        model = build_model(cfg)
+        model.params["head.b"].data -= model.forward(imgs).data.mean(axis=(0, 2, 3))
+        pixel = model.forward(imgs).data
+        patch = model.patch_logits(imgs).data
+        assert patch.shape == (5, 3, 32 // patch_size, 32 // patch_size)
+        assert np.array_equal(pixel, patch.repeat(patch_size, axis=2).repeat(patch_size, axis=3))
+        masks = _predict_masks(model, imgs)
+        assert len(np.unique(masks)) > 1
+        assert np.array_equal(masks, np.argmax(pixel, axis=1))
+
     def test_empty_batch_is_rejected(self):
         with pytest.raises(EmptyShapeError):
             predict(build_model(ModelConfig(**SMALL)), np.zeros((0, 3, 16, 16), np.float32))
