@@ -12,7 +12,8 @@ either kind, without ``config.window`` as window 0, and per-head
 checkpoint must hold exactly the parameters its config builds, by name and
 shape, and no ``config.*`` entry its configs do not read, each typed as a
 config-file line holding its values (``dataio._parse_like``); a missing,
-misshapen, unknown or mistyped one is a ConfigInvalidError.
+misshapen, unknown or mistyped one is a ConfigInvalidError, and a parameter
+holding a NaN or inf a BadMagicError.
 """
 
 import math
@@ -156,7 +157,8 @@ def load_model_checkpoint(path) -> Model:
 
 
 def _check_params(params: dict, shapes: dict, path, prefix=""):
-    """Refuse params unless they are shapes' names with shapes' shapes."""
+    """Refuse params unless they are shapes' names with shapes' shapes and
+    finite values; a NaN or inf is malformed content, a BadMagicError."""
     for name in sorted(shapes.keys() | params.keys()):
         if name not in params:
             raise ConfigInvalidError(f"{path}: checkpoint lacks {prefix + name!r}")
@@ -165,6 +167,8 @@ def _check_params(params: dict, shapes: dict, path, prefix=""):
         if params[name].data.shape != shapes[name]:
             raise ConfigInvalidError(f"{path}: {prefix + name!r} has shape "
                                      f"{params[name].data.shape}, its config builds {shapes[name]}")
+        if not np.isfinite(params[name].data).all():
+            raise BadMagicError(f"{path}: {prefix + name!r} holds a non-finite value")
 
 
 def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):

@@ -9,7 +9,11 @@ weights; a small upsampling decoder reconstructs the corrected image.
 
 Identity-at-init: the offset head's output layer and the decoder's output
 layer are zero-initialized and the decoder carries a residual connection
-from the input image, so the untrained module is a near-no-op.
+from the input image, so the untrained module is a near-no-op.  With
+``cose.w2`` all zero the offset maps, the ``ed``/``eb`` features, their
+fusion terms and every gradient into that branch are exactly zero, so
+``csec_correct`` leaves the branch out (``_offset_branch_is_zero``) with the
+same bytes, and training never moves it.  ROADMAP item 3 decides its future.
 
 ``train_csec`` fits the corrector to (corrupted, clean) pairs one pair per
 Adam step through ``optim.fit``, the loop ``segnet.train`` runs too; its
@@ -296,15 +300,18 @@ def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:
     return mul(s, outer)
 
 
-def como_fuse(f_x: Tensor, f_d: Tensor, f_b: Tensor, params: dict) -> Tensor:
+def como_fuse(f_x: Tensor, f_d, f_b, params: dict) -> Tensor:
     """Learned-weight fusion of correlation-normalized feature branches
     [..., T, c], each correlation put through ``sym_norm``'s defaults; the
     scalar weights ``fuse.gx``, ``fuse.gd``, ``fuse.gb`` and the [c] bias
-    ``fuse.bias`` are read from params."""
-    if not (f_x.data.shape == f_d.data.shape == f_b.data.shape):
+    ``fuse.bias`` are read from params.  An offset branch ``f_d`` or ``f_b``
+    given as None is left out: exactly what an all-zero one adds."""
+    branches = [(f, params[name]) for f, name in ((f_x, "fuse.gx"), (f_d, "fuse.gd"),
+                                                  (f_b, "fuse.gb")) if f is not None]
+    if len({f.data.shape for f, _ in branches}) > 1:
         raise ShapeMismatchError("feature branches must share shape")
     acc = None
-    for f, gamma in ((f_x, params["fuse.gx"]), (f_d, params["fuse.gd"]), (f_b, params["fuse.gb"])):
+    for f, gamma in branches:
         norm = sym_norm(self_correlation(f))
         term = scalar_mul(matmul(norm, f), gamma)
         acc = term if acc is None else add(acc, term)
@@ -357,20 +364,44 @@ def check_extents(h, w, error=ShapeMismatchError):
                     f"at most 64, got {h}x{w}")
 
 
+# the offset branch's parameters other than cose.w2
+_OFFSET_BRANCH = ("cose.w1", "cose.t1", "cose.t2", "ed.w1", "ed.w2", "ed.w3", "eb.w1", "eb.w2",
+                  "eb.w3", "fuse.gd", "fuse.gb")
+
+
+def _offset_branch_is_zero(params: dict) -> bool:
+    """Whether the offset branch adds exact zeros and gets exactly zero
+    gradients: ``cose.w2`` all zero, the branch's other values finite and
+    ``cose.w1`` too small for the first offset layer to overflow.
+    Otherwise a 0 * inf makes NaN in the full path's forward or backward
+    pass, or a non-finite tap offset raises NonFiniteOffsetError, and the
+    full path is taken to keep that.  The test is one BLAS dot: a sum of
+    squares is finite only if every entry is, and its bound keeps every
+    |w1| sum far below the float32 range."""
+    if params["cose.w2"].data.any():
+        return False
+    v = np.concatenate([params[name].data.reshape(-1) for name in _OFFSET_BRANCH])
+    return float(v @ v) < 1e30
+
+
 def csec_correct(image: Tensor, params: dict, config: CsecConfig = CsecConfig()) -> Tensor:
-    """Correct each image of [N,3,H,W]: offsets -> branch features -> fusion -> decode."""
+    """Correct each image of [N,3,H,W]: offsets -> branch features -> fusion -> decode.
+
+    The offset branch runs unless ``_offset_branch_is_zero(params)`` on this
+    call; left out, its parameters get no gradient."""
     if not isinstance(image, Tensor):
         image = Tensor(image)
     if image.data.ndim != 4 or image.data.shape[1] != 3:
         raise ShapeMismatchError(f"expected [N,3,H,W], got {image.data.shape}")
     check_extents(*image.data.shape[2:])
     _check_image_range(image)
-    delta_d, delta_b = cose_forward(image, params)
+    f_d = f_b = None
+    if not _offset_branch_is_zero(params):
+        delta_d, delta_b = cose_forward(image, params)
+        f_d = _extract_tokens(delta_d, params, "ed")
+        f_b = _extract_tokens(delta_b, params, "eb")
     f_x = _extract_tokens(image, params, "ex")
-    f_d = _extract_tokens(delta_d, params, "ed")
-    f_b = _extract_tokens(delta_b, params, "eb")
-    f_corr = como_fuse(f_x, f_d, f_b, params)
-    return decode(params, f_corr, image, config.residual_eps)
+    return decode(params, como_fuse(f_x, f_d, f_b, params), image, config.residual_eps)
 
 
 # -- parameters and training ------------------------------------------------

@@ -11,7 +11,9 @@ Adam keeps the moments of all parameters in one flat buffer each, so a step
 is a handful of whole-buffer numpy operations.  Every element goes through the
 same operations in the same order as a per-tensor update, so the result is
 bitwise the same.  Each step writes the parameters back as views of one new
-flat array; a parameter whose gradient is None is left untouched.
+flat array; a parameter whose gradient is None is left untouched.  The index
+that gathers the moments of the others is rebuilt only when the set of
+parameters with a gradient changes.
 """
 
 import numpy as np
@@ -43,6 +45,7 @@ class Adam:
         dtype = dtypes.pop() if dtypes else np.float32
         self.m = np.zeros(self._offsets[-1], dtype)
         self.v = np.zeros(self._offsets[-1], dtype)
+        self._live, self._sel = None, None
 
     def zero_grad(self):
         for p in self.params.values():
@@ -62,8 +65,11 @@ class Adam:
         if len(live) == len(params):
             m, v = self.m, self.v
         else:
-            off = self._offsets
-            sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
+            if live != self._live:
+                off = self._offsets
+                self._live = live
+                self._sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
+            sel = self._sel
             m, v = self.m[sel], self.v[sel]
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # p - lr (m / bc1) / (sqrt(v / bc2) + eps), in two scratch buffers

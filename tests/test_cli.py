@@ -1086,6 +1086,55 @@ class TestCsecConfigInCheckpoints:
         assert f"error: {path}: {field} must" in capsys.readouterr().err
 
 
+class TestNonFiniteCheckpointValues:
+    """A NaN or inf parameter value is malformed checkpoint content: it is
+    refused on load, naming the file and the tensor, and exits 3, where it
+    would otherwise load and predict garbage."""
+
+    @staticmethod
+    def _spoil(path, name, bad, index=0):
+        blob = load_checkpoint(path)
+        blob[name].data.reshape(-1)[index] = bad
+        save_checkpoint(path, blob)
+
+    @pytest.mark.parametrize("name, bad", [("head.w", np.nan), ("b1.ln2.g", np.inf),
+                                           ("embed.b", -np.inf)])
+    def test_model_checkpoint_exits_3(self, tmp_path, dataset, capsys, name, bad):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        self._spoil(path, name, bad)
+        with pytest.raises(BadMagicError, match=rf"^{re.escape(str(path))}: {name!r} holds"):
+            load_model_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
+        assert f"{path}: {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_model_checkpoint_with_a_corrector_exits_3(self, tmp_path, dataset, capsys):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(replace(TestModelCheckpoint.CFG, use_csec=True)))
+        self._spoil(path, "csec.ed.w2", np.nan, index=5)
+        with pytest.raises(BadMagicError, match="'csec.ed.w2'"):
+            load_model_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
+        assert f"{path}: 'csec.ed.w2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, bad", [("cose.t1", np.nan), ("dec.w3", np.inf),
+                                           ("fuse.gd", np.nan)])
+    def test_csec_checkpoint_exits_3(self, tmp_path, dataset, capsys, name, bad):
+        path = tmp_path / "c.smk"
+        save_csec_checkpoint(path, init_csec(CsecConfig(), seed=0))
+        self._spoil(path, name, bad)
+        with pytest.raises(BadMagicError, match=rf"^{re.escape(str(path))}: {name!r} holds"):
+            load_csec_checkpoint(path)
+        out = tmp_path / "out.ppm"
+        assert main(["correct", "--checkpoint", str(path),
+                     "--in", str(dataset / "images" / "s0000.ppm"), "--out", str(out)]) == 3
+        assert f"{path}: {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunRecordArguments:
     """run.json holds every argument of its command, flags included."""
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import segkit.csec as csec_module
 from segkit.csec import (
     CsecConfig,
     como_fuse,
@@ -20,6 +21,7 @@ from segkit.errors import (
     InputRangeError,
     NonFiniteOffsetError,
     NonSquareError,
+    SegkitError,
     ShapeMismatchError,
 )
 from segkit.rng import SplitMix64
@@ -416,8 +418,6 @@ def test_non_finite_pixels_rejected(bad):
 
 
 def test_range_checked_once_per_correction(monkeypatch):
-    import segkit.csec as csec_module
-
     calls = []
     check = csec_module._check_image_range
     monkeypatch.setattr(csec_module, "_check_image_range",
@@ -428,10 +428,12 @@ def test_range_checked_once_per_correction(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason="from the identity init the offset branch gets an "
-                                       "exactly zero gradient (ROADMAP item 5)")
+                                       "exactly zero gradient (ROADMAP item 3)")
 def test_identity_init_trains_the_offset_branch():
     # cose.w2 = 0 makes the offset maps 0, so the ed/eb tokens F are 0, and
-    # the gradient of gamma * sym_norm(F F^T) F at F = 0 is exactly 0
+    # the gradient of gamma * sym_norm(F F^T) F at F = 0 is exactly 0; so
+    # csec_correct does not run the branch at all, and its tensors get no
+    # gradient
     cfg = CsecConfig()
     params = init_csec(cfg, seed=3)
     init = {k: p.data.copy() for k, p in params.items()}
@@ -441,6 +443,121 @@ def test_identity_init_trains_the_offset_branch():
     train_csec(pairs, params, cfg, epochs=3, lr=1e-2, seed=0)
     assert not np.array_equal(params["dec.w3"].data, init["dec.w3"])  # the step did run
     assert not np.array_equal(params["cose.w2"].data, init["cose.w2"])
+
+
+class TestOffsetBranchShortcut:
+    """While cose.w2 is all zero, csec_correct leaves the offset branch out:
+    the same bytes as the full path, which ``_full_path`` forces."""
+
+    @staticmethod
+    def _full_path(monkeypatch):
+        monkeypatch.setattr(csec_module, "_offset_branch_is_zero", lambda params: False)
+
+    @staticmethod
+    def _count_branch_runs(monkeypatch):
+        calls = []
+        cose = csec_module.cose_forward
+        monkeypatch.setattr(csec_module, "cose_forward",
+                            lambda image, params: calls.append(1) or cose(image, params))
+        return calls
+
+    @staticmethod
+    def _train(seed, dtype):
+        """(params, held-out outputs) after training from the identity init."""
+        cfg = CsecConfig()
+        rng = SplitMix64(seed)
+        pairs = []
+        for _ in range(4):
+            clean = rng.uniform_array((1, 3, 16, 16), 0.05, 0.95).astype(dtype)
+            pairs.append((np.clip(clean ** 1.8, 0.0, 1.0), clean))
+        params = init_csec(cfg, seed=seed, dtype=dtype)
+        train_csec(pairs[:3], params, cfg, epochs=3, lr=5e-3, seed=seed)
+        return params, csec_correct(Tensor(pairs[3][0]), params, cfg).data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_shortcut_trains_the_full_paths_bytes(self, monkeypatch, seed, dtype):
+        calls = self._count_branch_runs(monkeypatch)
+        params, out = self._train(seed, dtype)
+        assert not calls  # every step left the branch out
+        self._full_path(monkeypatch)
+        ref, ref_out = self._train(seed, dtype)
+        assert len(calls) == 3 * 3 + 1
+        assert out.dtype == ref_out.dtype == dtype and out.tobytes() == ref_out.tobytes()
+        assert list(params) == list(ref)
+        for k in ref:
+            assert params[k].data.tobytes() == ref[k].data.tobytes(), k
+        assert not params["cose.w2"].data.any()
+
+    def test_branch_gets_no_gradient(self):
+        cfg = CsecConfig()
+        params = init_csec(cfg, seed=0)
+        image = SplitMix64(1).uniform_array((1, 3, 8, 8), 0.1, 0.9)
+        tsum(csec_correct(Tensor(image), params, cfg)).backward()
+        frozen = {"cose.w1", "cose.t1", "cose.w2", "cose.t2", "fuse.gd", "fuse.gb"}
+        frozen |= {f"{b}.w{i}" for b in ("ed", "eb") for i in (1, 2, 3)}
+        assert {k for k, p in params.items() if p.grad is None} == frozen
+
+    def test_one_nonzero_w2_entry_takes_the_full_path(self, monkeypatch):
+        calls = self._count_branch_runs(monkeypatch)
+        cfg = CsecConfig()
+        params = init_csec(cfg, seed=0)
+        params["cose.w2"].data[2, 5, 1, 0] = 1e-3
+        image = SplitMix64(2).uniform_array((1, 3, 8, 8), 0.1, 0.9)
+        csec_correct(Tensor(image), params, cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_init_never_takes_the_shortcut(self, monkeypatch, seed):
+        calls = self._count_branch_runs(monkeypatch)
+        cfg = CsecConfig()
+        image = SplitMix64(seed).uniform_array((1, 3, 8, 8), 0.1, 0.9)
+        csec_correct(Tensor(image), init_csec(cfg, seed=seed, identity=False), cfg)
+        assert len(calls) == 1
+
+    @staticmethod
+    def _train_spoilt(name, bad):
+        """Two steps from the identity init with one branch value (or, for a
+        finite ``bad``, all of them) set to bad: the error type training
+        raises, or the trained parameters and the output."""
+        cfg = CsecConfig()
+        params = init_csec(cfg, seed=0)
+        if np.isfinite(bad):
+            params[name].data[...] = bad
+        else:
+            params[name].data.reshape(-1)[0] = bad
+        clean = SplitMix64(4).uniform_array((1, 3, 8, 8), 0.1, 0.9).astype(np.float32)
+        pairs = [(np.clip(clean ** 1.8, 0.0, 1.0), clean)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                train_csec(pairs, params, cfg, epochs=2, lr=5e-3, seed=0)
+            except SegkitError as exc:
+                return type(exc)
+            out = csec_correct(Tensor(pairs[0][0]), params, cfg).data
+        return [p.data.tobytes() for p in params.values()] + [out.tobytes()]
+
+    # a non-finite value in the branch makes the full path's gradients NaN
+    # (0 * inf), and so does a cose.w1 large enough for the first layer to
+    # overflow; the shortcut alone would train on as if the branch were
+    # finite
+    @pytest.mark.parametrize("name, bad", [("ed.w1", np.nan), ("fuse.gd", np.nan),
+                                           ("eb.w3", np.inf), ("cose.w1", -np.inf),
+                                           ("cose.w1", 1e38)])
+    def test_spoilt_branch_trains_as_the_full_path(self, monkeypatch, name, bad):
+        got = self._train_spoilt(name, bad)
+        monkeypatch.setattr(csec_module, "_offset_branch_is_zero", lambda params: True)
+        shortcut = self._train_spoilt(name, bad)
+        self._full_path(monkeypatch)
+        ref = self._train_spoilt(name, bad)
+        assert got == ref and shortcut != ref
+
+    @pytest.mark.parametrize("name", ["cose.t1", "cose.t2"])
+    def test_non_finite_tap_offset_still_raises(self, name):
+        cfg = CsecConfig()
+        params = init_csec(cfg, seed=0)
+        params[name].data[4, 1] = np.nan
+        with pytest.raises(NonFiniteOffsetError):
+            csec_correct(Tensor(np.full((1, 3, 8, 8), 0.5)), params, cfg)
 
 
 def test_train_csec_overfits_one_pair():
