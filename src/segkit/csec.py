@@ -13,7 +13,9 @@ from the input image, so the untrained module is a near-no-op.  With
 ``cose.w2`` all zero the offset maps, the ``ed``/``eb`` features, their
 fusion terms and every gradient into that branch are exactly zero, so
 ``csec_correct`` leaves the branch out (``_offset_branch_is_zero``) with the
-same bytes, and training never moves it.  ROADMAP item 3 decides its future.
+same bytes.  Its parameters then get no gradient, which Adam reads as zeros,
+so training gives the full path's bytes in any optimizer state; from the
+identity init it never moves the branch.  ROADMAP item 3 decides its future.
 
 ``train_csec`` fits the corrector to (corrupted, clean) pairs one pair per
 Adam step through ``optim.fit``, the loop ``segnet.train`` runs too; its
@@ -470,7 +472,8 @@ def train_csec(pairs, params: dict, config: CsecConfig = CsecConfig(),
     """Self-supervised training on (corrupted, clean) image pairs with
     mean-squared pixel error, one pair per step of ``optim.fit``.  Returns
     the per-epoch mean loss.  No pairs raise EmptyDatasetError, epochs < 1
-    ConfigInvalidError and a non-finite loss TrainingDivergedError."""
+    ConfigInvalidError and a non-finite loss or gradient
+    TrainingDivergedError."""
     def pair_loss(batch):
         corrupted, clean = pairs[batch[0]]
         return mse_loss(csec_correct(Tensor(np.asarray(corrupted)), params, config), clean)

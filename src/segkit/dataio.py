@@ -76,8 +76,12 @@ class SynthSpec:
     label_noise_p: float = 0.1
 
     def __post_init__(self):
-        if len(self.image_size) != 2:
-            raise ConfigInvalidError(f"image_size must hold 2 extents, got {self.image_size}")
+        if len(self.image_size) != 2 or min(self.image_size) < 1:
+            # read_pnm refuses a zero extent, and numpy a negative one
+            raise ConfigInvalidError(f"image_size must hold 2 extents >= 1, got {self.image_size}")
+        for name in ("n_samples", "n_val", "n_test"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalidError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 2 <= self.n_classes <= 255:
             raise ConfigInvalidError(f"n_classes must be in [2,255], got {self.n_classes}")
         if not 0.0 <= self.label_noise_p <= 1.0:

@@ -99,8 +99,8 @@ class EmptyDatasetError(SegkitError):
 
 
 class TrainingDivergedError(SegkitError):
-    """A non-finite training loss; ``samples`` are the failing batch's
-    positions in the list of samples the loop was given."""
+    """A non-finite training loss or gradient; ``samples`` are the failing
+    batch's positions in the list of samples the loop was given."""
 
     exit_code = 4
 

@@ -118,6 +118,17 @@ class TestSynth:
         spec.write_text("no equals sign here\n")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("line", ["image_size = 0, 0", "image_size = -4, 8", "n_val = -3"])
+    def test_unreadable_output_exit_2_before_writing(self, tmp_path, capsys, line):
+        # a zero extent used to exit 0 with images read_pnm refuses, and a
+        # negative one to exit 2 only as a stray numpy ValueError
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC.replace("n_val = 4\nimage_size = 16, 16\n",
+                                     line + "\nshapes_min = 0\nshapes_max = 0\n"))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {spec}: {line.split()[0]} must" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("line", ["noise = nan", "noise = -0.5", "noise = inf",
                                       "twin_delta = nan", "twin_delta = -0.01",
                                       "twin_delta = inf"])

@@ -24,6 +24,7 @@ from segkit.errors import (
     SegkitError,
     ShapeMismatchError,
 )
+from segkit.optim import Adam, fit
 from segkit.rng import SplitMix64
 from segkit.tensor import Tensor, conv2d, mul, tsum
 
@@ -488,6 +489,40 @@ class TestOffsetBranchShortcut:
         for k in ref:
             assert params[k].data.tobytes() == ref[k].data.tobytes(), k
         assert not params["cose.w2"].data.any()
+
+    def test_branch_zeroed_mid_run_trains_as_the_full_path(self, monkeypatch):
+        # a branch that trained live keeps moving on its moments after
+        # cose.w2 is zeroed inside the same Adam run, so the first shortcut
+        # step moves cose.w2 off zero and the rest take the full path
+        calls = self._count_branch_runs(monkeypatch)
+
+        def run():
+            cfg = CsecConfig()
+            rng = SplitMix64(5)
+            pairs = []
+            for _ in range(3):
+                clean = rng.uniform_array((1, 3, 8, 8), 0.05, 0.95).astype(np.float32)
+                pairs.append((np.clip(clean ** 1.8, 0.0, 1.0), clean))
+            params = init_csec(cfg, seed=1, identity=False)
+            opt = Adam(params, lr=5e-3)
+
+            def pair_loss(batch):
+                corrupted, clean = pairs[batch[0]]
+                return mse_loss(csec_correct(Tensor(corrupted), params, cfg), clean)
+
+            losses = list(fit(opt, len(pairs), pair_loss, 2, 1, seed=0))
+            params["cose.w2"].data = np.zeros_like(params["cose.w2"].data)
+            del calls[:]
+            losses += list(fit(opt, len(pairs), pair_loss, 2, 1, seed=1))
+            return losses, params
+
+        losses, params = run()
+        assert len(calls) == 2 * 3 - 1 and params["cose.w2"].data.any()
+        self._full_path(monkeypatch)
+        ref_losses, ref = run()
+        assert losses == ref_losses
+        for k in ref:
+            assert params[k].data.tobytes() == ref[k].data.tobytes(), k
 
     def test_branch_gets_no_gradient(self):
         cfg = CsecConfig()

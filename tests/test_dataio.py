@@ -24,6 +24,7 @@ from segkit.dataio import (
 from segkit.errors import (
     BadFieldCountError,
     BadMagicError,
+    ConfigInvalidError,
     InputRangeError,
     MaxvalUnsupportedError,
     TruncatedError,
@@ -244,6 +245,17 @@ class TestSynthesis:
             SynthSpec(n_samples=4, n_val=3, n_test=2)
         with pytest.raises(ValueError):
             SynthSpec(shapes_min=3, shapes_max=2)
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(image_size=(0, 0), shapes_min=0, shapes_max=0), "image_size"),
+        (dict(image_size=(-4, 8), shapes_min=0, shapes_max=0), "image_size"),
+        (dict(image_size=(8, 0), shapes_min=0, shapes_max=0), "image_size"),
+        (dict(n_val=-3), "n_val"), (dict(n_test=-1), "n_test"),
+        (dict(n_samples=-2, n_val=-1, n_test=-1), "n_samples")])
+    def test_spec_whose_output_cannot_be_read_back_rejected(self, kw, field):
+        # read_pnm refuses a zero extent, and numpy a negative one
+        with pytest.raises(ConfigInvalidError, match=f"^{field} "):
+            SynthSpec(**kw)
 
     @pytest.mark.parametrize("kw", [dict(n_classes=20, image_size=(16, 16), position_banded=True),
                                     dict(n_classes=4, image_size=(12, 64), position_banded=True),

@@ -200,6 +200,55 @@ class TestTrainCsecErrors:
         _assert_same_bytes(params, {k: Tensor(v) for k, v in before.items()})
 
 
+class TestNonFiniteGradient:
+    """A finite loss whose gradient is not finite stops training at that
+    step, with the parameters the last finite step left."""
+
+    @pytest.mark.parametrize("name", ["fuse.gd", "ed.w1"])
+    def test_corrector(self, name):
+        # the full path: the NaN reaches the tap offsets' gradients
+        params = init_csec(CsecConfig(), seed=0)
+        params[name].data.reshape(-1)[0] = np.nan
+        before = {k: Tensor(p.data.copy()) for k, p in params.items()}
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite gradient of 'cose.w1' at epoch 1, step 1, "
+                                 r"samples \[[01]\]; last finite epoch-mean loss None$") as err, \
+                np.errstate(invalid="ignore"):
+            train_csec(_gamma_pairs(1, 2, 8), params, epochs=2)
+        assert err.value.exit_code == 4 and len(err.value.samples) == 1
+        _assert_same_bytes(params, before)
+
+    def test_segmenter_nan_weight_behind_a_relu(self):
+        # relu maps the NaN pre-activations to 0, so the loss stays finite
+        model = build_model(ModelConfig(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2,
+                                        image_size=(16, 16)))
+        model.params["b0.mlp.w1"].data[0, 0] = np.nan
+        before = {k: Tensor(p.data.copy()) for k, p in model.params.items()}
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite gradient of 'embed.w' at epoch 1, step 1, "
+                                 r"samples \[\d, \d\]; last finite epoch-mean loss None$"), \
+                np.errstate(invalid="ignore"):
+            train(model, _scenes(7, 4, 16), TrainConfig(epochs=2, batch_size=2, seed=0))
+        _assert_same_bytes(model.params, before)
+
+    def test_adam_changes_nothing(self):
+        params = {k: Tensor(np.linspace(-1.0, 1.0, n), requires_grad=True)
+                  for k, n in (("a", 3), ("b", 2), ("c", 4))}
+        opt = Adam(params, lr=0.1)
+        params["a"].grad = np.array([0.5, -1.0, 2.0])
+        params["b"].grad = np.array([1.0, 3.0])
+        opt.step()
+        t, m, v = opt.t, opt.m.copy(), opt.v.copy()
+        before = {k: p.data.copy() for k, p in params.items()}
+        params["b"].grad = np.array([1.0, np.inf])
+        params["c"].grad = np.array([np.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(TrainingDivergedError, match="^non-finite gradient of 'b'$"):
+            opt.step()
+        assert opt.t == t and opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+        for k, p in params.items():
+            assert p.data.tobytes() == before[k].tobytes(), k
+
+
 def test_divergence_names_where_training_failed():
     w = Tensor(np.array(1.0), requires_grad=True)
     batches = []
