@@ -23,6 +23,7 @@ from .errors import (
     BadFieldCountError,
     BadMagicError,
     ConfigInvalidError,
+    DuplicateSampleIdError,
     InputRangeError,
     MaxvalUnsupportedError,
     TruncatedError,
@@ -250,6 +251,7 @@ def _parse_like(text, current):
 def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     records = []
+    lines = {}  # sample id -> line number: eval, train and filter key samples by id
     for lineno, line in enumerate(_text_lines(path, BadMagicError), 1):
         line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -261,6 +263,10 @@ def load_manifest(path):
         sid, img, mask, robot, split = fields
         if split not in SPLITS:
             raise UnknownSplitError(f"{path}: line {lineno}: unknown split {split!r}")
+        if sid in lines:
+            raise DuplicateSampleIdError(f"{path}: line {lineno}: sample id {sid!r} "
+                                         f"repeats line {lines[sid]}")
+        lines[sid] = lineno
         records.append(SampleRecord(
             sample_id=sid,
             image_path=img if os.path.isabs(img) else os.path.join(base, img),

@@ -90,6 +90,10 @@ class UnknownSplitError(SegkitError):
     exit_code = 3
 
 
+class DuplicateSampleIdError(SegkitError):
+    exit_code = 3
+
+
 class ConfigInvalidError(SegkitError, ValueError):
     pass
 

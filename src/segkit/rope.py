@@ -17,10 +17,10 @@ graph node over the packed q/k/v projection: global, or within (shifted)
 square windows as in a Swin Transformer, with or without the rotation.
 Windows are a fixed token permutation of the grid, so rotations keep the
 global patch coordinates and stay exactly relative inside a window.  The
-softmax takes its row maxima, and over many short rows (``_key_major``) its
-row sums (in numpy's own order, ``tensor._key_major_sum``), on a key-major
-copy of the scores, as the backward takes the row sums of its softmax
-gradient; every output and gradient is bitwise that of the row-wise form.
+softmax, and the row sums of its gradient in the backward, run on a
+key-major copy of the scores, where every row's sum runs key by key from +0
+whatever the number of rows: a chunk of one image and a chunk of nine give
+each image the same bytes.
 """
 
 import functools
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
-from .tensor import Tensor, _key_major_sum
+from .tensor import Tensor
 
 __all__ = ["FreqTable", "PatchGrid", "freq_table", "angles", "axial_angles", "rotate",
            "rope_attention"]
@@ -168,44 +168,28 @@ def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base
     return perm, inv, mask, c2, s2
 
 
-def _key_major(rows: np.ndarray) -> bool:
-    """Whether the softmax passes over rows [R, L] run on a key-major copy:
-    for at least 512 rows of at most 16 entries, where numpy's one reduce
-    per row costs more than the transposed copies.  Below that, or over
-    longer rows, the row-wise passes cost less."""
-    return rows.shape[0] >= 512 and rows.shape[1] <= 16
-
-
 def _softmax_rows(p: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of the scores p, whose memory it may
-    reuse: exp(p - max) / sum, bitwise whichever path runs.
+    """Softmax over the last axis of the scores p [..., L]: exp(p - max) / sum.
 
-    numpy reduces short contiguous rows one at a time, but a leading axis in
-    one vectorized sweep, so the maxima come from a key-major copy.  Where
-    ``_key_major``, the subtraction, exp, sums (numpy's own order,
-    ``tensor._key_major_sum``) and division run on that copy too, and one
-    transposed copy returns the result.
+    Every pass runs on a key-major copy [L, R] of the R rows, and one
+    transposed copy returns the result.  numpy reduces the leading axis of a
+    C-contiguous [L, R] array in one vectorized sweep per key, so each row's
+    sum runs key by key from +0 whenever R >= 2.  R counts at least the L
+    queries of a tile, so it is 2 or more wherever a row holds 2 or more
+    keys, and a row's bytes do not depend on how many rows share the copy.
     """
-    rows = p.reshape(-1, p.shape[-1])
-    pt = np.ascontiguousarray(rows.T)
-    if not _key_major(rows):
-        p -= pt.max(axis=0).reshape(p.shape[:-1] + (1,))
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p
+    pt = np.ascontiguousarray(p.reshape(-1, p.shape[-1]).T)
     pt -= pt.max(axis=0)
     np.exp(pt, out=pt)
-    pt /= _key_major_sum(pt)
+    pt /= pt.sum(axis=0)
     return np.ascontiguousarray(pt.T).reshape(p.shape)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1, keepdims=True), bitwise, taken from a key-major copy
-    where ``_key_major``."""
-    rows = a.reshape(-1, a.shape[-1])
-    if not _key_major(rows):
-        return a.sum(axis=-1, keepdims=True)
-    return _key_major_sum(np.ascontiguousarray(rows.T)).reshape(a.shape[:-1] + (1,))
+    """The sums over the last axis of a [..., L] as [..., 1], key by key
+    from +0 as ``_softmax_rows`` takes them: from a key-major copy."""
+    at = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+    return at.sum(axis=0).reshape(a.shape[:-1] + (1,))
 
 
 def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: int = 0,

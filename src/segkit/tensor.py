@@ -8,9 +8,6 @@ Every op is a module function of tensors (``scale`` is the one scalar
 multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
 The convolution kernels run a few large numpy operations in place of one
 per tap, and give bitwise the sums of the per-tap forms, -0 included.
-``_key_major_sum`` takes short rows' sums from a transposed copy in numpy's
-own summation order, one vectorized sweep per step in place of one reduce
-per row.
 Each graph node records the call that made it (the op and its arguments),
 so the gradient oracle can recompute only the nodes a perturbed parameter
 reaches; under no_grad nothing is recorded.  An operand that needs no
@@ -427,52 +424,12 @@ def _col2im(planes, shape, dtype, starts):
     return flat[:, :size].reshape(shape)
 
 
-def _key_major_sum(at):
-    """The row sums of ``at.T`` from at [n, rows], a key-major copy: bitwise
-    ``at.T.sum(axis=-1)`` as numpy sums one contiguous row, each step one
-    vectorized sweep over all rows.
-
-    numpy adds a row of n < 8 entries in order; one of 8 to 128 entries in
-    8 accumulators, entry j into accumulator j % 8 in order, then the tree
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last n % 8
-    entries in order; a longer row as the sums of its first n2 and its other
-    entries added, n2 = n // 2 rounded down to a multiple of 8.  The sum
-    then adds the row to numpy's +0 start, so a row of -0 gives +0.
-    """
-    return _pairwise(at) + 0
-
-
-def _pairwise(a):
-    """numpy's pairwise sum of a contiguous row, over a's leading axis."""
-    n = len(a)
-    if n > 128:
-        n2 = n // 2 - n // 2 % 8
-        return _pairwise(a[:n2]) + _pairwise(a[n2:])
-    if n < 8:
-        res = a[0]
-        for i in range(1, n):
-            res = res + a[i]
-        return res
-    m = n - n % 8
-    r = a[:8] + a[8:16] if m > 8 else a[:8]
-    for i in range(16, m, 8):
-        r += a[i:i + 8]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    res = r[0] + r[1]
-    for i in range(m, n):
-        res += a[i]
-    return res
-
-
 def upsample_nearest(x, factor):
     """Nearest-neighbor upsampling of an NCHW tensor by an integer factor.
 
-    The adjoint sums each f×f patch of g bitwise as numpy's
-    ``sum(axis=(3, 5))`` does: the column replicas in order, then those row
-    sums in order, then + 0.0 (numpy's sum starts from +0, so an all-(-0)
-    patch gives +0).  Where numpy sums a patch as one run or pairwise (w = 1,
-    or f >= 8), and at f = 1, the adjoint is that sum itself.
+    The adjoint sums each f×f patch of g from +0 (so an all-(-0) patch gives
+    +0), its replicas in order: each patch row's column replicas, then those
+    row sums.
     """
     n, c, h, w = x.data.shape
     f = int(factor)
@@ -480,15 +437,12 @@ def upsample_nearest(x, factor):
 
     def bwd(g):
         g6 = g.reshape(n, c, h, f, w, f)
-        if w == 1 or f == 1 or f >= 8:
-            return (g6.sum(axis=(3, 5)),)
-        rows = g6[..., 0] + g6[..., 1]
-        for b in range(2, f):
+        rows = g6[..., 0].copy()
+        for b in range(1, f):
             rows += g6[..., b]
-        gx = rows[:, :, :, 0] + rows[:, :, :, 1]
-        for a in range(2, f):
+        gx = rows[:, :, :, 0] + 0.0
+        for a in range(1, f):
             gx += rows[:, :, :, a]
-        gx += 0.0
         return (gx,)
 
     return Tensor(y, parents=(x,), backward_fn=bwd, call=(upsample_nearest, factor))

@@ -50,6 +50,17 @@ seed = 0
 """
 
 
+def _repeat_a_train_id(manifest):
+    """Give a manifest's second train record the first one's sample id;
+    return that id and the two records' line numbers."""
+    lines = manifest.read_text().splitlines(keepends=True)
+    first, second = [i for i, ln in enumerate(lines) if ln.rstrip("\n").endswith("\ttrain")][:2]
+    sid = lines[first].split("\t")[0]
+    lines[second] = "\t".join([sid] + lines[second].split("\t")[1:])
+    manifest.write_text("".join(lines))
+    return sid, first + 1, second + 1
+
+
 @pytest.fixture()
 def dataset(tmp_path):
     spec = tmp_path / "spec.cfg"
@@ -235,6 +246,21 @@ class TestTrain:
         assert code == 4
         err = capsys.readouterr().err
         assert "round 1 of 2, on all 8 samples" in err and "sample ids ['s" in err
+
+    def test_drop_samples_with_a_repeated_sample_id_exits_3_before_writing(self, tmp_path,
+                                                                          dataset, capsys):
+        # the retrain keeps samples by id: a record under a dropped sample's
+        # id would go back into training
+        manifest = dataset / "manifest.tsv"
+        sid, first, second = _repeat_a_train_id(manifest)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN + "quantile = 0.8\nmode = drop_samples\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(manifest),
+                     "--out", str(out)]) == 3
+        assert (f"error: {manifest}: line {second}: sample id '{sid}' repeats line {first}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path, dataset, capsys):
         code = main(["train", "--config", str(tmp_path / "none.cfg"),
@@ -488,6 +514,25 @@ class TestFilter:
         report = (out / "filter_report.tsv").read_text().strip().splitlines()[1:]
         statuses = {line.split("\t")[2] for line in report}
         assert statuses <= {"kept", "dropped"}
+
+
+    def test_repeated_sample_id_exits_3_before_writing(self, tmp_path, dataset, capsys):
+        # the filter keeps or drops by id: a second record under a dropped
+        # sample's id would carry that sample into the new manifest
+        manifest = dataset / "manifest.tsv"
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        for r in load_manifest(manifest):  # perfect predictions, but for one id's
+            write_pnm(pred_dir / (r.sample_id + ".pgm"), read_pnm(r.mask_path))
+        sid, first, second = _repeat_a_train_id(manifest)
+        write_pnm(pred_dir / (sid + ".pgm"), (read_pnm(pred_dir / (sid + ".pgm")) + 1) % 3)
+        out = tmp_path / "filtered"
+        code = main(["filter", "--data", str(manifest), "--pred", str(pred_dir),
+                     "--out", str(out), "--quantile", "0.8"])
+        assert code == 3
+        assert (f"error: {manifest}: line {second}: sample id '{sid}' repeats line {first}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestUnlabelledPixels:

@@ -25,6 +25,7 @@ from segkit.errors import (
     BadFieldCountError,
     BadMagicError,
     ConfigInvalidError,
+    DuplicateSampleIdError,
     InputRangeError,
     MaxvalUnsupportedError,
     TruncatedError,
@@ -137,6 +138,20 @@ class TestManifest:
         path.write_text("a\tb\tc\td\n")
         with pytest.raises(BadFieldCountError, match="line 1"):
             load_manifest(path)
+
+    def test_repeated_sample_id_names_file_id_and_both_lines(self, tmp_path):
+        # eval, train and filter all key samples by id: a quantile filter
+        # that drops an id would keep or drop every record under it at once
+        path = tmp_path / "m.tsv"
+        path.write_text("# header\n"
+                        "a\ti0.ppm\tm0.pgm\tALICE\ttrain\n"
+                        "b\ti1.ppm\tm1.pgm\tALICE\ttrain\n"
+                        "\n"
+                        "a\ti2.ppm\tm2.pgm\tALICE\tval\n")
+        with pytest.raises(DuplicateSampleIdError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: line 5: sample id 'a' repeats line 2"
+        assert exc.value.exit_code == 3
 
     def test_unknown_split(self, tmp_path):
         path = tmp_path / "m.tsv"

@@ -2,11 +2,12 @@
 
 Each test holds a plain copy of the earlier per-tap (for Adam, per-tensor;
 for attention and layer norm, the pairwise-rotation and row-wise) form of a
-kernel and asserts that the engine's kernel gives the same bytes: f32 and
-f64, with -0 (and, where it reaches the kernel, inf and NaN) in the inputs.
-Rerun this file with more than one BLAS thread as well: the kernels take
-the same matrix products as the earlier forms, so their bytes must not
-depend on how BLAS splits those products.
+kernel, with every sum the kernel takes in a fixed order written out as a
+loop in that order, and asserts that the engine's kernel gives the same
+bytes: f32 and f64, with -0 (and, where it reaches the kernel, inf and NaN)
+in the inputs.  Rerun this file with more than one BLAS thread as well: the
+kernels take the same matrix products as the earlier forms, so their bytes
+must not depend on how BLAS splits those products.
 """
 
 import math
@@ -16,9 +17,8 @@ import pytest
 
 from segkit.csec import offset_conv
 from segkit.optim import Adam
-from segkit.rope import (PatchGrid, _key_major, _window_layout, axial_angles, freq_table,
-                         rope_attention)
-from segkit.tensor import LN_EPS, Tensor, _key_major_sum, conv2d, layer_norm, upsample_nearest
+from segkit.rope import PatchGrid, _window_layout, axial_angles, freq_table, rope_attention
+from segkit.tensor import LN_EPS, Tensor, conv2d, layer_norm, upsample_nearest
 
 
 def _signed(rng, shape, dtype, zeros=0.2):
@@ -98,12 +98,21 @@ def test_conv2d_input_gradient_of_all_negative_zero_is_positive_zero():
 
 
 def _upsample_adjoint_reference(g, f):
+    """Each f x f patch summed from +0, its replicas in order: each patch
+    row's column replicas, then those row sums."""
     n, c, hf, wf = g.shape
-    return g.reshape(n, c, hf // f, f, wf // f, f).sum(axis=(3, 5))
+    g6 = g.reshape(n, c, hf // f, f, wf // f, f)
+    out = np.zeros((n, c, hf // f, wf // f), g.dtype)
+    for a in range(f):
+        row = g6[:, :, :, a, :, 0]
+        for b in range(1, f):
+            row = row + g6[:, :, :, a, :, b]
+        out = out + row
+    return out
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("f", [1, 2, 3, 4])
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("shape", [(2, 3, 5, 4), (1, 2, 3, 1), (1, 1, 1, 3)])
 def test_upsample_adjoint_matches_patch_sum(shape, f, dtype):
     rng = np.random.default_rng(f)
@@ -299,20 +308,6 @@ def test_adam_refuses_mixed_dtypes():
         Adam(params)
 
 
-# -- row sums ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_key_major_sum_matches_numpy_row_sum_at_every_length(dtype):
-    # a numpy release that sums a contiguous row in another order fails here
-    rng = np.random.default_rng(3)
-    for n in range(1, 301):
-        a = _signed(rng, (7, n), dtype, zeros=0.4)
-        a[0] = -0.0  # numpy's +0 start turns an all-(-0) row into +0
-        a[1, rng.random(n) < 0.5] = np.inf
-        assert _bytes_equal(_key_major_sum(np.ascontiguousarray(a.T)), a.sum(axis=-1)), n
-
-
 # -- rope_attention ---------------------------------------------------------
 
 
@@ -325,9 +320,18 @@ def _rotate_pairs_reference(x, cos, sin):
     return out
 
 
+def _key_by_key(a):
+    """The sums over the last axis of a, keepdims, one key after another
+    from +0."""
+    out = np.zeros(a.shape[:-1] + (1,), a.dtype)
+    for j in range(a.shape[-1]):
+        out += a[..., j:j + 1]
+    return out
+
+
 def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
     """The pairwise rotation over [tile, token, dh/2] tables and row-wise
-    softmax sums: (out, gx)."""
+    softmax passes, with the sums taken key by key: (out, gx)."""
     n, t, d3 = x.shape
     d = d3 // 3
     dh = d // n_heads
@@ -355,7 +359,7 @@ def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
     p -= np.ascontiguousarray(p.reshape(-1, p.shape[-1]).T).max(axis=0).reshape(
         p.shape[:-1] + (1,))
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _key_by_key(p)
     out = (p @ v).transpose(0, 2, 3, 1, 4).reshape(n, t, d)
     out = out if inv is None else np.take(out, inv, axis=1)
 
@@ -365,7 +369,7 @@ def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
     gp = g @ np.swapaxes(v, -1, -2)
     gv = np.swapaxes(p, -1, -2) @ g
     gs = gp * p
-    np.subtract(gp, gs.sum(axis=-1, keepdims=True), out=gs)
+    np.subtract(gp, _key_by_key(gs), out=gs)
     gs *= p
     gqk = np.empty_like(qk)
     np.matmul(gs, k, out=gqk[0])
@@ -388,20 +392,10 @@ def _equal_up_to_nan(a, b):
             and a[~nan].tobytes() == b[~nan].tobytes())
 
 
-# grid (rows, cols), window, shift; windows on the 8x12 grid at N = 4 run
-# the key-major softmax, every other case the row-wise one, and global
-# attention on 12x12 has rows of 144 keys, more than numpy's 128-entry block
+# grid (rows, cols), window, shift: tiles of 4, 16, 96 and 144 keys; from
+# 8 keys on, numpy would sum a contiguous row in another order than key by key
 _ATTENTION_CASES = [(grid, w, shift) for grid in ((4, 4), (8, 12)) for w in (0, 2, 4)
                     for shift in sorted({0, w // 2})] + [((12, 12), 0, 0)]
-
-
-def test_attention_cases_run_both_softmax_paths():
-    paths = set()
-    for (rows, cols), window, _ in _ATTENTION_CASES:
-        tile = window * window if window and not window == rows == cols else rows * cols
-        for n in (1, 4):  # n_heads = 2
-            paths.add(_key_major(np.empty((n * 2 * rows * cols, tile))))
-    assert paths == {False, True}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -356,6 +356,19 @@ class TestBatchedPrediction:
             cm.update(p, mask)
         assert evaluate_miou(model, data) == miou(cm)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size,window", [(32, 4), (48, 4), (48, 0), (16, 2)])
+    def test_patch_logits_do_not_depend_on_the_chunk(self, size, window, dtype):
+        # 32x32 with window 4 softmaxes 256 query rows at N = 1 and 1,024 at N = 4
+        imgs = SplitMix64(8).uniform_array((9, 3, size, size), 0, 1).astype(dtype)
+        model = build_model(ModelConfig(image_size=(size, size), window=window, seed=5),
+                            dtype=dtype)
+        with no_grad():
+            whole = model.patch_logits(imgs).data
+            for chunk in (1, 2, 4):
+                parts = [model.patch_logits(imgs[i:i + chunk]).data for i in range(0, 9, chunk)]
+                assert np.concatenate(parts).tobytes() == whole.tobytes(), chunk
+
     @pytest.mark.parametrize("window,use_csec", [(0, False), (4, False), (4, True)])
     def test_no_grad_forward_equals_graph_forward(self, window, use_csec):
         imgs = SplitMix64(6).uniform_array((3, 3, 48, 48), 0, 1).astype(np.float32)
