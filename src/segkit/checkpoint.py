@@ -47,17 +47,19 @@ def save_checkpoint(path, params: dict):
 
 
 def load_checkpoint(path) -> dict:
-    """Read back a checkpoint as name -> Tensor (f32, requires_grad)."""
+    """Read back a checkpoint as name -> Tensor (f32, requires_grad).  A
+    malformed file, bytes after the last tensor included, is an error of
+    its kind naming path."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MAGIC:
-        raise BadMagicError(f"bad checkpoint magic {buf[:4]!r}")
+        raise BadMagicError(f"{path}: bad checkpoint magic {buf[:4]!r}")
     pos = 4
 
     def take(n):
         nonlocal pos
         if pos + n > len(buf):
-            raise TruncatedError(f"checkpoint ended early, {n} bytes wanted")
+            raise TruncatedError(f"{path}: checkpoint ended early, {n} bytes wanted")
         pos += n
         return buf[pos - n:pos]
 
@@ -69,13 +71,15 @@ def load_checkpoint(path) -> dict:
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise BadMagicError(f"tensor name {raw!r} is not utf-8")
+            raise BadMagicError(f"{path}: tensor name {raw!r} is not utf-8")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         if 0 in shape:
-            raise BadMagicError(f"checkpoint tensor {name!r} has a zero extent {shape}")
+            raise BadMagicError(f"{path}: checkpoint tensor {name!r} has a zero extent {shape}")
         arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         params[name] = Tensor(arr.copy(), requires_grad=True)
+    if pos != len(buf):
+        raise BadMagicError(f"{path}: {len(buf) - pos} bytes after the last tensor")
     return params
 
 

@@ -75,16 +75,20 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def read_config(path) -> dict:
-    """Parse a flat ``key = value`` config file into a str -> str dict."""
-    cfg = {}
+    """Parse a flat ``key = value`` config file into a str -> str dict; a
+    key given twice is refused, not read as its last value."""
+    cfg, lines = {}, {}  # lines: key -> its line number
     for lineno, line in enumerate(_text_lines(path, ConfigInvalidError), 1):
         line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigInvalidError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ConfigInvalidError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        cfg[key] = value
     return cfg
 
 
@@ -310,7 +314,11 @@ def cmd_filter(args) -> int:
     scores = []
     for r in train_records:
         mask = _read_kind(r.mask_path, image=False)
-        pred = _read_kind(os.path.join(args.pred, r.sample_id + ".pgm"), image=False)
+        pred_path = os.path.join(args.pred, r.sample_id + ".pgm")
+        pred = _read_kind(pred_path, image=False)
+        if pred.shape != mask.shape:
+            raise ShapeMismatchError(f"sample {r.sample_id!r} ({pred_path}): prediction "
+                                     f"{pred.shape} vs mask {mask.shape}")
         scores.append(ErrorScore(sample_id=r.sample_id, error_rate=pixel_error_rate(pred, mask)))
     kept_ids = {s.sample_id for s in filter_dataset(scores, DenoiseConfig(quantile=args.quantile))}
     os.makedirs(args.out, exist_ok=True)

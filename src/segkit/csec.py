@@ -2,7 +2,8 @@
 
 Pipeline: an offset-prediction head estimates darkening/brightening offset
 maps from the input image via offset-modulated (deformable-sampling)
-convolutions; three conv stacks extract token features from the image and
+convolutions, each a ``conv2d`` with a kernel its learned taps are splatted
+onto; three conv stacks extract token features from the image and
 the two offset maps; the features are fused through self-correlation
 matrices put through a symmetrize-and-normalize map with learned fusion
 weights; a small upsampling decoder reconstructs the corrected image.
@@ -38,8 +39,6 @@ from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from .tensor import (
     Tensor,
-    _col2im,
-    _tap_planes,
     add,
     add_bias,
     conv2d,
@@ -101,14 +100,14 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     interpolation.  Offsets are clamped to the kernel extent per axis.
     Differentiable in x, w and tap_offsets.
 
-    y and the x and w gradients are bitwise the sums of a loop over taps and
-    their live (nonzero-weight) corners; the tap-offset gradient's f64 sums
-    run in BLAS order.
+    Every pixel shares the offsets, so each tap's sample is a fixed mix of at
+    most four integer shifts, and the op is ``conv2d`` with the taps' weights
+    splatted onto those shifts (``_tap_kernel``).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatchError("offset_conv expects NCHW input and OIHW kernel")
-    n, cin, h, wd = x.data.shape
-    cout, cin2, kh, kw = w.data.shape
+    cin = x.data.shape[1]
+    _, cin2, kh, kw = w.data.shape
     if cin != cin2:
         raise ShapeMismatchError(f"channels {cin} vs kernel {cin2}")
     if kh % 2 == 0 or kw % 2 == 0:
@@ -117,123 +116,63 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
         raise ShapeMismatchError(f"tap_offsets must be [{kh * kw},2], got {tap_offsets.data.shape}")
     if not np.all(np.isfinite(tap_offsets.data)):
         raise NonFiniteOffsetError("tap offsets contain non-finite values")
+    kernel = _tap_kernel(w, tap_offsets)
+    return conv2d(x, kernel, stride=1, padding=kernel.data.shape[-1] // 2)
 
+
+def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
+    """The square kernel, of side 2r+1, that ``offset_conv`` convolves with:
+    each tap's weights times its four bilinear corner weights, added at the
+    corners' shifts tap by tap in corner order, from +0.
+
+    r covers every corner of every tap, a zero-weight one too, since at an
+    integer offset the one-sided tap gradient reads it.  The side follows
+    the floors, so a perturbation that moves an outermost corner changes it;
+    the oracle's replay keeps conv2d's recorded padding and holds only off
+    such a kink.  Backward takes w's gradient and the tap gradient from the
+    kernel's; an axis where the clamp binds gets no tap gradient.
+    """
+    cout, cin, kh, kw = w.data.shape
     taps = kh * kw
-    ry, rx = (kh - 1) // 2, (kw - 1) // 2
     raw = tap_offsets.data.astype(np.float64)
     ext = np.array([kh, kw])
-    clamped = np.minimum(np.maximum(raw, -ext), ext)
+    clamped = np.clip(raw, -ext, ext)
     active = clamped == raw  # clamp passes no gradient where it binds
     iy, ix = np.divmod(np.arange(taps), kw)
     # [taps, 2] per axis (y, x): the sample point, its floor and its fraction
-    s = np.stack([iy - ry, ix - rx], axis=1) + clamped
+    s = np.stack([iy - (kh - 1) // 2, ix - (kw - 1) // 2], axis=1) + clamped
     f = np.floor(s)
     frac = s - f
     f = f.astype(int)
-
-    # a tap's shift is at most r + k per axis (the clamp) and its far corner
-    # one more, so every corner of every tap is a window of one zero-padded copy
-    py, px = kh + ry + 1, kw + rx + 1
-    xp = np.zeros((n, cin, h + 2 * py, wd + 2 * px), dtype=x.dtype)
-    xp[:, :, py:py + h, px:px + wd] = x.data
-    hp, wp = xp.shape[2], xp.shape[3]
-
-    # [taps, 4] over corners (0,0), (0,1), (1,0), (1,1): the bilinear weight in
-    # x's dtype, whether it is nonzero, and the flat offset in a plane of xp
-    # where the corner's window starts
+    r = int(np.maximum(-f, f + 1).max())
+    side = 2 * r + 1
+    # [taps, 4] over corners (0,0), (0,1), (1,0), (1,1): the bilinear weight
+    # in w's dtype and the flat position in a kernel plane
     lin = np.stack([1.0 - frac, frac], axis=2)  # [taps, axis, corner side]
-    weight = (lin[:, 0, :, None] * lin[:, 1, None, :]).reshape(taps, 4).astype(x.dtype)
-    nz = lin != 0.0
-    live = (nz[:, 0, :, None] & nz[:, 1, None, :]).reshape(taps, 4)
-    oy, ox = py + f[:, 0], px + f[:, 1]  # corner (0,0)'s window origin in xp
-    start = (oy * wp + ox)[:, None] + np.array([0, 1, wp, wp + 1])
-    # the live corners tap-major, corner-minor, and each one's rank among its
-    # tap's live corners; corner (0,0) is always live, so rank 0 is every tap
-    lt, lc = np.nonzero(live)
-    rank = np.cumsum(live, axis=1)[lt, lc] - 1
-
-    # cols[:, :, t] is its live corners times their weights, summed in corner
-    # order from +0: per rank, one gather of that corner of every tap that has
-    # one, one scale and one add
-    sn, sc, sh, sw = xp.strides
-    windows = np.ndarray((n, cin, (hp - h) * wp + wp - wd + 1, h, wd), xp.dtype, xp, 0,
-                         (sn, sc, sw, sh, sw))  # [..., o, :, :] starts at flat offset o
-    for r in range(4):
-        tr, cr = lt[rank == r], lc[rank == r]
-        if not len(tr):
-            break
-        part = windows[:, :, start[tr, cr]]
-        part *= weight[tr, cr][:, None, None]
-        if r == 0:
-            part += 0.0
-            cols = part
-        else:  # a tap has at most one corner of each rank
-            cols[:, :, tr] += part
-    cols2 = cols.reshape(n, cin * taps, h * wd)
-    w2 = w.data.reshape(cout, cin * taps)
-    y = (w2 @ cols2).reshape(n, cout, h, wd)
+    weight = (lin[:, 0, :, None] * lin[:, 1, None, :]).reshape(taps, 4).astype(w.dtype)
+    pos = ((r + f[:, 0]) * side + r + f[:, 1])[:, None] + np.array([0, 1, side, side + 1])
+    w2 = w.data.reshape(cout * cin, taps)
+    k2 = np.zeros((cout * cin, side * side), w.dtype)
+    np.add.at(k2, (slice(None), pos.reshape(-1)), (w2[:, :, None] * weight).reshape(cout * cin, -1))
 
     def bwd(g):
-        g2 = g.reshape(n, cout, h * wd)
-        gx = gw = gt = None
+        corners = g.reshape(cout * cin, side * side)[:, pos]  # [cout * cin, taps, 4]
+        gw = gt = None
         if w.requires_grad:
-            gw = (g2 @ cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
-        if not (x.requires_grad or tap_offsets.requires_grad):
-            return gx, gw, gt
-        gcols = (w2.T @ g2).reshape(n, cin, taps, h, wd)
-        if x.requires_grad:
-            # the adjoint of the gather, in its order: each live corner's
-            # weighted columns on zeroed planes of xp's shape, added at the
-            # corner's start
-            gxp = _col2im(_tap_planes(gcols, xp.shape, 1, lt, weight[live]), xp.shape,
-                          xp.dtype, start[live].tolist())
-            gx = np.ascontiguousarray(gxp[:, :, py:py + h, px:px + wd])
+            p = corners * weight
+            gw = (p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]).reshape(w.data.shape)
         if tap_offsets.requires_grad:
-            # d/dsy = (1-ax)(s10-s00) + ax(s11-s01), d/dsx its twin, with
-            # s_ab the f64 inner product of tap t's gradient with corner ab
-            d = _corner_products(gcols, xp, oy, ox)
-            gt = np.zeros_like(tap_offsets.data)
+            # d/dsy = (1-ax)(d10-d00) + ax(d11-d01), d/dsx its twin, with d_ab
+            # tap t's weights dotted with the kernel gradient at its corner ab
+            d = (corners * w2[:, :, None]).sum(axis=0)
             ay, ax = frac[:, 0], frac[:, 1]
             gy = (1.0 - ax) * (d[:, 2] - d[:, 0]) + ax * (d[:, 3] - d[:, 1])
-            gxo = (1.0 - ay) * (d[:, 1] - d[:, 0]) + ay * (d[:, 3] - d[:, 2])
-            gt[:, 0] = np.where(active[:, 0], gy, 0.0)
-            gt[:, 1] = np.where(active[:, 1], gxo, 0.0)
-        return gx, gw, gt
+            gx = (1.0 - ay) * (d[:, 1] - d[:, 0]) + ay * (d[:, 3] - d[:, 2])
+            gt = np.where(active, np.stack([gy, gx], axis=1), 0.0).astype(tap_offsets.dtype)
+        return gw, gt
 
-    return Tensor(y, parents=(x, w, tap_offsets), backward_fn=bwd, call=(offset_conv,))
-
-
-def _corner_products(gcols, xp, oy, ox):
-    """[taps, 4] f64 inner products of each tap's gradient gcols[:, :, t]
-    with its four corner windows of xp, at (oy[t] + a, ox[t] + b).
-
-    Each is one BLAS dot over flattened planes: xp cut to the rows and
-    columns some corner reads, and the tap's gradient at the head of zeroed
-    planes of that cut, so a window's offset pairs each value with its own
-    and all else with a zero.  One tap at a time bounds the f64 copies.
-    Two things follow from the dot.  Its summation order is BLAS's, which
-    for long vectors depends on the BLAS thread count, so the sums move by
-    f64 round-off with it.  And a zero times an inf is NaN, so a non-finite
-    value anywhere in the cut makes every tap's products NaN, not only
-    those of the taps whose windows hold it.
-    """
-    n, cin, taps, h, wd = gcols.shape
-    y0, x0 = oy.min(), ox.min()
-    ht, wt = oy.max() + 1 + h - y0, ox.max() + 1 + wd - x0
-    xflat = xp[:, :, y0:y0 + ht, x0:x0 + wt].astype(np.float64).reshape(-1)
-    gb = np.zeros((n * cin, ht, wt))
-    # the last corner's window, (1, 1) of the tap at (oy.max(), ox.max()),
-    # ends at the last element of xflat
-    m = (n * cin - 1) * ht * wt + (h - 1) * wt + wd
-    gflat = gb.reshape(-1)[:m]
-    base = (oy - y0) * wt + (ox - x0)
-    d = np.empty((taps, 4))
-    for t in range(taps):
-        gb[:, :h, :wd] = gcols[:, :, t].reshape(n * cin, h, wd)
-        for c, step in enumerate((0, 1, wt, wt + 1)):
-            o = base[t] + step
-            d[t, c] = gflat @ xflat[o:o + m]
-    return d
+    return Tensor(k2.reshape(cout, cin, side, side), parents=(w, tap_offsets), backward_fn=bwd,
+                  call=(_tap_kernel,))
 
 
 # -- COSE: offset estimation ------------------------------------------------

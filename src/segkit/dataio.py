@@ -155,15 +155,19 @@ def read_pnm(path):
 
     P6 -> Tensor[1,3,H,W], f32, values scaled to [0,1].
     P5 -> uint8 ndarray [H,W] of class ids (unscaled).
+    A malformed file is an error of its kind naming path.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
-    magic, width, height, start = _parse_pnm_header(buf)
-    channels = 3 if magic == b"P6" else 1
-    need = width * height * channels
-    raster = buf[start:start + need]
-    if len(raster) < need:
-        raise TruncatedError(f"raster has {len(raster)} bytes, needs {need}")
+    try:
+        magic, width, height, start = _parse_pnm_header(buf)
+        channels = 3 if magic == b"P6" else 1
+        need = width * height * channels
+        raster = buf[start:start + need]
+        if len(raster) < need:
+            raise TruncatedError(f"raster has {len(raster)} bytes, needs {need}")
+    except (BadMagicError, MaxvalUnsupportedError, TruncatedError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     arr = np.frombuffer(raster, dtype=np.uint8)
     if magic == b"P5":
         return arr.reshape(height, width).copy()

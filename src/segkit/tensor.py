@@ -389,20 +389,17 @@ def conv2d(x, w, stride=1, padding=0):
     return Tensor(y, parents=(x, w), backward_fn=bwd, call=(conv2d, stride, padding))
 
 
-def _tap_planes(gcols, shape, stride=1, taps=None, weights=None):
-    """For each t of ``taps`` (default: every tap in order), gcols[:, :, t]
-    of gcols [n, c, taps, ho, wo], times weights[k] if given, on zeroed
-    planes of the padded input's ``shape`` [n, c, hp, wp], at every
-    stride-th row and column from the origin, as a flat [n, c * hp * wp]
-    array.  One buffer serves every tap: use each before taking the next."""
+def _tap_planes(gcols, shape, stride):
+    """For each tap t in order, gcols[:, :, t] of gcols [n, c, taps, ho, wo]
+    on zeroed planes of the padded input's ``shape`` [n, c, hp, wp], at
+    every stride-th row and column from the origin, as a flat
+    [n, c * hp * wp] array.  One buffer serves every tap: use each before
+    taking the next."""
     n, c, ntaps, ho, wo = gcols.shape
     buf = np.zeros(shape, dtype=gcols.dtype)
     block = buf[:, :, :ho * stride:stride, :wo * stride:stride]
-    for k, t in enumerate(range(ntaps) if taps is None else taps):
-        if weights is None:
-            block[...] = gcols[:, :, t]
-        else:
-            np.multiply(gcols[:, :, t], weights[k], out=block)
+    for t in range(ntaps):
+        block[...] = gcols[:, :, t]
         yield buf.reshape(n, -1)
 
 

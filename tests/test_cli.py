@@ -535,6 +535,22 @@ class TestFilter:
         assert not out.exists()
 
 
+    def test_prediction_of_another_size_exits_2_naming_sample_and_file(self, tmp_path,
+                                                                       dataset, capsys):
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        records = [r for r in load_manifest(dataset / "manifest.tsv") if r.split == "train"]
+        for r in records:
+            write_pnm(pred_dir / (r.sample_id + ".pgm"), np.zeros((8, 8), dtype=np.int64))
+        code = main(["filter", "--data", str(dataset / "manifest.tsv"),
+                     "--pred", str(pred_dir), "--out", str(tmp_path / "filtered")])
+        assert code == 2
+        err = capsys.readouterr().err
+        sid = records[0].sample_id
+        assert f"sample {sid!r}" in err and str(pred_dir / (sid + ".pgm")) in err
+        assert "(8, 8)" in err and "(16, 16)" in err
+
+
 class TestUnlabelledPixels:
     """Mask rows 0-3 of every sample hold 255, the on-disk unlabelled
     value; train, eval and filter all leave those pixels out."""
@@ -657,6 +673,22 @@ class TestConfigPlumbing:
         p = tmp_path / "c.cfg"
         p.write_text("# comment\n a = 1 \nb=two # trailing\n\n")
         assert read_config(p) == {"a": "1", "b": "two"}
+
+    def test_repeated_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        # the last value would win without a word: 50 epochs where line 1 says 5
+        p = tmp_path / "c.cfg"
+        p.write_text("epochs = 5\n# more\n epochs=50\n")
+        with pytest.raises(ConfigInvalidError, match=re.escape(
+                f"{p}:3: key 'epochs' repeats line 1")):
+            read_config(p)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN + "epochs = 50\n")
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "missing.tsv"),
+                     "--out", str(tmp_path / "run")]) == 2
+        line = TRAIN.splitlines().index("epochs = 2") + 1
+        assert (f"error: {cfg}:{len(TRAIN.splitlines()) + 1}: key 'epochs' repeats line {line}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_hash_inside_a_value_is_not_a_comment(self, tmp_path, capsys):
         # '#' starts a comment at the start of a line or after whitespace
@@ -1108,6 +1140,52 @@ class TestErrorsNameTheirFile:
         assert main(["train", "--config", str(cfg), "--data", str(manifest),
                      "--out", str(tmp_path / "run")]) == 3
         assert f"error: {manifest}: {message}" in capsys.readouterr().err
+
+
+class TestBinaryReadersNameTheirFile:
+    """Checkpoint and PNM errors start with the file they are in, keeping
+    their classes and exit codes; a checkpoint with bytes after its last
+    tensor is refused."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"XXXX" + bytes(8), "bad checkpoint magic b'XXXX'"),
+        (b"SMK1\x01\x00", "checkpoint ended early, 4 bytes wanted")],
+        ids=["magic", "truncated"])
+    def test_eval_checkpoint_exits_3(self, tmp_path, dataset, capsys, data, message):
+        path = tmp_path / "bad.smk"
+        path.write_bytes(data)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_trailing_bytes_exit_3(self, tmp_path, dataset, capsys):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        path.write_bytes(path.read_bytes() + bytes(29))
+        with pytest.raises(BadMagicError, match=re.escape(
+                f"{path}: 29 bytes after the last tensor")):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
+        assert f"error: {path}: 29 bytes after the last tensor" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_correct_truncated_input_exits_3(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "csec.smk"
+        save_csec_checkpoint(ckpt, init_csec(CsecConfig(), seed=0), CsecConfig())
+        src = tmp_path / "cut.ppm"
+        src.write_bytes(b"P6\n4 4\n255\n\x00\x00")
+        assert main(["correct", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(tmp_path / "o.ppm")]) == 3
+        assert f"error: {src}: raster has 2 bytes, needs 48" in capsys.readouterr().err
+
+    def test_eval_truncated_mask_exits_3(self, tmp_path, dataset, trained, capsys):
+        r = next(r for r in load_manifest(dataset / "manifest.tsv") if r.split == "val")
+        pathlib.Path(r.mask_path).write_bytes(b"P5\n16 16\n255\n\x00")
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"),
+                     "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "ev")]) == 3
+        assert f"error: {r.mask_path}: raster has 1 bytes, needs 256" in capsys.readouterr().err
 
 
 class TestCsecConfigInCheckpoints:

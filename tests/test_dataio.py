@@ -95,6 +95,19 @@ class TestPnm:
         with pytest.raises(TruncatedError):
             read_pnm(path)
 
+    @pytest.mark.parametrize("data, error", [
+        (b"P3\n1 1\n255\n0 0 0\n", BadMagicError),
+        (b"P6\n0 2\n255\n", BadMagicError),
+        (b"P5\n4", TruncatedError),
+        (b"P5\n1 1\n99\n\x00", MaxvalUnsupportedError),
+        (b"P6\n4 4\n255\n\x00\x00", TruncatedError)],
+        ids=["magic", "zero-extent", "header", "maxval", "raster"])
+    def test_errors_name_the_file(self, tmp_path, data, error):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(data)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+            read_pnm(path)
+
     def test_round_half_up(self, tmp_path):
         path = tmp_path / "r.ppm"
         # 0.5/255 * 255 = 0.5 exactly -> rounds up to 1
