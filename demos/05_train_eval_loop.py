@@ -33,8 +33,7 @@ def make(n):
 
 train_pairs, val_pairs = make(48), make(16)
 
-mc = ModelConfig(patch_size=4, embed_dim=32, n_blocks=1, n_heads=2,
-                 n_classes=3, image_size=(32, 32), seed=0)
+mc = ModelConfig(patch_size=4, embed_dim=32, n_blocks=1, n_heads=2, n_classes=3, seed=0)
 model = build_model(mc)
 report = train(model, train_pairs, TrainConfig(epochs=6, learning_rate=1e-3, seed=0),
                val_pairs=val_pairs)

@@ -22,7 +22,6 @@ embed_dim = 16
 n_blocks = 1
 n_heads = 2
 n_classes = 3
-image_size = 16, 16
 epochs = 3
 learning_rate = 0.001
 seed = 0

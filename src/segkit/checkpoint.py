@@ -7,8 +7,9 @@ Model and color-correction checkpoints add f32 entries ``config.kind`` (0
 model, 1 corrector) and ``config.<field>`` per ``ModelConfig`` or
 ``CsecConfig`` field, and a model's corrector as ``csec.*`` and
 ``config.csec.<field>``.  Older files load: without ``config.kind`` as
-either kind, without ``config.window`` as window 0, and per-head
-``b{i}.h{hd}.w{q,k,v}`` weights fused into ``b{i}.wqkv``.  A loaded
+either kind, without ``config.window`` as window 0, with a model's
+``config.image_size``, the extent it was trained at, dropped unread, and
+per-head ``b{i}.h{hd}.w{q,k,v}`` weights fused into ``b{i}.wqkv``.  A loaded
 checkpoint must hold exactly the parameters its config builds, by name and
 shape, and no ``config.*`` entry its configs do not read, each typed as a
 config-file line holding its values (``dataio._parse_like``); a missing,
@@ -146,6 +147,7 @@ def save_model_checkpoint(path, model: Model):
 def load_model_checkpoint(path) -> Model:
     blob = _load_kind(path, 0, "model")
     blob.setdefault("config.window", Tensor(np.zeros((), dtype=np.float32)))
+    blob.pop("config.image_size", None)
     cfg = _unpack_config(ModelConfig, blob, "config.", path)
     params = {k: t for k, t in blob.items() if not k.startswith(("config.", "csec."))}
     csec_params = {k[len("csec."):]: t for k, t in blob.items() if k.startswith("csec.")}

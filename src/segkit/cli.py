@@ -44,7 +44,7 @@ from .dataio import (
     write_pnm,
 )
 from .denoise import DenoiseConfig, ErrorScore, filter_dataset, pixel_error_rate
-from .errors import ConfigInvalidError, SegkitError, ShapeMismatchError
+from .errors import ClassOutOfRangeError, ConfigInvalidError, SegkitError, ShapeMismatchError
 from .gradcheck import SUITES, TOL, run_suite
 from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_miou
 from .segnet import (
@@ -183,17 +183,21 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_split(records, split, image_size):
+def _load_split(records, split, n_classes):
     """The records of split and their (image, mask) pairs; a pair of another
-    size than image_size is an error naming its sample."""
+    extent than the split's first mask, or whose mask holds a class id
+    outside [0, n_classes) other than IGNORE, is an error naming its files."""
     chosen = [r for r in records if r.split == split]
     pairs = load_pairs(chosen)
-    h, w = image_size
     for r, (image, mask) in zip(chosen, pairs):
-        if image.shape[2:] != (h, w) or mask.shape != (h, w):
-            raise ShapeMismatchError(f"sample {r.sample_id!r} ({r.image_path}, {r.mask_path}): "
-                                     f"image {image.shape[2:]}, mask {mask.shape} vs image "
-                                     f"size {h}x{w}")
+        hw = pairs[0][1].shape
+        where = f"sample {r.sample_id!r} ({r.image_path}, {r.mask_path})"
+        if image.shape[2:] != hw or mask.shape != hw:
+            raise ShapeMismatchError(f"{where}: image {image.shape[2:]}, mask {mask.shape} vs "
+                                     f"the {split} split's first mask {hw}")
+        if mask.max() >= n_classes:
+            raise ClassOutOfRangeError(f"{where}: mask holds class {mask.max()}, outside "
+                                       f"[0,{n_classes})")
     return chosen, pairs
 
 
@@ -209,19 +213,19 @@ def cmd_train(args) -> int:
     model = build_model(mc, csec_params=csec_params, csec_config=csec_cfg)
 
     records = load_manifest(args.data)
-    train_records, train_pairs = _load_split(records, "train", mc.image_size)
-    _, val_pairs = _load_split(records, "val", mc.image_size)
-    os.makedirs(args.out, exist_ok=True)
+    train_records, train_pairs = _load_split(records, "train", mc.n_classes)
+    _, val_pairs = _load_split(records, "val", mc.n_classes)
 
     if tc.denoise is None:
-        report = train(model, train_pairs, tc, val_pairs=val_pairs or None)
+        report, freport = train(model, train_pairs, tc, val_pairs=val_pairs or None), None
     else:
         samples = [(r.sample_id, img, mask)
                    for r, (img, mask) in zip(train_records, train_pairs)]
         model, report, freport = train_with_denoise(model, samples, tc,
                                                     val_pairs=val_pairs or None)
+    os.makedirs(args.out, exist_ok=True)  # after training, so a refused run writes nothing
+    if freport:
         write_filter_report(args.out, freport.scores, set(freport.kept_ids))
-
     save_model_checkpoint(os.path.join(args.out, "checkpoint.smk"), model)
     with open(os.path.join(args.out, "metrics.tsv"), "w", encoding="utf-8") as fh:
         fh.write("# epoch\tloss\tval_miou\n")
@@ -242,7 +246,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    chosen, pairs = _load_split(load_manifest(args.data), args.split, model.config.image_size)
+    chosen, pairs = _load_split(load_manifest(args.data), args.split, model.config.n_classes)
     if not chosen:
         raise ConfigInvalidError(f"manifest has no {args.split!r} samples")
     robot_pairs = {}
@@ -307,6 +311,10 @@ def cmd_correct(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    try:
+        dn = DenoiseConfig(quantile=args.quantile)
+    except ConfigInvalidError as exc:
+        raise ConfigInvalidError(f"--quantile: {exc}") from None
     records = load_manifest(args.data)
     train_records = [r for r in records if r.split == "train"]
     if not train_records:
@@ -320,7 +328,7 @@ def cmd_filter(args) -> int:
             raise ShapeMismatchError(f"sample {r.sample_id!r} ({pred_path}): prediction "
                                      f"{pred.shape} vs mask {mask.shape}")
         scores.append(ErrorScore(sample_id=r.sample_id, error_rate=pixel_error_rate(pred, mask)))
-    kept_ids = {s.sample_id for s in filter_dataset(scores, DenoiseConfig(quantile=args.quantile))}
+    kept_ids = {s.sample_id for s in filter_dataset(scores, dn)}
     os.makedirs(args.out, exist_ok=True)
     filtered = [r for r in records if r.split != "train" or r.sample_id in kept_ids]
     save_manifest(os.path.join(args.out, "manifest.tsv"), filtered)

@@ -298,11 +298,11 @@ def _extract_tokens(x: Tensor, params: dict, prefix: str) -> Tensor:
     return reshape(h3, (n, c, th * tw)).T
 
 
-def check_extents(h, w, error=ShapeMismatchError):
-    """Raise ``error`` unless h x w is an image size ``csec_correct`` takes."""
+def check_extents(h, w):
+    """Raise ShapeMismatchError unless h x w is an image size ``csec_correct`` takes."""
     if h % 4 or w % 4 or h > 64 or w > 64:
-        raise error(f"color correction needs spatial extents that are multiples of 4, "
-                    f"at most 64, got {h}x{w}")
+        raise ShapeMismatchError(f"color correction needs spatial extents that are multiples "
+                                 f"of 4, at most 64, got {h}x{w}")
 
 
 # the offset branch's parameters other than cose.w2

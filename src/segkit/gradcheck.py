@@ -128,10 +128,10 @@ def _csec_pipeline(seed):
 
 
 def _segnet_pipeline(seed):
-    """Every parameter of a small segmenter; 2x2 windows on its 4x4 patch
-    grid, so block 1 runs the shift and its mask."""
+    """Every parameter of a small segmenter; 2x2 windows on the 4x4 patch
+    grid of its 16x16 image, so block 1 runs the shift and its mask."""
     cfg = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
-                      window=2, image_size=(16, 16), seed=seed)
+                      window=2, seed=seed)
     model = build_model(cfg, dtype=np.float64)
     rng = SplitMix64(seed + 9)
     img = rng.uniform_array((1, 3, 16, 16), 0.0, 1.0)

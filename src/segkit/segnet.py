@@ -16,7 +16,10 @@ Attention is Swin-style: with ``ModelConfig.window`` w > 0 each token
 attends within its w x w tile of the patch grid, and odd blocks shift the
 tiles by w // 2 (``rope.rope_attention``); window 0 attends over the whole
 grid.  The model reaches attention only through the module attribute
-``rope.rope_attention``, once per block.
+``rope.rope_attention``, once per block.  No parameter depends on the image
+size: each input's extents, multiples of ``patch_size``, give its grid, and
+its forward refuses a grid the window does not tile or an image the
+corrector cannot take.
 
 A model has color correction exactly when ``ModelConfig.use_csec`` is set,
 and then always has CSEC parameters: given ones or the identity-initialized
@@ -36,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .csec import CsecConfig, check_extents, csec_correct, init_csec
+from .csec import CsecConfig, csec_correct, init_csec
 from .denoise import (
     DenoiseConfig,
     ErrorScore,
@@ -97,30 +100,18 @@ class ModelConfig:
     use_csec: bool = False
     use_rope: bool = True
     window: int = 4  # attention tile side in patches; 0 attends over the whole grid
-    image_size: tuple = (48, 48)
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.image_size) != 2:
-            raise ConfigInvalidError(f"image_size must hold 2 extents, got {self.image_size}")
-        h, w = self.image_size
         if self.patch_size < 1 or self.n_heads < 1 or self.window < 0:
             raise ConfigInvalidError("need patch_size >= 1, n_heads >= 1 and window >= 0")
         if self.embed_dim < 4 * self.n_heads or self.embed_dim % (4 * self.n_heads) != 0:
             raise ConfigInvalidError("embed_dim must be a positive multiple of 4 * n_heads")
-        if min(h, w) < self.patch_size or h % self.patch_size or w % self.patch_size:
-            raise ConfigInvalidError("image size must be a positive multiple of patch_size")
-        rows, cols = h // self.patch_size, w // self.patch_size
-        if self.window and (rows % self.window or cols % self.window):
-            raise ConfigInvalidError(f"window {self.window} must divide the "
-                                     f"{rows}x{cols} patch grid")
         if self.n_blocks < 1 or self.n_classes < 2:
             raise ConfigInvalidError("need n_blocks >= 1 and n_classes >= 2")
         # SMK1 checkpoints store the seed as f32, exact up to 2**24
         if abs(self.seed) > 2 ** 24:
             raise ConfigInvalidError(f"seed must be within +-2**24, got {self.seed}")
-        if self.use_csec:
-            check_extents(h, w, ConfigInvalidError)
 
 
 @dataclass
@@ -171,9 +162,6 @@ class Model:
         self.dtype = dtype
         self.csec_params = csec_params
         self.csec_config = csec_config
-        h, w = config.image_size
-        p = config.patch_size
-        self.grid = PatchGrid(h // p, w // p)
         self.head_dim = config.embed_dim // config.n_heads
         self.freqs = freq_table(self.head_dim)
 
@@ -183,37 +171,37 @@ class Model:
         return upsample_nearest(self.patch_logits(images), self.config.patch_size)
 
     def patch_logits(self, images) -> Tensor:
-        """images [N,3,H,W] -> patch logits [N,K,H/p,W/p]."""
+        """images [N,3,H,W], H and W positive multiples of p -> logits [N,K,H/p,W/p]."""
         cfg = self.config
-        h, w = cfg.image_size
+        p = cfg.patch_size
         arr = np.asarray(images.data if isinstance(images, Tensor) else images, dtype=self.dtype)
-        if arr.ndim != 4 or arr.shape[1:] != (3, h, w):
-            raise ShapeMismatchError(f"expected [N,3,{h},{w}], got {arr.shape}")
-        n = arr.shape[0]
+        if arr.ndim != 4 or arr.shape[1] != 3 or any(e < p or e % p for e in arr.shape[2:]):
+            raise ShapeMismatchError(f"expected [N,3,H,W] with H and W positive multiples of "
+                                     f"patch_size {p}, got {arr.shape}")
+        n, _, h, w = arr.shape
         if cfg.use_csec:
             # frozen preprocessing: corrected pixels, no gradient into CSEC
             with no_grad():
                 arr = csec_correct(Tensor(arr), self.csec_params, self.csec_config).data
-        p = cfg.patch_size
         hp, wp = h // p, w // p
         patches = (arr.reshape(n, 3, hp, p, wp, p)
                    .transpose(0, 2, 4, 1, 3, 5)
                    .reshape(n, hp * wp, 3 * p * p))
         x = linear(Tensor(patches), self.params["embed.w"], self.params["embed.b"])  # [N,T,d]
         for i in range(cfg.n_blocks):
-            x = add(x, self._attention(i, x))
+            x = add(x, self._attention(i, x, PatchGrid(hp, wp)))
             x = add(x, self._mlp(i, x))
         logits = linear(x, self.params["head.w"], self.params["head.b"])  # [N,T,K]
         return reshape(permute(logits, (0, 2, 1)), (n, cfg.n_classes, hp, wp))
 
-    def _attention(self, i, x):
-        """Multi-head attention with all heads in one product: wqkv's columns
-        are the q heads, then the k heads, then the v heads.  Odd blocks shift
-        their windows by half a window."""
+    def _attention(self, i, x, grid):
+        """Multi-head attention over the tokens of grid with all heads in one
+        product: wqkv's columns are the q heads, then the k heads, then the v
+        heads.  Odd blocks shift their windows by half a window."""
         pr = self.params
         cfg = self.config
         h = layer_norm(x, pr[f"b{i}.ln1.g"], pr[f"b{i}.ln1.b"])
-        heads = rope.rope_attention(matmul(h, pr[f"b{i}.wqkv"]), self.grid,
+        heads = rope.rope_attention(matmul(h, pr[f"b{i}.wqkv"]), grid,
                                     self.freqs if cfg.use_rope else None, cfg.n_heads,
                                     window=cfg.window, shift=cfg.window // 2 if i % 2 else 0)
         return matmul(heads, pr[f"b{i}.attn.wo"])
@@ -316,12 +304,12 @@ def train(model: Model, dataset, config: TrainConfig, val_pairs=None) -> TrainRe
     if dn is not None and dn.mode == "drop_samples":
         raise ConfigInvalidError("train does not drop samples; mode drop_samples "
                                  "runs through train_with_denoise")
-    h, w = model.config.image_size
     for what, pairs in (("training", dataset), ("val", val_pairs or [])):
+        hw = np.shape(pairs[0][1]) if len(pairs) else ()  # each set has its first mask's extent
         for i, (image, mask) in enumerate(pairs):
-            if np.shape(image) != (1, 3, h, w) or np.shape(mask) != (h, w):
+            if len(hw) != 2 or np.shape(image) != (1, 3) + hw or np.shape(mask) != hw:
                 raise ShapeMismatchError(f"{what} pair {i}: {np.shape(image)}, "
-                                         f"{np.shape(mask)} vs image size {h}x{w}")
+                                         f"{np.shape(mask)} vs its set's first mask {hw}")
     opt = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                beta2=config.beta2, eps=config.eps)
     truncate = dn.quantile if dn is not None and dn.mode == "truncate_pixels" else None

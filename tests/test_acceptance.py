@@ -309,7 +309,7 @@ def test_criterion_11_io_bit_exactness(tmp_path):
         write_pnm(p, read_pnm(p))
         pnm_ok = pnm_ok and p.read_bytes() == first
     model = build_model(ModelConfig(patch_size=4, embed_dim=16, n_blocks=1,
-                                    n_heads=2, n_classes=3, image_size=(16, 16)))
+                                    n_heads=2, n_classes=3))
     cp = tmp_path / "m.smk"
     save_checkpoint(cp, model.params)
     back = load_checkpoint(cp)

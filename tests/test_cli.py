@@ -43,7 +43,6 @@ embed_dim = 16
 n_blocks = 1
 n_heads = 2
 n_classes = 3
-image_size = 16, 16
 epochs = 2
 learning_rate = 0.001
 seed = 0
@@ -162,6 +161,19 @@ class TestTrain:
         run = json.loads((trained / "run.json").read_text())
         assert run["config"]["train"]["epochs"] == 2
 
+    def test_manifest_without_train_samples_exits_2_before_writing(self, tmp_path, dataset,
+                                                                   capsys):
+        manifest = dataset / "manifest.tsv"
+        manifest.write_text("".join(ln for ln in manifest.read_text().splitlines(True)
+                                    if not ln.rstrip("\n").endswith("\ttrain")))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(manifest),
+                     "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_denoise_emits_filter_report(self, tmp_path, dataset):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TRAIN + "quantile = 0.9\n")
@@ -218,11 +230,11 @@ class TestTrain:
         spec.write_text("n_samples = 2\nimage_size = 80, 80\n")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("epochs = 1\nimage_size = 80, 80\nuse_csec = true\n")
+        cfg.write_text("epochs = 1\nuse_csec = true\n")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--data",
                      str(tmp_path / "data" / "manifest.tsv"), "--out", str(out)]) == 2
-        assert f"error: {cfg}: " in capsys.readouterr().err
+        assert "error: color correction needs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_divergence_exit_code(self, tmp_path, dataset, capsys):
@@ -330,9 +342,8 @@ class TestTrain:
     # that value as run.json records it
     KEYS = [("patch_size", "2", 2), ("embed_dim", "24", 24), ("n_blocks", "3", 3),
             ("n_heads", "1", 1), ("n_classes", "4", 4), ("use_csec", "true", True),
-            ("use_rope", "false", False), ("window", "2", 2),
-            ("image_size", "16, 16", [16, 16]),
-            ("seed", "3", 3), ("epochs", "2", 2), ("learning_rate", "0.002", 0.002),
+            ("use_rope", "false", False), ("window", "2", 2), ("seed", "3", 3),
+            ("epochs", "2", 2), ("learning_rate", "0.002", 0.002),
             ("beta1", "0.8", 0.8), ("beta2", "0.99", 0.99), ("eps", "1e-06", 1e-6),
             ("batch_size", "2", 2), ("quantile", "0.9", 0.9),
             ("mode", "truncate_pixels", "truncate_pixels")]
@@ -383,6 +394,19 @@ class TestEval:
         report = json.loads((out / "eval_report.json").read_text())
         mean = np.mean(list(report["per_robot_miou"].values()))
         assert abs(report["weighted_miou"] - mean) < 1e-12
+
+    def test_model_trained_at_16x16_evaluates_a_32x32_manifest(self, tmp_path, trained,
+                                                                capsys):
+        spec = tmp_path / "spec32.cfg"
+        spec.write_text(SPEC.replace("image_size = 16, 16", "image_size = 32, 32"))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data32")]) == 0
+        out = tmp_path / "eval32"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"),
+                     "--data", str(tmp_path / "data32" / "manifest.tsv"),
+                     "--weights", "uniform", "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "eval_report.json").read_text())
+        assert report["samples"] == 4 and 0.0 <= report["weighted_miou"] <= 1.0
 
     def test_missing_robot_exit_5(self, tmp_path, trained, dataset, capsys):
         # a val manifest with fewer than all four robots under goose weighting
@@ -534,6 +558,18 @@ class TestFilter:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("quantile", ["2", "nan", "0", "1", "-0.5"])
+    def test_quantile_outside_the_open_unit_interval_exits_2_before_reading(
+            self, tmp_path, dataset, capsys, quantile):
+        # the --pred directory is missing, which reading it would report as 3
+        out = tmp_path / "filtered"
+        code = main(["filter", "--data", str(dataset / "manifest.tsv"),
+                     "--pred", str(tmp_path / "missing"), "--out", str(out),
+                     "--quantile", quantile])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --quantile: quantile must be in (0,1)")
+        assert not out.exists()
 
     def test_prediction_of_another_size_exits_2_naming_sample_and_file(self, tmp_path,
                                                                        dataset, capsys):
@@ -729,12 +765,12 @@ class TestNonUtf8Input:
     def test_non_utf8_config_exits_2_naming_its_file(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_bytes(TRAIN.encode() + b"# caf\xe9\n")
-        with pytest.raises(ConfigInvalidError, match=rf"^{re.escape(str(cfg))}: line 11 is not utf-8$"):
+        with pytest.raises(ConfigInvalidError, match=rf"^{re.escape(str(cfg))}: line 10 is not utf-8$"):
             read_config(cfg)
         code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "none.tsv"),
                      "--out", str(tmp_path / "run")])
         assert code == 2
-        assert f"{cfg}: line 11 is not utf-8" in capsys.readouterr().err
+        assert f"{cfg}: line 10 is not utf-8" in capsys.readouterr().err
 
     def test_text_mode_newlines_still_read(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -743,8 +779,7 @@ class TestNonUtf8Input:
 
 
 class TestModelCheckpoint:
-    CFG = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
-                      image_size=(16, 16), seed=7)
+    CFG = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3, seed=7)
 
     def _per_head_blob(self, tmp_path, model):
         """The model saved the way checkpoints were written before the heads
@@ -776,6 +811,32 @@ class TestModelCheckpoint:
         assert np.array_equal(predict(back, img), predict(model, img))
         assert np.allclose(back.forward(img).data, model.forward(img).data, rtol=0, atol=1e-6)
 
+    def test_checkpoint_with_an_image_size_entry_loads_and_evaluates_alike(
+            self, tmp_path, dataset, capsys):
+        # checkpoints written while ModelConfig had image_size hold it as
+        # config.image_size; it is dropped unread
+        model = build_model(self.CFG)
+        path, legacy = tmp_path / "m.smk", tmp_path / "legacy.smk"
+        save_model_checkpoint(path, model)
+        blob = load_checkpoint(path)
+        assert "config.image_size" not in blob
+        blob["config.image_size"] = Tensor(np.full(2, 16.0, dtype=np.float32))
+        save_checkpoint(legacy, blob)
+        back = load_model_checkpoint(legacy)
+        assert back.config == self.CFG
+        assert set(back.params) == set(model.params)
+        for k, p in model.params.items():
+            assert np.array_equal(back.params[k].data, p.data), k
+        imgs = SplitMix64(3).uniform_array((2, 3, 16, 16), 0, 1)
+        assert np.array_equal(back.forward(imgs).data, model.forward(imgs).data)
+        reports = []
+        for name, ckpt in (("new", path), ("legacy", legacy)):
+            assert main(["eval", "--checkpoint", str(ckpt), "--data",
+                         str(dataset / "manifest.tsv"), "--out", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "eval_report.json").read_text())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
     def test_incomplete_per_head_checkpoint_is_config_error(self, tmp_path):
         legacy, blob = self._per_head_blob(tmp_path, build_model(self.CFG))
         del blob["b1.h0.wv"]
@@ -788,13 +849,12 @@ class TestCheckpointConfig:
     """The ``config.*`` entries a checkpoint carries: round trip, byte layout
     and malformed checkpoints."""
 
-    # every field differs from its default; residual_eps is exact in f32;
-    # the 3x5 patch grid takes no window but the whole grid
+    # every field differs from its default; residual_eps is exact in f32
     MODEL = ModelConfig(patch_size=8, embed_dim=24, n_blocks=3, n_heads=3, n_classes=4,
-                        use_csec=True, use_rope=False, window=0, image_size=(24, 40), seed=9)
+                        use_csec=True, use_rope=False, window=0, seed=9)
     CSEC = CsecConfig(feat_channels=5, hidden=7, kernel=5, residual_eps=2.0 ** -9)
     MODEL_FIELDS = ("patch_size", "embed_dim", "n_blocks", "n_heads", "n_classes",
-                    "use_csec", "use_rope", "window", "image_size", "seed")
+                    "use_csec", "use_rope", "window", "seed")
     CSEC_FIELDS = ("feat_channels", "hidden", "kernel", "residual_eps")
 
     def _model(self):
@@ -846,12 +906,10 @@ class TestCheckpointConfig:
 
     # an entry is typed as a config line holding its stored value would be,
     # so a value such a line is refused for is refused here too, not rounded
-    LENIENT = [("n_blocks", 2.5), ("window", 2.9), ("use_rope", 0.5), ("use_rope", 7.0),
-               ("image_size", [16, 16.5])]
+    LENIENT = [("n_blocks", 2.5), ("window", 2.9), ("use_rope", 0.5), ("use_rope", 7.0)]
 
     @pytest.mark.parametrize("name, value", LENIENT,
-                             ids=["n_blocks=2.5", "window=2.9", "use_rope=0.5", "use_rope=7",
-                                  "image_size=16x16.5"])
+                             ids=["n_blocks=2.5", "window=2.9", "use_rope=0.5", "use_rope=7"])
     def test_entry_no_config_line_could_hold_exits_2(self, tmp_path, dataset, capsys, name,
                                                      value):
         path = tmp_path / "m.smk"
@@ -894,7 +952,7 @@ class TestCheckpointConfig:
         # checkpoints written before windowed attention carry no config.window;
         # they load as window 0 and predict bitwise as global attention does
         cfg = ModelConfig(patch_size=4, embed_dim=16, n_blocks=2, n_heads=2, n_classes=3,
-                          use_rope=use_rope, window=0, image_size=(32, 32), seed=7)
+                          use_rope=use_rope, window=0, seed=7)
         model = build_model(cfg)
         path = tmp_path / "m.smk"
         save_model_checkpoint(path, model)
@@ -1054,18 +1112,22 @@ class TestCheckpointConfig:
 
 
 class TestMixedImageSizes:
-    """A sample of another size than the model's ends in a typed error naming
-    it, not in numpy's concatenation error."""
+    """A sample whose image and mask differ in size, or are of another size
+    than its split's first sample, ends in a typed error naming it, not in
+    numpy's concatenation error."""
 
-    @pytest.fixture(params=[("val", "image"), ("val", "mask"), ("train", "image")],
-                    ids=["val-image", "val-mask", "train-image"])
+    @pytest.fixture(params=[("val", "image", 0), ("val", "mask", 0), ("train", "image", 0),
+                            ("val", "both", 1), ("train", "both", 2)],
+                    ids=["val-image", "val-mask", "train-image", "second-val-pair",
+                         "third-train-pair"])
     def odd(self, request, dataset):
-        """Rewrite one sample's image or mask at 20x20 and return its record."""
-        split, part = request.param
-        r = next(r for r in load_manifest(dataset / "manifest.tsv") if r.split == split)
-        if part == "image":
+        """Rewrite a split's index-th sample's image, mask or both at 20x20
+        and return its record."""
+        split, part, index = request.param
+        r = [r for r in load_manifest(dataset / "manifest.tsv") if r.split == split][index]
+        if part in ("image", "both"):
             write_pnm(r.image_path, np.full((1, 3, 20, 20), 0.5))
-        else:
+        if part in ("mask", "both"):
             write_pnm(r.mask_path, np.zeros((20, 20), dtype=np.int64))
         return r
 
@@ -1087,6 +1149,54 @@ class TestMixedImageSizes:
         self._assert_named(capsys.readouterr().err, odd)
 
 
+class TestMaskClassIds:
+    """A mask holding a class id the model has no logit for is refused,
+    naming the sample and its mask file, before any training or prediction
+    and before train writes its output directory."""
+
+    @pytest.fixture()
+    def bad(self, request, dataset):
+        """Give the first record of the split that request.param names a
+        mask pixel of class 5, with n_classes 3; return that record."""
+        r = next(r for r in load_manifest(dataset / "manifest.tsv") if r.split == request.param)
+        mask = read_pnm(r.mask_path).astype(np.int64)
+        mask[3, 7] = 5
+        write_pnm(r.mask_path, mask)
+        return r
+
+    @pytest.mark.parametrize("bad", ["train", "val"], indirect=True)
+    def test_train_exits_2_naming_the_mask_before_writing(self, tmp_path, dataset, bad,
+                                                          monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a mask holding class 5")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sample {bad.sample_id!r}" in err and bad.mask_path in err
+        assert "class 5, outside [0,3)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["val"], indirect=True)
+    def test_eval_exits_2_naming_the_mask_before_predicting(self, tmp_path, dataset, trained,
+                                                            bad, monkeypatch, capsys):
+        def no_prediction(*args, **kwargs):
+            raise AssertionError("predicted for a mask holding class 5")
+
+        monkeypatch.setattr(cli, "_predict_masks", no_prediction)
+        out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"),
+                     "--data", str(dataset / "manifest.tsv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sample {bad.sample_id!r}" in err and bad.mask_path in err
+        assert "class 5, outside [0,3)" in err
+        assert not out.exists()
+
+
 class TestErrorsNameTheirFile:
     """Config, spec and manifest errors start with the file they are in; the
     exit codes stay those of their classes."""
@@ -1094,10 +1204,10 @@ class TestErrorsNameTheirFile:
     @pytest.mark.parametrize("key, line, message", [
         ("epochs", "epochs = x", "bad value for 'epochs'"),
         ("use_rope", "use_rope = maybe", "bad value for 'use_rope'"),
-        ("image_size", "image_size = 16", "image_size must hold 2 extents, got (16,)"),
+        ("image_size", "image_size = 16, 16", "unknown config keys: ['image_size']"),
         ("windw", "windw = 2", "unknown config keys: ['windw']"),
-        ("window", "window = 5", "window 5 must divide the 4x4 patch grid")],
-        ids=["bad-int", "bad-bool", "short-tuple", "unknown-key", "post-init"])
+        ("n_blocks", "n_blocks = 0", "need n_blocks >= 1 and n_classes >= 2")],
+        ids=["bad-int", "bad-bool", "removed-key", "unknown-key", "post-init"])
     def test_train_config(self, tmp_path, dataset, capsys, key, line, message):
         lines = [ln for ln in TRAIN.strip().splitlines() if not ln.startswith(key + " ")]
         cfg = tmp_path / "train.cfg"
@@ -1122,11 +1232,11 @@ class TestErrorsNameTheirFile:
         path = tmp_path / "m.smk"
         save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
         blob = load_checkpoint(path)
-        blob["config.image_size"] = Tensor(np.full(3, 16.0, dtype=np.float32))
+        blob["config.n_blocks"] = Tensor(np.zeros((), dtype=np.float32))
         save_checkpoint(path, blob)
         assert main(["eval", "--checkpoint", str(path), "--data",
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 2
-        assert f"error: {path}: image_size must hold 2 extents" in capsys.readouterr().err
+        assert f"error: {path}: need n_blocks >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, message", [
         ("s0\timages/s0.ppm\tmasks/s0.pgm\n", "line 2: expected 5 fields, got 3"),

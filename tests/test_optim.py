@@ -220,8 +220,7 @@ class TestNonFiniteGradient:
 
     def test_segmenter_nan_weight_behind_a_relu(self):
         # relu maps the NaN pre-activations to 0, so the loss stays finite
-        model = build_model(ModelConfig(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2,
-                                        image_size=(16, 16)))
+        model = build_model(ModelConfig(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2))
         model.params["b0.mlp.w1"].data[0, 0] = np.nan
         before = {k: Tensor(p.data.copy()) for k, p in model.params.items()}
         with pytest.raises(TrainingDivergedError,
@@ -279,8 +278,7 @@ def test_fit_checks_before_any_step(n, epochs, batch_size, error):
 def test_segnet_divergence_names_where_training_failed():
     data = _scenes(7, 2, 16)
     data[1] = (np.full_like(data[1][0], np.nan), data[1][1])
-    model = build_model(ModelConfig(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2,
-                                    image_size=(16, 16)))
+    model = build_model(ModelConfig(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2))
     with pytest.raises(TrainingDivergedError, match=r"at epoch 1, step 1, samples \[[01], [01]\]; "
                                                     r"last finite epoch-mean loss None"), \
             np.errstate(invalid="ignore"):

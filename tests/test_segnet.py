@@ -24,7 +24,7 @@ from segkit.metrics import IGNORE, ConfusionMatrix, miou
 from segkit.optim import Adam, _step
 from segkit.rng import SplitMix64
 from segkit import rope, segnet
-from segkit.rope import axial_angles, rotate
+from segkit.rope import PatchGrid, axial_angles, rotate
 from segkit.segnet import (
     Model,
     ModelConfig,
@@ -49,8 +49,7 @@ from segkit.tensor import (
     scale,
 )
 
-SMALL = dict(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2,
-             n_classes=3, image_size=(16, 16))
+SMALL = dict(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2, n_classes=3)
 
 
 def _dataset(seed, n, spec=None):
@@ -68,34 +67,23 @@ class TestConfig:
         with pytest.raises(ConfigInvalidError):
             ModelConfig(embed_dim=30, n_heads=4)
         with pytest.raises(ConfigInvalidError):
-            ModelConfig(image_size=(50, 50), patch_size=4)
-        with pytest.raises(ConfigInvalidError):
             ModelConfig(n_blocks=0)
         ModelConfig()
 
     @pytest.mark.parametrize("bad", [dict(patch_size=0), dict(patch_size=-4), dict(n_heads=0),
-                                     dict(window=-1), dict(window=5),
-                                     dict(image_size=(48, 40), window=4)],
-                             ids=["patch_size=0", "patch_size=-4", "n_heads=0", "window=-1",
-                                  "window=5", "window=4-on-12x10"])
+                                     dict(window=-1)],
+                             ids=["patch_size=0", "patch_size=-4", "n_heads=0", "window=-1"])
     def test_validation_rejects_before_dividing(self, bad):
-        # rejected before the checks divide by patch_size or n_heads, and
-        # before a window that does not tile the patch grid reaches a model
+        # rejected before the checks divide by patch_size or n_heads
         with pytest.raises(ConfigInvalidError):
             ModelConfig(**bad)
         with pytest.raises(ConfigInvalidError):
             build_model(ModelConfig(**bad))
 
-    # each would build a model whose forward cannot run: no patch fits the
-    # image, the heads have no width, or the corrector cannot take the image
-    @pytest.mark.parametrize("bad", [dict(image_size=(0, 0)), dict(image_size=(0, 16)),
-                                     dict(image_size=(-4, 16), window=0),
-                                     dict(embed_dim=-16),
-                                     dict(embed_dim=0), dict(image_size=(80, 80), use_csec=True),
-                                     dict(patch_size=5, window=0, image_size=(20, 30),
-                                          use_csec=True)],
-                             ids=["image=0x0", "image=0x16", "image=-4x16", "embed_dim=-16",
-                                  "embed_dim=0", "csec-at-80x80", "csec-at-20x30"])
+    # each would build a model whose forward cannot run: the heads have no
+    # width (an input the forward cannot take is refused by TestInputExtent)
+    @pytest.mark.parametrize("bad", [dict(embed_dim=-16), dict(embed_dim=0)],
+                             ids=["embed_dim=-16", "embed_dim=0"])
     def test_a_model_that_cannot_run_its_forward_is_refused(self, bad):
         with pytest.raises(ConfigInvalidError):
             ModelConfig(**bad)
@@ -109,10 +97,13 @@ class TestConfig:
                 ModelConfig(seed=seed)
 
     def test_window_tiles_the_patch_grid(self):
-        # the default window 4 tiles the default 12x12 grid; 0 is global
+        # each window tiles the 12x12 grid of a 48x48 image; 0 is global
+        img = SplitMix64(1).uniform_array((1, 3, 48, 48), 0, 1)
         for window in (0, 1, 2, 3, 4, 6, 12):
-            ModelConfig(window=window)
-        ModelConfig(image_size=(16, 32), window=4)
+            assert build_model(ModelConfig(window=window)).patch_logits(img).data.shape == \
+                (1, 3, 12, 12)
+        img = SplitMix64(1).uniform_array((1, 3, 16, 32), 0, 1)
+        assert build_model(ModelConfig(window=4)).patch_logits(img).data.shape == (1, 3, 4, 8)
 
     def test_val_pairs_of_another_size_are_refused(self):
         # as training pairs are, before numpy's concatenation would fail
@@ -145,7 +136,7 @@ def _per_head_forward(model, img):
     cfg, pr = model.config, model.params
     d, p = cfg.embed_dim, cfg.patch_size
     dh = d // cfg.n_heads
-    hp, wp = cfg.image_size[0] // p, cfg.image_size[1] // p
+    hp, wp = img.shape[2] // p, img.shape[3] // p
     patches = img[0].reshape(3, hp, p, wp, p).transpose(1, 3, 0, 2, 4).reshape(hp * wp, -1)
     x = linear(Tensor(patches), pr["embed.w"], pr["embed.b"])
     for i in range(cfg.n_blocks):
@@ -156,7 +147,7 @@ def _per_head_forward(model, img):
             q, k, v = (matmul(h, Tensor(wqkv[:, j * d + hd * dh:j * d + (hd + 1) * dh]))
                        for j in range(3))
             if cfg.use_rope:
-                theta = axial_angles(model.grid.positions(), model.freqs)
+                theta = axial_angles(PatchGrid(hp, wp).positions(), model.freqs)
                 q, k = rotate(q, theta), rotate(k, theta)
             s = scale(matmul(q, k.T), dh ** -0.5).data
             e = np.exp(s - s.max(axis=1, keepdims=True))
@@ -317,6 +308,49 @@ class TestForward:
         assert not np.array_equal(on, off)
 
 
+class TestInputExtent:
+    """A model reads its patch grid from each input.  An input it cannot
+    take is refused with a ShapeMismatchError at the first forward: one
+    that patches do not tile, a grid its window does not tile, and an
+    image its corrector cannot take."""
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (16, 32), (32, 16), (48, 48)])
+    def test_one_model_takes_every_extent_its_window_tiles(self, h, w):
+        # window 4 tiles the 4x4, 4x8, 8x4 and 12x12 patch grids alike
+        model = build_model(ModelConfig(**SMALL))
+        imgs = SplitMix64(1).uniform_array((2, 3, h, w), 0, 1)
+        assert model.forward(imgs).data.shape == (2, 3, h, w)
+        assert np.array_equal(_predict_masks(model, imgs),
+                              np.stack([predict(model, imgs[n:n + 1]) for n in range(2)]))
+
+    # 50x50 and 4x6 leave part of a patch over; 2x16 is below one patch, as
+    # a negative extent is; 0x0 and 0x16 hold no patch
+    @pytest.mark.parametrize("shape", [(1, 3, 50, 50), (1, 3, 4, 6), (1, 3, 2, 16), (1, 3, 0, 0),
+                                       (1, 3, 0, 16), (1, 1, 16, 16), (3, 16, 16)],
+                             ids=["50x50", "4x6", "2x16", "0x0", "0x16", "one-channel",
+                                  "no-batch-axis"])
+    def test_input_that_patches_do_not_tile_is_refused(self, shape):
+        model = build_model(ModelConfig(**SMALL))
+        with pytest.raises(ShapeMismatchError, match="multiples of patch_size 4"):
+            model.patch_logits(np.zeros(shape, np.float32))
+
+    @pytest.mark.parametrize("window, h, w", [(5, 48, 48), (4, 48, 40), (3, 16, 16)],
+                             ids=["window=5-on-12x12", "window=4-on-12x10", "window=3-on-4x4"])
+    def test_window_that_does_not_tile_the_grid_is_refused_at_the_first_forward(self, window,
+                                                                                  h, w):
+        model = build_model(ModelConfig(window=window))
+        with pytest.raises(ShapeMismatchError, match=f"window {window} does not tile"):
+            model.forward(SplitMix64(1).uniform_array((1, 3, h, w), 0, 1))
+
+    @pytest.mark.parametrize("cfg, h, w", [(dict(), 80, 80), (dict(), 72, 72),
+                                           (dict(patch_size=5, window=0), 20, 30)],
+                             ids=["csec-at-80x80", "csec-at-72x72", "csec-at-20x30"])
+    def test_image_the_corrector_cannot_take_is_refused_at_the_first_forward(self, cfg, h, w):
+        model = build_model(ModelConfig(**cfg, use_csec=True))
+        with pytest.raises(ShapeMismatchError, match="color correction"):
+            model.forward(SplitMix64(1).uniform_array((1, 3, h, w), 0, 1))
+
+
 class TestBatchedPrediction:
     """Validation, scoring and eval forward _CHUNK images at a time; their
     masks must be the per-image predict masks, bit for bit."""
@@ -361,8 +395,7 @@ class TestBatchedPrediction:
     def test_patch_logits_do_not_depend_on_the_chunk(self, size, window, dtype):
         # 32x32 with window 4 softmaxes 256 query rows at N = 1 and 1,024 at N = 4
         imgs = SplitMix64(8).uniform_array((9, 3, size, size), 0, 1).astype(dtype)
-        model = build_model(ModelConfig(image_size=(size, size), window=window, seed=5),
-                            dtype=dtype)
+        model = build_model(ModelConfig(window=window, seed=5), dtype=dtype)
         with no_grad():
             whole = model.patch_logits(imgs).data
             for chunk in (1, 2, 4):
@@ -399,7 +432,7 @@ class TestBatchedPrediction:
     def test_patch_logit_masks_equal_pixel_logit_argmax(self, patch_size):
         # prediction argmaxes the patch logits, forward upsamples them
         imgs = SplitMix64(8).uniform_array((5, 3, 32, 32), 0, 1).astype(np.float32)
-        cfg = ModelConfig(**dict(SMALL, patch_size=patch_size, image_size=(32, 32), seed=5))
+        cfg = ModelConfig(**dict(SMALL, patch_size=patch_size, seed=5))
         model = build_model(cfg)
         model.params["head.b"].data -= model.forward(imgs).data.mean(axis=(0, 2, 3))
         pixel = model.forward(imgs).data
@@ -447,6 +480,16 @@ class TestTraining:
         assert report.losses[-1] < report.losses[0]
         assert len(report.val_mious) == 4
         assert 0.0 <= evaluate_miou(model, data) <= 1.0
+
+    def test_val_pairs_may_take_another_extent_than_training_pairs(self):
+        # each set is checked against its own first pair
+        val = _dataset(9, 2, SynthSpec(seed=0, image_size=(32, 32), n_classes=3))
+        model = build_model(ModelConfig(**SMALL, seed=0))
+        report = train(model, _dataset(6, 2), TrainConfig(epochs=2, seed=0), val_pairs=val)
+        assert len(report.val_mious) == 2
+        assert report.val_mious[-1] == evaluate_miou(model, val)
+        with pytest.raises(ShapeMismatchError, match="training pair 1"):
+            train(model, _dataset(6, 1) + val[:1], TrainConfig(epochs=1))
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
