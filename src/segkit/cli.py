@@ -50,6 +50,7 @@ from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_m
 from .segnet import (
     ModelConfig,
     TrainConfig,
+    _check_extent,
     _predict_masks,
     _stack,
     build_model,
@@ -183,10 +184,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_split(records, split, n_classes):
-    """The records of split and their (image, mask) pairs; a pair of another
-    extent than the split's first mask, or whose mask holds a class id
-    outside [0, n_classes) other than IGNORE, is an error naming its files."""
+def _load_split(manifest, records, split, config):
+    """The records of split, read from the file manifest, and their (image,
+    mask) pairs.  A pair of another extent than the split's first mask, or
+    whose mask holds a class id outside [0, config.n_classes) other than
+    IGNORE, is an error naming its files; so is a split of an extent the
+    model of config does not take, found without a forward."""
     chosen = [r for r in records if r.split == split]
     pairs = load_pairs(chosen)
     for r, (image, mask) in zip(chosen, pairs):
@@ -195,9 +198,16 @@ def _load_split(records, split, n_classes):
         if image.shape[2:] != hw or mask.shape != hw:
             raise ShapeMismatchError(f"{where}: image {image.shape[2:]}, mask {mask.shape} vs "
                                      f"the {split} split's first mask {hw}")
-        if mask.max() >= n_classes:
+        if mask.max() >= config.n_classes:
             raise ClassOutOfRangeError(f"{where}: mask holds class {mask.max()}, outside "
-                                       f"[0,{n_classes})")
+                                       f"[0,{config.n_classes})")
+    if chosen:
+        try:
+            _check_extent(config, *hw)
+        except ShapeMismatchError as exc:
+            raise ShapeMismatchError(
+                f"{exc}; the {split} split of {manifest} holds {hw[0]}x{hw[1]} images, the "
+                f"first {chosen[0].image_path} with mask {chosen[0].mask_path}") from None
     return chosen, pairs
 
 
@@ -213,8 +223,8 @@ def cmd_train(args) -> int:
     model = build_model(mc, csec_params=csec_params, csec_config=csec_cfg)
 
     records = load_manifest(args.data)
-    train_records, train_pairs = _load_split(records, "train", mc.n_classes)
-    _, val_pairs = _load_split(records, "val", mc.n_classes)
+    train_records, train_pairs = _load_split(args.data, records, "train", mc)
+    _, val_pairs = _load_split(args.data, records, "val", mc)
 
     if tc.denoise is None:
         report, freport = train(model, train_pairs, tc, val_pairs=val_pairs or None), None
@@ -246,7 +256,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    chosen, pairs = _load_split(load_manifest(args.data), args.split, model.config.n_classes)
+    chosen, pairs = _load_split(args.data, load_manifest(args.data), args.split, model.config)
     if not chosen:
         raise ConfigInvalidError(f"manifest has no {args.split!r} samples")
     robot_pairs = {}

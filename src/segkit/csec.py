@@ -120,24 +120,16 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     return conv2d(x, kernel, stride=1, padding=kernel.data.shape[-1] // 2)
 
 
-def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
-    """The square kernel, of side 2r+1, that ``offset_conv`` convolves with:
-    each tap's weights times its four bilinear corner weights, added at the
-    corners' shifts tap by tap in corner order, from +0.
-
-    r covers every corner of every tap, a zero-weight one too, since at an
-    integer offset the one-sided tap gradient reads it.  The side follows
-    the floors, so a perturbation that moves an outermost corner changes it;
-    the oracle's replay keeps conv2d's recorded padding and holds only off
-    such a kink.  Backward takes w's gradient and the tap gradient from the
-    kernel's; an axis where the clamp binds gets no tap gradient.
-    """
-    cout, cin, kh, kw = w.data.shape
+def _splat(w, tap_offsets):
+    """(kernel, pos, weight, frac, active) of ``_tap_kernel``: the kernel
+    [cout, cin, 2r+1, 2r+1]; the flat kernel-plane position and the bilinear
+    weight, in w's dtype, of each tap's corners [taps, 4]; the fractions of
+    the sample points [taps, 2]; and where the clamp passes the offsets."""
+    cout, cin, kh, kw = w.shape
     taps = kh * kw
-    raw = tap_offsets.data.astype(np.float64)
+    raw = tap_offsets.astype(np.float64)
     ext = np.array([kh, kw])
     clamped = np.clip(raw, -ext, ext)
-    active = clamped == raw  # clamp passes no gradient where it binds
     iy, ix = np.divmod(np.arange(taps), kw)
     # [taps, 2] per axis (y, x): the sample point, its floor and its fraction
     s = np.stack([iy - (kh - 1) // 2, ix - (kw - 1) // 2], axis=1) + clamped
@@ -151,9 +143,27 @@ def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
     lin = np.stack([1.0 - frac, frac], axis=2)  # [taps, axis, corner side]
     weight = (lin[:, 0, :, None] * lin[:, 1, None, :]).reshape(taps, 4).astype(w.dtype)
     pos = ((r + f[:, 0]) * side + r + f[:, 1])[:, None] + np.array([0, 1, side, side + 1])
-    w2 = w.data.reshape(cout * cin, taps)
     k2 = np.zeros((cout * cin, side * side), w.dtype)
-    np.add.at(k2, (slice(None), pos.reshape(-1)), (w2[:, :, None] * weight).reshape(cout * cin, -1))
+    np.add.at(k2, (slice(None), pos.reshape(-1)),
+              (w.reshape(cout * cin, taps)[:, :, None] * weight).reshape(cout * cin, -1))
+    return k2.reshape(cout, cin, side, side), pos, weight, frac, clamped == raw
+
+
+def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
+    """The square kernel, of side 2r+1, that ``offset_conv`` convolves with:
+    each tap's weights times its four bilinear corner weights, added at the
+    corners' shifts tap by tap in corner order, from +0.
+
+    r covers every corner of every tap, a zero-weight one too, since at an
+    integer offset the one-sided tap gradient reads it.  The side follows
+    the floors, so a perturbation that moves an outermost corner changes it;
+    the oracle's replay keeps conv2d's recorded padding and holds only off
+    such a kink.  Backward takes w's gradient and the tap gradient from the
+    kernel's; an axis where the clamp binds gets no tap gradient.
+    """
+    cout, cin, kh, kw = w.data.shape
+    kernel, pos, weight, frac, active = _splat(w.data, tap_offsets.data)
+    side = kernel.shape[-1]
 
     def bwd(g):
         corners = g.reshape(cout * cin, side * side)[:, pos]  # [cout * cin, taps, 4]
@@ -164,15 +174,14 @@ def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
         if tap_offsets.requires_grad:
             # d/dsy = (1-ax)(d10-d00) + ax(d11-d01), d/dsx its twin, with d_ab
             # tap t's weights dotted with the kernel gradient at its corner ab
-            d = (corners * w2[:, :, None]).sum(axis=0)
+            d = (corners * w.data.reshape(cout * cin, kh * kw)[:, :, None]).sum(axis=0)
             ay, ax = frac[:, 0], frac[:, 1]
             gy = (1.0 - ax) * (d[:, 2] - d[:, 0]) + ax * (d[:, 3] - d[:, 1])
             gx = (1.0 - ay) * (d[:, 1] - d[:, 0]) + ay * (d[:, 3] - d[:, 2])
             gt = np.where(active, np.stack([gy, gx], axis=1), 0.0).astype(tap_offsets.dtype)
         return gw, gt
 
-    return Tensor(k2.reshape(cout, cin, side, side), parents=(w, tap_offsets), backward_fn=bwd,
-                  call=(_tap_kernel,))
+    return Tensor(kernel, parents=(w, tap_offsets), backward_fn=bwd, call=(_splat,))
 
 
 # -- COSE: offset estimation ------------------------------------------------
@@ -205,17 +214,22 @@ def self_correlation(f: Tensor) -> Tensor:
 SYM_NORM_EPS = 1e-8  # sym_norm's lower clamp on the diagonal of S
 
 
+def _rsqrt(d):
+    """(1/sqrt(clamped), clamped) of clamped = max(d, SYM_NORM_EPS)."""
+    clamped = np.maximum(d, SYM_NORM_EPS)
+    return 1.0 / np.sqrt(clamped), clamped
+
+
 def _rsqrt_clamp(d: Tensor) -> Tensor:
     """1/sqrt(max(d, SYM_NORM_EPS)) elementwise; zero gradient where the
     clamp binds."""
-    clamped = np.maximum(d.data, SYM_NORM_EPS)
-    y = 1.0 / np.sqrt(clamped)
+    y, clamped = _rsqrt(d.data)
     open_mask = d.data > SYM_NORM_EPS
 
     def bwd(g):
         return (np.where(open_mask, -0.5 * g * y / clamped, 0.0),)
 
-    return Tensor(y, parents=(d,), backward_fn=bwd, call=(_rsqrt_clamp,))
+    return Tensor(y, parents=(d,), backward_fn=bwd, call=(_rsqrt,))
 
 
 def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:

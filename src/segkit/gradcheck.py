@@ -14,11 +14,13 @@ gradient or quotient reads as an infinite error, never as a match.
 
 A check evaluates its loss once, with a graph, for the backward gradients.
 Each central difference then recomputes only the ops that the perturbed
-parameter reaches: every graph node records the call that made it, and the
-check re-calls, under ``no_grad``, those of the parameter's cone with
-their parents' new values; all other nodes keep their graph values.  The
-quotients are bitwise those of whole no-graph forwards, since no_grad
-changes no value and each replayed op sees a full forward's inputs.
+parameter reaches: every graph node records the array kernel that made its
+value and that kernel's constants, and the check runs those of the
+parameter's cone again on plain arrays, no ``Tensor`` made and no argument
+checked, with their parents' new values; all other nodes keep their graph
+values.  The quotients are bitwise those of whole no-graph forwards, since
+each node's kernel made its value, no_grad changes no value, and each
+replayed kernel sees a full forward's inputs.
 """
 
 import numpy as np
@@ -35,7 +37,6 @@ from .tensor import (
     cross_entropy,
     matmul,
     mul,
-    no_grad,
     relu,
     tsum,
 )
@@ -158,23 +159,22 @@ def _gradients(params, loss_fn):
     loss.backward()
     nodes = _graph_order(loss)
     analytic, numeric = {}, {}
-    with no_grad():
-        for name, p in params.items():
-            if not p.requires_grad:
-                raise ValueError(f"parameter {name!r} requires no gradient")
-            analytic[name] = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-            replay = _replay(nodes, p)
-            flat = p.data.reshape(-1)
-            num = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + H_STEP
-                fp = replay()
-                flat[i] = orig - H_STEP
-                fm = replay()
-                flat[i] = orig
-                num[i] = (fp - fm) / (2 * H_STEP)
-            numeric[name] = num
+    for name, p in params.items():
+        if not p.requires_grad:
+            raise ValueError(f"parameter {name!r} requires no gradient")
+        analytic[name] = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
+        replay = _replay(nodes, p)
+        flat = p.data.reshape(-1)
+        num = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + H_STEP
+            fp = replay()
+            flat[i] = orig - H_STEP
+            fm = replay()
+            flat[i] = orig
+            num[i] = (fp - fm) / (2 * H_STEP)
+        numeric[name] = num
     return analytic, numeric
 
 
@@ -182,17 +182,18 @@ def _replay(nodes, p):
     """A function of no arguments that gives float(loss) at p's current data,
     where nodes are a loss's graph, parents first and the loss last.
 
-    It calls again, in order, the recorded call of each node that p reaches
-    (its cone), each with its parents' new values and otherwise its recorded
-    arguments; every node outside the cone keeps its value.  The loss is
-    then bitwise that of a full forward: a graph value is bitwise a no-graph
-    one (see ``no_grad``), and each cone op sees the inputs it would see in
-    a full forward.  A value read off p's data outside the graph's ops
-    would be missed, as the backward pass misses it.  A cone node without a
-    recorded call raises RuntimeError.
+    It runs again, in order, the recorded kernel of each node that p
+    reaches (its cone), on plain arrays: its parents' new values where they
+    are in the cone, p's data, and otherwise their graph values, then its
+    recorded constants.  Every node outside the cone keeps its value.  The
+    loss is then bitwise that of a full forward: a node's kernel made its
+    value, and each cone kernel sees the inputs it would see in a full
+    forward.  A value read off p's data outside the graph's ops would be
+    missed, as the backward pass misses it.  A cone node without a recorded
+    call raises RuntimeError.
     """
     slot = {}  # id(cone node) -> its position in plan
-    plan = []  # (op, its arguments, [(argument index, slot of its new value)])
+    plan = []  # (kernel, its arguments, [(argument index, slot of its new value)])
     for node in nodes:
         if not any(q is p or id(q) in slot for q in node._parents):
             continue
@@ -201,7 +202,7 @@ def _replay(nodes, p):
             raise RuntimeError(f"{op} made a graph node with no recorded call, "
                                "so the gradient oracle cannot replay it")
         slot[id(node)] = len(plan)
-        plan.append((node._call[0], [*node._parents, *node._call[1:]],
+        plan.append((node._call[0], [*(q.data for q in node._parents), *node._call[1:]],
                      [(i, slot[id(q)]) for i, q in enumerate(node._parents) if id(q) in slot]))
     if not plan:  # p does not reach the loss
         value = float(nodes[-1].data)
@@ -209,11 +210,12 @@ def _replay(nodes, p):
 
     def replay():
         values = []
-        for op, args, links in plan:
+        for kernel, args, links in plan:
             for i, j in links:
                 args[i] = values[j]
-            values.append(op(*args))
-        return float(values[-1].data)
+            value = kernel(*args)
+            values.append(value[0] if type(value) is tuple else value)
+        return float(values[-1])
 
     return replay
 

@@ -107,7 +107,8 @@ def rotate(x: Tensor, theta) -> Tensor:
     c2, s2 = _pair_tables(theta, x.dtype)
     # the inverse rotation (by -theta) is the adjoint
     return Tensor(_rotate_pairs(x.data, c2, s2), parents=(x,),
-                  backward_fn=lambda g: (_rotate_pairs(g, c2, -s2),), call=(rotate, theta))
+                  backward_fn=lambda g: (_rotate_pairs(g, c2, -s2),),
+                  call=(_rotate_pairs, c2, s2))
 
 
 def angles(p, freqs: FreqTable) -> np.ndarray:
@@ -192,6 +193,34 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return at.sum(axis=0).reshape(a.shape[:-1] + (1,))
 
 
+def _attend(x, n_heads, nw, perm, inv, mask, c2, s2):
+    """(out, qs, k, v, p) of attention over qkv x [N, T, 3d] in nw tiles of
+    the token order perm (None: the grid's), with the additive mask, and
+    rotated by the flat tables c2, s2 unless they are None: the result
+    [N, T, d] in grid order, the scaled queries, the keys and the values
+    [N, head, tile, token, dh] and the softmax p [N, head, tile, token, token]."""
+    n, t, d3 = x.shape
+    dh = d3 // (3 * n_heads)
+    tw = t // nw
+    if perm is not None:
+        x = np.take(x, perm, axis=1)
+    # [N, tile, token, 3, head, dh] -> [3, N, head, tile, token, dh]
+    qkv_w = np.ascontiguousarray(
+        x.reshape(n, nw, tw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
+    qk, v = qkv_w[:2], qkv_w[2]
+    if c2 is not None:  # each multiply runs over one [T * dh] row per head
+        qk = _rotate_pairs(qk.reshape(-1, t * dh), c2, s2).reshape(qk.shape)
+    # scaling q rather than the scores is the same up to rounding
+    qs, k = qk[0] * (1.0 / math.sqrt(dh)), qk[1]
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    p = qs @ kt
+    if mask is not None:
+        p += mask
+    p = _softmax_rows(p)
+    out = (p @ v).transpose(0, 2, 3, 1, 4).reshape(n, t, d3 // 3)
+    return out if inv is None else np.take(out, inv, axis=1), qs, k, v, p
+
+
 def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: int = 0,
                    shift: int = 0) -> Tensor:
     """Multi-head scaled dot-product attention as one graph node, with rotary
@@ -213,8 +242,7 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
     if n_heads < 1 or x.ndim != 3 or x.shape[-1] % (3 * n_heads):
         raise ShapeMismatchError(f"qkv {x.shape} does not pack q, k, v of {n_heads} heads")
     n, t, d3 = x.shape
-    d = d3 // 3
-    dh = d // n_heads
+    dh = d3 // (3 * n_heads)
     if t != grid.n_patches:
         raise ShapeMismatchError(f"{t} tokens vs {grid.rows}x{grid.cols} grid")
     if freqs is not None and dh != freqs.head_dim:
@@ -223,28 +251,12 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
         raise ShapeMismatchError(f"window {window} does not tile the {grid.rows}x{grid.cols} grid")
     if not (0 <= shift < window or shift == window == 0):
         raise ShapeMismatchError(f"shift {shift} outside [0, window {window})")
-    perm, inv, mask, c2, s2 = _window_layout(
-        grid.rows, grid.cols, window, shift, None if freqs is None else dh,
-        None if freqs is None else freqs.base, x.dtype)
+    layout = _window_layout(grid.rows, grid.cols, window, shift, None if freqs is None else dh,
+                            None if freqs is None else freqs.base, x.dtype)
+    perm, inv, _, c2, s2 = layout
     nw = 1 if perm is None else t // (window * window)
     tw = t // nw
-    if perm is not None:
-        x = np.take(x, perm, axis=1)
-    # [N, tile, token, 3, head, dh] -> [3, N, head, tile, token, dh]
-    qkv_w = np.ascontiguousarray(
-        x.reshape(n, nw, tw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
-    qk, v = qkv_w[:2], qkv_w[2]
-    if freqs is not None:  # each multiply runs over one [T * dh] row per head
-        qk = _rotate_pairs(qk.reshape(-1, t * dh), c2, s2).reshape(qk.shape)
-    s = 1.0 / math.sqrt(dh)
-    # scaling q rather than the scores is the same up to rounding
-    qs, k = qk[0] * s, qk[1]
-    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
-    p = qs @ kt
-    if mask is not None:
-        p += mask
-    p = _softmax_rows(p)
-    out = (p @ v).transpose(0, 2, 3, 1, 4).reshape(n, t, d)
+    out, qs, k, v, p = _attend(x, n_heads, nw, *layout)
 
     def bwd(g):
         if perm is not None:
@@ -255,17 +267,16 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
         gs = gp * p  # softmax backward
         np.subtract(gp, _row_sums(gs), out=gs)
         gs *= p
-        gqk = np.empty_like(qk)
+        gqk = np.empty((2,) + k.shape, dtype=k.dtype)
         np.matmul(gs, k, out=gqk[0])
-        gqk[0] *= s
+        gqk[0] *= 1.0 / math.sqrt(dh)
         gqk[1] = np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
-        if freqs is not None:  # the inverse rotation (by -theta) is the adjoint
-            gqk = _rotate_pairs(gqk.reshape(-1, t * dh), c2, -s2).reshape(qk.shape)
+        if c2 is not None:  # the inverse rotation (by -theta) is the adjoint
+            gqk = _rotate_pairs(gqk.reshape(-1, t * dh), c2, -s2).reshape(gqk.shape)
         gx = np.empty((n, nw, tw, 3, n_heads, dh), dtype=x.dtype)
         gt = gx.transpose(3, 0, 4, 1, 2, 5)
         gt[:2], gt[2] = gqk, gv
         gx = gx.reshape(n, t, d3)
         return (gx if inv is None else np.take(gx, inv, axis=1),)
 
-    return Tensor(out if inv is None else np.take(out, inv, axis=1), parents=(qkv,),
-                  backward_fn=bwd, call=(rope_attention, grid, freqs, n_heads, window, shift))
+    return Tensor(out, parents=(qkv,), backward_fn=bwd, call=(_attend, n_heads, nw, *layout))

@@ -18,8 +18,8 @@ tiles by w // 2 (``rope.rope_attention``); window 0 attends over the whole
 grid.  The model reaches attention only through the module attribute
 ``rope.rope_attention``, once per block.  No parameter depends on the image
 size: each input's extents, multiples of ``patch_size``, give its grid, and
-its forward refuses a grid the window does not tile or an image the
-corrector cannot take.
+its forward refuses (``_check_extent``) a grid the window does not tile or
+an image the corrector cannot take.
 
 A model has color correction exactly when ``ModelConfig.use_csec`` is set,
 and then always has CSEC parameters: given ones or the identity-initialized
@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .csec import CsecConfig, csec_correct, init_csec
+from .csec import CsecConfig, check_extents, csec_correct, init_csec
 from .denoise import (
     DenoiseConfig,
     ErrorScore,
@@ -175,10 +175,11 @@ class Model:
         cfg = self.config
         p = cfg.patch_size
         arr = np.asarray(images.data if isinstance(images, Tensor) else images, dtype=self.dtype)
-        if arr.ndim != 4 or arr.shape[1] != 3 or any(e < p or e % p for e in arr.shape[2:]):
+        if arr.ndim != 4 or arr.shape[1] != 3:
             raise ShapeMismatchError(f"expected [N,3,H,W] with H and W positive multiples of "
                                      f"patch_size {p}, got {arr.shape}")
         n, _, h, w = arr.shape
+        _check_extent(cfg, h, w)
         if cfg.use_csec:
             # frozen preprocessing: corrected pixels, no gradient into CSEC
             with no_grad():
@@ -211,6 +212,20 @@ class Model:
         h = layer_norm(x, pr[f"b{i}.ln2.g"], pr[f"b{i}.ln2.b"])
         h = relu(linear(h, pr[f"b{i}.mlp.w1"], pr[f"b{i}.mlp.b1"]))
         return linear(h, pr[f"b{i}.mlp.w2"], pr[f"b{i}.mlp.b2"])
+
+
+def _check_extent(config: ModelConfig, h, w):
+    """Raise ShapeMismatchError unless config's model takes h x w images:
+    positive multiples of patch_size, with use_csec of an extent the
+    corrector takes, and whose patch grid the window tiles."""
+    p, win = config.patch_size, config.window
+    if h < p or w < p or h % p or w % p:
+        raise ShapeMismatchError(f"H and W must be positive multiples of patch_size {p}, "
+                                 f"got {h}x{w}")
+    if config.use_csec:
+        check_extents(h, w)
+    if win and ((h // p) % win or (w // p) % win):
+        raise ShapeMismatchError(f"window {win} does not tile the {h // p}x{w // p} patch grid")
 
 
 def fuse_qkv(heads) -> np.ndarray:

@@ -8,10 +8,15 @@ Every op is a module function of tensors (``scale`` is the one scalar
 multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
 The convolution kernels run a few large numpy operations in place of one
 per tap, and give bitwise the sums of the per-tap forms, -0 included.
-Each graph node records the call that made it (the op and its arguments),
-so the gradient oracle can recompute only the nodes a perturbed parameter
-reaches; under no_grad nothing is recorded.  An operand that needs no
-gradient gets none computed in backward.
+Each graph node records ``call = (kernel, *consts)``: the array function
+that made its value (a private one, or a numpy function such as
+``np.add``), called as ``kernel(*(p.data for p in parents), *consts)``.
+An op checks its arguments and derives its constants once, then takes its
+own value from that kernel, so a recomputation on plain arrays gives the
+node's bytes; the gradient oracle recomputes this way only the nodes a
+perturbed parameter reaches.  A kernel returns the value, or a tuple of the
+value and what the op's backward keeps.  Under no_grad nothing is recorded.
+An operand that needs no gradient gets none computed in backward.
 """
 
 import ctypes
@@ -85,9 +90,10 @@ class Tensor:
     Data is immutable by convention after creation; only ``grad`` mutates.
     Gradients accumulate across backward() calls until ``zero_grad``.
     Outside ``no_grad`` an op's result records its parents (the op's tensor
-    arguments, in order), its backward function and ``call``: the op
-    followed by its other arguments, so that ``call[0](*parents,
-    *call[1:])`` computes the node again.
+    arguments, in order), its backward function and ``call``: the op's
+    kernel followed by its constants, so that ``call[0](*(p.data for p in
+    parents), *call[1:])`` computes the node's value again on plain arrays
+    (the first item, if it returns a tuple).
     """
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, call=None):
@@ -103,7 +109,7 @@ class Tensor:
             self._parents = tuple(parents)
             self._backward_fn = backward_fn
             self._call = call
-        else:  # no generator over the parents: oracle forwards make millions of tensors
+        else:  # no generator over the parents: a no-graph forward makes many tensors
             self.requires_grad = bool(requires_grad)
             self._parents = ()
             self._backward_fn = None
@@ -159,15 +165,13 @@ class Tensor:
     # -- slicing and transpose ----------------------------------------------
 
     def __getitem__(self, key):
-        sub = self.data[key]
-
         def bwd(g):
             gx = np.zeros_like(self.data)
             gx[key] = g
             return (gx,)
 
-        return Tensor(np.ascontiguousarray(sub), parents=(self,), backward_fn=bwd,
-                      call=(Tensor.__getitem__, key))
+        return Tensor(_getitem(self.data, key), parents=(self,), backward_fn=bwd,
+                      call=(_getitem, key))
 
     @property
     def T(self):
@@ -199,36 +203,54 @@ def _graph_order(root):
 # -- elementwise ------------------------------------------------------------
 
 
+def _getitem(x, key):
+    return np.ascontiguousarray(x[key])
+
+
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
-    return Tensor(a.data + b.data, parents=(a, b), backward_fn=lambda g: (g, g), call=(add,))
+    return Tensor(np.add(a.data, b.data), parents=(a, b), backward_fn=lambda g: (g, g),
+                  call=(np.add,))
 
 
 def mul(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
-    return Tensor(a.data * b.data, parents=(a, b),
-                  backward_fn=lambda g: (g * b.data, g * a.data), call=(mul,))
+    return Tensor(np.multiply(a.data, b.data), parents=(a, b),
+                  backward_fn=lambda g: (g * b.data, g * a.data), call=(np.multiply,))
 
 
 def scale(a, s):
     s = float(s)
-    return Tensor(a.data * s, parents=(a,), backward_fn=lambda g: (g * s,), call=(scale, s))
+    return Tensor(np.multiply(a.data, s), parents=(a,), backward_fn=lambda g: (g * s,),
+                  call=(np.multiply, s))
+
+
+def _relu(x):
+    # bitwise np.where(x > 0, x, 0), NaN, -0 and subnormals included, without
+    # a branchy select: fmax drops NaN and negatives, += 0 turns -0 into +0
+    y = np.fmax(x, 0)
+    y += 0
+    return y
 
 
 def relu(a):
     mask = a.data > 0
-    # bitwise np.where(mask, x, 0), NaN, -0 and subnormals included, without
-    # a branchy select: fmax drops NaN and negatives, += 0 turns -0 into +0
-    y = np.fmax(a.data, 0)
-    y += 0
-    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * mask,), call=(relu,))
+    return Tensor(_relu(a.data), parents=(a,), backward_fn=lambda g: (g * mask,), call=(_relu,))
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a):
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y * (1.0 - y),), call=(sigmoid,))
+    y = _sigmoid(a.data)
+    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y * (1.0 - y),), call=(_sigmoid,))
+
+
+def _scalar_mul(x, s):
+    return x * float(s)
 
 
 def scalar_mul(x, s):
@@ -240,7 +262,8 @@ def scalar_mul(x, s):
     def bwd(g):
         return g * sv, np.array((g * x.data).sum(), dtype=s.dtype)
 
-    return Tensor(x.data * sv, parents=(x, s), backward_fn=bwd, call=(scalar_mul,))
+    return Tensor(_scalar_mul(x.data, s.data), parents=(x, s), backward_fn=bwd,
+                  call=(_scalar_mul,))
 
 
 # -- shape ops --------------------------------------------------------------
@@ -248,9 +271,12 @@ def scalar_mul(x, s):
 
 def reshape(a, shape):
     shape = tuple(shape)
-    out = a.data.reshape(shape)
-    return Tensor(out, parents=(a,),
-                  backward_fn=lambda g: (g.reshape(a.data.shape),), call=(reshape, shape))
+    return Tensor(np.reshape(a.data, shape), parents=(a,),
+                  backward_fn=lambda g: (g.reshape(a.data.shape),), call=(np.reshape, shape))
+
+
+def _permute(x, axes):
+    return np.ascontiguousarray(x.transpose(axes))
 
 
 def permute(a, axes):
@@ -258,7 +284,7 @@ def permute(a, axes):
     nd = a.data.ndim
     try:
         axes = tuple(axes)
-        out = np.ascontiguousarray(a.data.transpose(axes))
+        out = _permute(a.data, axes)
     except (ValueError, TypeError) as exc:  # numpy's AxisError is a ValueError
         raise AxisOutOfRangeError(f"axes {axes} are not a permutation of rank {nd}") from exc
     inverse = [0] * nd  # built in Python: np.argsort costs more than the transpose
@@ -266,23 +292,37 @@ def permute(a, axes):
         inverse[ax % nd] = i
     # C order both ways: numpy multiplies small strided operands more slowly,
     # and products and sums over a strided view can round differently
-    return Tensor(out, parents=(a,),
-                  backward_fn=lambda g: (np.ascontiguousarray(g.transpose(inverse)),),
-                  call=(permute, axes))
+    return Tensor(out, parents=(a,), backward_fn=lambda g: (_permute(g, inverse),),
+                  call=(_permute, axes))
+
+
+def _tsum(x):
+    return np.array(x.sum(), dtype=x.dtype)
 
 
 def tsum(a):
-    return Tensor(np.array(a.data.sum(), dtype=a.dtype), parents=(a,),
-                  backward_fn=lambda g: (np.full_like(a.data, float(g)),), call=(tsum,))
+    return Tensor(_tsum(a.data), parents=(a,),
+                  backward_fn=lambda g: (np.full_like(a.data, float(g)),), call=(_tsum,))
+
+
+def _tmean(x):
+    return np.array(x.mean(), dtype=x.dtype)
 
 
 def tmean(a):
     n = a.data.size
-    return Tensor(np.array(a.data.mean(), dtype=a.dtype), parents=(a,),
-                  backward_fn=lambda g: (np.full_like(a.data, float(g) / n),), call=(tmean,))
+    return Tensor(_tmean(a.data), parents=(a,),
+                  backward_fn=lambda g: (np.full_like(a.data, float(g) / n),), call=(_tmean,))
 
 
 # -- linear algebra ---------------------------------------------------------
+
+
+def _matmul(a, b):
+    if b.ndim > 2:
+        return a @ b
+    k, n = b.shape
+    return (a.reshape(-1, k) @ b).reshape(a.shape[:-1] + (n,))  # the leading axes folded
 
 
 def matmul(a, b):
@@ -301,19 +341,13 @@ def matmul(a, b):
         def bwd(g):
             return (g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None,
                     np.swapaxes(ad, -1, -2) @ g if b.requires_grad else None)
+    else:
+        def bwd(g):
+            g2 = g.reshape(-1, bd.shape[1])
+            return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
+                    ad.reshape(-1, bd.shape[0]).T @ g2 if b.requires_grad else None)
 
-        return Tensor(ad @ bd, parents=(a, b), backward_fn=bwd, call=(matmul,))
-
-    k, n = bd.shape
-    a2 = ad.reshape(-1, k)  # fold the leading axes into one product
-
-    def bwd(g):
-        g2 = g.reshape(-1, n)
-        return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
-                a2.T @ g2 if b.requires_grad else None)
-
-    return Tensor((a2 @ bd).reshape(ad.shape[:-1] + (n,)), parents=(a, b), backward_fn=bwd,
-                  call=(matmul,))
+    return Tensor(_matmul(ad, bd), parents=(a, b), backward_fn=bwd, call=(_matmul,))
 
 
 def add_bias(a, bias):
@@ -324,7 +358,7 @@ def add_bias(a, bias):
     def bwd(g):
         return g, g.reshape(-1, bias.data.shape[0]).sum(axis=0)
 
-    return Tensor(a.data + bias.data, parents=(a, bias), backward_fn=bwd, call=(add_bias,))
+    return Tensor(np.add(a.data, bias.data), parents=(a, bias), backward_fn=bwd, call=(np.add,))
 
 
 def linear(x, w, b):
@@ -340,6 +374,22 @@ def _im2col(xp, kh, kw, stride, ho, wo):
     sn, sc, sh, sw = xp.strides
     return np.ndarray((xp.shape[0], xp.shape[1], kh, kw, ho, wo), xp.dtype, xp, 0,
                       (sn, sc, sh, sw, sh * stride, sw * stride)).copy()
+
+
+def _conv2d(x, w, stride, padding):
+    """(y, cols): the cross-correlation y [n, cout, ho, wo] and the im2col
+    patches cols [n, cin * kh * kw, ho * wo] it multiplies the kernel with."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    if padding:
+        xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + wd] = x
+    else:
+        xp = np.ascontiguousarray(x)
+    cols = _im2col(xp, kh, kw, stride, ho, wo).reshape(n, cin * kh * kw, ho * wo)
+    return (w.reshape(cout, -1) @ cols).reshape(n, cout, ho, wo), cols
 
 
 def conv2d(x, w, stride=1, padding=0):
@@ -363,15 +413,7 @@ def conv2d(x, w, stride=1, padding=0):
     wo = (wd + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise NegativeOutputExtentError(f"output {ho}x{wo} for input {h}x{wd}")
-
-    if padding:
-        xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + wd] = x.data
-    else:
-        xp = np.ascontiguousarray(x.data)
-    cols = _im2col(xp, kh, kw, stride, ho, wo).reshape(n, cin * kh * kw, ho * wo)
-    w2 = w.data.reshape(cout, cin * kh * kw)
-    y = (w2 @ cols).reshape(n, cout, ho, wo)
+    y, cols = _conv2d(x.data, w.data, stride, padding)
 
     def bwd(g):
         g2 = g.reshape(n, cout, ho * wo)
@@ -379,14 +421,16 @@ def conv2d(x, w, stride=1, padding=0):
         if w.requires_grad:
             gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
         if x.requires_grad:
-            wp = xp.shape[3]
-            planes = _tap_planes((w2.T @ g2).reshape(n, cin, kh * kw, ho, wo), xp.shape, stride)
+            hp, wp = h + 2 * padding, wd + 2 * padding
+            w2 = w.data.reshape(cout, cin * kh * kw)
+            planes = _tap_planes((w2.T @ g2).reshape(n, cin, kh * kw, ho, wo),
+                                 (n, cin, hp, wp), stride)
             starts = [i * wp + j for i in range(kh) for j in range(kw)]
-            gxp = _col2im(planes, xp.shape, xp.dtype, starts)
+            gxp = _col2im(planes, (n, cin, hp, wp), x.dtype, starts)
             gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
         return gx, gw
 
-    return Tensor(y, parents=(x, w), backward_fn=bwd, call=(conv2d, stride, padding))
+    return Tensor(y, parents=(x, w), backward_fn=bwd, call=(_conv2d, stride, padding))
 
 
 def _tap_planes(gcols, shape, stride):
@@ -421,6 +465,10 @@ def _col2im(planes, shape, dtype, starts):
     return flat[:, :size].reshape(shape)
 
 
+def _upsample_nearest(x, f):
+    return x.repeat(f, axis=2).repeat(f, axis=3)
+
+
 def upsample_nearest(x, factor):
     """Nearest-neighbor upsampling of an NCHW tensor by an integer factor.
 
@@ -430,7 +478,6 @@ def upsample_nearest(x, factor):
     """
     n, c, h, w = x.data.shape
     f = int(factor)
-    y = x.data.repeat(f, axis=2).repeat(f, axis=3)
 
     def bwd(g):
         g6 = g.reshape(n, c, h, f, w, f)
@@ -442,10 +489,30 @@ def upsample_nearest(x, factor):
             gx += rows[:, :, :, a]
         return (gx,)
 
-    return Tensor(y, parents=(x,), backward_fn=bwd, call=(upsample_nearest, factor))
+    return Tensor(_upsample_nearest(x.data, f), parents=(x,), backward_fn=bwd,
+                  call=(_upsample_nearest, f))
 
 
 # -- normalization and losses ----------------------------------------------
+
+
+def _layer_norm(x, gamma, beta):
+    """(y, xhat, inv): the scaled and shifted normalization y, the
+    normalized x and the reciprocal deviations [..., 1]."""
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True)
+    mu /= d
+    xhat = x - mu  # x - mu until scaled by inv below
+    buf = xhat * xhat
+    inv = buf.sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += LN_EPS
+    np.sqrt(inv, inv)
+    np.divide(1.0, inv, inv)
+    xhat *= inv
+    # y takes the buffer unless a wider gamma or beta promotes it
+    out = buf if gamma.dtype == beta.dtype == buf.dtype else None
+    return np.add(np.multiply(xhat, gamma, out), beta, out), xhat, inv
 
 
 def layer_norm(x, gamma, beta):
@@ -457,19 +524,7 @@ def layer_norm(x, gamma, beta):
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeMismatchError("layer_norm scale/shift must match last extent")
-    mu = x.data.sum(axis=-1, keepdims=True)
-    mu /= d
-    xhat = x.data - mu  # x - mu until scaled by inv below
-    buf = xhat * xhat
-    inv = buf.sum(axis=-1, keepdims=True)
-    inv /= d
-    inv += LN_EPS
-    np.sqrt(inv, inv)
-    np.divide(1.0, inv, inv)
-    xhat *= inv
-    # y takes the buffer unless a wider gamma or beta promotes it
-    out = buf if gamma.dtype == beta.dtype == buf.dtype else None
-    y = np.add(np.multiply(xhat, gamma.data, out), beta.data, out)
+    y, xhat, inv = _layer_norm(x.data, gamma.data, beta.data)
 
     def bwd(g):
         buf = g * xhat
@@ -487,7 +542,22 @@ def layer_norm(x, gamma, beta):
         np.multiply(inv, gx, gx)
         return gx, ggamma, gbeta
 
-    return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd, call=(layer_norm,))
+    return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd, call=(_layer_norm,))
+
+
+def _cross_entropy(logits, pick, weights, denom):
+    """(loss, logp, nll): the mean over the n samples of each one's
+    weighted mean of the per-pixel negative log-likelihoods nll [n, h, w],
+    read at the flat indices pick of the log-probabilities logp [n, k, h, w];
+    denom [n] holds each sample's weight sum, and a sample whose sum is 0
+    adds 0."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    nll = -logp.reshape(-1).take(pick)
+    n = len(denom)
+    sums = (nll * weights).reshape(n, -1).sum(axis=1)
+    loss = np.divide(sums, n * denom, out=np.zeros_like(sums), where=denom != 0).sum()
+    return np.array(loss, dtype=logits.dtype), logp, nll
 
 
 def cross_entropy(logits, target, truncate=None):
@@ -497,9 +567,9 @@ def cross_entropy(logits, target, truncate=None):
     mean over its kept pixels: those not labelled IGNORE, and with truncate=q
     in (0,1) only those whose loss is at most the nearest-rank q quantile of
     the per-pixel loss over the batch's labelled pixels.  Which pixels are kept
-    is a constant in backward.  A sample with no kept pixel adds 0 to the sum
-    but still counts in N, so the batch loss equals the mean of N
-    single-sample losses.
+    is a constant in backward, and in the recorded call.  A sample with no
+    kept pixel adds 0 to the sum but still counts in N, so the batch loss
+    equals the mean of N single-sample losses.
     """
     if logits.data.ndim != 4:
         raise ShapeMismatchError("cross_entropy expects [N,K,H,W] logits")
@@ -510,22 +580,19 @@ def cross_entropy(logits, target, truncate=None):
     if target.min() < IGNORE or target.max() >= k:  # IGNORE (-1) is the one id below 0
         raise ClassOutOfRangeError(f"class ids must be in [0,{k}) or {IGNORE}")
     valid = target != IGNORE
-
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     # the flat index in logp of each pixel's target logit, class 0's where
     # the pixel is ignored: a take in place of take_along_axis's index grids
     hw = h * w
     pick = np.maximum(target, 0, dtype=np.intp) * hw
     pick += np.arange(0, n * k * hw, k * hw)[:, None, None] + np.arange(hw).reshape(h, w)
-    nll = -logp.reshape(-1).take(pick)
     weights = valid.astype(logits.dtype)
+    denom = weights.reshape(n, -1).sum(axis=1)
+    loss, logp, nll = _cross_entropy(logits.data, pick, weights, denom)
     if truncate is not None and valid.any():
         weights[nll > quantile_threshold(nll[valid], truncate)] = 0
-    denom = weights.reshape(n, -1).sum(axis=1)
+        denom = weights.reshape(n, -1).sum(axis=1)
+        loss, logp, _ = _cross_entropy(logits.data, pick, weights, denom)
     live = denom != 0
-    sums = (nll * weights).reshape(n, -1).sum(axis=1)
-    loss = np.divide(sums, n * denom, out=np.zeros_like(sums), where=live).sum()
 
     def bwd(g):
         s = np.divide(float(g), n * denom.astype(np.float64),
@@ -536,5 +603,5 @@ def cross_entropy(logits, target, truncate=None):
         gl *= s[:, None, None, None]
         return (gl,)
 
-    return Tensor(np.array(loss, dtype=logits.dtype), parents=(logits,), backward_fn=bwd,
-                  call=(cross_entropy, target, truncate))
+    return Tensor(loss, parents=(logits,), backward_fn=bwd,
+                  call=(_cross_entropy, pick, weights, denom))

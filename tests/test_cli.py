@@ -25,7 +25,7 @@ from segkit.dataio import load_manifest, read_pnm, write_pnm
 from segkit.denoise import DenoiseConfig
 from segkit.errors import BadMagicError, ConfigInvalidError, SegkitError, TruncatedError
 from segkit.rng import SplitMix64
-from segkit.segnet import ModelConfig, TrainConfig, build_model, predict
+from segkit.segnet import _CHUNK, Model, ModelConfig, TrainConfig, build_model, predict
 from segkit.tensor import Tensor
 
 
@@ -237,6 +237,32 @@ class TestTrain:
         assert "error: color correction needs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size, line, cause", [
+        (80, "use_csec = true\n", "color correction needs spatial extents that are multiples "
+                                  "of 4, at most 64, got 80x80"),
+        (20, "", "window 4 does not tile the 5x5 patch grid"),
+        (18, "window = 0\n", "H and W must be positive multiples of patch_size 4, got 18x18")],
+        ids=["csec-at-80x80", "window-4-at-20x20", "patch-4-at-18x18"])
+    def test_extent_the_model_cannot_take_exits_2_naming_the_manifest_before_training(
+            self, tmp_path, capsys, monkeypatch, size, line, cause):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC.replace("image_size = 16, 16", f"image_size = {size}, {size}"))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        manifest = tmp_path / "data" / "manifest.tsv"
+        first = next(r for r in load_manifest(manifest) if r.split == "train")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN + line)
+        forwards = []
+        monkeypatch.setattr(Model, "patch_logits", lambda *args: forwards.append(args))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(manifest),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cause}; the train split of {manifest} holds {size}x{size} images, the "
+            f"first {first.image_path} with mask {first.mask_path}\n")
+        assert not forwards and not out.exists()
+
     def test_divergence_exit_code(self, tmp_path, dataset, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TRAIN.replace("learning_rate = 0.001", "learning_rate = 1e20"))
@@ -407,6 +433,45 @@ class TestEval:
         capsys.readouterr()
         report = json.loads((out / "eval_report.json").read_text())
         assert report["samples"] == 4 and 0.0 <= report["weighted_miou"] <= 1.0
+
+    def test_extent_the_window_does_not_tile_exits_2_naming_the_manifest_before_a_forward(
+            self, tmp_path, trained, capsys, monkeypatch):
+        # trained at 16x16 with window 4: a 20x20 image has a 5x5 patch grid
+        spec = tmp_path / "spec20.cfg"
+        spec.write_text(SPEC.replace("image_size = 16, 16", "image_size = 20, 20"))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data20")]) == 0
+        manifest = tmp_path / "data20" / "manifest.tsv"
+        first = next(r for r in load_manifest(manifest) if r.split == "val")
+        forwards = []
+        monkeypatch.setattr(Model, "patch_logits", lambda *args: forwards.append(args))
+        capsys.readouterr()
+        out = tmp_path / "eval20"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"), "--data",
+                     str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: window 4 does not tile the 5x5 patch grid; the val split of {manifest} "
+            f"holds 20x20 images, the first {first.image_path} with mask {first.mask_path}\n")
+        assert not forwards and not out.exists()
+
+    def test_eval_forwards_each_chunk_of_each_robot_once(self, tmp_path, dataset, trained,
+                                                        capsys, monkeypatch):
+        # the extent check adds no forward: one per chunk of _CHUNK images
+        forwards = []
+        real = Model.patch_logits
+
+        def counted(model, images):
+            forwards.append(len(images))
+            return real(model, images)
+
+        monkeypatch.setattr(Model, "patch_logits", counted)
+        val = [r for r in load_manifest(dataset / "manifest.tsv") if r.split == "val"]
+        per_robot = [sum(r.robot_id == rid for r in val) for rid in {r.robot_id for r in val}]
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"), "--data",
+                     str(dataset / "manifest.tsv"), "--weights", "uniform",
+                     "--out", str(tmp_path / "ev")]) == 0
+        capsys.readouterr()
+        assert sorted(forwards) == sorted(min(_CHUNK, n - i) for n in per_robot
+                                          for i in range(0, n, _CHUNK))
 
     def test_missing_robot_exit_5(self, tmp_path, trained, dataset, capsys):
         # a val manifest with fewer than all four robots under goose weighting

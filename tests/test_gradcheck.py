@@ -1,14 +1,18 @@
 """The gradient oracle's replay: every difference quotient it takes by
 recomputing only the nodes a perturbed parameter reaches is bitwise the
-quotient of a full forward."""
+quotient of a full forward, and every graph node's recorded kernel gives
+the node's value."""
 
 import numpy as np
 import pytest
 
 import segkit.csec as _csec
 import segkit.gradcheck as gradcheck
-from segkit.gradcheck import H_STEP, check_function, run_suite
-from segkit.tensor import Tensor, add, matmul, mul, no_grad, relu, tsum
+from segkit.gradcheck import H_STEP, SUITES, check_function, run_suite
+from segkit.rng import SplitMix64
+from segkit.segnet import ModelConfig, build_model
+from segkit.tensor import (
+    Tensor, _relu, _sigmoid, add, cross_entropy, matmul, mul, no_grad, relu, tsum)
 
 
 def _full_forward_quotients(params, loss_fn):
@@ -82,7 +86,7 @@ def test_unrecorded_cone_node_raises_and_names_the_op(monkeypatch):
 
     def init_forgetting_relu(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
-        if kwargs.get("call", (None,))[0] is relu:
+        if kwargs.get("call", (None,))[0] is _relu:
             self._call = None
 
     monkeypatch.setattr(Tensor, "__init__", init_forgetting_relu)
@@ -122,9 +126,8 @@ def test_a_non_finite_value_reads_as_an_infinite_error():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sigmoid_backward_without_its_one_minus_y_fails_the_csec_pipeline(monkeypatch, seed):
     def sigmoid_without_one_minus_y(a):
-        y = 1.0 / (1.0 + np.exp(-a.data))
-        return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y,),
-                      call=(sigmoid_without_one_minus_y,))
+        y = _sigmoid(a.data)
+        return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y,), call=(_sigmoid,))
 
     monkeypatch.setattr(_csec, "sigmoid", sigmoid_without_one_minus_y)
     assert run_suite("csec", trials=0, seed=seed)["csec_correct.params"] > gradcheck.TOL
@@ -133,11 +136,79 @@ def test_sigmoid_backward_without_its_one_minus_y_fails_the_csec_pipeline(monkey
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_relu_backward_passing_every_gradient_fails_the_conv_checks(monkeypatch, seed):
     def relu_passing_every_gradient(a):
-        return Tensor(relu(a).data, parents=(a,), backward_fn=lambda g: (g,),
-                      call=(relu_passing_every_gradient,))
+        return Tensor(_relu(a.data), parents=(a,), backward_fn=lambda g: (g,), call=(_relu,))
 
     monkeypatch.setattr(gradcheck, "relu", relu_passing_every_gradient)
     worst = run_suite("tensor", trials=2, seed=seed)
     assert worst["conv2d.input"] > gradcheck.TOL
     assert worst["conv2d.kernel"] > gradcheck.TOL
     assert max(worst["matmul"], worst["mul"], worst["cross_entropy"]) <= gradcheck.TOL
+
+
+# -- the kernel contract: call[0](*(p.data for p in parents), *call[1:]) ------
+
+
+def _assert_kernels_give_the_values(loss):
+    """Run every op node of loss's graph, constant ones too, through its
+    recorded kernel on its parents' data; each must give the node's bytes,
+    dtype and shape.  Returns the number of nodes checked."""
+    seen, stack, checked = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        for q in node._parents:
+            if id(q) not in seen:
+                seen.add(id(q))
+                stack.append(q)
+        if not node._parents:  # a leaf
+            continue
+        assert node._call is not None, node._backward_fn.__qualname__
+        kernel, *consts = node._call
+        value = kernel(*(q.data for q in node._parents), *consts)
+        value = np.asarray(value[0] if type(value) is tuple else value)
+        assert value.dtype == node.data.dtype, kernel.__name__
+        assert value.shape == node.data.shape, kernel.__name__
+        assert value.tobytes() == node.data.tobytes(), kernel.__name__
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("module", SUITES)
+def test_every_suite_node_is_its_kernels_value(monkeypatch, module, seed):
+    checked = []
+
+    def build_and_check(params, loss_fn):
+        loss = loss_fn()
+        loss.backward()  # as the oracle does before it replays
+        checked.append(_assert_kernels_give_the_values(loss))
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "_check_params", build_and_check)
+    run_suite(module, trials=1, seed=seed)
+    assert min(checked) >= 1
+    assert sum(checked) > {"tensor": 10, "rope": 5, "csec": 60, "segnet": 30}[module]
+
+
+@pytest.mark.parametrize("truncate", [None, 0.9])
+def test_every_node_of_a_segmenter_training_step_is_its_kernels_value(truncate):
+    # the default f32 model on 48x48 images: a 12x12 grid in 4x4 windows,
+    # block 1 shifted by 2, so the shift's mask is recorded too
+    model = build_model(ModelConfig())
+    rng = SplitMix64(4)
+    images = rng.uniform_array((4, 3, 48, 48)).astype(np.float32)
+    masks = np.floor(rng.uniform_array((4, 48, 48), 0.0, 3.0)).astype(np.int64)
+    masks[1, :5] = -1  # IGNORE
+    loss = cross_entropy(model.forward(images), masks, truncate=truncate)
+    loss.backward()
+    assert _assert_kernels_give_the_values(loss) > 30
+
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_every_node_of_a_csec_training_step_is_its_kernels_value(identity):
+    params = _csec.init_csec(_csec.CsecConfig(), seed=2, identity=identity)
+    rng = SplitMix64(5)
+    image, clean = (rng.uniform_array((1, 3, 16, 16), 0.05, 0.95).astype(np.float32)
+                    for _ in range(2))
+    loss = _csec.mse_loss(_csec.csec_correct(Tensor(image), params), clean)
+    loss.backward()
+    assert _assert_kernels_give_the_values(loss) > (30 if identity else 80)
