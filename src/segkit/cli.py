@@ -192,8 +192,10 @@ def _load_split(manifest, records, split, config):
     model of config does not take, found without a forward."""
     chosen = [r for r in records if r.split == split]
     pairs = load_pairs(chosen)
+    if not chosen:
+        return chosen, pairs
+    hw = pairs[0][1].shape
     for r, (image, mask) in zip(chosen, pairs):
-        hw = pairs[0][1].shape
         where = f"sample {r.sample_id!r} ({r.image_path}, {r.mask_path})"
         if image.shape[2:] != hw or mask.shape != hw:
             raise ShapeMismatchError(f"{where}: image {image.shape[2:]}, mask {mask.shape} vs "
@@ -201,13 +203,12 @@ def _load_split(manifest, records, split, config):
         if mask.max() >= config.n_classes:
             raise ClassOutOfRangeError(f"{where}: mask holds class {mask.max()}, outside "
                                        f"[0,{config.n_classes})")
-    if chosen:
-        try:
-            _check_extent(config, *hw)
-        except ShapeMismatchError as exc:
-            raise ShapeMismatchError(
-                f"{exc}; the {split} split of {manifest} holds {hw[0]}x{hw[1]} images, the "
-                f"first {chosen[0].image_path} with mask {chosen[0].mask_path}") from None
+    try:
+        _check_extent(config, *hw)
+    except ShapeMismatchError as exc:
+        raise ShapeMismatchError(
+            f"{exc}; the {split} split of {manifest} holds {hw[0]}x{hw[1]} images, the "
+            f"first {chosen[0].image_path} with mask {chosen[0].mask_path}") from None
     return chosen, pairs
 
 
