@@ -49,7 +49,7 @@ from segkit.checkpoint import save_csec_checkpoint
 from segkit.csec import CsecConfig, init_csec
 from segkit.dataio import corrupt_gamma_region, read_pnm, write_pnm
 save_csec_checkpoint("csec.smk", init_csec(CsecConfig(), seed=0), CsecConfig())
-clean = read_pnm("data/images/s0000.ppm").data[0]
+clean = read_pnm("data/images/s0000.ppm")[0]
 write_pnm("corrupted.ppm", corrupt_gamma_region(clean, 42))
 EOF
 segkit correct --checkpoint csec.smk --in corrupted.ppm \

@@ -14,7 +14,10 @@ checkpoint must hold exactly the parameters its config builds, by name and
 shape, and no ``config.*`` entry its configs do not read, each typed as a
 config-file line holding its values (``dataio._parse_like``); a missing,
 misshapen, unknown or mistyped one is a ConfigInvalidError, and a parameter
-holding a NaN or inf a BadMagicError.
+holding a NaN or inf a BadMagicError.  A ``config.n_blocks`` above the
+count of the model's weight tensors, or a per-head block whose
+``config.n_heads`` would need more matrices than that, is refused before
+any per-block or per-head work.
 """
 
 import math
@@ -151,6 +154,9 @@ def load_model_checkpoint(path) -> Model:
     cfg = _unpack_config(ModelConfig, blob, "config.", path)
     params = {k: t for k, t in blob.items() if not k.startswith(("config.", "csec."))}
     csec_params = {k[len("csec."):]: t for k, t in blob.items() if k.startswith("csec.")}
+    if cfg.n_blocks > len(params):  # each block owns a weight: refused before any block loop
+        raise ConfigInvalidError(f"{path}: 'config.n_blocks' is {cfg.n_blocks}, more blocks "
+                                 f"than the checkpoint's {len(params)} model weights")
     _fuse_legacy_heads(params, cfg, path)
     csec_cfg = (_unpack_config(CsecConfig, blob, "config.csec.", path) if csec_params
                 else CsecConfig())
@@ -179,13 +185,18 @@ def _check_params(params: dict, shapes: dict, path, prefix=""):
 
 def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):
     """Pack the per-head ``b{i}.h{hd}.w{q,k,v}`` entries of checkpoints
-    written before the heads were fused into each block's ``b{i}.wqkv``."""
+    written before the heads were fused into each block's ``b{i}.wqkv``.
+    A block is per-head when it holds ``b{i}.h0.wq``; its 3 * n_heads names
+    are built only then, and only if params can hold that many."""
     for i in range(cfg.n_blocks):
-        names = [[f"b{i}.h{hd}.w{c}" for c in "qkv"] for hd in range(cfg.n_heads)]
-        present = [n in params for row in names for n in row]
-        if not any(present):
+        if f"b{i}.h0.wq" not in params:
             continue
-        if not all(present):
+        if 3 * cfg.n_heads > len(params):
+            raise ConfigInvalidError(f"{path}: 'config.n_heads' is {cfg.n_heads}, more q/k/v "
+                                     f"matrices for block {i} than the checkpoint's "
+                                     f"{len(params)} model weights")
+        names = [[f"b{i}.h{hd}.w{c}" for c in "qkv"] for hd in range(cfg.n_heads)]
+        if not all(n in params for row in names for n in row):
             raise ConfigInvalidError(f"{path}: block {i} lacks some per-head q/k/v matrices")
         heads = [[params.pop(n).data for n in row] for row in names]
         params[f"b{i}.wqkv"] = Tensor(fuse_qkv(heads), requires_grad=True)

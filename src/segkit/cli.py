@@ -54,7 +54,6 @@ from .segnet import (
     _predict_masks,
     _stack,
     build_model,
-    train,
     train_with_denoise,
 )
 from .tensor import no_grad
@@ -227,13 +226,8 @@ def cmd_train(args) -> int:
     train_records, train_pairs = _load_split(args.data, records, "train", mc)
     _, val_pairs = _load_split(args.data, records, "val", mc)
 
-    if tc.denoise is None:
-        report, freport = train(model, train_pairs, tc, val_pairs=val_pairs or None), None
-    else:
-        samples = [(r.sample_id, img, mask)
-                   for r, (img, mask) in zip(train_records, train_pairs)]
-        model, report, freport = train_with_denoise(model, samples, tc,
-                                                    val_pairs=val_pairs or None)
+    samples = [(r.sample_id, img, mask) for r, (img, mask) in zip(train_records, train_pairs)]
+    model, report, freport = train_with_denoise(model, samples, tc, val_pairs=val_pairs or None)
     os.makedirs(args.out, exist_ok=True)  # after training, so a refused run writes nothing
     if freport:
         write_filter_report(args.out, freport.scores, set(freport.kept_ids))
@@ -311,7 +305,7 @@ def cmd_correct(args) -> int:
                                  f"vs input {image.shape[2]}x{image.shape[3]}")
     with no_grad():
         corrected = csec_correct(image, params, cfg)
-    write_pnm(args.out, corrected)
+    write_pnm(args.out, corrected.data)
     if clean is not None:
         before = psnr(image, clean)
         gain = ("none, the input already matches the reference" if np.isinf(before)
@@ -409,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset manifest")
     p.add_argument("--weights", choices=("goose", "uniform"), default="goose")
     p.add_argument("--split", choices=SPLITS, default="val")
-    p.add_argument("--out", default=".", help="directory for eval_report.json")
+    p.add_argument("--out", required=True, help="directory for eval_report.json")
     p.add_argument("--svg", action="store_true", help="emit per-class IoU bars as SVG")
     p.set_defaults(func=cmd_eval)
 

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .metrics import GOOSE_WEIGHTS, IGNORE
 from .rng import SplitMix64
-from .tensor import Tensor
 
 __all__ = [
     "SampleRecord",
@@ -91,6 +90,10 @@ class SynthSpec:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigInvalidError(f"{name} must be finite and >= 0, "
                                          f"got {getattr(self, name)}")
+        if self.twin_delta > 0.0 and self.n_classes < 3:
+            # class_palette pulls class 2 toward class 1; with 2 classes there is no class 2
+            raise ConfigInvalidError(f"twin_delta {self.twin_delta} needs n_classes >= 3, "
+                                     f"got {self.n_classes}")
         if self.corruption not in ("none", "gamma_region", "label_noise"):
             raise ConfigInvalidError(f"unknown corruption {self.corruption!r}")
         if self.n_val + self.n_test > self.n_samples:
@@ -153,7 +156,7 @@ def _parse_pnm_header(buf: bytes):
 def read_pnm(path):
     """Read a binary PNM file.
 
-    P6 -> Tensor[1,3,H,W], f32, values scaled to [0,1].
+    P6 -> f32 ndarray [1,3,H,W], values scaled to [0,1].
     P5 -> uint8 ndarray [H,W] of class ids (unscaled).
     A malformed file is an error of its kind naming path.
     """
@@ -172,13 +175,13 @@ def read_pnm(path):
     if magic == b"P5":
         return arr.reshape(height, width).copy()
     img = arr.reshape(height, width, 3).astype(np.float32) / 255.0
-    return Tensor(img.transpose(2, 0, 1)[None, :, :, :])
+    return img.transpose(2, 0, 1)[None, :, :, :]
 
 
 def _read_kind(path, image: bool):
     """read_pnm of a P6 image, or of a P5 mask as int64 with 255 read as IGNORE."""
     data = read_pnm(path)
-    if isinstance(data, Tensor) != image:
+    if (data.ndim == 4) != image:
         raise BadMagicError(f"{path}: expected a {'P6 image' if image else 'P5 mask'}")
     return data if image else np.where(data == 255, IGNORE, data.astype(np.int64))
 
@@ -187,12 +190,9 @@ def write_pnm(path, data):
     """Write a binary PNM file; the inverse of read_pnm, byte-exact.
 
     Integer [H,W] arrays, values in [0,255] or IGNORE (written as 255, the
-    inverse of _read_kind), become P5 masks; float images (Tensor or
-    ndarray, [1,3,H,W] or [3,H,W], values in [0,1]) become P6 with
-    round-half-up.
+    inverse of _read_kind), become P5 masks; float image arrays ([1,3,H,W]
+    or [3,H,W], values in [0,1]) become P6 with round-half-up.
     """
-    if isinstance(data, Tensor):
-        data = data.data
     data = np.asarray(data)
     if data.ndim == 2 and np.issubdtype(data.dtype, np.integer):
         if np.any(((data < 0) & (data != IGNORE)) | (data > 255)):
@@ -294,8 +294,8 @@ def save_manifest(path, records, relative_to=None):
 
 def load_pairs(records):
     """Load (image [1,3,H,W] f32 ndarray, mask [H,W] int64 ndarray) pairs."""
-    return [(_read_kind(r.image_path, image=True).data,
-             _read_kind(r.mask_path, image=False)) for r in records]
+    return [(_read_kind(r.image_path, image=True), _read_kind(r.mask_path, image=False))
+            for r in records]
 
 
 # -- synthetic scenes -------------------------------------------------------

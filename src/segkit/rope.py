@@ -130,8 +130,7 @@ def axial_angles(positions, freqs: FreqTable) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base: float,
-                   dtype: np.dtype):
+def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, dtype: np.dtype):
     """Read-only (perm, inv, mask, c2, s2) of attention on a patch grid.
 
     The grid is rolled by -shift along each axis longer than the window and
@@ -143,8 +142,8 @@ def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base
     Global attention (window 0, or one tile covering the grid) has perm,
     inv and mask None and one tile of all T tokens.  c2 and s2, flat
     [T * head_dim], are the ``_rotate_pairs`` tables of the axial angles of
-    the tokens' global positions in tile order; they are None when head_dim
-    is None.
+    the tokens' global positions in tile order, at ``freq_table``'s default
+    base; they are None when head_dim is None.
     """
     perm = inv = mask = c2 = s2 = None
     if window and not window == rows == cols:
@@ -161,7 +160,7 @@ def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, base
             mask = np.where(wrapped[:, :, None] != wrapped[:, None, :], -np.inf, 0.0).astype(dtype)
     if head_dim is not None:
         pos = PatchGrid(rows, cols).positions()
-        th = axial_angles(pos if perm is None else pos[perm], freq_table(head_dim, base))
+        th = axial_angles(pos if perm is None else pos[perm], freq_table(head_dim))
         c2, s2 = (a.reshape(-1) for a in _pair_tables(th, dtype))
     for arr in (perm, inv, mask, c2, s2):
         if arr is not None:
@@ -221,22 +220,23 @@ def _attend(x, n_heads, nw, perm, inv, mask, c2, s2):
     return out if inv is None else np.take(out, inv, axis=1), qs, k, v, p
 
 
-def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: int = 0,
-                   shift: int = 0) -> Tensor:
+def rope_attention(qkv: Tensor, grid: PatchGrid, n_heads: int, window: int = 0,
+                   shift: int = 0, rope: bool = True) -> Tensor:
     """Multi-head scaled dot-product attention as one graph node, with rotary
-    positions on queries and keys unless freqs is None.
+    positions on queries and keys unless rope is False.
 
     qkv [N, T, 3d] packs the q heads, then the k heads, then the v heads,
     each head dh = d / n_heads wide; the result [N, T, d] concatenates the
-    heads' outputs.  T must equal grid.rows * grid.cols and dh must equal
-    freqs.head_dim.  window 0 attends over the whole grid; a nonzero window
-    must divide both grid extents, and each token then attends within its
-    window x window tile after a cyclic shift by shift (0 <= shift < window)
-    along every axis longer than the window.  Pairs that the shift wrapped
-    around an edge do not attend.  Rotations use the global patch
-    coordinates, so they stay relative within a tile.  The window layout and
-    the rotation tables are cached per grid, window, shift, head size and
-    dtype.
+    heads' outputs.  T must equal grid.rows * grid.cols, and with rope dh
+    must be a multiple of 4 (``axial_angles``); the rotation runs at
+    ``freq_table(dh)``.  window 0 attends over the whole grid; a nonzero
+    window must divide both grid extents, and each token then attends
+    within its window x window tile after a cyclic shift by shift
+    (0 <= shift < window) along every axis longer than the window.  Pairs
+    that the shift wrapped around an edge do not attend.  Rotations use the
+    global patch coordinates, so they stay relative within a tile.  The
+    window layout and the rotation tables are cached per grid, window,
+    shift, head size and dtype.
     """
     x = qkv.data
     if n_heads < 1 or x.ndim != 3 or x.shape[-1] % (3 * n_heads):
@@ -245,14 +245,11 @@ def rope_attention(qkv: Tensor, grid: PatchGrid, freqs, n_heads: int, window: in
     dh = d3 // (3 * n_heads)
     if t != grid.n_patches:
         raise ShapeMismatchError(f"{t} tokens vs {grid.rows}x{grid.cols} grid")
-    if freqs is not None and dh != freqs.head_dim:
-        raise ShapeMismatchError(f"head width {dh} != head_dim {freqs.head_dim}")
     if window < 0 or (window and (grid.rows % window or grid.cols % window)):
         raise ShapeMismatchError(f"window {window} does not tile the {grid.rows}x{grid.cols} grid")
     if not (0 <= shift < window or shift == window == 0):
         raise ShapeMismatchError(f"shift {shift} outside [0, window {window})")
-    layout = _window_layout(grid.rows, grid.cols, window, shift, None if freqs is None else dh,
-                            None if freqs is None else freqs.base, x.dtype)
+    layout = _window_layout(grid.rows, grid.cols, window, shift, dh if rope else None, x.dtype)
     perm, inv, _, c2, s2 = layout
     nw = 1 if perm is None else t // (window * window)
     tw = t // nw

@@ -25,7 +25,8 @@ A model has color correction exactly when ``ModelConfig.use_csec`` is set,
 and then always has CSEC parameters: given ones or the identity-initialized
 corrector ``build_model`` draws from ``ModelConfig.seed``.
 
-The denoising loop ``train_with_denoise`` has two modes
+The loop ``train_with_denoise`` trains every ``segkit train`` run: without
+denoising in one plain round, else by one of two modes
 (``DenoiseConfig.mode``).  drop_samples trains the given model on the full
 set, scores every sample's pixel-wise error rate under it, drops the samples
 above the score quantile, and retrains a fresh model built from the same
@@ -52,7 +53,7 @@ from .metrics import ConfusionMatrix, miou
 from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from . import rope
-from .rope import PatchGrid, freq_table
+from .rope import PatchGrid
 from .tensor import (
     Tensor,
     add,
@@ -162,8 +163,6 @@ class Model:
         self.dtype = dtype
         self.csec_params = csec_params
         self.csec_config = csec_config
-        self.head_dim = config.embed_dim // config.n_heads
-        self.freqs = freq_table(self.head_dim)
 
     def forward(self, images) -> Tensor:
         """images [N,3,H,W] -> pixel logits [N,K,H,W]: the patch logits,
@@ -174,7 +173,7 @@ class Model:
         """images [N,3,H,W], H and W positive multiples of p -> logits [N,K,H/p,W/p]."""
         cfg = self.config
         p = cfg.patch_size
-        arr = np.asarray(images.data if isinstance(images, Tensor) else images, dtype=self.dtype)
+        arr = np.asarray(images, dtype=self.dtype)
         if arr.ndim != 4 or arr.shape[1] != 3:
             raise ShapeMismatchError(f"expected [N,3,H,W] with H and W positive multiples of "
                                      f"patch_size {p}, got {arr.shape}")
@@ -202,9 +201,9 @@ class Model:
         pr = self.params
         cfg = self.config
         h = layer_norm(x, pr[f"b{i}.ln1.g"], pr[f"b{i}.ln1.b"])
-        heads = rope.rope_attention(matmul(h, pr[f"b{i}.wqkv"]), grid,
-                                    self.freqs if cfg.use_rope else None, cfg.n_heads,
-                                    window=cfg.window, shift=cfg.window // 2 if i % 2 else 0)
+        heads = rope.rope_attention(matmul(h, pr[f"b{i}.wqkv"]), grid, cfg.n_heads,
+                                    window=cfg.window, shift=cfg.window // 2 if i % 2 else 0,
+                                    rope=cfg.use_rope)
         return matmul(heads, pr[f"b{i}.attn.wo"])
 
     def _mlp(self, i, x):
@@ -293,7 +292,7 @@ def _predict_masks(model: Model, images) -> np.ndarray:
 def predict(model: Model, image) -> np.ndarray:
     """Per-pixel argmax mask [H,W] of one image [1,3,H,W]; ties break toward
     the lower class index."""
-    masks = _predict_masks(model, image.data if isinstance(image, Tensor) else np.asarray(image))
+    masks = _predict_masks(model, np.asarray(image))
     if len(masks) != 1:
         raise ShapeMismatchError(f"predict takes one image, got a batch of {len(masks)}")
     return masks[0]
@@ -351,26 +350,27 @@ def score_samples(model: Model, samples):
 
 def train_with_denoise(model: Model, samples, config: TrainConfig, val_pairs=None):
     """Train the freshly built model by the denoising loop of
-    config.denoise.mode.
+    config.denoise.mode, or in one plain round when config.denoise is None.
 
     drop_samples: train model -> score -> filter -> retrain a fresh model
     built from model's config, dtype and CSEC on the kept samples; both
     rounds train with config less its denoise entry.  truncate_pixels:
     train model once with the truncated loss, then score it; nothing is
-    dropped and the report's threshold is nan.
+    dropped and the report's threshold is nan.  No denoising: train model
+    once on all samples; nothing is scored.
 
     samples: list of (sample_id, image [1,3,H,W], mask [H,W]); pixels
     labelled ``metrics.IGNORE`` are neither scored nor trained on.
-    Returns (final model, its TrainReport, FilterReport).  A round that
-    diverges raises TrainingDivergedError naming the round and the failing
-    batch's sample ids.
+    Returns (final model, its TrainReport, FilterReport, or None without
+    denoising).  A round that diverges raises TrainingDivergedError naming
+    the round and the failing batch's sample ids.
     """
     dn = config.denoise
-    if dn is None:
-        raise ConfigInvalidError("config.denoise must be set")
-    if dn.mode == "truncate_pixels":
+    if dn is None or dn.mode == "truncate_pixels":
         report = _train_round(model, samples, config, val_pairs,
                               f"round 1 of 1, on all {len(samples)} samples")
+        if dn is None:
+            return model, report, None
         scores = score_samples(model, samples)
         return model, report, FilterReport(scores=scores, threshold=float("nan"),
                                            kept_ids=[s.sample_id for s in scores],

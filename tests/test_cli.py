@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -28,6 +33,7 @@ from segkit.rng import SplitMix64
 from segkit.segnet import _CHUNK, Model, ModelConfig, TrainConfig, build_model, predict
 from segkit.tensor import Tensor
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SPEC = """
 seed = 5
@@ -151,6 +157,16 @@ class TestSynth:
         assert f"error: {spec}: {key} must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_twin_delta_with_two_classes_exits_2_before_writing(self, tmp_path, capsys):
+        # class_palette pulls class 2 toward class 1, so with 2 classes a
+        # twin_delta used to write the same scenes as none
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC.replace("n_classes = 3", "n_classes = 2") + "twin_delta = 0.3\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert (f"error: {spec}: twin_delta 0.3 needs n_classes >= 3, got 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_checkpoint_and_reports(self, trained):
@@ -263,7 +279,9 @@ class TestTrain:
             f"first {first.image_path} with mask {first.mask_path}\n")
         assert not forwards and not out.exists()
 
-    def test_divergence_exit_code(self, tmp_path, dataset, capsys):
+    def test_divergence_exit_code_names_the_round_and_sample_ids(self, tmp_path, dataset,
+                                                                 capsys):
+        # without denoising the message used to give batch positions only
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TRAIN.replace("learning_rate = 0.001", "learning_rate = 1e20"))
         with np.errstate(all="ignore"):
@@ -271,7 +289,9 @@ class TestTrain:
                          "--data", str(dataset / "manifest.tsv"),
                          "--out", str(tmp_path / "boom")])
         assert code == 4
-        assert "error" in capsys.readouterr().err
+        assert re.search(r"^error: round 1 of 1, on all 8 samples: .*; sample ids \['s\d{4}'",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "boom").exists()
 
     def test_denoise_divergence_exit_code_names_the_round(self, tmp_path, dataset, capsys):
         cfg = tmp_path / "train.cfg"
@@ -400,6 +420,17 @@ class TestTrain:
 
 
 class TestEval:
+    def test_eval_without_out_exits_2_and_leaves_the_run_alone(self, tmp_path, dataset, trained,
+                                                              monkeypatch, capsys):
+        # --out used to default to the working directory, so eval run from
+        # inside a train output directory replaced that run's run.json
+        before = {f.name: f.read_bytes() for f in trained.iterdir()}
+        monkeypatch.chdir(trained)
+        assert main(["eval", "--checkpoint", "checkpoint.smk",
+                     "--data", str(dataset / "manifest.tsv")]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in trained.iterdir()} == before
+
     def test_report_and_weighting(self, tmp_path, dataset, trained, capsys):
         out = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(trained / "checkpoint.smk"),
@@ -496,8 +527,8 @@ class TestCorrect:
         code = main(["correct", "--checkpoint", str(ckpt), "--in", str(src),
                      "--out", str(dst), "--reference", str(src)])
         assert code == 0
-        original = read_pnm(src).data
-        corrected = read_pnm(dst).data
+        original = read_pnm(src)
+        corrected = read_pnm(dst)
         assert float(np.max(np.abs(original - corrected))) < 1e-3
         assert dst.read_bytes()[:2] == b"P6"
         assert "PSNR improvement" in capsys.readouterr().err
@@ -902,6 +933,67 @@ class TestModelCheckpoint:
         capsys.readouterr()
         assert reports[0] == reports[1]
 
+    def _edited(self, tmp_path, blob, **config):
+        """blob saved with the given config.* entries replaced."""
+        for name, value in config.items():
+            blob[f"config.{name}"] = Tensor(np.array(value, dtype=np.float32))
+        path = tmp_path / "edited.smk"
+        save_checkpoint(path, blob)
+        return path
+
+    @pytest.mark.parametrize("per_head, config, entry", [
+        (False, dict(n_blocks=1e6), "config.n_blocks"),
+        (True, dict(embed_dim=2 ** 22, n_heads=2 ** 20), "config.n_heads")],
+        ids=["n_blocks", "per-head-n_heads"])
+    def test_config_driving_per_block_work_is_refused_at_once(self, tmp_path, dataset, capsys,
+                                                              per_head, config, entry):
+        # a million blocks used to take 17 s and 2 GB to load before the
+        # missing 'b1.attn.wo' was reported; 2**20 heads 3 s per block
+        model = build_model(self.CFG)
+        if per_head:
+            _, blob = self._per_head_blob(tmp_path, model)
+        else:
+            save_model_checkpoint(tmp_path / "m.smk", model)
+            blob = load_checkpoint(tmp_path / "m.smk")
+        path = self._edited(tmp_path, blob, **config)
+        start = time.perf_counter()
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset / "manifest.tsv"),
+                     "--out", str(tmp_path / "ev")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"error: {path}: {entry!r} is " in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_huge_embed_dim_is_refused_by_shape_within_3_gb(self, tmp_path, dataset):
+        # Model used to build its rotation table, embed_dim / 2 f64
+        # frequencies, before a tensor was checked: a MemoryError here
+        save_model_checkpoint(tmp_path / "m.smk", build_model(self.CFG))
+        path = self._edited(tmp_path, load_checkpoint(tmp_path / "m.smk"),
+                            embed_dim=2 ** 30, n_heads=1)
+        script = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+            from segkit.checkpoint import load_model_checkpoint
+            from segkit.cli import main
+            from segkit.errors import ConfigInvalidError
+            try:
+                load_model_checkpoint(sys.argv[1])
+            except ConfigInvalidError as exc:
+                print("refused:", exc)
+            sys.exit(main(["eval", "--checkpoint", sys.argv[1], "--data", sys.argv[2],
+                           "--out", sys.argv[3]]))
+            """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(path),
+                               str(dataset / "manifest.tsv"), str(tmp_path / "ev")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert re.match(rf"refused: {re.escape(str(path))}: '[\w.]+' has shape \(\d+(, \d+)*\), "
+                        rf"its config builds \(.*1073741824", proc.stdout), proc.stdout
+        assert "its config builds" in proc.stderr and not (tmp_path / "ev").exists()
+
     def test_incomplete_per_head_checkpoint_is_config_error(self, tmp_path):
         legacy, blob = self._per_head_blob(tmp_path, build_model(self.CFG))
         del blob["b1.h0.wv"]
@@ -1235,7 +1327,7 @@ class TestMaskClassIds:
         def no_training(*args, **kwargs):
             raise AssertionError("trained on a mask holding class 5")
 
-        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(cli, "train_with_denoise", no_training)
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TRAIN)
         out = tmp_path / "run"

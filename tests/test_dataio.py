@@ -33,7 +33,6 @@ from segkit.errors import (
 )
 from segkit.metrics import IGNORE
 from segkit.rng import SplitMix64
-from segkit.tensor import Tensor
 
 
 class TestPnm:
@@ -60,9 +59,9 @@ class TestPnm:
     def test_p6_header_arithmetic(self, tmp_path):
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n2 1\n255\n" + bytes([255, 0, 0, 0, 0, 255]))
-        t = read_pnm(path)
-        assert isinstance(t, Tensor) and t.data.shape == (1, 3, 1, 2)
-        assert t.data[0, 0, 0, 0] == 1.0 and t.data[0, 2, 0, 1] == 1.0
+        img = read_pnm(path)
+        assert type(img) is np.ndarray and img.dtype == np.float32 and img.shape == (1, 3, 1, 2)
+        assert img[0, 0, 0, 0] == 1.0 and img[0, 2, 0, 1] == 1.0
 
     def test_header_comments_allowed(self, tmp_path):
         path = tmp_path / "c.pgm"

@@ -316,8 +316,7 @@ def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
     n, t, d3 = x.shape
     d = d3 // 3
     dh = d // n_heads
-    perm, inv, mask, _, _ = _window_layout(grid.rows, grid.cols, window, shift, None, None,
-                                           x.dtype)
+    perm, inv, mask, _, _ = _window_layout(grid.rows, grid.cols, window, shift, None, x.dtype)
     nw = 1 if perm is None else t // (window * window)
     if freqs is not None:
         pos = grid.positions()
@@ -393,7 +392,7 @@ def test_rope_attention_matches_pairwise_row_wise_form(grid, window, shift, use_
         x = _signed(rng, shape, dtype) if trial else np.full(shape, -0.0, dtype)
         g = _signed(rng, (n, grid.n_patches, n_heads * dh), dtype, zeros=0.5)
         xt = Tensor(x, requires_grad=True)
-        out = rope_attention(xt, grid, freqs, n_heads, window=window, shift=shift)
+        out = rope_attention(xt, grid, n_heads, window=window, shift=shift, rope=use_rope)
         (gx,) = out._backward_fn(g)
         out_ref, gx_ref = _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift)
         assert _bytes_equal(out.data, out_ref) and out.data.flags.c_contiguous
@@ -413,8 +412,7 @@ def test_rope_attention_keeps_inf_and_nan_where_the_pairwise_form_has_them(grid,
     g = _signed(rng, (2, grid.n_patches, 16), dtype)
     g[0, 3, 5] = np.inf
     with np.errstate(invalid="ignore"):
-        out = rope_attention(Tensor(x, requires_grad=True), grid, freq_table(8), 2,
-                             window=window, shift=shift)
+        out = rope_attention(Tensor(x, requires_grad=True), grid, 2, window=window, shift=shift)
         (gx,) = out._backward_fn(g)
         out_ref, gx_ref = _rope_attention_reference(x, g, grid, freq_table(8), 2, window, shift)
     assert np.isnan(out_ref).any() and np.isnan(gx_ref).any()

@@ -139,7 +139,7 @@ def test_rope_attention_matches_manual_recompute():
     grid = PatchGrid(2, 2)
     rng = SplitMix64(6)
     q, k, v = (rng.uniform_array((4, 8), -1, 1) for _ in range(3))
-    out = rope_attention(_pack(q, k, v), grid, ft, 1).data[0]
+    out = rope_attention(_pack(q, k, v), grid, 1).data[0]
 
     pos = grid.positions()
     qr = np.stack([rotate(Tensor(q[i].copy()), axial_angles(tuple(pos[i]), ft)).data
@@ -162,7 +162,7 @@ def test_rope_attention_convex_combination_property():
     rng = SplitMix64(7)
     q, k = rng.uniform_array((4, 8), -1, 1), rng.uniform_array((4, 8), -1, 1)
     v = np.tile(np.array([2.0, -3.0, 0.5, 1.0, 0.0, -1.5, 4.0, 0.25]), (4, 1))
-    out = rope_attention(_pack(q, k, v), grid, ft, 1).data[0]
+    out = rope_attention(_pack(q, k, v), grid, 1).data[0]
     assert np.max(np.abs(out - v)) < 1e-6
 
 
@@ -172,28 +172,27 @@ def test_rope_attention_batched_matches_per_slice():
     grid = PatchGrid(2, 3)
     rng = SplitMix64(8)
     qkv = rng.uniform_array((2, 6, 3 * 3 * 8), -1, 1)
-    out = rope_attention(Tensor(qkv), grid, ft, 3).data
+    out = rope_attention(Tensor(qkv), grid, 3).data
     for n in range(2):
         for h in range(3):
             q, k, v = (qkv[n, :, j * 24 + h * 8:j * 24 + (h + 1) * 8] for j in range(3))
-            ref = rope_attention(_pack(q, k, v), grid, ft, 1).data[0]
+            ref = rope_attention(_pack(q, k, v), grid, 1).data[0]
             assert np.max(np.abs(out[n, :, h * 8:(h + 1) * 8] - ref)) < 1e-12
 
 
 def test_rope_attention_token_count_mismatch():
-    ft = freq_table(8)
     with pytest.raises(ShapeMismatchError):
-        rope_attention(Tensor(np.zeros((1, 3, 24))), PatchGrid(2, 2), ft, 1)
+        rope_attention(Tensor(np.zeros((1, 3, 24))), PatchGrid(2, 2), 1)
 
 
 def test_rope_attention_rejects_bad_packing_window_and_shift():
-    ft, grid = freq_table(8), PatchGrid(4, 4)
+    grid = PatchGrid(4, 4)
     x = Tensor(np.zeros((1, 16, 48)))
-    for kwargs in (dict(n_heads=0), dict(n_heads=5), dict(n_heads=1),  # dh 16 != 8
+    for kwargs in (dict(n_heads=0), dict(n_heads=5),
                    dict(n_heads=2, window=3), dict(n_heads=2, window=-2),
                    dict(n_heads=2, window=2, shift=2), dict(n_heads=2, shift=1)):
         with pytest.raises(ShapeMismatchError):
-            rope_attention(x, grid, ft, **kwargs)
+            rope_attention(x, grid, **kwargs)
 
 
 def _dense_windowed(qkv, grid, ft, n_heads, window, shift):
@@ -232,7 +231,7 @@ def test_windowed_attention_matches_masked_dense_reference(shift, use_rope):
     grid = PatchGrid(8, 12)
     ft = freq_table(8) if use_rope else None
     qkv = SplitMix64(9).uniform_array((2, 96, 3 * 2 * 8), -2, 2).astype(np.float32)
-    out = rope_attention(Tensor(qkv), grid, ft, 2, window=4, shift=shift).data
+    out = rope_attention(Tensor(qkv), grid, 2, window=4, shift=shift, rope=use_rope).data
     assert out.dtype == np.float32
     ref = _dense_windowed(qkv, grid, ft, 2, 4, shift)
     assert np.max(np.abs(out - ref)) < 1e-6
@@ -245,7 +244,7 @@ def test_window_covering_a_square_grid_is_global_attention_bitwise():
     outs, grads = [], []
     for window, shift in ((0, 0), (4, 0), (4, 2)):
         x = Tensor(qkv.copy(), requires_grad=True)
-        out = rope_attention(x, grid, ft, 2, window=window, shift=shift)
+        out = rope_attention(x, grid, 2, window=window, shift=shift)
         tsum(mul(out, weight)).backward()
         outs.append(out.data)
         grads.append(x.grad)
@@ -257,18 +256,17 @@ def test_window_covering_a_square_grid_is_global_attention_bitwise():
 def test_shifted_window_gradient_matches_central_differences(use_rope):
     # 4x8 grid with 4x4 windows: only the column axis shifts
     grid = PatchGrid(4, 8)
-    ft = freq_table(4) if use_rope else None
     weight = Tensor(SplitMix64(12).uniform_array((1, 32, 4), -1, 1))
     err = check_function(
-        lambda u: tsum(mul(rope_attention(u, grid, ft, 1, window=4, shift=2), weight)),
+        lambda u: tsum(mul(rope_attention(u, grid, 1, window=4, shift=2, rope=use_rope), weight)),
         SplitMix64(13).uniform_array((1, 32, 12), -1, 1))
     assert err <= TOL
 
 
 def test_window_layout_is_a_cached_read_only_permutation():
     f32 = np.dtype(np.float32)
-    perm, inv, mask, c2, s2 = _window_layout(8, 12, 4, 2, 8, 10000.0, f32)
-    assert _window_layout(8, 12, 4, 2, 8, 10000.0, f32)[0] is perm
+    perm, inv, mask, c2, s2 = _window_layout(8, 12, 4, 2, 8, f32)
+    assert _window_layout(8, 12, 4, 2, 8, f32)[0] is perm
     assert sorted(perm.tolist()) == list(range(96))
     assert np.array_equal(perm[inv], np.arange(96))
     assert mask.shape == (6, 16, 16) and mask.dtype == np.float32
@@ -282,8 +280,8 @@ def test_window_layout_is_a_cached_read_only_permutation():
     for arr in (perm, inv, mask, c2, s2):
         assert not arr.flags.writeable
     # unshifted windows wrap nothing; one tile over the whole grid is global
-    assert _window_layout(8, 12, 4, 0, None, None, f32)[2:] == (None, None, None)
-    assert _window_layout(4, 4, 4, 2, None, None, f32) == (None,) * 5
+    assert _window_layout(8, 12, 4, 0, None, f32)[2:] == (None, None, None)
+    assert _window_layout(4, 4, 4, 2, None, f32) == (None,) * 5
 
 
 def test_freq_table_frozen():

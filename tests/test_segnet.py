@@ -24,7 +24,7 @@ from segkit.metrics import IGNORE, ConfusionMatrix, miou
 from segkit.optim import Adam, _step
 from segkit.rng import SplitMix64
 from segkit import rope, segnet
-from segkit.rope import PatchGrid, axial_angles, rotate
+from segkit.rope import PatchGrid, axial_angles, freq_table, rotate
 from segkit.segnet import (
     Model,
     ModelConfig,
@@ -147,7 +147,7 @@ def _per_head_forward(model, img):
             q, k, v = (matmul(h, Tensor(wqkv[:, j * d + hd * dh:j * d + (hd + 1) * dh]))
                        for j in range(3))
             if cfg.use_rope:
-                theta = axial_angles(PatchGrid(hp, wp).positions(), model.freqs)
+                theta = axial_angles(PatchGrid(hp, wp).positions(), freq_table(dh))
                 q, k = rotate(q, theta), rotate(k, theta)
             s = scale(matmul(q, k.T), dh ** -0.5).data
             e = np.exp(s - s.max(axis=1, keepdims=True))
@@ -503,10 +503,17 @@ class TestTraining:
 
 
 class TestDenoiseLoop:
-    def test_requires_denoise_config(self):
-        with pytest.raises(ConfigInvalidError):
-            train_with_denoise(build_model(ModelConfig(**SMALL)), [("s0",) + _dataset(1, 1)[0]],
-                               TrainConfig(epochs=1))
+    def test_without_denoise_trains_one_plain_round(self):
+        data = _dataset(14, 4)
+        samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
+        mc, tc = ModelConfig(**SMALL, seed=7), TrainConfig(epochs=2, seed=7)
+        model, report, freport = train_with_denoise(build_model(mc), samples, tc,
+                                                    val_pairs=data[:2])
+        assert freport is None
+        plain = build_model(mc)
+        assert train(plain, data, tc, val_pairs=data[:2]) == report
+        for k, p in model.params.items():
+            assert np.array_equal(plain.params[k].data, p.data), k
 
     def test_train_leaves_drop_mode_to_the_denoise_loop(self):
         tc = TrainConfig(epochs=1, denoise=DenoiseConfig(quantile=0.9))
@@ -557,13 +564,15 @@ class TestDenoiseLoop:
             np.count_nonzero(predict(model, img)[4:] != mask[4:]) / (12 * 16)
             for img, mask in data]
 
-    def test_first_round_divergence_names_round_and_sample_ids(self):
+    @pytest.mark.parametrize("denoise, rounds", [(DenoiseConfig(quantile=0.5), 2), (None, 1)],
+                             ids=["drop_samples", "plain"])
+    def test_first_round_divergence_names_round_and_sample_ids(self, denoise, rounds):
         data = _dataset(12, 4)
         data[2] = (np.full_like(data[2][0], np.nan), data[2][1])
         samples = [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)]
-        tc = TrainConfig(epochs=1, batch_size=1, seed=5, denoise=DenoiseConfig(quantile=0.5))
-        with pytest.raises(TrainingDivergedError, match=r"round 1 of 2, on all 4 samples: .*"
-                                                        r"sample ids \['s2'\]"), \
+        tc = TrainConfig(epochs=1, batch_size=1, seed=5, denoise=denoise)
+        with pytest.raises(TrainingDivergedError, match=rf"round 1 of {rounds}, on all 4 samples: "
+                                                        r".*sample ids \['s2'\]"), \
                 np.errstate(invalid="ignore"):
             train_with_denoise(build_model(ModelConfig(**SMALL)), samples, tc)
 
