@@ -14,7 +14,7 @@ checkpoint must hold exactly the parameters its config builds, by name and
 shape, and no ``config.*`` entry its configs do not read, each typed as a
 config-file line holding its values (``dataio._parse_like``); a missing,
 misshapen, unknown or mistyped one is a ConfigInvalidError, and a parameter
-holding a NaN or inf a BadMagicError.  A ``config.n_blocks`` above the
+holding a NaN or inf a MalformedFileError.  A ``config.n_blocks`` above the
 count of the model's weight tensors, or a per-head block whose
 ``config.n_heads`` would need more matrices than that, is refused before
 any per-block or per-head work.
@@ -29,7 +29,7 @@ import numpy as np
 from .csec import CsecConfig
 from .csec import param_shapes as csec_param_shapes
 from .dataio import _parse_like
-from .errors import BadMagicError, ConfigInvalidError, TruncatedError
+from .errors import ConfigInvalidError, MalformedFileError
 from .segnet import Model, ModelConfig, fuse_qkv, param_shapes
 from .tensor import Tensor
 
@@ -52,18 +52,18 @@ def save_checkpoint(path, params: dict):
 
 def load_checkpoint(path) -> dict:
     """Read back a checkpoint as name -> Tensor (f32, requires_grad).  A
-    malformed file, bytes after the last tensor included, is an error of
-    its kind naming path."""
+    malformed file, bytes after the last tensor or a tensor name given twice
+    included, is a MalformedFileError naming path."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad checkpoint magic {buf[:4]!r}")
+        raise MalformedFileError(f"{path}: bad checkpoint magic {buf[:4]!r}")
     pos = 4
 
     def take(n):
         nonlocal pos
         if pos + n > len(buf):
-            raise TruncatedError(f"{path}: checkpoint ended early, {n} bytes wanted")
+            raise MalformedFileError(f"{path}: checkpoint ended early, {n} bytes wanted")
         pos += n
         return buf[pos - n:pos]
 
@@ -75,15 +75,18 @@ def load_checkpoint(path) -> dict:
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise BadMagicError(f"{path}: tensor name {raw!r} is not utf-8")
+            raise MalformedFileError(f"{path}: tensor name {raw!r} is not utf-8")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         if 0 in shape:
-            raise BadMagicError(f"{path}: checkpoint tensor {name!r} has a zero extent {shape}")
+            raise MalformedFileError(f"{path}: checkpoint tensor {name!r} has a zero extent "
+                                     f"{shape}")
         arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        if name in params:
+            raise MalformedFileError(f"{path}: checkpoint names tensor {name!r} twice")
         params[name] = Tensor(arr.copy(), requires_grad=True)
     if pos != len(buf):
-        raise BadMagicError(f"{path}: {len(buf) - pos} bytes after the last tensor")
+        raise MalformedFileError(f"{path}: {len(buf) - pos} bytes after the last tensor")
     return params
 
 
@@ -96,11 +99,14 @@ def _pack_config(cfg, prefix) -> dict:
 
 
 def _config_entry(blob: dict, key, default, path):
-    """The ``key`` entry, taken out of blob, its values written out exactly
-    and typed like ``default``."""
+    """The ``key`` entry, taken out of blob, typed like ``default`` from its
+    values written out: an integral one exactly, any other as the shortest
+    decimal that reads back to its f32 (``0.0001``, not ``9.99...e-05``)."""
     if key not in blob:
         raise ConfigInvalidError(f"{path}: checkpoint lacks {key!r}")
-    text = " ".join(f"{v:.17g}" for v in np.atleast_1d(blob.pop(key).data).tolist())
+    # the shortest decimal of 2**30 would be 1073741800
+    text = " ".join(str(int(v)) if v.is_integer() else np.format_float_positional(v, trim="-")
+                    for v in np.atleast_1d(blob.pop(key).data))
     try:
         return _parse_like(text, default)
     except (TypeError, ValueError) as exc:
@@ -170,7 +176,7 @@ def load_model_checkpoint(path) -> Model:
 
 def _check_params(params: dict, shapes: dict, path, prefix=""):
     """Refuse params unless they are shapes' names with shapes' shapes and
-    finite values; a NaN or inf is malformed content, a BadMagicError."""
+    finite values; a NaN or inf is malformed content, a MalformedFileError."""
     for name in sorted(shapes.keys() | params.keys()):
         if name not in params:
             raise ConfigInvalidError(f"{path}: checkpoint lacks {prefix + name!r}")
@@ -180,7 +186,7 @@ def _check_params(params: dict, shapes: dict, path, prefix=""):
             raise ConfigInvalidError(f"{path}: {prefix + name!r} has shape "
                                      f"{params[name].data.shape}, its config builds {shapes[name]}")
         if not np.isfinite(params[name].data).all():
-            raise BadMagicError(f"{path}: {prefix + name!r} holds a non-finite value")
+            raise MalformedFileError(f"{path}: {prefix + name!r} holds a non-finite value")
 
 
 def _fuse_legacy_heads(params: dict, cfg: ModelConfig, path):

@@ -5,6 +5,8 @@ files and plain-text reports; every run that writes an output directory
 also writes a ``run.json`` provenance record (every argument, the resolved
 config, seeds, version) sufficient to reproduce it bitwise; ``correct``,
 which writes one image, writes its record beside it as ``<out>.run.json``.
+A command refuses, before any work, an output directory whose ``run.json``
+another command wrote, and reruns into its own.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error; an error ends ``main``
 in its one handler, with a ``SegkitError``'s ``exit_code``, 3 for any other
@@ -44,7 +46,7 @@ from .dataio import (
     write_pnm,
 )
 from .denoise import DenoiseConfig, ErrorScore, filter_dataset, pixel_error_rate
-from .errors import ClassOutOfRangeError, ConfigInvalidError, SegkitError, ShapeMismatchError
+from .errors import ConfigInvalidError, SegkitError, ShapeMismatchError
 from .gradcheck import SUITES, TOL, run_suite
 from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_miou
 from .segnet import (
@@ -129,6 +131,23 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _claim_out(args):
+    """Refuse an --out directory whose ``run.json`` records another command,
+    or is no segkit run record: a command writes over its own runs only."""
+    path = os.path.join(args.out, "run.json")
+    try:
+        with open(path, "rb") as fh:
+            record = json.loads(fh.read())
+    except FileNotFoundError:
+        return
+    except (ValueError, RecursionError):  # not utf-8, not JSON, or nested too deep to parse
+        record = None
+    command = record.get("command") if isinstance(record, dict) else None
+    if command != args.command:
+        what = f"a {command!r} run" if isinstance(command, str) else "no segkit run"
+        raise SegkitError(f"{path} records {what}; {args.command} will not write over it")
+
+
 def write_run_record(path, args, resolved: dict):
     """The command, every argument, the resolved config and the version."""
     arg_view = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
@@ -200,8 +219,8 @@ def _load_split(manifest, records, split, config):
             raise ShapeMismatchError(f"{where}: image {image.shape[2:]}, mask {mask.shape} vs "
                                      f"the {split} split's first mask {hw}")
         if mask.max() >= config.n_classes:
-            raise ClassOutOfRangeError(f"{where}: mask holds class {mask.max()}, outside "
-                                       f"[0,{config.n_classes})")
+            raise SegkitError(f"{where}: mask holds class {mask.max()}, outside "
+                              f"[0,{config.n_classes})")
     try:
         _check_extent(config, *hw)
     except ShapeMismatchError as exc:
@@ -441,6 +460,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.command != "correct" and args.out:  # correct's --out is one image
+            _claim_out(args)
         return args.func(args)
     except (SegkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

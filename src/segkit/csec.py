@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigInvalidError,
-    InputRangeError,
-    NonFiniteOffsetError,
-    NonSquareError,
-    ShapeMismatchError,
-)
+from .errors import ConfigInvalidError, SegkitError, ShapeMismatchError
 from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from .tensor import (
@@ -115,7 +109,7 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     if tap_offsets.data.shape != (kh * kw, 2):
         raise ShapeMismatchError(f"tap_offsets must be [{kh * kw},2], got {tap_offsets.data.shape}")
     if not np.all(np.isfinite(tap_offsets.data)):
-        raise NonFiniteOffsetError("tap offsets contain non-finite values")
+        raise SegkitError("tap offsets contain non-finite values")
     kernel = _tap_kernel(w, tap_offsets)
     return conv2d(x, kernel, stride=1, padding=kernel.data.shape[-1] // 2)
 
@@ -191,7 +185,7 @@ def _check_image_range(image: Tensor):
     """Every pixel finite and in [0,1], up to 1e-6."""
     lo, hi = float(image.data.min()), float(image.data.max())
     if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):  # a NaN fails both comparisons
-        raise InputRangeError(f"pixel values [{lo:.4g}, {hi:.4g}] are not all finite and in [0,1]")
+        raise SegkitError(f"pixel values [{lo:.4g}, {hi:.4g}] are not all finite and in [0,1]")
 
 
 def cose_forward(image: Tensor, params: dict):
@@ -242,7 +236,7 @@ def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:
     exceeds it.
     """
     if a.data.ndim < 2 or a.data.shape[-1] != a.data.shape[-2]:
-        raise NonSquareError(f"sym_norm needs square matrices, got {a.data.shape}")
+        raise ShapeMismatchError(f"sym_norm needs square matrices, got {a.data.shape}")
     lead, t = a.data.shape[:-2], a.data.shape[-1]
     if symmetrize == "as_printed":
         s = add(a, scale(a.T, 0.5))  # A + A^T/2 == (2A + A^T)/2
@@ -329,7 +323,7 @@ def _offset_branch_is_zero(params: dict) -> bool:
     gradients: ``cose.w2`` all zero, the branch's other values finite and
     ``cose.w1`` too small for the first offset layer to overflow.
     Otherwise a 0 * inf makes NaN in the full path's forward or backward
-    pass, or a non-finite tap offset raises NonFiniteOffsetError, and the
+    pass, or a non-finite tap offset raises a SegkitError, and the
     full path is taken to keep that.  The test is one BLAS dot: a sum of
     squares is finite only if every entry is, and its bound keeps every
     |w1| sum far below the float32 range."""
@@ -424,8 +418,8 @@ def train_csec(pairs, params: dict, config: CsecConfig = CsecConfig(),
                epochs: int = 20, lr: float = 1e-3, seed: int = 0):
     """Self-supervised training on (corrupted, clean) image pairs with
     mean-squared pixel error, one pair per step of ``optim.fit``.  Returns
-    the per-epoch mean loss.  No pairs raise EmptyDatasetError, epochs < 1
-    ConfigInvalidError and a non-finite loss or gradient
+    the per-epoch mean loss.  No pairs or epochs < 1 raise
+    ConfigInvalidError, and a non-finite loss or gradient
     TrainingDivergedError."""
     def pair_loss(batch):
         corrupted, clean = pairs[batch[0]]

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadFieldCountError,
-    BadMagicError,
-    ConfigInvalidError,
-    DuplicateSampleIdError,
-    InputRangeError,
-    MaxvalUnsupportedError,
-    TruncatedError,
-    UnknownSplitError,
-)
+from .errors import ConfigInvalidError, MalformedFileError, SegkitError
 from .metrics import GOOSE_WEIGHTS, IGNORE
 from .rng import SplitMix64
 
@@ -122,12 +113,12 @@ class SynthSpec:
 def _parse_pnm_header(buf: bytes):
     magic = buf[:2]
     if magic not in (b"P5", b"P6"):
-        raise BadMagicError(f"unsupported magic {magic!r}")
+        raise MalformedFileError(f"unsupported magic {magic!r}")
     vals = []
     i = 2
     while len(vals) < 3:
         if i >= len(buf):
-            raise TruncatedError("header ended early")
+            raise MalformedFileError("header ended early")
         c = buf[i:i + 1]
         if c in b" \t\r\n":
             i += 1
@@ -141,15 +132,15 @@ def _parse_pnm_header(buf: bytes):
             vals.append(int(buf[i:j]))
             i = j
         else:
-            raise BadMagicError(f"unexpected header byte {c!r}")
+            raise MalformedFileError(f"unexpected header byte {c!r}")
     if i >= len(buf) or buf[i:i + 1] not in b" \t\r\n":
-        raise TruncatedError("missing whitespace after maxval")
+        raise MalformedFileError("missing whitespace after maxval")
     i += 1
     width, height, maxval = vals
     if width == 0 or height == 0:
-        raise BadMagicError(f"zero extent {width}x{height} in header")
+        raise MalformedFileError(f"zero extent {width}x{height} in header")
     if maxval != 255:
-        raise MaxvalUnsupportedError(f"maxval {maxval} unsupported")
+        raise MalformedFileError(f"maxval {maxval} unsupported")
     return magic, width, height, i
 
 
@@ -158,7 +149,7 @@ def read_pnm(path):
 
     P6 -> f32 ndarray [1,3,H,W], values scaled to [0,1].
     P5 -> uint8 ndarray [H,W] of class ids (unscaled).
-    A malformed file is an error of its kind naming path.
+    A malformed file is a MalformedFileError naming path.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -168,9 +159,9 @@ def read_pnm(path):
         need = width * height * channels
         raster = buf[start:start + need]
         if len(raster) < need:
-            raise TruncatedError(f"raster has {len(raster)} bytes, needs {need}")
-    except (BadMagicError, MaxvalUnsupportedError, TruncatedError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+            raise MalformedFileError(f"raster has {len(raster)} bytes, needs {need}")
+    except MalformedFileError as exc:
+        raise MalformedFileError(f"{path}: {exc}") from None
     arr = np.frombuffer(raster, dtype=np.uint8)
     if magic == b"P5":
         return arr.reshape(height, width).copy()
@@ -182,7 +173,7 @@ def _read_kind(path, image: bool):
     """read_pnm of a P6 image, or of a P5 mask as int64 with 255 read as IGNORE."""
     data = read_pnm(path)
     if (data.ndim == 4) != image:
-        raise BadMagicError(f"{path}: expected a {'P6 image' if image else 'P5 mask'}")
+        raise MalformedFileError(f"{path}: expected a {'P6 image' if image else 'P5 mask'}")
     return data if image else np.where(data == 255, IGNORE, data.astype(np.int64))
 
 
@@ -196,8 +187,8 @@ def write_pnm(path, data):
     data = np.asarray(data)
     if data.ndim == 2 and np.issubdtype(data.dtype, np.integer):
         if np.any(((data < 0) & (data != IGNORE)) | (data > 255)):
-            raise InputRangeError(f"mask values {data.min()}..{data.max()} are neither "
-                                  f"IGNORE nor in [0,255]")
+            raise SegkitError(f"mask values {data.min()}..{data.max()} are neither "
+                              f"IGNORE nor in [0,255]")
         h, w = data.shape
         body = np.where(data == IGNORE, 255, data).astype(np.uint8).tobytes()
         header = b"P5\n%d %d\n255\n" % (w, h)
@@ -256,20 +247,20 @@ def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     records = []
     lines = {}  # sample id -> line number: eval, train and filter key samples by id
-    for lineno, line in enumerate(_text_lines(path, BadMagicError), 1):
+    for lineno, line in enumerate(_text_lines(path, MalformedFileError), 1):
         line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 5:
-            raise BadFieldCountError(f"{path}: line {lineno}: expected 5 fields, "
+            raise MalformedFileError(f"{path}: line {lineno}: expected 5 fields, "
                                      f"got {len(fields)}")
         sid, img, mask, robot, split = fields
         if split not in SPLITS:
-            raise UnknownSplitError(f"{path}: line {lineno}: unknown split {split!r}")
+            raise MalformedFileError(f"{path}: line {lineno}: unknown split {split!r}")
         if sid in lines:
-            raise DuplicateSampleIdError(f"{path}: line {lineno}: sample id {sid!r} "
-                                         f"repeats line {lines[sid]}")
+            raise MalformedFileError(f"{path}: line {lineno}: sample id {sid!r} "
+                                     f"repeats line {lines[sid]}")
         lines[sid] = lineno
         records.append(SampleRecord(
             sample_id=sid,

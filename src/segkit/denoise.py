@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalidError, EmptyListError, ShapeMismatchError, UnscoredRecordError
+from .errors import ConfigInvalidError, SegkitError, ShapeMismatchError
 from .metrics import IGNORE
 
 __all__ = [
@@ -66,7 +66,7 @@ def quantile_threshold(errors, q: float) -> float:
     (1-indexed) of a list or array, read flat."""
     errors = np.asarray(errors).reshape(-1)
     if errors.size == 0:
-        raise EmptyListError("quantile of empty list")
+        raise ShapeMismatchError("quantile of empty list")
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0,1), got {q}")
     rank = math.ceil(q * errors.size)
@@ -81,7 +81,7 @@ def filter_dataset(records, config: DenoiseConfig):
     records = list(records)
     for r in records:
         if getattr(r, "error_rate", None) is None:
-            raise UnscoredRecordError(f"record {getattr(r, 'sample_id', r)!r} has no error score")
+            raise SegkitError(f"record {getattr(r, 'sample_id', r)!r} has no error score")
     thresh = quantile_threshold([r.error_rate for r in records], config.quantile)
     return [r for r in records if r.error_rate <= thresh]
 

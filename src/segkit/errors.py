@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit.
 
-Every failure the toolkit detects raises a subclass of ``SegkitError``;
-its ``exit_code``, 2 unless the class sets another, is the code ``cli.main``
-exits with.  ``ConfigInvalidError`` is also a ``ValueError``.
+Every failure the toolkit detects raises ``SegkitError`` or one of its
+subclasses; its ``exit_code`` is the code ``cli.main`` exits with.  A
+subclass exists for each other exit code, and for each exit-2 error that
+code catches by name to say where it came from.  ``ConfigInvalidError`` is
+also a ``ValueError``.
 """
 
 
@@ -11,95 +13,17 @@ class SegkitError(Exception):
 
 
 class ShapeMismatchError(SegkitError):
-    pass
-
-
-class EmptyShapeError(SegkitError):
-    pass
-
-
-class AxisOutOfRangeError(SegkitError):
-    pass
-
-
-class ClassOutOfRangeError(SegkitError):
-    pass
-
-
-class NonScalarLossError(SegkitError):
-    pass
-
-
-class NegativeOutputExtentError(SegkitError):
-    pass
-
-
-class OddHeadDimError(SegkitError):
-    pass
-
-
-class DimNotDivisibleBy4Error(SegkitError):
-    pass
-
-
-class NonFiniteOffsetError(SegkitError):
-    pass
-
-
-class InputRangeError(SegkitError):
-    pass
-
-
-class NonSquareError(SegkitError):
-    pass
-
-
-class EmptyListError(SegkitError):
-    pass
-
-
-class UnscoredRecordError(SegkitError):
-    pass
-
-
-class AllClassesExcludedError(SegkitError):
-    pass
-
-
-class MissingRobotError(SegkitError):
-    exit_code = 5
-
-
-class BadMagicError(SegkitError):
-    exit_code = 3
-
-
-class TruncatedError(SegkitError):
-    exit_code = 3
-
-
-class MaxvalUnsupportedError(SegkitError):
-    exit_code = 3
-
-
-class BadFieldCountError(SegkitError):
-    exit_code = 3
-
-
-class UnknownSplitError(SegkitError):
-    exit_code = 3
-
-
-class DuplicateSampleIdError(SegkitError):
-    exit_code = 3
+    """A wrong rank, shape, extent or length."""
 
 
 class ConfigInvalidError(SegkitError, ValueError):
-    pass
+    """A config value, option or input its checks refuse, an empty split included."""
 
 
-class EmptyDatasetError(SegkitError):
-    pass
+class MalformedFileError(SegkitError):
+    """A PNM, manifest or checkpoint file whose bytes or content cannot be read."""
+
+    exit_code = 3
 
 
 class TrainingDivergedError(SegkitError):
@@ -113,5 +37,5 @@ class TrainingDivergedError(SegkitError):
         self.samples = list(samples)
 
 
-class NoGradientError(SegkitError):
-    pass
+class MissingRobotError(SegkitError):
+    exit_code = 5

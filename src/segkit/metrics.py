@@ -10,12 +10,7 @@ but never in mIoU.  Ground-truth pixels labelled ``IGNORE`` are not counted.
 
 import numpy as np
 
-from .errors import (
-    AllClassesExcludedError,
-    ClassOutOfRangeError,
-    MissingRobotError,
-    ShapeMismatchError,
-)
+from .errors import MissingRobotError, SegkitError, ShapeMismatchError
 
 __all__ = [
     "IGNORE",
@@ -46,7 +41,7 @@ class ConfusionMatrix:
         valid = gt != IGNORE
         k = self.n_classes
         if np.any((gt[valid] < 0) | (gt[valid] >= k)) or np.any((pred[valid] < 0) | (pred[valid] >= k)):
-            raise ClassOutOfRangeError(f"class ids must be in [0,{k})")
+            raise SegkitError(f"class ids must be in [0,{k})")
         idx = k * gt[valid].astype(np.int64) + pred[valid].astype(np.int64)
         self.counts += np.bincount(idx, minlength=k * k).reshape(k, k)
         return self
@@ -61,7 +56,7 @@ class ConfusionMatrix:
 def class_iou(cm: ConfusionMatrix, k: int):
     """IoU of class k, or None when the class is absent from both masks (0/0)."""
     if not 0 <= k < cm.n_classes:
-        raise ClassOutOfRangeError(f"class {k} for K={cm.n_classes}")
+        raise SegkitError(f"class {k} for K={cm.n_classes}")
     inter = int(cm.counts[k, k])
     union = int(cm.counts[k, :].sum() + cm.counts[:, k].sum() - cm.counts[k, k])
     if union == 0:
@@ -74,7 +69,7 @@ def miou(cm: ConfusionMatrix, excluded_classes=()) -> float:
     vals = [class_iou(cm, k) for k in range(cm.n_classes) if k not in excluded]
     vals = [v for v in vals if v is not None]
     if not vals:
-        raise AllClassesExcludedError("no class with defined IoU remains")
+        raise SegkitError("no class with defined IoU remains")
     return float(sum(vals) / len(vals))
 
 
@@ -107,5 +102,5 @@ def miou_bruteforce(pred, gt, n_classes: int, excluded_classes=()):
         if union > 0:
             vals.append(inter / union)
     if not vals:
-        raise AllClassesExcludedError("no class with defined IoU remains")
+        raise SegkitError("no class with defined IoU remains")
     return float(sum(vals) / len(vals))

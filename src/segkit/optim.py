@@ -17,7 +17,7 @@ bytes."""
 
 import numpy as np
 
-from .errors import ConfigInvalidError, EmptyDatasetError, TrainingDivergedError
+from .errors import ConfigInvalidError, TrainingDivergedError
 from .rng import SplitMix64
 
 __all__ = ["Adam", "fan_in_uniform", "fit"]
@@ -98,15 +98,17 @@ def fit(opt, n_samples, batch_loss, epochs, batch_size, seed):
     """Yield each epoch's mean loss as opt minimizes batch_loss(indices), the mean
     loss of batch_size samples, in an order SplitMix64(seed) reshuffles each epoch.
 
-    A non-finite batch loss, or a finite one whose gradient is not finite,
-    raises TrainingDivergedError (exit 4) naming the epoch and step (from 1),
-    the batch's sample indices, the last finite epoch-mean loss and, for a
-    gradient, the first parameter that holds a non-finite one.  Both checks
+    No samples, epochs < 1 or batch_size < 1 raise ConfigInvalidError (exit
+    2) before any step.  A non-finite batch loss, or a finite one whose
+    gradient is not finite, raises TrainingDivergedError (exit 4) naming the
+    epoch and step (from 1), the batch's sample indices, the last finite
+    epoch-mean loss and, for a gradient, the first parameter that holds a
+    non-finite one.  Both checks
     run before the optimizer changes anything, so the parameters, Adam's
     moments and its step count keep the last finite step's values.
     """
     if n_samples < 1:
-        raise EmptyDatasetError("training set is empty")
+        raise ConfigInvalidError("training set is empty")
     if epochs < 1 or batch_size < 1:
         raise ConfigInvalidError("need epochs >= 1 and batch_size >= 1")
     order_rng = SplitMix64(seed)

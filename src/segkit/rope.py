@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .tensor import Tensor
 
 __all__ = ["FreqTable", "PatchGrid", "freq_table", "angles", "axial_angles", "rotate",
@@ -64,7 +64,7 @@ class PatchGrid:
 
 def freq_table(head_dim: int, base: float = 10000.0) -> FreqTable:
     if head_dim < 2 or head_dim % 2 != 0:
-        raise OddHeadDimError(f"head_dim must be even and >= 2, got {head_dim}")
+        raise ShapeMismatchError(f"head_dim must be even and >= 2, got {head_dim}")
     i = np.arange(head_dim // 2, dtype=np.float64)
     freqs = float(base) ** (-2.0 * i / head_dim)
     return FreqTable(head_dim=head_dim, base=float(base), freqs=freqs)
@@ -123,7 +123,7 @@ def axial_angles(positions, freqs: FreqTable) -> np.ndarray:
     ``freqs`` is the full-dimension table; each half uses its half_table().
     """
     if freqs.head_dim % 4 != 0:
-        raise DimNotDivisibleBy4Error(f"head_dim {freqs.head_dim} must be divisible by 4")
+        raise ShapeMismatchError(f"head_dim {freqs.head_dim} must be divisible by 4")
     half = freqs.half_table().freqs
     pos = np.asarray(positions, dtype=np.float64)
     return np.concatenate([pos[..., :1] * half, pos[..., 1:] * half], axis=-1)

@@ -24,15 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import (
-    AxisOutOfRangeError,
-    ClassOutOfRangeError,
-    EmptyShapeError,
-    NegativeOutputExtentError,
-    NoGradientError,
-    NonScalarLossError,
-    ShapeMismatchError,
-)
+from .errors import SegkitError, ShapeMismatchError
 from .denoise import quantile_threshold
 from .metrics import IGNORE
 
@@ -101,7 +93,7 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         if arr.ndim > 0 and 0 in arr.shape:
-            raise EmptyShapeError(f"zero extent in shape {arr.shape}")
+            raise ShapeMismatchError(f"zero extent in shape {arr.shape}")
         self.data = arr
         self.grad = None
         if _grad_enabled:
@@ -139,10 +131,10 @@ class Tensor:
         intermediate gradients live in a local table and are dropped as soon
         as they have been passed on."""
         if self.data.size != 1:
-            raise NonScalarLossError(f"backward needs a scalar loss, got shape {self.data.shape}")
+            raise ShapeMismatchError(f"backward needs a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
-            raise NoGradientError("backward on a tensor that requires no gradient (no "
-                                  "parameter reaches it, or it was computed under no_grad)")
+            raise SegkitError("backward on a tensor that requires no gradient (no "
+                              "parameter reaches it, or it was computed under no_grad)")
         # flow gradients through a local table so repeated backward calls
         # (with leaf zeroing in between) stay deterministic
         flow = {id(self): np.ones_like(self.data)}
@@ -286,7 +278,7 @@ def permute(a, axes):
         axes = tuple(axes)
         out = _permute(a.data, axes)
     except (ValueError, TypeError) as exc:  # numpy's AxisError is a ValueError
-        raise AxisOutOfRangeError(f"axes {axes} are not a permutation of rank {nd}") from exc
+        raise ShapeMismatchError(f"axes {axes} are not a permutation of rank {nd}") from exc
     inverse = [0] * nd  # built in Python: np.argsort costs more than the transpose
     for i, ax in enumerate(axes):
         inverse[ax % nd] = i
@@ -412,7 +404,7 @@ def conv2d(x, w, stride=1, padding=0):
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
-        raise NegativeOutputExtentError(f"output {ho}x{wo} for input {h}x{wd}")
+        raise ShapeMismatchError(f"output {ho}x{wo} for input {h}x{wd}")
     y, cols = _conv2d(x.data, w.data, stride, padding)
 
     def bwd(g):
@@ -578,7 +570,7 @@ def cross_entropy(logits, target, truncate=None):
     if target.shape != (n, h, w):
         raise ShapeMismatchError(f"target {target.shape} vs logits {logits.data.shape}")
     if target.min() < IGNORE or target.max() >= k:  # IGNORE (-1) is the one id below 0
-        raise ClassOutOfRangeError(f"class ids must be in [0,{k}) or {IGNORE}")
+        raise SegkitError(f"class ids must be in [0,{k}) or {IGNORE}")
     valid = target != IGNORE
     # the flat index in logp of each pixel's target logit, class 0's where
     # the pixel is ignored: a take in place of take_along_axis's index grids

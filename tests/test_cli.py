@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import struct
 import subprocess
@@ -14,6 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import segkit
 import segkit.cli as cli
 import segkit.gradcheck as gradcheck
 from segkit.checkpoint import (
@@ -25,13 +28,15 @@ from segkit.checkpoint import (
     save_model_checkpoint,
 )
 from segkit.cli import main, read_config
-from segkit.csec import CsecConfig, init_csec
+from segkit.csec import CsecConfig, csec_correct, init_csec, offset_conv, sym_norm, train_csec
 from segkit.dataio import load_manifest, read_pnm, write_pnm
-from segkit.denoise import DenoiseConfig
-from segkit.errors import BadMagicError, ConfigInvalidError, SegkitError, TruncatedError
+from segkit.denoise import DenoiseConfig, filter_dataset, quantile_threshold
+from segkit.errors import ConfigInvalidError, MalformedFileError, SegkitError, ShapeMismatchError
+from segkit.metrics import ConfusionMatrix, miou
 from segkit.rng import SplitMix64
 from segkit.segnet import _CHUNK, Model, ModelConfig, TrainConfig, build_model, predict
-from segkit.tensor import Tensor
+from segkit.rope import axial_angles, freq_table
+from segkit.tensor import Tensor, conv2d, no_grad, permute, tsum
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -533,6 +538,18 @@ class TestCorrect:
         assert dst.read_bytes()[:2] == b"P6"
         assert "PSNR improvement" in capsys.readouterr().err
 
+    def test_record_holds_the_config_as_written(self, tmp_path, dataset):
+        params = init_csec(CsecConfig(), seed=0)
+        ckpt, src, dst = tmp_path / "csec.smk", dataset / "images" / "s0000.ppm", tmp_path / "o.ppm"
+        save_csec_checkpoint(ckpt, params, CsecConfig())
+        assert main(["correct", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(dst)]) == 0
+        record = json.loads((tmp_path / "o.ppm.run.json").read_text())
+        assert record["config"]["residual_eps"] == 0.0001
+        with no_grad():
+            write_pnm(tmp_path / "want.ppm", csec_correct(read_pnm(src), params, CsecConfig()).data)
+        assert dst.read_bytes() == (tmp_path / "want.ppm").read_bytes()
+
     def test_reference_equal_to_input_says_so(self, tmp_path, dataset, capsys):
         # the input's PSNR against itself is infinite, so no gain is finite
         ckpt = tmp_path / "csec.smk"
@@ -855,7 +872,8 @@ class TestNonUtf8Input:
     def test_non_utf8_manifest_names_its_file(self, tmp_path):
         manifest = tmp_path / "manifest.tsv"
         manifest.write_bytes(self.MANIFEST_HEAD + b"\n\xff\n")
-        with pytest.raises(BadMagicError, match=rf"^{re.escape(str(manifest))}: line 3 is not utf-8$"):
+        with pytest.raises(MalformedFileError,
+                           match=rf"^{re.escape(str(manifest))}: line 3 is not utf-8$"):
             load_manifest(manifest)
 
     def test_non_utf8_config_exits_2_naming_its_file(self, tmp_path, capsys):
@@ -1033,6 +1051,15 @@ class TestCheckpointConfig:
                 [type(getattr(want, f.name)) for f in fields(want)]
         assert set(back.params) == set(model.params)
         assert set(back.csec_params) == set(params) == set(model.csec_params)
+
+    def test_default_corrector_config_reads_back_as_written(self, tmp_path):
+        # residual_eps = 1e-4 is not exact in f32: its entry once loaded as
+        # the f64 widening of that f32, 9.999999747378752e-05
+        save_csec_checkpoint(tmp_path / "c.smk", init_csec(CsecConfig(), seed=0), CsecConfig())
+        assert load_csec_checkpoint(tmp_path / "c.smk")[1] == CsecConfig()
+        save_model_checkpoint(tmp_path / "m.smk",
+                              build_model(replace(TestModelCheckpoint.CFG, use_csec=True)))
+        assert load_model_checkpoint(tmp_path / "m.smk").csec_config == CsecConfig()
 
     def test_bytes_match_hand_built_layout(self, tmp_path):
         model = self._model()
@@ -1237,14 +1264,14 @@ class TestCheckpointConfig:
         with pytest.raises(ConfigInvalidError, match=name):
             load_model_checkpoint(path)
 
-    @pytest.mark.parametrize("shape, error", [((2 ** 31, 2 ** 31, 4), TruncatedError),
-                                              ((3, 0), BadMagicError)],
+    @pytest.mark.parametrize("shape, message", [((2 ** 31, 2 ** 31, 4), "checkpoint ended early"),
+                                                ((3, 0), "checkpoint tensor 'w' has a zero extent")],
                              ids=["product-overflows-int64", "zero-extent"])
-    def test_bad_extents_exit_3(self, tmp_path, dataset, capsys, shape, error):
+    def test_bad_extents_exit_3(self, tmp_path, dataset, capsys, shape, message):
         path = tmp_path / "m.smk"
         path.write_bytes(b"SMK1" + struct.pack("<II", 1, 1) + b"w"
                          + struct.pack(f"<{1 + len(shape)}I", len(shape), *shape) + bytes(64))
-        with pytest.raises(error):
+        with pytest.raises(MalformedFileError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_checkpoint(path)
         code = main(["eval", "--checkpoint", str(path), "--data",
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
@@ -1260,7 +1287,7 @@ class TestCheckpointConfig:
         data = path.read_bytes()
         assert data.count(b"zz") == 1
         path.write_bytes(data.replace(b"zz", b"\xff\xfe"))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(MalformedFileError, match=r"tensor name b'\\xff\\xfe' is not utf-8$"):
             load_checkpoint(path)
         code = main(["eval", "--checkpoint", str(path), "--data",
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")])
@@ -1412,7 +1439,7 @@ class TestErrorsNameTheirFile:
 class TestBinaryReadersNameTheirFile:
     """Checkpoint and PNM errors start with the file they are in, keeping
     their classes and exit codes; a checkpoint with bytes after its last
-    tensor is refused."""
+    tensor, or naming one tensor twice, is refused."""
 
     @pytest.mark.parametrize("data, message", [
         (b"XXXX" + bytes(8), "bad checkpoint magic b'XXXX'"),
@@ -1429,12 +1456,29 @@ class TestBinaryReadersNameTheirFile:
         path = tmp_path / "m.smk"
         save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
         path.write_bytes(path.read_bytes() + bytes(29))
-        with pytest.raises(BadMagicError, match=re.escape(
+        with pytest.raises(MalformedFileError, match=re.escape(
                 f"{path}: 29 bytes after the last tensor")):
             load_checkpoint(path)
         assert main(["eval", "--checkpoint", str(path), "--data",
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
         assert f"error: {path}: 29 bytes after the last tensor" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_repeated_tensor_name_exits_3(self, tmp_path, dataset, capsys):
+        # the second 'head.b' once replaced the first on load
+        path, extra = tmp_path / "m.smk", tmp_path / "extra.smk"
+        save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
+        save_checkpoint(extra, {"head.b": np.full(3, 7.0)})
+        data = path.read_bytes()
+        (count,) = struct.unpack("<I", data[4:8])
+        path.write_bytes(data[:4] + struct.pack("<I", count + 1) + data[8:]
+                         + extra.read_bytes()[8:])
+        message = f"{path}: checkpoint names tensor 'head.b' twice"
+        with pytest.raises(MalformedFileError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
     def test_correct_truncated_input_exits_3(self, tmp_path, dataset, capsys):
@@ -1504,7 +1548,7 @@ class TestNonFiniteCheckpointValues:
         path = tmp_path / "m.smk"
         save_model_checkpoint(path, build_model(TestModelCheckpoint.CFG))
         self._spoil(path, name, bad)
-        with pytest.raises(BadMagicError, match=rf"^{re.escape(str(path))}: {name!r} holds"):
+        with pytest.raises(MalformedFileError, match=rf"^{re.escape(str(path))}: {name!r} holds"):
             load_model_checkpoint(path)
         assert main(["eval", "--checkpoint", str(path), "--data",
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
@@ -1515,7 +1559,7 @@ class TestNonFiniteCheckpointValues:
         path = tmp_path / "m.smk"
         save_model_checkpoint(path, build_model(replace(TestModelCheckpoint.CFG, use_csec=True)))
         self._spoil(path, "csec.ed.w2", np.nan, index=5)
-        with pytest.raises(BadMagicError, match="'csec.ed.w2'"):
+        with pytest.raises(MalformedFileError, match="'csec.ed.w2' holds a non-finite value$"):
             load_model_checkpoint(path)
         assert main(["eval", "--checkpoint", str(path), "--data",
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 3
@@ -1527,7 +1571,7 @@ class TestNonFiniteCheckpointValues:
         path = tmp_path / "c.smk"
         save_csec_checkpoint(path, init_csec(CsecConfig(), seed=0))
         self._spoil(path, name, bad)
-        with pytest.raises(BadMagicError, match=rf"^{re.escape(str(path))}: {name!r} holds"):
+        with pytest.raises(MalformedFileError, match=rf"^{re.escape(str(path))}: {name!r} holds"):
             load_csec_checkpoint(path)
         out = tmp_path / "out.ppm"
         assert main(["correct", "--checkpoint", str(path),
@@ -1570,6 +1614,51 @@ class TestRunRecordArguments:
             "module": "rope", "trials": 2, "seed": 0, "out": str(out)}
 
 
+class TestOutputDirectoryOwnership:
+    """A command refuses, before any work, an --out directory whose run.json
+    records another command or no segkit run, and reruns into its own."""
+
+    def test_eval_into_a_train_run_exits_2(self, tmp_path, dataset, trained, capsys):
+        before = {name: (trained / name).read_bytes() for name in ("run.json", "checkpoint.smk")}
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"),
+                     "--data", str(dataset / "manifest.tsv"), "--out", str(trained)]) == 2
+        assert (f"error: {trained / 'run.json'} records a 'train' run; eval will not write "
+                f"over it") in capsys.readouterr().err
+        assert {name: (trained / name).read_bytes() for name in before} == before
+        assert not (trained / "eval_report.json").exists()
+
+    def test_filter_into_a_synth_dataset_exits_2(self, tmp_path, dataset, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for r in load_manifest(dataset / "manifest.tsv"):
+            (pred / (r.sample_id + ".pgm")).write_bytes(pathlib.Path(r.mask_path).read_bytes())
+        manifest = (dataset / "manifest.tsv").read_bytes()
+        assert main(["filter", "--data", str(dataset / "manifest.tsv"), "--pred", str(pred),
+                     "--out", str(dataset)]) == 2
+        assert f"{dataset / 'run.json'} records a 'synth' run" in capsys.readouterr().err
+        assert (dataset / "manifest.tsv").read_bytes() == manifest
+        assert not (dataset / "filter_report.tsv").exists()
+
+    @pytest.mark.parametrize("record", [b"\xff not json", b"[" * 100000, b'["gradcheck"]',
+                                        b'{"command": 7}'],
+                             ids=["not-utf-8", "nested-too-deep", "not-an-object", "not-a-name"])
+    def test_a_run_json_that_is_no_segkit_record_exits_2(self, tmp_path, capsys, record):
+        out = tmp_path / "gc"
+        out.mkdir()
+        (out / "run.json").write_bytes(record)
+        assert main(["gradcheck", "--module", "tensor", "--trials", "1", "--out", str(out)]) == 2
+        assert f"error: {out / 'run.json'} records no segkit run" in capsys.readouterr().err
+        assert (out / "run.json").read_bytes() == record
+
+    def test_eval_reruns_into_its_own_directory(self, tmp_path, dataset, trained, capsys):
+        args = ["eval", "--checkpoint", str(trained / "checkpoint.smk"),
+                "--data", str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]
+        assert main(args) == 0
+        first = (tmp_path / "ev" / "eval_report.json").read_bytes()
+        assert main(args) == 0
+        assert (tmp_path / "ev" / "eval_report.json").read_bytes() == first
+
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -1584,6 +1673,12 @@ def _readme_exit_codes():
     return codes
 
 
+def _write(tmp, data):
+    path = tmp / "f"
+    path.write_bytes(data)
+    return path
+
+
 class TestExitCodes:
     """The exit code is the error class's ``exit_code``, as the README's
     table lists it, and ``main`` returns it from its one handler."""
@@ -1595,6 +1690,18 @@ class TestExitCodes:
         known = {c.__name__ for c in self.ERRORS} | {"OSError", "ValueError"}
         assert set(table) <= known
         assert table["SegkitError"] == table["ValueError"] == 2 and table["OSError"] == 3
+
+    def test_errors_module_defines_the_only_exception_classes(self):
+        # one class per exit code, and the exit-2 classes code catches by name
+        found = {}
+        for info in pkgutil.iter_modules(segkit.__path__):
+            module = importlib.import_module(f"segkit.{info.name}")
+            found.update({obj.__qualname__: obj.__module__ for obj in vars(module).values()
+                          if isinstance(obj, type) and issubclass(obj, BaseException)
+                          and obj.__module__.startswith("segkit")})
+        assert found == dict.fromkeys(["SegkitError", "ShapeMismatchError", "ConfigInvalidError",
+                                       "MalformedFileError", "TrainingDivergedError",
+                                       "MissingRobotError"], "segkit.errors")
 
     @pytest.mark.parametrize("cls", ERRORS, ids=[c.__name__ for c in ERRORS])
     def test_every_segkit_error(self, monkeypatch, capsys, cls):
@@ -1608,6 +1715,72 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_suite", fail)
         assert main(["gradcheck", "--module", "tensor", "--trials", "1"]) == want
         assert capsys.readouterr().err == "error: boom\n"
+
+    # The raise sites of the classes that went when one class came to stand
+    # for each exit code: each fault, the class it raises now and the start
+    # of its message, which the change of class left as it was.
+    FORMER = {
+        "AllClassesExcludedError": (lambda tmp: miou(ConfusionMatrix(2).update(
+            np.array([0]), np.array([0])), excluded_classes=(0, 1)),
+            SegkitError, "no class with defined IoU remains"),
+        "AxisOutOfRangeError": (lambda tmp: permute(Tensor(np.zeros((2, 3))), (0, 0)),
+                                ShapeMismatchError, "axes (0, 0) are not a permutation of rank 2"),
+        "BadFieldCountError": (lambda tmp: load_manifest(_write(tmp, b"s0\ti\tm\n")),
+                               MalformedFileError, "{}: line 1: expected 5 fields, got 3"),
+        "BadMagicError": (lambda tmp: read_pnm(_write(tmp, b"P3\n1 1\n255\n0 0 0\n")),
+                          MalformedFileError, "{}: unsupported magic b'P3'"),
+        "ClassOutOfRangeError": (lambda tmp: ConfusionMatrix(2).update(np.array([3]),
+                                                                       np.array([0])),
+                                 SegkitError, "class ids must be in [0,2)"),
+        "DimNotDivisibleBy4Error": (lambda tmp: axial_angles((0, 0), freq_table(6)),
+                                    ShapeMismatchError, "head_dim 6 must be divisible by 4"),
+        "DuplicateSampleIdError": (lambda tmp: load_manifest(
+            _write(tmp, b"a\ti\tm\tr\ttrain\n" * 2)),
+                                   MalformedFileError, "{}: line 2: sample id 'a' repeats line 1"),
+        "EmptyDatasetError": (lambda tmp: train_csec([], init_csec(CsecConfig())),
+                              ConfigInvalidError, "training set is empty"),
+        "EmptyListError": (lambda tmp: quantile_threshold([], 0.5),
+                           ShapeMismatchError, "quantile of empty list"),
+        "EmptyShapeError": (lambda tmp: Tensor(np.empty((2, 0))),
+                            ShapeMismatchError, "zero extent in shape (2, 0)"),
+        "InputRangeError": (lambda tmp: csec_correct(Tensor(np.full((1, 3, 8, 8), 1.5)),
+                                                     init_csec(CsecConfig()), CsecConfig()),
+                            SegkitError, "pixel values [1.5, 1.5] are not all finite and in [0,1]"),
+        "MaxvalUnsupportedError": (lambda tmp: read_pnm(_write(tmp, b"P5\n1 1\n99\n\x00")),
+                                   MalformedFileError, "{}: maxval 99 unsupported"),
+        "NegativeOutputExtentError": (lambda tmp: conv2d(Tensor(np.zeros((1, 1, 2, 2))),
+                                                         Tensor(np.zeros((1, 1, 5, 5)))),
+                                      ShapeMismatchError, "output -2x-2 for input 2x2"),
+        "NoGradientError": (lambda tmp: tsum(Tensor(np.ones(3))).backward(),
+                            SegkitError, "backward on a tensor that requires no gradient"),
+        "NonFiniteOffsetError": (lambda tmp: offset_conv(
+            Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))),
+            Tensor(np.full((9, 2), np.nan))),
+            SegkitError, "tap offsets contain non-finite values"),
+        "NonScalarLossError": (lambda tmp: Tensor(np.ones(3), requires_grad=True).backward(),
+                               ShapeMismatchError, "backward needs a scalar loss, got shape (3,)"),
+        "NonSquareError": (lambda tmp: sym_norm(Tensor(np.zeros((3, 4)))),
+                           ShapeMismatchError, "sym_norm needs square matrices, got (3, 4)"),
+        "OddHeadDimError": (lambda tmp: freq_table(7),
+                            ShapeMismatchError, "head_dim must be even and >= 2, got 7"),
+        "TruncatedError": (lambda tmp: read_pnm(_write(tmp, b"P5\n4")),
+                           MalformedFileError, "{}: header ended early"),
+        "UnknownSplitError": (lambda tmp: load_manifest(_write(tmp, b"s0\ti\tm\tr\tholdout\n")),
+                              MalformedFileError, "{}: line 1: unknown split 'holdout'"),
+        "UnscoredRecordError": (lambda tmp: filter_dataset(["s0"], DenoiseConfig()),
+                                SegkitError, "record 's0' has no error score"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORMER))
+    def test_every_former_class_site(self, monkeypatch, capsys, tmp_path, name):
+        fault, cls, message = self.FORMER[name]
+        with pytest.raises(SegkitError) as exc:
+            fault(tmp_path)
+        assert type(exc.value) is cls
+        assert str(exc.value).startswith(message.format(tmp_path / "f"))
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: fault(tmp_path))
+        assert main(["gradcheck", "--module", "tensor", "--trials", "1"]) == cls.exit_code
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     @pytest.mark.parametrize("exc, want", [
         (FileNotFoundError(2, "No such file or directory"), 3), (PermissionError("denied"), 3),

@@ -12,12 +12,7 @@ from segkit.denoise import (
     pixel_error_rate,
     quantile_threshold,
 )
-from segkit.errors import (
-    ConfigInvalidError,
-    EmptyListError,
-    ShapeMismatchError,
-    UnscoredRecordError,
-)
+from segkit.errors import ConfigInvalidError, SegkitError, ShapeMismatchError
 from segkit.rng import SplitMix64
 
 
@@ -57,7 +52,7 @@ class TestQuantileThreshold:
         assert quantile_threshold(list(range(1, 41)), 0.975) == 39
 
     def test_empty_list(self):
-        with pytest.raises(EmptyListError):
+        with pytest.raises(ShapeMismatchError, match="^quantile of empty list$"):
             quantile_threshold([], 0.5)
 
     def test_q_out_of_range(self):
@@ -139,7 +134,7 @@ class TestFilterDataset:
     def test_unscored_record_rejected(self):
         bad = _scores([0.1, 0.2])
         bad[1].error_rate = None
-        with pytest.raises(UnscoredRecordError):
+        with pytest.raises(SegkitError, match="^record 's1' has no error score$"):
             filter_dataset(bad, DenoiseConfig())
 
 

@@ -14,7 +14,7 @@ import segkit.csec as csec
 from segkit.csec import CsecConfig, csec_correct, init_csec, mse_loss, train_csec
 from segkit.dataio import SynthSpec, corrupt_gamma_region, generate_sample
 from segkit.denoise import DenoiseConfig
-from segkit.errors import ConfigInvalidError, EmptyDatasetError, TrainingDivergedError
+from segkit.errors import ConfigInvalidError, TrainingDivergedError
 from segkit.optim import Adam, fit
 from segkit.rng import SplitMix64
 from segkit.segnet import ModelConfig, TrainConfig, build_model, evaluate_miou, train
@@ -182,7 +182,7 @@ def test_previous_step_graph_is_freed_before_the_next_forward(monkeypatch):
 
 class TestTrainCsecErrors:
     def test_no_pairs(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ConfigInvalidError, match="^training set is empty$"):
             train_csec([], init_csec(CsecConfig()))
 
     def test_no_epochs(self):
@@ -264,13 +264,13 @@ def test_divergence_names_where_training_failed():
                               f"{batches[-1]}; last finite epoch-mean loss 0.5")
 
 
-@pytest.mark.parametrize("n, epochs, batch_size, error", [
-    (0, 1, 1, EmptyDatasetError), (2, 0, 1, ConfigInvalidError),
-    (2, 1, 0, ConfigInvalidError), (2, 1, -1, ConfigInvalidError)])
-def test_fit_checks_before_any_step(n, epochs, batch_size, error):
+@pytest.mark.parametrize("n, epochs, batch_size, message", [
+    (0, 1, 1, "training set is empty"), (2, 0, 1, "need epochs >= 1"),
+    (2, 1, 0, "need epochs >= 1"), (2, 1, -1, "need epochs >= 1")])
+def test_fit_checks_before_any_step(n, epochs, batch_size, message):
     steps = []
     opt = Adam({}, lr=0.0)
-    with pytest.raises(error):
+    with pytest.raises(ConfigInvalidError, match=f"^{message}"):
         next(fit(opt, n, steps.append, epochs, batch_size, seed=0))
     assert steps == []
 

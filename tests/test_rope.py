@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from segkit.errors import DimNotDivisibleBy4Error, OddHeadDimError, ShapeMismatchError
+from segkit.errors import ShapeMismatchError
 from segkit.rng import SplitMix64
 from segkit.gradcheck import TOL, check_function
 from segkit.rope import (
@@ -27,9 +27,9 @@ def test_freq_table_spot_values_d8():
 
 
 def test_freq_table_rejects_odd_dim():
-    with pytest.raises(OddHeadDimError):
+    with pytest.raises(ShapeMismatchError, match="^head_dim must be even and >= 2, got 7$"):
         freq_table(7)
-    with pytest.raises(OddHeadDimError):
+    with pytest.raises(ShapeMismatchError, match="^head_dim must be even and >= 2, got 0$"):
         freq_table(0)
 
 
@@ -97,7 +97,7 @@ def test_rotate_shape_mismatch():
 
 
 def test_rotate_2d_needs_dim_divisible_by_4():
-    with pytest.raises(DimNotDivisibleBy4Error):
+    with pytest.raises(ShapeMismatchError, match="^head_dim 6 must be divisible by 4$"):
         axial_angles((0, 0), freq_table(6))
 
 

@@ -11,13 +11,10 @@ from segkit.checkpoint import load_checkpoint, save_checkpoint
 from segkit.csec import CsecConfig, init_csec
 from segkit.denoise import DenoiseConfig, pixel_error_rate
 from segkit.errors import (
-    BadMagicError,
     ConfigInvalidError,
-    EmptyDatasetError,
-    EmptyShapeError,
+    MalformedFileError,
     ShapeMismatchError,
     TrainingDivergedError,
-    TruncatedError,
 )
 from segkit.dataio import SynthSpec, generate_sample
 from segkit.metrics import IGNORE, ConfusionMatrix, miou
@@ -444,7 +441,7 @@ class TestBatchedPrediction:
         assert np.array_equal(masks, np.argmax(pixel, axis=1))
 
     def test_empty_batch_is_rejected(self):
-        with pytest.raises(EmptyShapeError):
+        with pytest.raises(ShapeMismatchError, match="^zero extent in shape"):
             predict(build_model(ModelConfig(**SMALL)), np.zeros((0, 3, 16, 16), np.float32))
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
@@ -492,7 +489,7 @@ class TestTraining:
             train(model, _dataset(6, 1) + val[:1], TrainConfig(epochs=1))
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ConfigInvalidError, match="^training set is empty$"):
             train(build_model(ModelConfig(**SMALL)), [], TrainConfig(epochs=1))
 
     def test_divergence_detected(self):
@@ -634,7 +631,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.smk"
         path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(MalformedFileError, match="bad checkpoint magic b'NOPE'$"):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
@@ -643,5 +640,5 @@ class TestCheckpoint:
         save_checkpoint(path, model.params)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
-        with pytest.raises(TruncatedError):
+        with pytest.raises(MalformedFileError, match="checkpoint ended early"):
             load_checkpoint(path)
