@@ -12,7 +12,7 @@ from segkit.rope import angles, axial_angles, freq_table, rotate
 from segkit.tensor import Tensor
 
 ft = freq_table(8)
-print("frequencies:", ft.freqs)  # 1, 0.1, 0.01, 0.001 for d=8, base=1e4
+print("frequencies:", ft)  # 1, 0.1, 0.01, 0.001 for d=8, base=1e4
 
 rng = SplitMix64(0)
 q = Tensor(rng.uniform_array((8,), -1, 1))

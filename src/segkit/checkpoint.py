@@ -167,7 +167,10 @@ def load_model_checkpoint(path) -> Model:
     csec_cfg = (_unpack_config(CsecConfig, blob, "config.csec.", path) if csec_params
                 else CsecConfig())
     _refuse_unknown_config(blob, path)
-    model = Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
+    try:
+        model = Model(cfg, params, csec_params=csec_params or None, csec_config=csec_cfg)
+    except ConfigInvalidError as exc:  # config.use_csec disagrees with the csec.* tensors
+        raise ConfigInvalidError(f"{path}: {exc}") from None
     _check_params(params, param_shapes(cfg), path)
     if csec_params:
         _check_params(csec_params, csec_param_shapes(csec_cfg), path, "csec.")

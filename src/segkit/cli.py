@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", choices=("goose", "uniform"), default="goose")
     p.add_argument("--split", choices=SPLITS, default="val")
     p.add_argument("--out", required=True, help="directory for eval_report.json")
-    p.add_argument("--svg", action="store_true", help="emit per-class IoU bars as SVG")
+    p.add_argument("--svg", action="store_true",
+                   help="emit per-class IoU as an SVG polyline over the class ids")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("correct", help="color-correct one image")

@@ -70,7 +70,7 @@ class SynthSpec:
         if len(self.image_size) != 2 or min(self.image_size) < 1:
             # read_pnm refuses a zero extent, and numpy a negative one
             raise ConfigInvalidError(f"image_size must hold 2 extents >= 1, got {self.image_size}")
-        for name in ("n_samples", "n_val", "n_test"):
+        for name in ("n_samples", "n_val", "n_test", "shapes_min"):
             if getattr(self, name) < 0:
                 raise ConfigInvalidError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 2 <= self.n_classes <= 255:

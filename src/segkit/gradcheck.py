@@ -95,11 +95,10 @@ def _rope_checks(rng):
     yield "rotate", lambda v: tsum(mul(_rope.rotate(v, _rope.angles(p, freqs)), Tensor(weight))), x
     # 2x2 windows shifted by 1 on a 2x4 grid: the column shift wraps, so the
     # check covers the window permutation and the mask at a small input
-    grid = _rope.PatchGrid(2, 4)
     qkv = _rand(rng, (1, 8, 12))
     out_weight = _rand(rng, (1, 8, 4))
     yield "rope_attention.qkv", lambda v: tsum(mul(
-        _rope.rope_attention(v, grid, 1, window=2, shift=1, rope=True), Tensor(out_weight))), qkv
+        _rope.rope_attention(v, (2, 4), 1, window=2, shift=1, rope=True), Tensor(out_weight))), qkv
 
 
 def _csec_checks(rng):

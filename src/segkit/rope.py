@@ -4,8 +4,9 @@ Each query/key vector is split into 2D sub-vector pairs (x_{2i}, x_{2i+1});
 pair i is rotated by the angle p * w_i where p is the integer patch position
 and w_i = base^(-2i/d).  The 2D extension is axial: the first half of the
 head dimension encodes the row index and the second half the column index,
-each with its own frequency table of head_dim d/2.  Rotations touch Q and K
-only, so relative position enters attention purely through the inner product.
+each at the half table: every other entry of the d-wide frequency array,
+bitwise the table of head_dim d/2.  Rotations touch Q and K only, so
+relative position enters attention purely through the inner product.
 
 Angles are computed in f64 and cast to the input dtype to avoid trig drift
 for large positions.  A rotation runs in pair-swap form, x·C2 + swap(x)·S2,
@@ -25,49 +26,24 @@ each image the same bytes.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .tensor import Tensor
 
-__all__ = ["FreqTable", "PatchGrid", "freq_table", "angles", "axial_angles", "rotate",
-           "rope_attention"]
+__all__ = ["freq_table", "angles", "axial_angles", "rotate", "rope_attention"]
 
 
-@dataclass(frozen=True)
-class FreqTable:
-    head_dim: int
-    base: float
-    freqs: np.ndarray  # shape (head_dim/2,), f64, strictly decreasing from 1
-
-    def half_table(self) -> "FreqTable":
-        """Frequency table for one axis of the axial 2D scheme."""
-        return freq_table(self.head_dim // 2, self.base)
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    rows: int
-    cols: int
-
-    @property
-    def n_patches(self) -> int:
-        return self.rows * self.cols
-
-    def positions(self) -> np.ndarray:
-        """Row-major (py, px) pairs, shape (rows*cols, 2)."""
-        py, px = np.meshgrid(np.arange(self.rows), np.arange(self.cols), indexing="ij")
-        return np.stack([py.reshape(-1), px.reshape(-1)], axis=1)
-
-
-def freq_table(head_dim: int, base: float = 10000.0) -> FreqTable:
+def freq_table(head_dim: int, base: float = 10000.0) -> np.ndarray:
+    """Read-only f64 frequencies w_i = base^(-2i/head_dim), shape
+    (head_dim/2,), strictly decreasing from 1."""
     if head_dim < 2 or head_dim % 2 != 0:
         raise ShapeMismatchError(f"head_dim must be even and >= 2, got {head_dim}")
     i = np.arange(head_dim // 2, dtype=np.float64)
     freqs = float(base) ** (-2.0 * i / head_dim)
-    return FreqTable(head_dim=head_dim, base=float(base), freqs=freqs)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def _rotate_pairs(x: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -111,20 +87,21 @@ def rotate(x: Tensor, theta) -> Tensor:
                   call=(_rotate_pairs, c2, s2))
 
 
-def angles(p, freqs: FreqTable) -> np.ndarray:
-    """1D angles p * w_i, shape p.shape + (head_dim/2,)."""
-    return np.asarray(p, dtype=np.float64)[..., None] * freqs.freqs
+def angles(p, freqs: np.ndarray) -> np.ndarray:
+    """1D angles p * w_i of the ``freq_table`` freqs, shape p.shape + freqs.shape."""
+    return np.asarray(p, dtype=np.float64)[..., None] * freqs
 
 
-def axial_angles(positions, freqs: FreqTable) -> np.ndarray:
+def axial_angles(positions, freqs: np.ndarray) -> np.ndarray:
     """Axial 2D angles of positions [..., 2] (row, column): the row index
     times the half table, then the column index, shape [..., head_dim/2].
 
-    ``freqs`` is the full-dimension table; each half uses its half_table().
+    ``freqs`` is the full ``freq_table(head_dim, base)``; the half table is
+    every other entry, freqs[::2], bitwise ``freq_table(head_dim // 2, base)``.
     """
-    if freqs.head_dim % 4 != 0:
-        raise ShapeMismatchError(f"head_dim {freqs.head_dim} must be divisible by 4")
-    half = freqs.half_table().freqs
+    if len(freqs) % 2 != 0:
+        raise ShapeMismatchError(f"head_dim {2 * len(freqs)} must be divisible by 4")
+    half = freqs[::2]
     pos = np.asarray(positions, dtype=np.float64)
     return np.concatenate([pos[..., :1] * half, pos[..., 1:] * half], axis=-1)
 
@@ -159,7 +136,7 @@ def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, dtyp
         if wrapped.any():
             mask = np.where(wrapped[:, :, None] != wrapped[:, None, :], -np.inf, 0.0).astype(dtype)
     if head_dim is not None:
-        pos = PatchGrid(rows, cols).positions()
+        pos = np.stack(np.divmod(np.arange(rows * cols), cols), axis=1)  # row-major
         th = axial_angles(pos if perm is None else pos[perm], freq_table(head_dim))
         c2, s2 = (a.reshape(-1) for a in _pair_tables(th, dtype))
     for arr in (perm, inv, mask, c2, s2):
@@ -220,36 +197,37 @@ def _attend(x, n_heads, nw, perm, inv, mask, c2, s2):
     return out if inv is None else np.take(out, inv, axis=1), qs, k, v, p
 
 
-def rope_attention(qkv: Tensor, grid: PatchGrid, n_heads: int, window: int = 0,
+def rope_attention(qkv: Tensor, grid: tuple[int, int], n_heads: int, window: int = 0,
                    shift: int = 0, rope: bool = True) -> Tensor:
     """Multi-head scaled dot-product attention as one graph node, with rotary
     positions on queries and keys unless rope is False.
 
     qkv [N, T, 3d] packs the q heads, then the k heads, then the v heads,
     each head dh = d / n_heads wide; the result [N, T, d] concatenates the
-    heads' outputs.  T must equal grid.rows * grid.cols, and with rope dh
-    must be a multiple of 4 (``axial_angles``); the rotation runs at
-    ``freq_table(dh)``.  window 0 attends over the whole grid; a nonzero
-    window must divide both grid extents, and each token then attends
-    within its window x window tile after a cyclic shift by shift
-    (0 <= shift < window) along every axis longer than the window.  Pairs
-    that the shift wrapped around an edge do not attend.  Rotations use the
-    global patch coordinates, so they stay relative within a tile.  The
-    window layout and the rotation tables are cached per grid, window,
-    shift, head size and dtype.
+    heads' outputs.  grid is the patch grid's (rows, cols), and the T tokens
+    are its patches in row-major order.  With rope dh must be a multiple of
+    4 (``axial_angles``); the rotation runs at ``freq_table(dh)``.  window 0
+    attends over the whole grid; a nonzero window must divide both grid
+    extents, and each token then attends within its window x window tile
+    after a cyclic shift by shift (0 <= shift < window) along every axis
+    longer than the window.  Pairs that the shift wrapped around an edge do
+    not attend.  Rotations use the global patch coordinates, so they stay
+    relative within a tile.  The window layout and the rotation tables are
+    cached per grid, window, shift, head size and dtype.
     """
     x = qkv.data
     if n_heads < 1 or x.ndim != 3 or x.shape[-1] % (3 * n_heads):
         raise ShapeMismatchError(f"qkv {x.shape} does not pack q, k, v of {n_heads} heads")
     n, t, d3 = x.shape
     dh = d3 // (3 * n_heads)
-    if t != grid.n_patches:
-        raise ShapeMismatchError(f"{t} tokens vs {grid.rows}x{grid.cols} grid")
-    if window < 0 or (window and (grid.rows % window or grid.cols % window)):
-        raise ShapeMismatchError(f"window {window} does not tile the {grid.rows}x{grid.cols} grid")
+    rows, cols = grid
+    if t != rows * cols:
+        raise ShapeMismatchError(f"{t} tokens vs {rows}x{cols} grid")
+    if window < 0 or (window and (rows % window or cols % window)):
+        raise ShapeMismatchError(f"window {window} does not tile the {rows}x{cols} grid")
     if not (0 <= shift < window or shift == window == 0):
         raise ShapeMismatchError(f"shift {shift} outside [0, window {window})")
-    layout = _window_layout(grid.rows, grid.cols, window, shift, dh if rope else None, x.dtype)
+    layout = _window_layout(rows, cols, window, shift, dh if rope else None, x.dtype)
     perm, inv, _, c2, s2 = layout
     nw = 1 if perm is None else t // (window * window)
     tw = t // nw

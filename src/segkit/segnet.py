@@ -17,9 +17,9 @@ attends within its w x w tile of the patch grid, and odd blocks shift the
 tiles by w // 2 (``rope.rope_attention``); window 0 attends over the whole
 grid.  The model reaches attention only through the module attribute
 ``rope.rope_attention``, once per block.  No parameter depends on the image
-size: each input's extents, multiples of ``patch_size``, give its grid, and
-its forward refuses (``_check_extent``) a grid the window does not tile or
-an image the corrector cannot take.
+size: each input's extents, multiples of ``patch_size``, give its patch
+grid, a plain (rows, cols) pair, and its forward refuses (``_check_extent``)
+a grid the window does not tile or an image the corrector cannot take.
 
 A model has color correction exactly when ``ModelConfig.use_csec`` is set,
 and then always has CSEC parameters: given ones or the identity-initialized
@@ -53,7 +53,6 @@ from .metrics import ConfusionMatrix, miou
 from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from . import rope
-from .rope import PatchGrid
 from .tensor import (
     Tensor,
     add,
@@ -189,15 +188,16 @@ class Model:
                    .reshape(n, hp * wp, 3 * p * p))
         x = linear(Tensor(patches), self.params["embed.w"], self.params["embed.b"])  # [N,T,d]
         for i in range(cfg.n_blocks):
-            x = add(x, self._attention(i, x, PatchGrid(hp, wp)))
+            x = add(x, self._attention(i, x, (hp, wp)))
             x = add(x, self._mlp(i, x))
         logits = linear(x, self.params["head.w"], self.params["head.b"])  # [N,T,K]
         return reshape(permute(logits, (0, 2, 1)), (n, cfg.n_classes, hp, wp))
 
     def _attention(self, i, x, grid):
-        """Multi-head attention over the tokens of grid with all heads in one
-        product: wqkv's columns are the q heads, then the k heads, then the v
-        heads.  Odd blocks shift their windows by half a window."""
+        """Multi-head attention over the tokens of the (rows, cols) patch grid
+        with all heads in one product: wqkv's columns are the q heads, then
+        the k heads, then the v heads.  Odd blocks shift their windows by half
+        a window."""
         pr = self.params
         cfg = self.config
         h = layer_norm(x, pr[f"b{i}.ln1.g"], pr[f"b{i}.ln1.b"])

@@ -74,7 +74,7 @@ def test_criterion_01_gradient_oracle():
 
 def test_criterion_02_rope_invariants():
     ft = freq_table(8)
-    ok = ft.freqs[0] == 1.0 and ft.freqs[1] == 0.1
+    ok = ft[0] == 1.0 and ft[1] == 0.1
     rng = SplitMix64(0)
     worst_norm = worst_shift = worst_comp = 0.0
     for _ in range(1000):

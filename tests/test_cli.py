@@ -150,6 +150,14 @@ class TestSynth:
         assert f"error: {spec}: {line.split()[0]} must" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_shape_count_exits_2_before_writing(self, tmp_path, capsys):
+        # shapes_min = -3, shapes_max = -1 once wrote scenes of plain background
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC + "shapes_min = -3\nshapes_max = -1\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {spec}: shapes_min must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("line", ["noise = nan", "noise = -0.5", "noise = inf",
                                       "twin_delta = nan", "twin_delta = -0.01",
                                       "twin_delta = inf"])
@@ -1530,6 +1538,22 @@ class TestCsecConfigInCheckpoints:
                      str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 2
         assert f"error: {path}: {field} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("use_csec, want", [(False, "True but CSEC parameters are missing"),
+                                                (True, "False but CSEC parameters are given")],
+                             ids=["set_on_a_plain_model", "cleared_on_a_corrected_model"])
+    def test_use_csec_disagreeing_with_the_tensors_names_the_file(self, tmp_path, dataset,
+                                                                   capsys, use_csec, want):
+        path = tmp_path / "m.smk"
+        save_model_checkpoint(path, build_model(replace(TestModelCheckpoint.CFG,
+                                                        use_csec=use_csec)))
+        blob = load_checkpoint(path)
+        blob["config.use_csec"] = Tensor(np.array(not use_csec, dtype=np.float32))
+        save_checkpoint(path, blob)
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(dataset / "manifest.tsv"), "--out", str(tmp_path / "ev")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: use_csec is {want}\n"
+        assert not (tmp_path / "ev").exists()
+
 
 class TestNonFiniteCheckpointValues:
     """A NaN or inf parameter value is malformed checkpoint content: it is
@@ -1793,3 +1817,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_suite", fail)
         assert main(["gradcheck", "--module", "tensor", "--trials", "1"]) == want
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bare_import_binds_only_version():
+    # each name is imported from its module: the package re-exports none
+    script = "import segkit; print(sorted(n for n in vars(segkit) if not n.startswith('_')), " \
+             "segkit.__version__)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0.1.0\n"

@@ -275,6 +275,12 @@ class TestSynthesis:
         with pytest.raises(ConfigInvalidError, match=f"^{field} "):
             SynthSpec(**kw)
 
+    @pytest.mark.parametrize("lo, hi", [(-3, -1), (-1, 0), (-1, 2)])
+    def test_negative_shape_count_rejected(self, lo, hi):
+        # -3..-1 shapes once passed and painted every scene plain background
+        with pytest.raises(ConfigInvalidError, match=f"^shapes_min must be >= 0, got {lo}$"):
+            SynthSpec(shapes_min=lo, shapes_max=hi)
+
     @pytest.mark.parametrize("kw", [dict(n_classes=20, image_size=(16, 16), position_banded=True),
                                     dict(n_classes=4, image_size=(12, 64), position_banded=True),
                                     dict(image_size=(4, 16)), dict(image_size=(16, 4)),

@@ -17,7 +17,7 @@ import pytest
 
 from segkit.csec import offset_conv
 from segkit.optim import Adam
-from segkit.rope import PatchGrid, _window_layout, axial_angles, freq_table, rope_attention
+from segkit.rope import _window_layout, axial_angles, freq_table, rope_attention
 from segkit.tensor import LN_EPS, Tensor, conv2d, layer_norm, upsample_nearest
 
 
@@ -316,10 +316,10 @@ def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
     n, t, d3 = x.shape
     d = d3 // 3
     dh = d // n_heads
-    perm, inv, mask, _, _ = _window_layout(grid.rows, grid.cols, window, shift, None, x.dtype)
+    perm, inv, mask, _, _ = _window_layout(*grid, window, shift, None, x.dtype)
     nw = 1 if perm is None else t // (window * window)
     if freqs is not None:
-        pos = grid.positions()
+        pos = np.argwhere(np.ones(grid, dtype=bool))  # row-major (row, col)
         th = axial_angles(pos if perm is None else pos[perm], freqs)
         th = th.astype(x.dtype).reshape(-1, t // nw, dh // 2)
         cos, sin = np.cos(th), np.sin(th)
@@ -384,13 +384,12 @@ _ATTENTION_CASES = [(grid, w, shift) for grid in ((4, 4), (8, 12)) for w in (0, 
 @pytest.mark.parametrize("grid,window,shift", _ATTENTION_CASES)
 def test_rope_attention_matches_pairwise_row_wise_form(grid, window, shift, use_rope, n, dtype):
     rng = np.random.default_rng(1000 * window + 100 * shift + 10 * n + grid[0])
-    grid = PatchGrid(*grid)
     n_heads, dh = 2, 8
     freqs = freq_table(dh) if use_rope else None
-    shape = (n, grid.n_patches, 3 * n_heads * dh)
+    shape = (n, grid[0] * grid[1], 3 * n_heads * dh)
     for trial in range(3):
         x = _signed(rng, shape, dtype) if trial else np.full(shape, -0.0, dtype)
-        g = _signed(rng, (n, grid.n_patches, n_heads * dh), dtype, zeros=0.5)
+        g = _signed(rng, (n, grid[0] * grid[1], n_heads * dh), dtype, zeros=0.5)
         xt = Tensor(x, requires_grad=True)
         out = rope_attention(xt, grid, n_heads, window=window, shift=shift, rope=use_rope)
         (gx,) = out._backward_fn(g)
@@ -404,12 +403,11 @@ def test_rope_attention_matches_pairwise_row_wise_form(grid, window, shift, use_
 def test_rope_attention_keeps_inf_and_nan_where_the_pairwise_form_has_them(grid, window, shift,
                                                                           dtype):
     rng = np.random.default_rng(window)
-    grid = PatchGrid(*grid)
-    x = _signed(rng, (2, grid.n_patches, 48), dtype)
+    x = _signed(rng, (2, grid[0] * grid[1], 48), dtype)
     x[0, 1, 3] = np.inf  # a q entry: one query row of NaN scores
     x[1, 2, 20] = -np.inf  # a k entry: NaN in every score of its key
     x[1, 5, 40] = np.nan  # a v entry
-    g = _signed(rng, (2, grid.n_patches, 16), dtype)
+    g = _signed(rng, (2, grid[0] * grid[1], 16), dtype)
     g[0, 3, 5] = np.inf
     with np.errstate(invalid="ignore"):
         out = rope_attention(Tensor(x, requires_grad=True), grid, 2, window=window, shift=shift)

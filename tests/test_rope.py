@@ -7,8 +7,7 @@ from segkit.errors import ShapeMismatchError
 from segkit.rng import SplitMix64
 from segkit.gradcheck import TOL, check_function
 from segkit.rope import (
-    FreqTable,
-    PatchGrid,
+    _pair_tables,
     _window_layout,
     angles,
     axial_angles,
@@ -19,11 +18,17 @@ from segkit.rope import (
 from segkit.tensor import Tensor, mul, tsum
 
 
+def _positions(rows, cols):
+    """Row-major (row, col) pairs of a rows x cols patch grid, [rows*cols, 2]."""
+    return np.argwhere(np.ones((rows, cols), dtype=bool))
+
+
 def test_freq_table_spot_values_d8():
     ft = freq_table(8)
-    assert ft.freqs[0] == 1.0
-    assert ft.freqs[1] == 0.1
-    assert np.all(np.diff(ft.freqs) < 0)
+    assert ft.dtype == np.float64 and ft.shape == (4,)
+    assert ft[0] == 1.0
+    assert ft[1] == 0.1
+    assert np.all(np.diff(ft) < 0)
 
 
 def test_freq_table_rejects_odd_dim():
@@ -31,18 +36,6 @@ def test_freq_table_rejects_odd_dim():
         freq_table(7)
     with pytest.raises(ShapeMismatchError, match="^head_dim must be even and >= 2, got 0$"):
         freq_table(0)
-
-
-def test_half_table():
-    ft = freq_table(8)
-    half = ft.half_table()
-    assert half.head_dim == 4
-    assert half.freqs.shape == (2,)
-
-
-def test_patch_grid_positions_row_major():
-    pos = PatchGrid(2, 3).positions()
-    assert pos.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
 
 
 def test_norm_preservation_f64():
@@ -104,7 +97,7 @@ def test_rotate_2d_needs_dim_divisible_by_4():
 def test_rotate_2d_matches_axial_halves():
     ft = freq_table(8)
     rng = SplitMix64(4)
-    half = ft.half_table()
+    half = freq_table(4)
     for _ in range(50):
         x = rng.uniform_array((8,), -1, 1)
         py, px = rng.randint(0, 9), rng.randint(0, 9)
@@ -136,12 +129,11 @@ def _pack(q, k, v):
 
 def test_rope_attention_matches_manual_recompute():
     ft = freq_table(8)
-    grid = PatchGrid(2, 2)
     rng = SplitMix64(6)
     q, k, v = (rng.uniform_array((4, 8), -1, 1) for _ in range(3))
-    out = rope_attention(_pack(q, k, v), grid, 1).data[0]
+    out = rope_attention(_pack(q, k, v), (2, 2), 1).data[0]
 
-    pos = grid.positions()
+    pos = _positions(2, 2)
     qr = np.stack([rotate(Tensor(q[i].copy()), axial_angles(tuple(pos[i]), ft)).data
                    for i in range(4)])
     kr = np.stack([rotate(Tensor(k[i].copy()), axial_angles(tuple(pos[i]), ft)).data
@@ -157,19 +149,16 @@ def test_rope_attention_matches_manual_recompute():
 
 def test_rope_attention_convex_combination_property():
     # constant V columns must pass through attention unchanged
-    ft = freq_table(8)
-    grid = PatchGrid(2, 2)
     rng = SplitMix64(7)
     q, k = rng.uniform_array((4, 8), -1, 1), rng.uniform_array((4, 8), -1, 1)
     v = np.tile(np.array([2.0, -3.0, 0.5, 1.0, 0.0, -1.5, 4.0, 0.25]), (4, 1))
-    out = rope_attention(_pack(q, k, v), grid, 1).data[0]
+    out = rope_attention(_pack(q, k, v), (2, 2), 1).data[0]
     assert np.max(np.abs(out - v)) < 1e-6
 
 
 def test_rope_attention_batched_matches_per_slice():
     # [N, T, 3d] inputs with 3 heads attend sample by sample and head by head
-    ft = freq_table(8)
-    grid = PatchGrid(2, 3)
+    grid = (2, 3)
     rng = SplitMix64(8)
     qkv = rng.uniform_array((2, 6, 3 * 3 * 8), -1, 1)
     out = rope_attention(Tensor(qkv), grid, 3).data
@@ -182,11 +171,11 @@ def test_rope_attention_batched_matches_per_slice():
 
 def test_rope_attention_token_count_mismatch():
     with pytest.raises(ShapeMismatchError):
-        rope_attention(Tensor(np.zeros((1, 3, 24))), PatchGrid(2, 2), 1)
+        rope_attention(Tensor(np.zeros((1, 3, 24))), (2, 2), 1)
 
 
 def test_rope_attention_rejects_bad_packing_window_and_shift():
-    grid = PatchGrid(4, 4)
+    grid = (4, 4)
     x = Tensor(np.zeros((1, 16, 48)))
     for kwargs in (dict(n_heads=0), dict(n_heads=5),
                    dict(n_heads=2, window=3), dict(n_heads=2, window=-2),
@@ -202,9 +191,9 @@ def _dense_windowed(qkv, grid, ft, n_heads, window, shift):
     n, t, d3 = qkv.shape
     d = d3 // 3
     dh = d // n_heads
-    pos = grid.positions()
+    pos = _positions(*grid)
     allowed = np.ones((t, t), dtype=bool)
-    for axis, extent in ((0, grid.rows), (1, grid.cols)):
+    for axis, extent in enumerate(grid):
         s = shift if window < extent else 0
         p = pos[:, axis]
         ps = (p - s) % extent
@@ -228,7 +217,7 @@ def _dense_windowed(qkv, grid, ft, n_heads, window, shift):
 @pytest.mark.parametrize("use_rope", [True, False])
 def test_windowed_attention_matches_masked_dense_reference(shift, use_rope):
     # non-square 8x12 grid, 4x4 windows: an unshifted and a shifted block
-    grid = PatchGrid(8, 12)
+    grid = (8, 12)
     ft = freq_table(8) if use_rope else None
     qkv = SplitMix64(9).uniform_array((2, 96, 3 * 2 * 8), -2, 2).astype(np.float32)
     out = rope_attention(Tensor(qkv), grid, 2, window=4, shift=shift, rope=use_rope).data
@@ -238,7 +227,7 @@ def test_windowed_attention_matches_masked_dense_reference(shift, use_rope):
 
 
 def test_window_covering_a_square_grid_is_global_attention_bitwise():
-    grid, ft = PatchGrid(4, 4), freq_table(8)
+    grid = (4, 4)
     qkv = SplitMix64(10).uniform_array((2, 16, 48), -1, 1).astype(np.float32)
     weight = Tensor(SplitMix64(11).uniform_array((2, 16, 16), -1, 1).astype(np.float32))
     outs, grads = [], []
@@ -255,7 +244,7 @@ def test_window_covering_a_square_grid_is_global_attention_bitwise():
 @pytest.mark.parametrize("use_rope", [True, False])
 def test_shifted_window_gradient_matches_central_differences(use_rope):
     # 4x8 grid with 4x4 windows: only the column axis shifts
-    grid = PatchGrid(4, 8)
+    grid = (4, 8)
     weight = Tensor(SplitMix64(12).uniform_array((1, 32, 4), -1, 1))
     err = check_function(
         lambda u: tsum(mul(rope_attention(u, grid, 1, window=4, shift=2, rope=use_rope), weight)),
@@ -273,7 +262,7 @@ def test_window_layout_is_a_cached_read_only_permutation():
     assert set(np.unique(mask).tolist()) == {0.0, -np.inf}
     # the tables keep each token's global position, in tile order: cosines
     # twice, (c_i, c_i), and sines as (-s_i, +s_i), flat
-    theta = axial_angles(PatchGrid(8, 12).positions()[perm], freq_table(8)).astype(f32)
+    theta = axial_angles(_positions(8, 12)[perm], freq_table(8)).astype(f32)
     assert c2.shape == s2.shape == (96 * 8,)
     assert np.array_equal(c2.reshape(96, 4, 2), np.stack([np.cos(theta)] * 2, axis=-1))
     assert np.array_equal(s2.reshape(96, 4, 2), np.stack([-np.sin(theta), np.sin(theta)], -1))
@@ -286,6 +275,24 @@ def test_window_layout_is_a_cached_read_only_permutation():
 
 def test_freq_table_frozen():
     ft = freq_table(8)
-    assert isinstance(ft, FreqTable)
-    with pytest.raises(Exception):
-        ft.base = 2.0
+    assert not ft.flags.writeable
+    with pytest.raises(ValueError):
+        ft[0] = 2.0
+
+
+def test_every_other_entry_is_the_half_width_table():
+    # axial_angles takes each half's table as freqs[::2]: bitwise the table
+    # of half the head dimension at the same base
+    for base in (2.0, 10.0, 100.0, 1000.0, 10000.0, 1e6):
+        for d in range(4, 1025, 4):
+            assert freq_table(d, base)[::2].tobytes() == freq_table(d // 2, base).tobytes()
+    # and the attention tables are those of angles at an explicit half table
+    for rows, cols, window, shift, dh in ((8, 12, 4, 0, 8), (8, 12, 4, 2, 16), (4, 4, 0, 0, 12)):
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            perm, _, _, c2, s2 = _window_layout(rows, cols, window, shift, dh, dtype)
+            pos = _positions(rows, cols)
+            pos = pos if perm is None else pos[perm]
+            half = freq_table(dh // 2)
+            theta = np.concatenate([pos[:, :1] * half, pos[:, 1:] * half], axis=1)
+            want_c2, want_s2 = _pair_tables(theta, dtype)
+            assert c2.tobytes() == want_c2.tobytes() and s2.tobytes() == want_s2.tobytes()

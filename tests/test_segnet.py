@@ -21,7 +21,7 @@ from segkit.metrics import IGNORE, ConfusionMatrix, miou
 from segkit.optim import Adam, _step
 from segkit.rng import SplitMix64
 from segkit import rope, segnet
-from segkit.rope import PatchGrid, axial_angles, freq_table, rotate
+from segkit.rope import axial_angles, freq_table, rotate
 from segkit.segnet import (
     Model,
     ModelConfig,
@@ -144,7 +144,7 @@ def _per_head_forward(model, img):
             q, k, v = (matmul(h, Tensor(wqkv[:, j * d + hd * dh:j * d + (hd + 1) * dh]))
                        for j in range(3))
             if cfg.use_rope:
-                theta = axial_angles(PatchGrid(hp, wp).positions(), freq_table(dh))
+                theta = axial_angles(np.argwhere(np.ones((hp, wp))), freq_table(dh))
                 q, k = rotate(q, theta), rotate(k, theta)
             s = scale(matmul(q, k.T), dh ** -0.5).data
             e = np.exp(s - s.max(axis=1, keepdims=True))
