@@ -48,7 +48,7 @@ from .dataio import (
 from .denoise import DenoiseConfig, ErrorScore, filter_dataset, pixel_error_rate
 from .errors import ConfigInvalidError, SegkitError, ShapeMismatchError
 from .gradcheck import SUITES, TOL, run_suite
-from .metrics import GOOSE_WEIGHTS, ConfusionMatrix, class_iou, miou, weighted_miou
+from .metrics import GOOSE_WEIGHTS, IGNORE, ConfusionMatrix, class_iou, miou, weighted_miou
 from .segnet import (
     ModelConfig,
     TrainConfig,
@@ -202,16 +202,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_split(manifest, records, split, config):
+def _load_split(manifest, records, split, config, required=True):
     """The records of split, read from the file manifest, and their (image,
-    mask) pairs.  A pair of another extent than the split's first mask, or
-    whose mask holds a class id outside [0, config.n_classes) other than
-    IGNORE, is an error naming its files; so is a split of an extent the
-    model of config does not take, found without a forward."""
+    mask) pairs; none is an error naming both if required.  A pair of
+    another extent than the split's first mask, or whose mask holds a class
+    id outside [0, config.n_classes) other than IGNORE, is an error naming
+    its files; so is a split of an extent the model of config does not
+    take, found without a forward."""
     chosen = [r for r in records if r.split == split]
-    pairs = load_pairs(chosen)
     if not chosen:
-        return chosen, pairs
+        if required:
+            raise ConfigInvalidError(f"{manifest} has no {split!r} samples")
+        return chosen, []
+    pairs = load_pairs(chosen)
     hw = pairs[0][1].shape
     for r, (image, mask) in zip(chosen, pairs):
         where = f"sample {r.sample_id!r} ({r.image_path}, {r.mask_path})"
@@ -230,6 +233,15 @@ def _load_split(manifest, records, split, config):
     return chosen, pairs
 
 
+def _refuse_unlabelled(manifest, split, pairs, robot=None):
+    """Refuse (image, mask) pairs of split, of robot if given, whose masks
+    hold no labelled pixel: no class has a defined IoU over them."""
+    if not any((mask != IGNORE).any() for _, mask in pairs):
+        whose = "" if robot is None else f" of robot {robot!r}"
+        raise ConfigInvalidError(f"{manifest}: no mask{whose} in the {split} split holds a "
+                                 "labelled pixel, so no class has a defined IoU")
+
+
 def cmd_train(args) -> int:
     cfg = read_config(args.config)
     mc, tc, dn = apply_config(args.config, cfg, ModelConfig(), TrainConfig(), DenoiseConfig())
@@ -243,7 +255,9 @@ def cmd_train(args) -> int:
 
     records = load_manifest(args.data)
     train_records, train_pairs = _load_split(args.data, records, "train", mc)
-    _, val_pairs = _load_split(args.data, records, "val", mc)
+    _, val_pairs = _load_split(args.data, records, "val", mc, required=False)
+    if val_pairs:  # val mIoU pools the split's pixels
+        _refuse_unlabelled(args.data, "val", val_pairs)
 
     samples = [(r.sample_id, img, mask) for r, (img, mask) in zip(train_records, train_pairs)]
     model, report, freport = train_with_denoise(model, samples, tc, val_pairs=val_pairs or None)
@@ -271,11 +285,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
     chosen, pairs = _load_split(args.data, load_manifest(args.data), args.split, model.config)
-    if not chosen:
-        raise ConfigInvalidError(f"manifest has no {args.split!r} samples")
     robot_pairs = {}
     for r, pair in zip(chosen, pairs):
         robot_pairs.setdefault(r.robot_id, []).append(pair)
+    for rid, robot in robot_pairs.items():  # each robot's mIoU is its own
+        _refuse_unlabelled(args.data, args.split, robot, rid)
     k = model.config.n_classes
     overall, robot_miou = ConfusionMatrix(k), {}
     for rid, robot in sorted(robot_pairs.items()):
@@ -342,7 +356,7 @@ def cmd_filter(args) -> int:
     records = load_manifest(args.data)
     train_records = [r for r in records if r.split == "train"]
     if not train_records:
-        raise ConfigInvalidError("manifest has no train samples")
+        raise ConfigInvalidError(f"{args.data} has no 'train' samples")
     scores = []
     for r in train_records:
         mask = _read_kind(r.mask_path, image=False)

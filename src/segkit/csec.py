@@ -33,6 +33,7 @@ from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from .tensor import (
     Tensor,
+    _node,
     add,
     add_bias,
     conv2d,
@@ -156,10 +157,9 @@ def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
     kernel's; an axis where the clamp binds gets no tap gradient.
     """
     cout, cin, kh, kw = w.data.shape
-    kernel, pos, weight, frac, active = _splat(w.data, tap_offsets.data)
-    side = kernel.shape[-1]
 
-    def bwd(g):
+    def bwd(g, kernel, pos, weight, frac, active):
+        side = kernel.shape[-1]
         corners = g.reshape(cout * cin, side * side)[:, pos]  # [cout * cin, taps, 4]
         gw = gt = None
         if w.requires_grad:
@@ -175,7 +175,7 @@ def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
             gt = np.where(active, np.stack([gy, gx], axis=1), 0.0).astype(tap_offsets.dtype)
         return gw, gt
 
-    return Tensor(kernel, parents=(w, tap_offsets), backward_fn=bwd, call=(_splat,))
+    return _node(_splat, (w, tap_offsets), bwd)
 
 
 # -- COSE: offset estimation ------------------------------------------------
@@ -217,13 +217,9 @@ def _rsqrt(d):
 def _rsqrt_clamp(d: Tensor) -> Tensor:
     """1/sqrt(max(d, SYM_NORM_EPS)) elementwise; zero gradient where the
     clamp binds."""
-    y, clamped = _rsqrt(d.data)
-    open_mask = d.data > SYM_NORM_EPS
-
-    def bwd(g):
-        return (np.where(open_mask, -0.5 * g * y / clamped, 0.0),)
-
-    return Tensor(y, parents=(d,), backward_fn=bwd, call=(_rsqrt,))
+    # clamped > SYM_NORM_EPS exactly where d > SYM_NORM_EPS, NaN included
+    return _node(_rsqrt, (d,), lambda g, y, clamped: (
+        np.where(clamped > SYM_NORM_EPS, -0.5 * g * y / clamped, 0.0),))
 
 
 def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:

@@ -185,21 +185,16 @@ def _replay(nodes, p):
     reaches (its cone), on plain arrays: its parents' new values where they
     are in the cone, p's data, and otherwise their graph values, then its
     recorded constants.  Every node outside the cone keeps its value.  The
-    loss is then bitwise that of a full forward: a node's kernel made its
-    value, and each cone kernel sees the inputs it would see in a full
-    forward.  A value read off p's data outside the graph's ops would be
-    missed, as the backward pass misses it.  A cone node without a recorded
-    call raises RuntimeError.
+    loss is then bitwise that of a full forward: ``tensor._node`` made each
+    node's value with its recorded kernel, and each cone kernel sees the
+    inputs it would see in a full forward.  A value read off p's data
+    outside the graph's ops would be missed, as the backward pass misses it.
     """
     slot = {}  # id(cone node) -> its position in plan
     plan = []  # (kernel, its arguments, [(argument index, slot of its new value)])
     for node in nodes:
         if not any(q is p or id(q) in slot for q in node._parents):
             continue
-        if node._call is None:
-            op = node._backward_fn.__qualname__.split(".<locals>")[0]
-            raise RuntimeError(f"{op} made a graph node with no recorded call, "
-                               "so the gradient oracle cannot replay it")
         slot[id(node)] = len(plan)
         plan.append((node._call[0], [*(q.data for q in node._parents), *node._call[1:]],
                      [(i, slot[id(q)]) for i, q in enumerate(node._parents) if id(q) in slot]))

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .tensor import Tensor
+from .tensor import Tensor, _node
 
 __all__ = ["freq_table", "angles", "axial_angles", "rotate", "rope_attention"]
 
@@ -82,9 +82,7 @@ def rotate(x: Tensor, theta) -> Tensor:
         raise ShapeMismatchError(f"last extent {x.data.shape[-1]} vs angles {theta.shape}")
     c2, s2 = _pair_tables(theta, x.dtype)
     # the inverse rotation (by -theta) is the adjoint
-    return Tensor(_rotate_pairs(x.data, c2, s2), parents=(x,),
-                  backward_fn=lambda g: (_rotate_pairs(g, c2, -s2),),
-                  call=(_rotate_pairs, c2, s2))
+    return _node(_rotate_pairs, (x,), lambda g, y: (_rotate_pairs(g, c2, -s2),), c2, s2)
 
 
 def angles(p, freqs: np.ndarray) -> np.ndarray:
@@ -231,9 +229,8 @@ def rope_attention(qkv: Tensor, grid: tuple[int, int], n_heads: int, window: int
     perm, inv, _, c2, s2 = layout
     nw = 1 if perm is None else t // (window * window)
     tw = t // nw
-    out, qs, k, v, p = _attend(x, n_heads, nw, *layout)
 
-    def bwd(g):
+    def bwd(g, out, qs, k, v, p):
         if perm is not None:
             g = np.take(g, perm, axis=1)
         g = np.ascontiguousarray(g.reshape(n, nw, tw, n_heads, dh).transpose(0, 3, 1, 2, 4))
@@ -254,4 +251,4 @@ def rope_attention(qkv: Tensor, grid: tuple[int, int], n_heads: int, window: int
         gx = gx.reshape(n, t, d3)
         return (gx if inv is None else np.take(gx, inv, axis=1),)
 
-    return Tensor(out, parents=(qkv,), backward_fn=bwd, call=(_attend, n_heads, nw, *layout))
+    return _node(_attend, (qkv,), bwd, n_heads, nw, *layout)

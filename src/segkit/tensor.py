@@ -8,14 +8,15 @@ Every op is a module function of tensors (``scale`` is the one scalar
 multiply); ``Tensor`` has no arithmetic operators, only slicing and ``.T``.
 The convolution kernels run a few large numpy operations in place of one
 per tap, and give bitwise the sums of the per-tap forms, -0 included.
-Each graph node records ``call = (kernel, *consts)``: the array function
-that made its value (a private one, or a numpy function such as
-``np.add``), called as ``kernel(*(p.data for p in parents), *consts)``.
-An op checks its arguments and derives its constants once, then takes its
-own value from that kernel, so a recomputation on plain arrays gives the
-node's bytes; the gradient oracle recomputes this way only the nodes a
-perturbed parameter reaches.  A kernel returns the value, or a tuple of the
-value and what the op's backward keeps.  Under no_grad nothing is recorded.
+``Tensor(data, requires_grad)`` makes a leaf and ``_node`` every other
+tensor: an op checks its arguments and derives its constants once, then
+``_node`` runs its kernel, an array function (a private one, or a numpy
+function such as ``np.add``), as ``kernel(*(p.data for p in parents),
+*consts)`` and records ``call = (kernel, *consts)``.  So a recomputation
+on plain arrays gives the node's bytes by construction; the gradient
+oracle recomputes this way only the nodes a perturbed parameter reaches.
+A kernel returns the value, or a tuple of the value and what the op's
+backward keeps.  Under no_grad nothing is recorded.
 An operand that needs no gradient gets none computed in backward.
 """
 
@@ -57,15 +58,15 @@ except (AttributeError, OSError, TypeError):
 
 LN_EPS = 1e-5  # layer_norm's variance floor
 
-_grad_enabled = True  # read by Tensor.__init__; no_grad clears it
+_grad_enabled = True  # read by _node; no_grad clears it
 
 
 @contextmanager
 def no_grad():
-    """Within the block, op results record no graph: no parents, no backward
-    function, no call and ``requires_grad`` False, so each intermediate is
-    freed as soon as nothing reads it.  Values are bitwise those of a graph
-    forward.
+    """Within the block, ``_node`` records no graph: op results are tensors
+    with no parents, no backward function, no call and ``requires_grad``
+    False, so each intermediate is freed as soon as nothing reads it.
+    Values are bitwise those of a graph forward.
     A leaf created with ``requires_grad=True`` keeps it.  The previous state
     is restored on exit, also after an exception."""
     global _grad_enabled
@@ -81,14 +82,12 @@ class Tensor:
 
     Data is immutable by convention after creation; only ``grad`` mutates.
     Gradients accumulate across backward() calls until ``zero_grad``.
-    Outside ``no_grad`` an op's result records its parents (the op's tensor
-    arguments, in order), its backward function and ``call``: the op's
-    kernel followed by its constants, so that ``call[0](*(p.data for p in
-    parents), *call[1:])`` computes the node's value again on plain arrays
-    (the first item, if it returns a tuple).
+    The constructor makes a leaf; an op's result comes from ``_node``, which
+    outside ``no_grad`` records its parents (the op's tensor arguments, in
+    order), its backward function and ``call``.
     """
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, call=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -96,16 +95,10 @@ class Tensor:
             raise ShapeMismatchError(f"zero extent in shape {arr.shape}")
         self.data = arr
         self.grad = None
-        if _grad_enabled:
-            self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-            self._parents = tuple(parents)
-            self._backward_fn = backward_fn
-            self._call = call
-        else:  # no generator over the parents: a no-graph forward makes many tensors
-            self.requires_grad = bool(requires_grad)
-            self._parents = ()
-            self._backward_fn = None
-            self._call = None
+        self.requires_grad = bool(requires_grad)
+        self._parents = ()
+        self._backward_fn = None
+        self._call = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -157,13 +150,12 @@ class Tensor:
     # -- slicing and transpose ----------------------------------------------
 
     def __getitem__(self, key):
-        def bwd(g):
+        def bwd(g, y):
             gx = np.zeros_like(self.data)
             gx[key] = g
             return (gx,)
 
-        return Tensor(_getitem(self.data, key), parents=(self,), backward_fn=bwd,
-                      call=(_getitem, key))
+        return _node(_getitem, (self,), bwd, key)
 
     @property
     def T(self):
@@ -192,6 +184,25 @@ def _graph_order(root):
     return topo
 
 
+def _node(kernel, parents, backward, *consts):
+    """The tensor of ``kernel(*(p.data for p in parents), *consts)``: the
+    kernel's result, or its first item when it returns a tuple.  Outside
+    ``no_grad`` it records parents, ``call = (kernel, *consts)`` and a
+    backward function that returns ``backward(g, *result)``, one gradient
+    (or None) per parent.  That function holds the result, not the node,
+    so a freed graph leaves no reference cycle."""
+    result = kernel(*[p.data for p in parents], *consts)
+    if type(result) is not tuple:
+        result = (result,)
+    out = Tensor(result[0])
+    if _grad_enabled:
+        out.requires_grad = any(p.requires_grad for p in parents)
+        out._parents = parents
+        out._backward_fn = lambda g: backward(g, *result)
+        out._call = (kernel, *consts)
+    return out
+
+
 # -- elementwise ------------------------------------------------------------
 
 
@@ -202,21 +213,18 @@ def _getitem(x, key):
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
-    return Tensor(np.add(a.data, b.data), parents=(a, b), backward_fn=lambda g: (g, g),
-                  call=(np.add,))
+    return _node(np.add, (a, b), lambda g, y: (g, g))
 
 
 def mul(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
-    return Tensor(np.multiply(a.data, b.data), parents=(a, b),
-                  backward_fn=lambda g: (g * b.data, g * a.data), call=(np.multiply,))
+    return _node(np.multiply, (a, b), lambda g, y: (g * b.data, g * a.data))
 
 
 def scale(a, s):
     s = float(s)
-    return Tensor(np.multiply(a.data, s), parents=(a,), backward_fn=lambda g: (g * s,),
-                  call=(np.multiply, s))
+    return _node(np.multiply, (a,), lambda g, y: (g * s,), s)
 
 
 def _relu(x):
@@ -228,8 +236,8 @@ def _relu(x):
 
 
 def relu(a):
-    mask = a.data > 0
-    return Tensor(_relu(a.data), parents=(a,), backward_fn=lambda g: (g * mask,), call=(_relu,))
+    # y > 0 exactly where a > 0, NaN included
+    return _node(_relu, (a,), lambda g, y: (g * (y > 0),))
 
 
 def _sigmoid(x):
@@ -237,8 +245,7 @@ def _sigmoid(x):
 
 
 def sigmoid(a):
-    y = _sigmoid(a.data)
-    return Tensor(y, parents=(a,), backward_fn=lambda g: (g * y * (1.0 - y),), call=(_sigmoid,))
+    return _node(_sigmoid, (a,), lambda g, y: (g * y * (1.0 - y),))
 
 
 def _scalar_mul(x, s):
@@ -249,13 +256,11 @@ def scalar_mul(x, s):
     """Multiply tensor x by a learned scalar tensor s (shape ())."""
     if s.data.size != 1:
         raise ShapeMismatchError(f"scalar_mul needs a scalar tensor, got {s.data.shape}")
-    sv = float(s.data)
 
-    def bwd(g):
-        return g * sv, np.array((g * x.data).sum(), dtype=s.dtype)
+    def bwd(g, y):
+        return g * float(s.data), np.array((g * x.data).sum(), dtype=s.dtype)
 
-    return Tensor(_scalar_mul(x.data, s.data), parents=(x, s), backward_fn=bwd,
-                  call=(_scalar_mul,))
+    return _node(_scalar_mul, (x, s), bwd)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -263,8 +268,7 @@ def scalar_mul(x, s):
 
 def reshape(a, shape):
     shape = tuple(shape)
-    return Tensor(np.reshape(a.data, shape), parents=(a,),
-                  backward_fn=lambda g: (g.reshape(a.data.shape),), call=(np.reshape, shape))
+    return _node(np.reshape, (a,), lambda g, y: (g.reshape(a.data.shape),), shape)
 
 
 def _permute(x, axes):
@@ -274,18 +278,18 @@ def _permute(x, axes):
 def permute(a, axes):
     """Reorder the axes of a, as numpy.transpose(a, axes)."""
     nd = a.data.ndim
+    # C order both ways: numpy multiplies small strided operands more slowly,
+    # and products and sums over a strided view can round differently; the
+    # backward reads inverse, built below once the axes are known to be valid
     try:
         axes = tuple(axes)
-        out = _permute(a.data, axes)
+        out = _node(_permute, (a,), lambda g, y: (_permute(g, inverse),), axes)
     except (ValueError, TypeError) as exc:  # numpy's AxisError is a ValueError
         raise ShapeMismatchError(f"axes {axes} are not a permutation of rank {nd}") from exc
     inverse = [0] * nd  # built in Python: np.argsort costs more than the transpose
     for i, ax in enumerate(axes):
         inverse[ax % nd] = i
-    # C order both ways: numpy multiplies small strided operands more slowly,
-    # and products and sums over a strided view can round differently
-    return Tensor(out, parents=(a,), backward_fn=lambda g: (_permute(g, inverse),),
-                  call=(_permute, axes))
+    return out
 
 
 def _tsum(x):
@@ -293,8 +297,7 @@ def _tsum(x):
 
 
 def tsum(a):
-    return Tensor(_tsum(a.data), parents=(a,),
-                  backward_fn=lambda g: (np.full_like(a.data, float(g)),), call=(_tsum,))
+    return _node(_tsum, (a,), lambda g, y: (np.full_like(a.data, float(g)),))
 
 
 def _tmean(x):
@@ -302,9 +305,7 @@ def _tmean(x):
 
 
 def tmean(a):
-    n = a.data.size
-    return Tensor(_tmean(a.data), parents=(a,),
-                  backward_fn=lambda g: (np.full_like(a.data, float(g) / n),), call=(_tmean,))
+    return _node(_tmean, (a,), lambda g, y: (np.full_like(a.data, float(g) / a.data.size),))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -330,16 +331,16 @@ def matmul(a, b):
 
     # an operand that needs no gradient gets none computed
     if bd.ndim > 2:
-        def bwd(g):
+        def bwd(g, y):
             return (g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None,
                     np.swapaxes(ad, -1, -2) @ g if b.requires_grad else None)
     else:
-        def bwd(g):
+        def bwd(g, y):
             g2 = g.reshape(-1, bd.shape[1])
             return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
                     ad.reshape(-1, bd.shape[0]).T @ g2 if b.requires_grad else None)
 
-    return Tensor(_matmul(ad, bd), parents=(a, b), backward_fn=bwd, call=(_matmul,))
+    return _node(_matmul, (a, b), bwd)
 
 
 def add_bias(a, bias):
@@ -347,10 +348,10 @@ def add_bias(a, bias):
     if bias.data.ndim != 1 or a.data.shape[-1] != bias.data.shape[0]:
         raise ShapeMismatchError(f"bias {bias.data.shape} vs {a.data.shape}")
 
-    def bwd(g):
+    def bwd(g, y):
         return g, g.reshape(-1, bias.data.shape[0]).sum(axis=0)
 
-    return Tensor(np.add(a.data, bias.data), parents=(a, bias), backward_fn=bwd, call=(np.add,))
+    return _node(np.add, (a, bias), bwd)
 
 
 def linear(x, w, b):
@@ -405,9 +406,8 @@ def conv2d(x, w, stride=1, padding=0):
     wo = (wd + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeMismatchError(f"output {ho}x{wo} for input {h}x{wd}")
-    y, cols = _conv2d(x.data, w.data, stride, padding)
 
-    def bwd(g):
+    def bwd(g, y, cols):
         g2 = g.reshape(n, cout, ho * wo)
         gx = gw = None
         if w.requires_grad:
@@ -422,7 +422,7 @@ def conv2d(x, w, stride=1, padding=0):
             gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
         return gx, gw
 
-    return Tensor(y, parents=(x, w), backward_fn=bwd, call=(_conv2d, stride, padding))
+    return _node(_conv2d, (x, w), bwd, stride, padding)
 
 
 def _tap_planes(gcols, shape, stride):
@@ -471,7 +471,7 @@ def upsample_nearest(x, factor):
     n, c, h, w = x.data.shape
     f = int(factor)
 
-    def bwd(g):
+    def bwd(g, y):
         g6 = g.reshape(n, c, h, f, w, f)
         rows = g6[..., 0].copy()
         for b in range(1, f):
@@ -481,8 +481,7 @@ def upsample_nearest(x, factor):
             gx += rows[:, :, :, a]
         return (gx,)
 
-    return Tensor(_upsample_nearest(x.data, f), parents=(x,), backward_fn=bwd,
-                  call=(_upsample_nearest, f))
+    return _node(_upsample_nearest, (x,), bwd, f)
 
 
 # -- normalization and losses ----------------------------------------------
@@ -516,9 +515,8 @@ def layer_norm(x, gamma, beta):
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeMismatchError("layer_norm scale/shift must match last extent")
-    y, xhat, inv = _layer_norm(x.data, gamma.data, beta.data)
 
-    def bwd(g):
+    def bwd(g, y, xhat, inv):
         buf = g * xhat
         ggamma = buf.reshape(-1, d).sum(axis=0)
         gbeta = g.reshape(-1, d).sum(axis=0)
@@ -534,7 +532,7 @@ def layer_norm(x, gamma, beta):
         np.multiply(inv, gx, gx)
         return gx, ggamma, gbeta
 
-    return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd, call=(_layer_norm,))
+    return _node(_layer_norm, (x, gamma, beta), bwd)
 
 
 def _cross_entropy(logits, pick, weights, denom):
@@ -579,14 +577,13 @@ def cross_entropy(logits, target, truncate=None):
     pick += np.arange(0, n * k * hw, k * hw)[:, None, None] + np.arange(hw).reshape(h, w)
     weights = valid.astype(logits.dtype)
     denom = weights.reshape(n, -1).sum(axis=1)
-    loss, logp, nll = _cross_entropy(logits.data, pick, weights, denom)
-    if truncate is not None and valid.any():
+    if truncate is not None and valid.any():  # one pre-pass reads nll to choose the weights
+        nll = _cross_entropy(logits.data, pick, weights, denom)[2]
         weights[nll > quantile_threshold(nll[valid], truncate)] = 0
         denom = weights.reshape(n, -1).sum(axis=1)
-        loss, logp, _ = _cross_entropy(logits.data, pick, weights, denom)
     live = denom != 0
 
-    def bwd(g):
+    def bwd(g, loss, logp, nll):
         s = np.divide(float(g), n * denom.astype(np.float64),
                       out=np.zeros(n), where=live).astype(logits.dtype)
         gl = np.exp(logp)
@@ -595,5 +592,4 @@ def cross_entropy(logits, target, truncate=None):
         gl *= s[:, None, None, None]
         return (gl,)
 
-    return Tensor(loss, parents=(logits,), backward_fn=bwd,
-                  call=(_cross_entropy, pick, weights, denom))
+    return _node(_cross_entropy, (logits,), bwd, pick, weights, denom)

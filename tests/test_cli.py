@@ -752,6 +752,85 @@ class TestUnlabelledPixels:
         assert {line.split("\t")[1] for line in report} == {"0.000000"}
 
 
+class TestSplitRefusals:
+    """A split a command cannot use is refused with exit 2, naming the
+    manifest and the split (and the robot at fault), before any forward and
+    without creating --out."""
+
+    @staticmethod
+    def _drop_split(manifest, split):
+        manifest.write_text("".join(ln for ln in manifest.read_text().splitlines(True)
+                                    if not ln.rstrip("\n").endswith("\t" + split)))
+
+    @staticmethod
+    def _unlabel(records):
+        for r in records:
+            write_pnm(r.mask_path, np.full_like(read_pnm(r.mask_path), 255))
+
+    @pytest.fixture()
+    def forwards(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Model, "forward", lambda *args: calls.append(args))
+        monkeypatch.setattr(Model, "patch_logits", lambda *args: calls.append(args))
+        return calls
+
+    def _train(self, tmp_path, manifest):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN)
+        return main(["train", "--config", str(cfg), "--data", str(manifest),
+                     "--out", str(tmp_path / "run")])
+
+    def test_train_without_train_samples(self, tmp_path, dataset, capsys, forwards):
+        manifest = dataset / "manifest.tsv"
+        self._drop_split(manifest, "train")
+        assert self._train(tmp_path, manifest) == 2
+        assert capsys.readouterr().err == f"error: {manifest} has no 'train' samples\n"
+        assert not forwards and not (tmp_path / "run").exists()
+
+    def test_train_whose_val_masks_hold_no_labelled_pixel(self, tmp_path, dataset, capsys,
+                                                          forwards):
+        manifest = dataset / "manifest.tsv"
+        self._unlabel(r for r in load_manifest(manifest) if r.split == "val")
+        assert self._train(tmp_path, manifest) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: no mask in the val split holds a labelled pixel, so no "
+            f"class has a defined IoU\n")
+        assert not forwards and not (tmp_path / "run").exists()
+
+    def test_eval_of_a_split_the_manifest_lacks(self, tmp_path, dataset, trained, capsys,
+                                                forwards):
+        manifest = dataset / "manifest.tsv"  # SPEC writes no test samples
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"), "--data",
+                     str(manifest), "--split", "test", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {manifest} has no 'test' samples\n"
+        assert not forwards and not out.exists()
+
+    def test_eval_where_one_robots_masks_hold_no_labelled_pixel(self, tmp_path, dataset,
+                                                                trained, capsys, forwards):
+        manifest = dataset / "manifest.tsv"
+        val = [r for r in load_manifest(manifest) if r.split == "val"]
+        robot = val[0].robot_id
+        assert any(r.robot_id != robot for r in val)  # the other robots keep their labels
+        self._unlabel(r for r in val if r.robot_id == robot)
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.smk"), "--data",
+                     str(manifest), "--weights", "uniform", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: no mask of robot {robot!r} in the val split holds a labelled "
+            f"pixel, so no class has a defined IoU\n")
+        assert not forwards and not out.exists()
+
+    def test_filter_without_train_samples(self, tmp_path, dataset, capsys):
+        manifest = dataset / "manifest.tsv"
+        self._drop_split(manifest, "train")
+        out = tmp_path / "filtered"
+        assert main(["filter", "--data", str(manifest), "--pred", str(tmp_path / "missing"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {manifest} has no 'train' samples\n"
+        assert not out.exists()
+
+
 class TestWrongPnmKind:
     """A P6 where a mask belongs, or a P5 where an image belongs, is an I/O
     error that names the file."""
