@@ -4,10 +4,13 @@ A suite is a table entry of ``_SUITES``: its op checks and its pipeline
 check.  The op checks are a generator that draws one trial's f64 inputs
 from the suite's ``SplitMix64(seed)`` and yields a named ``(name, f, x)``
 for each op; ``run_suite`` runs them ``trials`` times through
-``check_function`` and keeps each name's worst relative error.  The
-pipeline check, ``csec_correct.params`` or ``segnet.params``, is built from
-the seed as ``(name, params, loss_fn)`` and runs once per call whatever the
-trial count: it differences every parameter entry (a segnet check takes
+``check_function`` and keeps each name's worst relative error.  Every
+kernel that a model or corrector graph records has an op check, and so
+does each way attention's kernel runs: with and without a window
+permutation, a mask and the rotation.  The pipeline check,
+``csec_correct.params`` or ``segnet.params``, is built from the seed as
+``(name, params, loss_fn)`` and runs once per call whatever the trial
+count: it differences every parameter entry (a segnet check takes
 seconds), so ``--trials`` repeats only the op checks.  The CLI's gradcheck
 subcommand and the acceptance tests both drive these.  A non-finite
 gradient or quotient reads as an infinite error, never as a match.
@@ -35,10 +38,14 @@ from .tensor import (
     add,
     conv2d,
     cross_entropy,
+    layer_norm,
     matmul,
     mul,
     relu,
+    sigmoid,
+    tmean,
     tsum,
+    upsample_nearest,
 )
 
 TOL = 1e-4
@@ -88,17 +95,22 @@ def _tensor_checks(rng):
 
 
 def _rope_checks(rng):
-    x = _rand(rng, (3, 8))
-    weight = _rand(rng, (3, 8))
-    p = rng.randint(0, 7)
-    freqs = _rope.freq_table(8)
-    yield "rotate", lambda v: tsum(mul(_rope.rotate(v, _rope.angles(p, freqs)), Tensor(weight))), x
     # 2x2 windows shifted by 1 on a 2x4 grid: the column shift wraps, so the
     # check covers the window permutation and the mask at a small input
     qkv = _rand(rng, (1, 8, 12))
     out_weight = _rand(rng, (1, 8, 4))
     yield "rope_attention.qkv", lambda v: tsum(mul(
         _rope.rope_attention(v, (2, 4), 1, window=2, shift=1, rope=True), Tensor(out_weight))), qkv
+    # global attention, rotated and not: no permutation and no mask; a 1x2
+    # grid holds each check to a few dozen entries
+    qkv_g = _rand(rng, (1, 2, 12))
+    weight_g = _rand(rng, (1, 2, 4))
+    yield "rope_attention.global", lambda v: tsum(mul(
+        _rope.rope_attention(v, (1, 2), 1), Tensor(weight_g))), qkv_g
+    qkv_n = _rand(rng, (1, 2, 3))
+    weight_n = _rand(rng, (1, 2, 1))
+    yield "rope_attention.no_rope", lambda v: tsum(mul(
+        _rope.rope_attention(v, (1, 2), 1, rope=False), Tensor(weight_n))), qkv_n
 
 
 def _csec_checks(rng):
@@ -115,6 +127,26 @@ def _csec_checks(rng):
     fuse = {"fuse.gx": Tensor(np.array(0.7)), "fuse.gd": Tensor(np.array(0.5)),
             "fuse.gb": Tensor(np.array(0.3)), "fuse.bias": Tensor(_rand(rng, (3,)))}
     yield "como_fuse", lambda v: tsum(_csec.como_fuse(v, Tensor(fd), Tensor(fb), fuse)), fx
+    z = _rand(rng, (2, 3), -2.0, 2.0)
+    z_weight = _rand(rng, (2, 3))
+    yield "sigmoid", lambda v: tsum(mul(sigmoid(v), Tensor(z_weight))), z
+    yield "tmean", lambda v: tmean(mul(v, v)), _rand(rng, (2, 3))
+
+
+def _segnet_checks(rng):
+    x = _rand(rng, (1, 3, 4))
+    gamma, beta = _rand(rng, (4,)), _rand(rng, (4,))
+    weight = _rand(rng, (1, 3, 4))
+
+    def ln(xv, gv, bv):
+        return tsum(mul(layer_norm(xv, gv, bv), Tensor(weight)))
+
+    yield "layer_norm.x", lambda v: ln(v, Tensor(gamma), Tensor(beta)), x
+    yield "layer_norm.gamma", lambda v: ln(Tensor(x), v, Tensor(beta)), gamma
+    yield "layer_norm.beta", lambda v: ln(Tensor(x), Tensor(gamma), v), beta
+    u = _rand(rng, (1, 2, 2, 2))
+    u_weight = _rand(rng, (1, 2, 4, 4))
+    yield "upsample_nearest", lambda v: tsum(mul(upsample_nearest(v, 2), Tensor(u_weight))), u
 
 
 def _csec_pipeline(seed):
@@ -247,5 +279,5 @@ def run_suite(module: str, trials: int = 20, seed: int = 0):
 # inputs from the suite's rng; pipeline check: (name, params, loss_fn) built
 # from the seed, or None)
 _SUITES = {"tensor": (_tensor_checks, None), "rope": (_rope_checks, None),
-           "csec": (_csec_checks, _csec_pipeline), "segnet": (lambda rng: (), _segnet_pipeline)}
+           "csec": (_csec_checks, _csec_pipeline), "segnet": (_segnet_checks, _segnet_pipeline)}
 SUITES = tuple(_SUITES)

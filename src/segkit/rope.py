@@ -1,17 +1,18 @@
-"""Rotary positional embedding for 2D image patches.
+"""Rotary positional embedding for 2D image patches, inside attention.
 
 Each query/key vector is split into 2D sub-vector pairs (x_{2i}, x_{2i+1});
-pair i is rotated by the angle p * w_i where p is the integer patch position
-and w_i = base^(-2i/d).  The 2D extension is axial: the first half of the
+pair i is rotated by the angle p * w_i where p is a patch coordinate and
+w_i = ROPE_BASE^(-2i/d).  The rotation is axial: the first half of the
 head dimension encodes the row index and the second half the column index,
 each at the half table: every other entry of the d-wide frequency array,
 bitwise the table of head_dim d/2.  Rotations touch Q and K only, so
 relative position enters attention purely through the inner product.
 
 Angles are computed in f64 and cast to the input dtype to avoid trig drift
-for large positions.  A rotation runs in pair-swap form, x·C2 + swap(x)·S2,
-with the cosines twice, (c_i, c_i), in C2 and the sines as (-s_i, +s_i) in
-S2: bitwise the pairwise (e·c - o·s, e·s + o·c), signed zeros included.
+for large positions.  The one rotation, ``_rotate_pairs``, runs in
+pair-swap form, x·C2 + swap(x)·S2, with the cosines twice, (c_i, c_i), in
+C2 and the sines as (-s_i, +s_i) in S2: bitwise the pairwise
+(e·c - o·s, e·s + o·c), signed zeros included.
 
 ``rope_attention`` is the segmentation model's multi-head attention as one
 graph node over the packed q/k/v projection: global, or within (shifted)
@@ -32,16 +33,18 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .tensor import Tensor, _node
 
-__all__ = ["freq_table", "angles", "axial_angles", "rotate", "rope_attention"]
+__all__ = ["freq_table", "axial_angles", "rope_attention"]
+
+ROPE_BASE = 10000.0
 
 
-def freq_table(head_dim: int, base: float = 10000.0) -> np.ndarray:
-    """Read-only f64 frequencies w_i = base^(-2i/head_dim), shape
+def freq_table(head_dim: int) -> np.ndarray:
+    """Read-only f64 frequencies w_i = ROPE_BASE^(-2i/head_dim), shape
     (head_dim/2,), strictly decreasing from 1."""
     if head_dim < 2 or head_dim % 2 != 0:
         raise ShapeMismatchError(f"head_dim must be even and >= 2, got {head_dim}")
     i = np.arange(head_dim // 2, dtype=np.float64)
-    freqs = float(base) ** (-2.0 * i / head_dim)
+    freqs = ROPE_BASE ** (-2.0 * i / head_dim)
     freqs.flags.writeable = False
     return freqs
 
@@ -71,31 +74,12 @@ def _pair_tables(theta, dtype):
     return np.repeat(cos, 2, axis=-1), s2
 
 
-def rotate(x: Tensor, theta) -> Tensor:
-    """Rotate the pairs (x_{2i}, x_{2i+1}) of the last axis by the angles
-    theta[..., i] (f64, cast to x's dtype; broadcast against x's leading axes).
-
-    ``angles`` builds theta for a 1D position, ``axial_angles`` for a 2D one.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 0 or x.data.shape[-1] != 2 * theta.shape[-1]:
-        raise ShapeMismatchError(f"last extent {x.data.shape[-1]} vs angles {theta.shape}")
-    c2, s2 = _pair_tables(theta, x.dtype)
-    # the inverse rotation (by -theta) is the adjoint
-    return _node(_rotate_pairs, (x,), lambda g, y: (_rotate_pairs(g, c2, -s2),), c2, s2)
-
-
-def angles(p, freqs: np.ndarray) -> np.ndarray:
-    """1D angles p * w_i of the ``freq_table`` freqs, shape p.shape + freqs.shape."""
-    return np.asarray(p, dtype=np.float64)[..., None] * freqs
-
-
 def axial_angles(positions, freqs: np.ndarray) -> np.ndarray:
     """Axial 2D angles of positions [..., 2] (row, column): the row index
     times the half table, then the column index, shape [..., head_dim/2].
 
-    ``freqs`` is the full ``freq_table(head_dim, base)``; the half table is
-    every other entry, freqs[::2], bitwise ``freq_table(head_dim // 2, base)``.
+    ``freqs`` is the full ``freq_table(head_dim)``; the half table is every
+    other entry, freqs[::2], bitwise ``freq_table(head_dim // 2)``.
     """
     if len(freqs) % 2 != 0:
         raise ShapeMismatchError(f"head_dim {2 * len(freqs)} must be divisible by 4")
@@ -117,8 +101,8 @@ def _window_layout(rows: int, cols: int, window: int, shift: int, head_dim, dtyp
     Global attention (window 0, or one tile covering the grid) has perm,
     inv and mask None and one tile of all T tokens.  c2 and s2, flat
     [T * head_dim], are the ``_rotate_pairs`` tables of the axial angles of
-    the tokens' global positions in tile order, at ``freq_table``'s default
-    base; they are None when head_dim is None.
+    the tokens' global positions in tile order, at ``freq_table(head_dim)``;
+    they are None when head_dim is None.
     """
     perm = inv = mask = c2 = s2 = None
     if window and not window == rows == cols:

@@ -40,7 +40,7 @@ from segkit.metrics import (
     weighted_miou,
 )
 from segkit.rng import SplitMix64
-from segkit.rope import angles, freq_table, rotate
+from segkit.rope import _pair_tables, _rotate_pairs, axial_angles, freq_table
 from segkit.segnet import ModelConfig, TrainConfig, build_model, train, train_with_denoise
 from segkit.tensor import Tensor
 
@@ -73,24 +73,33 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_rope_invariants():
+    # at 2D patch positions, rotated as attention rotates: its kernel over
+    # the tables of the axial angles
     ft = freq_table(8)
     ok = ft[0] == 1.0 and ft[1] == 0.1
     rng = SplitMix64(0)
+
+    def rot(x, pos):
+        return _rotate_pairs(x, *_pair_tables(axial_angles(pos, ft), x.dtype))
+
+    def pos(hi):
+        return np.array([rng.randint(0, hi), rng.randint(0, hi)])
+
     worst_norm = worst_shift = worst_comp = 0.0
     for _ in range(1000):
-        x = Tensor(rng.uniform_array((8,), -2, 2))
-        p = rng.randint(0, 200)
+        x = rng.uniform_array((8,), -2, 2)
+        p = pos(200)
         worst_norm = max(worst_norm, abs(
-            float(np.linalg.norm(rotate(x, angles(p, ft)).data)) - float(np.linalg.norm(x.data))))
+            float(np.linalg.norm(rot(x, p))) - float(np.linalg.norm(x))))
     for _ in range(200):
-        q = Tensor(rng.uniform_array((8,), -1, 1))
-        k = Tensor(rng.uniform_array((8,), -1, 1))
-        p1, p2, d = rng.randint(0, 50), rng.randint(0, 50), rng.randint(0, 20)
-        a = float(rotate(q, angles(p1, ft)).data @ rotate(k, angles(p2, ft)).data)
-        b = float(rotate(q, angles(p1 + d, ft)).data @ rotate(k, angles(p2 + d, ft)).data)
+        q = rng.uniform_array((8,), -1, 1)
+        k = rng.uniform_array((8,), -1, 1)
+        p1, p2, d = pos(50), pos(50), pos(20)
+        a = float(rot(q, p1) @ rot(k, p2))
+        b = float(rot(q, p1 + d) @ rot(k, p2 + d))
         worst_shift = max(worst_shift, abs(a - b))
-        once = rotate(q, angles(p1 + p2, ft)).data
-        twice = rotate(rotate(q, angles(p1, ft)), angles(p2, ft)).data
+        once = rot(q, p1 + p2)
+        twice = rot(rot(q, p1), p2)
         worst_comp = max(worst_comp, float(np.max(np.abs(once - twice))))
     ok = ok and worst_norm < 1e-6 and worst_shift < 1e-5 and worst_comp < 1e-6
     _report(2, f"RoPE invariants: norm dev {worst_norm:.1e}, shift dev "

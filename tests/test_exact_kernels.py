@@ -20,6 +20,8 @@ from segkit.optim import Adam
 from segkit.rope import _window_layout, axial_angles, freq_table, rope_attention
 from segkit.tensor import LN_EPS, Tensor, conv2d, layer_norm, upsample_nearest
 
+from pairwise_rotation import rotate_pairs_reference
+
 
 def _signed(rng, shape, dtype, zeros=0.2):
     """Normal values over a wide range of scales, with a share of ±0."""
@@ -292,15 +294,6 @@ def test_adam_refuses_mixed_dtypes():
 # -- rope_attention ---------------------------------------------------------
 
 
-def _rotate_pairs_reference(x, cos, sin):
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
-
-
 def _key_by_key(a):
     """The sums over the last axis of a, keepdims, one key after another
     from +0."""
@@ -329,7 +322,7 @@ def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
         x.reshape(n, nw, t // nw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
     qk, v = qkv_w[:2], qkv_w[2]
     if freqs is not None:
-        qk = _rotate_pairs_reference(qk, cos, sin)
+        qk = rotate_pairs_reference(qk, cos, sin)
     s = 1.0 / math.sqrt(dh)
     qs, k = qk[0] * s, qk[1]
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
@@ -356,7 +349,7 @@ def _rope_attention_reference(x, g, grid, freqs, n_heads, window, shift):
     gqk[0] *= s
     gqk[1] = np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
     if freqs is not None:
-        gqk = _rotate_pairs_reference(gqk, cos, -sin)
+        gqk = rotate_pairs_reference(gqk, cos, -sin)
     gx = np.empty((n, nw, t // nw, 3, n_heads, dh), dtype=x.dtype)
     gt = gx.transpose(3, 0, 4, 1, 2, 5)
     gt[:2], gt[2] = gqk, gv

@@ -3,6 +3,8 @@ recomputing only the nodes a perturbed parameter reaches is bitwise the
 quotient of a full forward, and every graph node's recorded kernel gives
 the node's value."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ import segkit.csec as _csec
 import segkit.gradcheck as gradcheck
 from segkit.gradcheck import H_STEP, SUITES, check_function, run_suite
 from segkit.rng import SplitMix64
+from segkit.rope import _attend
 from segkit.segnet import ModelConfig, build_model
 from segkit.tensor import (
-    Tensor, _layer_norm, _node, _relu, _sigmoid, _tmean, _upsample_nearest, add, cross_entropy,
-    matmul, mul, no_grad, tsum)
+    Tensor, _layer_norm, _node, _relu, _sigmoid, _upsample_nearest, add, cross_entropy, matmul,
+    mul, no_grad, tsum)
 
 
 def _full_forward_quotients(params, loss_fn):
@@ -131,6 +134,45 @@ def test_relu_backward_passing_every_gradient_fails_the_conv_checks(monkeypatch,
     assert max(worst["matmul"], worst["mul"], worst["cross_entropy"]) <= gradcheck.TOL
 
 
+def _op_checks(module, seed):
+    """{name: worst relative error} of one trial of a suite's op checks,
+    without its pipeline check."""
+    return {name: check_function(f, x)
+            for name, f, x in gradcheck._SUITES[module][0](SplitMix64(seed))}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_layer_norm_backward_without_its_projection_fails_its_x_check(monkeypatch, seed):
+    def layer_norm_without_projection(x, gamma, beta):
+        def bwd(g, y, xhat, inv):
+            d = xhat.shape[-1]
+            gh = g * gamma.data  # drops the xhat * mean(gh * xhat) term from gx
+            gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d)
+            return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+        return _node(_layer_norm, (x, gamma, beta), bwd)
+
+    monkeypatch.setattr(gradcheck, "layer_norm", layer_norm_without_projection)
+    worst = _op_checks("segnet", seed)
+    assert worst["layer_norm.x"] > gradcheck.TOL
+    assert max(worst["layer_norm.gamma"], worst["layer_norm.beta"],
+               worst["upsample_nearest"]) <= gradcheck.TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_upsample_backward_of_one_replica_fails_its_check(monkeypatch, seed):
+    def upsample_of_one_replica(x, factor):
+        n, c, h, w = x.data.shape
+        return _node(_upsample_nearest, (x,), lambda g, y: (
+            g.reshape(n, c, h, factor, w, factor)[:, :, :, 0, :, 0].copy(),), factor)
+
+    monkeypatch.setattr(gradcheck, "upsample_nearest", upsample_of_one_replica)
+    worst = _op_checks("segnet", seed)
+    assert worst["upsample_nearest"] > gradcheck.TOL
+    assert max(worst["layer_norm.x"], worst["layer_norm.gamma"],
+               worst["layer_norm.beta"]) <= gradcheck.TOL
+
+
 # -- the kernel contract: call[0](*(p.data for p in parents), *call[1:]) ------
 
 
@@ -210,15 +252,26 @@ def test_every_node_of_a_csec_training_step_is_its_kernels_value(identity):
 
 
 def _recorded_kernels(loss):
-    """The kernel, call[0], of every op node of loss's graph."""
-    return {node._call[0] for node in _op_nodes(loss)}
+    """The kernel, call[0], of every op node of loss's graph, and for each
+    ``_attend`` node whether each of its perm, mask and c2 is None: the
+    branches its forward and backward take."""
+    recorded = set()
+    for node in _op_nodes(loss):
+        kernel, *consts = node._call
+        recorded.add(kernel)
+        if kernel is _attend:
+            names = list(inspect.signature(_attend).parameters)[len(node._parents):]
+            args = dict(zip(names, consts))
+            recorded |= {f"_attend {k}={'None' if args[k] is None else 'set'}"
+                         for k in ("perm", "mask", "c2")}
+    return recorded
 
 
-def test_every_recorded_kernel_but_four_has_an_op_check():
+def test_every_recorded_kernel_has_an_op_check():
     # the loss graphs of a live-init corrector, and of the default model,
     # global attention, RoPE off and a model with the corrector, each with
-    # and without truncation; a kernel that no op check's own graph records
-    # is reached by a pipeline check at most
+    # and without truncation; every kernel they record, and every attention
+    # branch, is recorded by an op check's own graph too
     rng = SplitMix64(6)
     images = rng.uniform_array((2, 3, 48, 48), 0.05, 0.95).astype(np.float32)
     masks = np.floor(rng.uniform_array((2, 48, 48), 0.0, 3.0)).astype(np.int64)
@@ -231,10 +284,10 @@ def test_every_recorded_kernel_but_four_has_an_op_check():
         for truncate in (None, 0.9):
             recorded |= _recorded_kernels(cross_entropy(model.forward(images), masks,
                                                         truncate=truncate))
+    assert {f"_attend {k}={v}" for k in ("perm", "mask", "c2") for v in ("None", "set")} <= recorded
     checked = set()
     for module in SUITES:
         for _, f, x in gradcheck._SUITES[module][0](SplitMix64(0)):
             checked |= _recorded_kernels(f(Tensor(x, requires_grad=True)))
     unchecked = recorded - checked
-    assert unchecked == {_layer_norm, _sigmoid, _tmean, _upsample_nearest}, sorted(
-        k.__name__ for k in unchecked)
+    assert not unchecked, sorted(k if type(k) is str else k.__name__ for k in unchecked)

@@ -8,19 +8,30 @@ from segkit.rng import SplitMix64
 from segkit.gradcheck import TOL, check_function
 from segkit.rope import (
     _pair_tables,
+    _rotate_pairs,
     _window_layout,
-    angles,
     axial_angles,
     freq_table,
     rope_attention,
-    rotate,
 )
 from segkit.tensor import Tensor, mul, tsum
+
+from pairwise_rotation import rotate_pairs_reference
 
 
 def _positions(rows, cols):
     """Row-major (row, col) pairs of a rows x cols patch grid, [rows*cols, 2]."""
     return np.argwhere(np.ones((rows, cols), dtype=bool))
+
+
+def _rotated(x, pos):
+    """x [..., d] rotated at the 2D positions pos [..., 2] as attention
+    rotates: its kernel, over the tables of the axial angles."""
+    return _rotate_pairs(x, *_pair_tables(axial_angles(pos, freq_table(x.shape[-1])), x.dtype))
+
+
+def _position(rng, hi):
+    return np.array([rng.randint(0, hi), rng.randint(0, hi)])
 
 
 def test_freq_table_spot_values_d8():
@@ -39,54 +50,42 @@ def test_freq_table_rejects_odd_dim():
 
 
 def test_norm_preservation_f64():
-    ft = freq_table(8)
     rng = SplitMix64(0)
     for _ in range(1000):
-        x = Tensor(rng.uniform_array((8,), -2, 2))
-        p = rng.randint(0, 500)
-        y = rotate(x, angles(p, ft))
-        assert abs(np.linalg.norm(y.data) - np.linalg.norm(x.data)) < 1e-12
+        x = rng.uniform_array((8,), -2, 2)
+        y = _rotated(x, _position(rng, 500))
+        assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12
 
 
 def test_norm_preservation_f32():
-    ft = freq_table(8)
     rng = SplitMix64(1)
     for _ in range(200):
-        x = Tensor(rng.uniform_array((8,), -2, 2).astype(np.float32))
-        y = rotate(x, angles(rng.randint(0, 100), ft))
-        assert abs(float(np.linalg.norm(y.data)) - float(np.linalg.norm(x.data))) < 1e-6
+        x = rng.uniform_array((8,), -2, 2).astype(np.float32)
+        y = _rotated(x, _position(rng, 100))
+        assert y.dtype == np.float32
+        assert abs(float(np.linalg.norm(y)) - float(np.linalg.norm(x))) < 1e-6
 
 
 def test_relative_shift_identity():
-    ft = freq_table(8)
     rng = SplitMix64(2)
     for _ in range(200):
-        q = Tensor(rng.uniform_array((8,), -1, 1))
-        k = Tensor(rng.uniform_array((8,), -1, 1))
-        p1, p2 = rng.randint(0, 50), rng.randint(0, 50)
-        delta = rng.randint(0, 20)
-        a = float(rotate(q, angles(p1, ft)).data @ rotate(k, angles(p2, ft)).data)
-        b = float(rotate(q, angles(p1 + delta, ft)).data
-                  @ rotate(k, angles(p2 + delta, ft)).data)
+        q = rng.uniform_array((8,), -1, 1)
+        k = rng.uniform_array((8,), -1, 1)
+        p1, p2 = _position(rng, 50), _position(rng, 50)
+        delta = _position(rng, 20)
+        a = float(_rotated(q, p1) @ _rotated(k, p2))
+        b = float(_rotated(q, p1 + delta) @ _rotated(k, p2 + delta))
         assert abs(a - b) < 1e-5
 
 
 def test_composition():
-    ft = freq_table(8)
     rng = SplitMix64(3)
     for _ in range(200):
-        x = Tensor(rng.uniform_array((8,), -1, 1))
-        p1, p2 = rng.randint(0, 40), rng.randint(0, 40)
-        once = rotate(x, angles(p1 + p2, ft)).data
-        twice = rotate(rotate(x, angles(p1, ft)), angles(p2, ft)).data
+        x = rng.uniform_array((8,), -1, 1)
+        p1, p2 = _position(rng, 40), _position(rng, 40)
+        once = _rotated(x, p1 + p2)
+        twice = _rotated(_rotated(x, p1), p2)
         assert np.max(np.abs(once - twice)) < 1e-6
-
-
-def test_rotate_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        rotate(Tensor(np.zeros(6)), angles(1, freq_table(8)))
-    with pytest.raises(ShapeMismatchError):
-        rotate(Tensor(np.zeros(8)), 0.5)  # one angle per pair, not a scalar
 
 
 def test_rotate_2d_needs_dim_divisible_by_4():
@@ -95,30 +94,36 @@ def test_rotate_2d_needs_dim_divisible_by_4():
 
 
 def test_rotate_2d_matches_axial_halves():
-    ft = freq_table(8)
+    # the row index turns the first half's pairs, the column index the
+    # second half's, each at the half-width table
     rng = SplitMix64(4)
     half = freq_table(4)
     for _ in range(50):
         x = rng.uniform_array((8,), -1, 1)
         py, px = rng.randint(0, 9), rng.randint(0, 9)
-        got = rotate(Tensor(x), axial_angles((py, px), ft)).data
-        lo = rotate(Tensor(x[:4].copy()), angles(py, half)).data
-        hi = rotate(Tensor(x[4:].copy()), angles(px, half)).data
+        got = _rotated(x, (py, px))
+        lo = rotate_pairs_reference(x[:4], np.cos(py * half), np.sin(py * half))
+        hi = rotate_pairs_reference(x[4:], np.cos(px * half), np.sin(px * half))
         assert np.max(np.abs(got - np.concatenate([lo, hi]))) < 1e-12
 
 
 def test_rotate_2d_relative_shift_both_axes():
-    ft = freq_table(8)
+    # on the cached tables attention rotates with: a 12x12 grid, global
+    rows = cols = 12
+    _, _, _, c2, s2 = _window_layout(rows, cols, 0, 0, 8, np.dtype(np.float64))
+    c2, s2 = c2.reshape(rows, cols, 8), s2.reshape(rows, cols, 8)
+
+    def rot(x, pos):
+        return _rotate_pairs(x, c2[tuple(pos)], s2[tuple(pos)])
+
     rng = SplitMix64(5)
     for _ in range(100):
-        q = Tensor(rng.uniform_array((8,), -1, 1))
-        k = Tensor(rng.uniform_array((8,), -1, 1))
-        p1 = (rng.randint(0, 10), rng.randint(0, 10))
-        p2 = (rng.randint(0, 10), rng.randint(0, 10))
-        dy, dx = rng.randint(0, 5), rng.randint(0, 5)
-        a = float(rotate(q, axial_angles(p1, ft)).data @ rotate(k, axial_angles(p2, ft)).data)
-        b = float(rotate(q, axial_angles((p1[0] + dy, p1[1] + dx), ft)).data
-                  @ rotate(k, axial_angles((p2[0] + dy, p2[1] + dx), ft)).data)
+        q = rng.uniform_array((8,), -1, 1)
+        k = rng.uniform_array((8,), -1, 1)
+        p1, p2 = _position(rng, 7), _position(rng, 7)
+        delta = _position(rng, 5)
+        a = float(rot(q, p1) @ rot(k, p2))
+        b = float(rot(q, p1 + delta) @ rot(k, p2 + delta))
         assert abs(a - b) < 1e-5
 
 
@@ -128,16 +133,13 @@ def _pack(q, k, v):
 
 
 def test_rope_attention_matches_manual_recompute():
-    ft = freq_table(8)
     rng = SplitMix64(6)
     q, k, v = (rng.uniform_array((4, 8), -1, 1) for _ in range(3))
     out = rope_attention(_pack(q, k, v), (2, 2), 1).data[0]
 
-    pos = _positions(2, 2)
-    qr = np.stack([rotate(Tensor(q[i].copy()), axial_angles(tuple(pos[i]), ft)).data
-                   for i in range(4)])
-    kr = np.stack([rotate(Tensor(k[i].copy()), axial_angles(tuple(pos[i]), ft)).data
-                   for i in range(4)])
+    theta = axial_angles(_positions(2, 2), freq_table(8))
+    qr = rotate_pairs_reference(q, np.cos(theta), np.sin(theta))
+    kr = rotate_pairs_reference(k, np.cos(theta), np.sin(theta))
     scores = qr @ kr.T / np.sqrt(8.0)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     attn = e / e.sum(axis=1, keepdims=True)
@@ -199,14 +201,16 @@ def _dense_windowed(qkv, grid, ft, n_heads, window, shift):
         ps = (p - s) % extent
         allowed &= ps[:, None] // window == ps[None, :] // window
         allowed &= ps[:, None] - ps[None, :] == p[:, None] - p[None, :]
-    theta = axial_angles(pos, ft) if ft is not None else None
+    if ft is not None:
+        theta = axial_angles(pos, ft)
+        cos, sin = np.cos(theta), np.sin(theta)
     out = np.zeros((n, t, d))
     for b in range(n):
         for h in range(n_heads):
             q, k, v = (qkv[b, :, j * d + h * dh:j * d + (h + 1) * dh].astype(np.float64)
                        for j in range(3))
             if ft is not None:
-                q, k = rotate(Tensor(q), theta).data, rotate(Tensor(k), theta).data
+                q, k = rotate_pairs_reference(q, cos, sin), rotate_pairs_reference(k, cos, sin)
             scores = np.where(allowed, q @ k.T / np.sqrt(dh), -np.inf)
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             out[b, :, h * dh:(h + 1) * dh] = (e / e.sum(axis=1, keepdims=True)) @ v
@@ -282,11 +286,10 @@ def test_freq_table_frozen():
 
 def test_every_other_entry_is_the_half_width_table():
     # axial_angles takes each half's table as freqs[::2]: bitwise the table
-    # of half the head dimension at the same base
-    for base in (2.0, 10.0, 100.0, 1000.0, 10000.0, 1e6):
-        for d in range(4, 1025, 4):
-            assert freq_table(d, base)[::2].tobytes() == freq_table(d // 2, base).tobytes()
-    # and the attention tables are those of angles at an explicit half table
+    # of half the head dimension
+    for d in range(4, 1025, 4):
+        assert freq_table(d)[::2].tobytes() == freq_table(d // 2).tobytes()
+    # and the attention tables are those of the angles at an explicit half table
     for rows, cols, window, shift, dh in ((8, 12, 4, 0, 8), (8, 12, 4, 2, 16), (4, 4, 0, 0, 12)):
         for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
             perm, _, _, c2, s2 = _window_layout(rows, cols, window, shift, dh, dtype)

@@ -21,7 +21,7 @@ from segkit.metrics import IGNORE, ConfusionMatrix, miou
 from segkit.optim import Adam, _step
 from segkit.rng import SplitMix64
 from segkit import rope, segnet
-from segkit.rope import axial_angles, freq_table, rotate
+from segkit.rope import axial_angles, freq_table
 from segkit.segnet import (
     Model,
     ModelConfig,
@@ -45,6 +45,8 @@ from segkit.tensor import (
     no_grad,
     scale,
 )
+
+from pairwise_rotation import rotate_pairs_reference
 
 SMALL = dict(patch_size=4, embed_dim=16, n_blocks=1, n_heads=2, n_classes=3)
 
@@ -145,7 +147,8 @@ def _per_head_forward(model, img):
                        for j in range(3))
             if cfg.use_rope:
                 theta = axial_angles(np.argwhere(np.ones((hp, wp))), freq_table(dh))
-                q, k = rotate(q, theta), rotate(k, theta)
+                cos, sin = np.cos(theta), np.sin(theta)
+                q, k = (Tensor(rotate_pairs_reference(a.data, cos, sin)) for a in (q, k))
             s = scale(matmul(q, k.T), dh ** -0.5).data
             e = np.exp(s - s.max(axis=1, keepdims=True))
             outs.append((e / e.sum(axis=1, keepdims=True)) @ v.data)
