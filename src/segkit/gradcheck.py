@@ -26,6 +26,8 @@ each node's kernel made its value, no_grad changes no value, and each
 replayed kernel sees a full forward's inputs.
 """
 
+import functools
+
 import numpy as np
 
 from . import csec as _csec
@@ -35,13 +37,16 @@ from .segnet import ModelConfig, build_model
 from .tensor import (
     Tensor,
     _graph_order,
+    _matmul,
     add,
     conv2d,
     cross_entropy,
     layer_norm,
+    linear,
     matmul,
     mul,
     relu,
+    reshape,
     sigmoid,
     tmean,
     tsum,
@@ -147,6 +152,36 @@ def _segnet_checks(rng):
     u = _rand(rng, (1, 2, 2, 2))
     u_weight = _rand(rng, (1, 2, 4, 4))
     yield "upsample_nearest", lambda v: tsum(mul(upsample_nearest(v, 2), Tensor(u_weight))), u
+    # from a stream of their own, seeded off the suite's state without
+    # advancing it: the checks above draw the same inputs with or without them
+    yield from _linear_checks(SplitMix64(rng.state + 1))
+
+
+def _linear_checks(rng):
+    """One check per form of ``linear`` that the model records, over every
+    parent at once: v packs x [1, 2, 3], w [3, 2], b [2] and r [1, 2, 2],
+    and a form without the bias or the residual leaves that part unread."""
+    x, w, b, r = (_rand(rng, shape) for shape in ((1, 2, 3), (3, 2), (2,), (1, 2, 2)))
+    weight = Tensor(_rand(rng, (1, 2, 2)))
+    # each bias column moves until its pre-activations lie KINK_MARGIN or
+    # more from relu's kink, which a difference step moves by at most H_STEP
+    while (near := (np.abs(_matmul(x, w) + b) < KINK_MARGIN).any(axis=(0, 1))).any():
+        b = b + np.where(near, 2 * KINK_MARGIN, 0.0)
+    parts = (x, w, b, r)
+    bounds = np.cumsum([0] + [a.size for a in parts])
+
+    def check(v, bias, relu, residual):
+        xv, wv, bv, rv = (reshape(v[lo:hi], a.shape) for a, lo, hi in zip(parts, bounds, bounds[1:]))
+        y = linear(xv, wv, bv if bias else None, relu=relu, residual=rv if residual else None)
+        return tsum(mul(y, weight))
+
+    packed = np.concatenate([a.reshape(-1) for a in parts])
+    for form, bias, relu, residual in (("bias", True, False, False),
+                                       ("bias_relu", True, True, False),
+                                       ("residual", False, False, True),
+                                       ("bias_residual", True, False, True)):
+        yield (f"linear.{form}",
+               functools.partial(check, bias=bias, relu=relu, residual=residual), packed)
 
 
 def _csec_pipeline(seed):

@@ -49,18 +49,18 @@ def freq_table(head_dim: int) -> np.ndarray:
     return freqs
 
 
-def _rotate_pairs(x: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+def _rotate_pairs(x: np.ndarray, c2: np.ndarray, s2: np.ndarray, out=None) -> np.ndarray:
     """x·c2 + swap(x)·s2, where swap exchanges x_{2i} and x_{2i+1} along the
     last axis: the pairs of x rotated by the angles whose cosines c2 holds
     twice, (c_i, c_i), and whose sines s2 holds as (-s_i, +s_i), broadcast
-    against x.  Bitwise the pairwise form (e·c - o·s, e·s + o·c), signed
-    zeros included: e·c + o·(-s) is e·c - o·s and o·c + e·s is e·s + o·c
-    in IEEE arithmetic."""
+    against x, into out (which may be x).  Bitwise the pairwise form
+    (e·c - o·s, e·s + o·c), signed zeros included: e·c + o·(-s) is e·c - o·s
+    and o·c + e·s is e·s + o·c in IEEE arithmetic."""
     sw = np.empty_like(x)
     sw[..., 0::2] = x[..., 1::2]
     sw[..., 1::2] = x[..., 0::2]
     sw *= s2
-    out = x * c2
+    out = np.multiply(x, c2, out)
     out += sw
     return out
 
@@ -156,20 +156,25 @@ def _attend(x, n_heads, nw, perm, inv, mask, c2, s2):
     the token order perm (None: the grid's), with the additive mask, and
     rotated by the flat tables c2, s2 unless they are None: the result
     [N, T, d] in grid order, the scaled queries, the keys and the values
-    [N, head, tile, token, dh] and the softmax p [N, head, tile, token, token]."""
+    [N, head, tile, token, dh] and the softmax p [N, head, tile, token, token].
+
+    q and k are rotated, and q scaled, in place in the gathered
+    [3, N, head, tile, token, dh] buffer, which is always a copy of x: where
+    the gather is already in x's order a view would rewrite the caller's
+    array, in a model the projection node's recorded value."""
     n, t, d3 = x.shape
     dh = d3 // (3 * n_heads)
     tw = t // nw
     if perm is not None:
         x = np.take(x, perm, axis=1)
     # [N, tile, token, 3, head, dh] -> [3, N, head, tile, token, dh]
-    qkv_w = np.ascontiguousarray(
-        x.reshape(n, nw, tw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5))
-    qk, v = qkv_w[:2], qkv_w[2]
+    qkv_w = x.reshape(n, nw, tw, 3, n_heads, dh).transpose(3, 0, 4, 1, 2, 5).copy()
     if c2 is not None:  # each multiply runs over one [T * dh] row per head
-        qk = _rotate_pairs(qk.reshape(-1, t * dh), c2, s2).reshape(qk.shape)
+        qk = qkv_w[:2].reshape(-1, t * dh)
+        _rotate_pairs(qk, c2, s2, qk)
     # scaling q rather than the scores is the same up to rounding
-    qs, k = qk[0] * (1.0 / math.sqrt(dh)), qk[1]
+    qs, k, v = qkv_w
+    qs *= 1.0 / math.sqrt(dh)
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     p = qs @ kt
     if mask is not None:
@@ -218,21 +223,25 @@ def rope_attention(qkv: Tensor, grid: tuple[int, int], n_heads: int, window: int
         if perm is not None:
             g = np.take(g, perm, axis=1)
         g = np.ascontiguousarray(g.reshape(n, nw, tw, n_heads, dh).transpose(0, 3, 1, 2, 4))
+        # the gradients of q, k and v [3, N, head, tile, token, dh] in one
+        # buffer, rotated back in place and scattered to grid order in one copy
+        gqkv = np.empty((3,) + k.shape, dtype=k.dtype)
         gp = g @ np.swapaxes(v, -1, -2)
-        gv = np.swapaxes(p, -1, -2) @ g
+        np.matmul(np.swapaxes(p, -1, -2), g, out=gqkv[2])
         gs = gp * p  # softmax backward
         np.subtract(gp, _row_sums(gs), out=gs)
         gs *= p
-        gqk = np.empty((2,) + k.shape, dtype=k.dtype)
-        np.matmul(gs, k, out=gqk[0])
-        gqk[0] *= 1.0 / math.sqrt(dh)
-        gqk[1] = np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
+        del gp
+        np.matmul(gs, k, out=gqkv[0])
+        gqkv[0] *= 1.0 / math.sqrt(dh)
+        gqkv[1] = np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
+        del gs
         if c2 is not None:  # the inverse rotation (by -theta) is the adjoint
-            gqk = _rotate_pairs(gqk.reshape(-1, t * dh), c2, -s2).reshape(gqk.shape)
-        gx = np.empty((n, nw, tw, 3, n_heads, dh), dtype=x.dtype)
-        gt = gx.transpose(3, 0, 4, 1, 2, 5)
-        gt[:2], gt[2] = gqk, gv
-        gx = gx.reshape(n, t, d3)
-        return (gx if inv is None else np.take(gx, inv, axis=1),)
+            gqk = gqkv[:2].reshape(-1, t * dh)
+            _rotate_pairs(gqk, c2, -s2, gqk)
+        gx = np.empty((n, t, 3, n_heads, dh), dtype=x.dtype)
+        gx[:, slice(None) if perm is None else perm] = (
+            gqkv.transpose(1, 3, 4, 0, 2, 5).reshape(n, t, 3, n_heads, dh))
+        return (gx.reshape(n, t, d3),)
 
     return _node(_attend, (qkv,), bwd, n_heads, nw, *layout)

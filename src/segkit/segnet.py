@@ -3,14 +3,17 @@
 Architecture: optional frozen color correction -> patchify -> linear embed
 -> transformer blocks (pre-norm, multi-head attention with rotary positions
 on queries/keys, MLP, residuals) -> per-patch class logits -> nearest-
-neighbor upsampling to pixel logits.  ``train`` minimizes cross-entropy
-with Adam through ``optim.fit``, the loop ``csec.train_csec`` runs too,
-fully deterministic from the seeds; the model's weights are drawn by
-``optim.fan_in_uniform`` in the order of ``param_shapes``.  Validation,
-scoring and ``segkit eval`` forward _CHUNK images at a time under
-``tensor.no_grad`` and give the masks ``predict`` gives image by image, bit
-for bit.  The chunk stays small for the cache, not for graph memory (see
-``_CHUNK``).
+neighbor upsampling to pixel logits.  A block is seven graph nodes: layer
+norm, the qkv ``matmul``, ``rope_attention``, the output projection as
+``tensor.linear`` with the residual added, layer norm, and the MLP's two
+``linear`` nodes, bias and ReLU, then bias and the residual added.
+``train`` minimizes cross-entropy with Adam through ``optim.fit``, the loop
+``csec.train_csec`` runs too, fully deterministic from the seeds; the
+model's weights are drawn by ``optim.fan_in_uniform`` in the order of
+``param_shapes``.  Validation, scoring and ``segkit eval`` forward _CHUNK
+images at a time under ``tensor.no_grad`` and give the masks ``predict``
+gives image by image, bit for bit.  The chunk stays small for the cache,
+not for graph memory (see ``_CHUNK``).
 
 Attention is Swin-style: with ``ModelConfig.window`` w > 0 each token
 attends within its w x w tile of the patch grid, and odd blocks shift the
@@ -55,14 +58,12 @@ from .rng import SplitMix64
 from . import rope
 from .tensor import (
     Tensor,
-    add,
     cross_entropy,
     layer_norm,
     linear,
     matmul,
     no_grad,
     permute,
-    relu,
     reshape,
     upsample_nearest,
 )
@@ -188,29 +189,29 @@ class Model:
                    .reshape(n, hp * wp, 3 * p * p))
         x = linear(Tensor(patches), self.params["embed.w"], self.params["embed.b"])  # [N,T,d]
         for i in range(cfg.n_blocks):
-            x = add(x, self._attention(i, x, (hp, wp)))
-            x = add(x, self._mlp(i, x))
+            x = self._mlp(i, self._attention(i, x, (hp, wp)))
         logits = linear(x, self.params["head.w"], self.params["head.b"])  # [N,T,K]
         return reshape(permute(logits, (0, 2, 1)), (n, cfg.n_classes, hp, wp))
 
     def _attention(self, i, x, grid):
-        """Multi-head attention over the tokens of the (rows, cols) patch grid
-        with all heads in one product: wqkv's columns are the q heads, then
-        the k heads, then the v heads.  Odd blocks shift their windows by half
-        a window."""
+        """x plus multi-head attention over the tokens of the (rows, cols)
+        patch grid, with all heads in one product: wqkv's columns are the q
+        heads, then the k heads, then the v heads.  Odd blocks shift their
+        windows by half a window."""
         pr = self.params
         cfg = self.config
         h = layer_norm(x, pr[f"b{i}.ln1.g"], pr[f"b{i}.ln1.b"])
         heads = rope.rope_attention(matmul(h, pr[f"b{i}.wqkv"]), grid, cfg.n_heads,
                                     window=cfg.window, shift=cfg.window // 2 if i % 2 else 0,
                                     rope=cfg.use_rope)
-        return matmul(heads, pr[f"b{i}.attn.wo"])
+        return linear(heads, pr[f"b{i}.attn.wo"], residual=x)
 
     def _mlp(self, i, x):
+        """x plus the MLP of block i."""
         pr = self.params
         h = layer_norm(x, pr[f"b{i}.ln2.g"], pr[f"b{i}.ln2.b"])
-        h = relu(linear(h, pr[f"b{i}.mlp.w1"], pr[f"b{i}.mlp.b1"]))
-        return linear(h, pr[f"b{i}.mlp.w2"], pr[f"b{i}.mlp.b2"])
+        h = linear(h, pr[f"b{i}.mlp.w1"], pr[f"b{i}.mlp.b1"], relu=True)
+        return linear(h, pr[f"b{i}.mlp.w2"], pr[f"b{i}.mlp.b2"], residual=x)
 
 
 def _check_extent(config: ModelConfig, h, w):

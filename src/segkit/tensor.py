@@ -227,10 +227,10 @@ def scale(a, s):
     return _node(np.multiply, (a,), lambda g, y: (g * s,), s)
 
 
-def _relu(x):
+def _relu(x, out=None):
     # bitwise np.where(x > 0, x, 0), NaN, -0 and subnormals included, without
     # a branchy select: fmax drops NaN and negatives, += 0 turns -0 into +0
-    y = np.fmax(x, 0)
+    y = np.fmax(x, 0, out)
     y += 0
     return y
 
@@ -354,8 +354,64 @@ def add_bias(a, bias):
     return _node(np.add, (a, bias), bwd)
 
 
-def linear(x, w, b):
-    return add_bias(matmul(x, w), b)
+def _linear(x, w, *args):
+    """_matmul(x, w), then in place each step of the epilogue args[-1] in
+    order: "bias" adds the next of the operands args[:-1] as ``add_bias``
+    does, "relu" is ``_relu``, and "residual" adds the product to the next
+    operand as ``add(r, y)`` does."""
+    *operands, epilogue = args
+    y = _matmul(x, w)
+    operands = iter(operands)
+    for step in epilogue:
+        if step == "relu":
+            _relu(y, y)
+        elif step == "bias":
+            np.add(y, next(operands), y)
+        else:
+            np.add(next(operands), y, y)
+    return y
+
+
+def linear(x, w, b=None, *, relu=False, residual=None):
+    """x [..., k] times w [k, n] as one graph node, with an epilogue run in
+    place on the fresh product y, in this order: add the bias b [n], apply
+    ReLU, add y to residual [..., n].
+
+    Each step is the IEEE operation of ``add_bias(y, b)``, ``relu(y)`` and
+    ``add(residual, y)`` on the same operands, and backward returns that
+    composition's gradients: g times (y > 0) when relu is on, passed to the
+    bias and the product, and g itself for the residual.  So value and
+    gradients are the composition's bytes, while the graph keeps only the
+    output, which the ReLU mask is read off: relu together with a residual
+    is refused.  All operands share one dtype.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
+        raise ShapeMismatchError(f"linear {xd.shape} x {wd.shape}")
+    k, n = wd.shape
+    if b is not None and b.data.shape != (n,):
+        raise ShapeMismatchError(f"bias {b.data.shape} vs {n} outputs")
+    if residual is not None and residual.data.shape != xd.shape[:-1] + (n,):
+        raise ShapeMismatchError(f"residual {residual.data.shape} vs {xd.shape[:-1] + (n,)}")
+    if relu and residual is not None:
+        raise SegkitError("linear takes relu or a residual, not both")
+    parents = tuple(t for t in (x, w, b, residual) if t is not None)
+    if any(t.data.dtype != xd.dtype for t in parents):
+        raise SegkitError(f"linear operands of dtypes {[str(t.data.dtype) for t in parents]}")
+    epilogue = tuple(step for step, on in (("bias", b is not None), ("relu", relu),
+                                           ("residual", residual is not None)) if on)
+
+    def bwd(g, y):
+        g2 = (g * (y > 0) if relu else g).reshape(-1, n)
+        grads = [(g2 @ wd.T).reshape(xd.shape) if x.requires_grad else None,
+                 xd.reshape(-1, k).T @ g2 if w.requires_grad else None]
+        if b is not None:
+            grads.append(g2.sum(axis=0) if b.requires_grad else None)
+        if residual is not None:
+            grads.append(g)
+        return grads
+
+    return _node(_linear, parents, bwd, epilogue)
 
 
 # -- convolution ------------------------------------------------------------

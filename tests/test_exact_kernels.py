@@ -1,8 +1,8 @@
 """Byte-exactness of the rewritten training kernels.
 
 Each test holds a plain copy of the earlier per-tap (for Adam, per-tensor;
-for attention and layer norm, the pairwise-rotation and row-wise) form of a
-kernel, with every sum the kernel takes in a fixed order written out as a
+for attention and layer norm, the pairwise-rotation and row-wise; for
+``linear``, the composition of one node per op) form of a kernel, with every sum the kernel takes in a fixed order written out as a
 loop in that order, and asserts that the engine's kernel gives the same
 bytes: f32 and f64, with -0 (and, where it reaches the kernel, inf and NaN)
 in the inputs.  Rerun this file with more than one BLAS thread as well: the
@@ -18,7 +18,8 @@ import pytest
 from segkit.csec import offset_conv
 from segkit.optim import Adam
 from segkit.rope import _window_layout, axial_angles, freq_table, rope_attention
-from segkit.tensor import LN_EPS, Tensor, conv2d, layer_norm, upsample_nearest
+from segkit.tensor import (
+    LN_EPS, Tensor, add, add_bias, conv2d, layer_norm, linear, matmul, relu, upsample_nearest)
 
 from pairwise_rotation import rotate_pairs_reference
 
@@ -452,3 +453,63 @@ def test_layer_norm_matches_formula_form(shape, dtype):
             ref = _layer_norm_reference(x, gamma, beta, g)
         for a, b in zip(got, ref):
             assert _equal_up_to_nan(a, b) if trial == 3 else _bytes_equal(a, b)
+
+
+# -- linear -----------------------------------------------------------------
+
+
+def _linear_composition(x, w, b, r, use_relu, g):
+    """add(r, relu(add_bias(matmul(x, w), b))) with the steps a form has,
+    one node per op, and its backward node by node: the value and the
+    gradients of x, w and, where given, b and r."""
+    chain = [matmul(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))]
+    if b is not None:
+        chain.append(add_bias(chain[-1], Tensor(b, requires_grad=True)))
+    if use_relu:
+        chain.append(relu(chain[-1]))
+    if r is not None:
+        chain.append(add(Tensor(r, requires_grad=True), chain[-1]))
+    y, gb, gr = chain[-1].data, None, None
+    if r is not None:
+        gr, g = chain.pop()._backward_fn(g)
+    if use_relu:
+        (g,) = chain.pop()._backward_fn(g)
+    if b is not None:
+        g, gb = chain.pop()._backward_fn(g)
+    gx, gw = chain.pop()._backward_fn(g)
+    return [a for a in (y, gx, gw, gb, gr) if a is not None]
+
+
+def _special(rng, a):
+    """a with a share of its entries NaN, +-inf, -0 and subnormal."""
+    a = a.copy()
+    tiny = np.finfo(a.dtype).smallest_subnormal
+    for value in (np.nan, np.inf, -np.inf, -0.0, 3 * tiny, -5 * tiny):
+        a[rng.random(a.shape) < 0.04] = value
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("form", ["bias", "bias_relu", "residual", "bias_residual"])
+def test_linear_matches_its_composition(form, n, dtype):
+    rng = np.random.default_rng(10 * len(form) + n)
+    bias, use_relu, residual = form != "residual", form == "bias_relu", "residual" in form
+    for trial in range(4):
+        x, r, g = (_signed(rng, (n, 6, k), dtype) for k in (5, 7, 7))
+        w, b = _signed(rng, (5, 7), dtype), _signed(rng, (7,), dtype)
+        if trial == 1:  # many exact zeros in the product and at relu's kink
+            w[:, :3] = -0.0
+            b[1::2] = -0.0
+        if trial >= 2:  # NaN, inf, -0 and subnormals wherever they reach
+            x, w, b, r, g = (_special(rng, a) for a in (x, w, b, r, g))
+        b, r = (b if bias else None), (r if residual else None)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = linear(*(Tensor(a, requires_grad=True) for a in (x, w, b) if a is not None),
+                         relu=use_relu,
+                         residual=None if r is None else Tensor(r, requires_grad=True))
+            got = [out.data, *out._backward_fn(g)]
+            ref = _linear_composition(x, w, b, r, use_relu, g)
+        assert len(got) == len(ref)
+        for a, e in zip(got, ref):
+            assert _bytes_equal(a, e)

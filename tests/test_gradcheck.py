@@ -15,8 +15,8 @@ from segkit.rng import SplitMix64
 from segkit.rope import _attend
 from segkit.segnet import ModelConfig, build_model
 from segkit.tensor import (
-    Tensor, _layer_norm, _node, _relu, _sigmoid, _upsample_nearest, add, cross_entropy, matmul,
-    mul, no_grad, tsum)
+    Tensor, _layer_norm, _linear, _node, _relu, _sigmoid, _upsample_nearest, add, cross_entropy,
+    linear, matmul, mul, no_grad, tsum)
 
 
 def _full_forward_quotients(params, loss_fn):
@@ -173,6 +173,22 @@ def test_upsample_backward_of_one_replica_fails_its_check(monkeypatch, seed):
                worst["layer_norm.beta"]) <= gradcheck.TOL
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linear_backward_dropping_the_residual_fails_its_residual_checks(monkeypatch, seed):
+    def linear_dropping_the_residual(x, w, b=None, *, relu=False, residual=None):
+        out = linear(x, w, b, relu=relu, residual=residual)
+        if residual is not None:
+            bwd = out._backward_fn
+            out._backward_fn = lambda g: [*bwd(g)[:-1], None]
+        return out
+
+    monkeypatch.setattr(gradcheck, "linear", linear_dropping_the_residual)
+    worst = _op_checks("segnet", seed)
+    assert worst["linear.residual"] > gradcheck.TOL
+    assert worst["linear.bias_residual"] > gradcheck.TOL
+    assert max(v for k, v in worst.items() if "residual" not in k) <= gradcheck.TOL
+
+
 # -- the kernel contract: call[0](*(p.data for p in parents), *call[1:]) ------
 
 
@@ -226,7 +242,9 @@ def test_every_suite_node_is_its_kernels_value(monkeypatch, module, seed):
 @pytest.mark.parametrize("truncate", [None, 0.9])
 def test_every_node_of_a_segmenter_training_step_is_its_kernels_value(truncate):
     # the default f32 model on 48x48 images: a 12x12 grid in 4x4 windows,
-    # block 1 shifted by 2, so the shift's mask is recorded too
+    # block 1 shifted by 2, so the shift's mask is recorded too; 20 nodes:
+    # the embedding, seven per block, the head, the permute, reshape and
+    # upsampling to pixel logits, and the loss
     model = build_model(ModelConfig())
     rng = SplitMix64(4)
     images = rng.uniform_array((4, 3, 48, 48)).astype(np.float32)
@@ -234,7 +252,18 @@ def test_every_node_of_a_segmenter_training_step_is_its_kernels_value(truncate):
     masks[1, :5] = -1  # IGNORE
     loss = cross_entropy(model.forward(images), masks, truncate=truncate)
     loss.backward()
-    assert _assert_kernels_give_the_values(loss) > 30
+    assert _assert_kernels_give_the_values(loss) == 20
+
+
+def test_one_token_attention_leaves_the_projection_its_value():
+    # a 4x4 image is one patch: attention's gathered qkv buffer has the
+    # projection's own layout, and rotating it in place must not rewrite
+    # that node's value, _matmul(h, wqkv)
+    model = build_model(ModelConfig(window=0))
+    image = SplitMix64(8).uniform_array((1, 3, 4, 4)).astype(np.float32)
+    loss = cross_entropy(model.forward(image), np.zeros((1, 4, 4), np.int64))
+    loss.backward()
+    assert _assert_kernels_give_the_values(loss) == 20
 
 
 @pytest.mark.parametrize("identity", [True, False])
@@ -252,13 +281,16 @@ def test_every_node_of_a_csec_training_step_is_its_kernels_value(identity):
 
 
 def _recorded_kernels(loss):
-    """The kernel, call[0], of every op node of loss's graph, and for each
-    ``_attend`` node whether each of its perm, mask and c2 is None: the
-    branches its forward and backward take."""
+    """The kernel, call[0], of every op node of loss's graph, for each
+    ``_linear`` node its epilogue, and for each ``_attend`` node whether
+    each of its perm, mask and c2 is None: the branches its forward and
+    backward take."""
     recorded = set()
     for node in _op_nodes(loss):
         kernel, *consts = node._call
         recorded.add(kernel)
+        if kernel is _linear:
+            recorded.add(f"_linear {'+'.join(consts[-1])}")
         if kernel is _attend:
             names = list(inspect.signature(_attend).parameters)[len(node._parents):]
             args = dict(zip(names, consts))
@@ -270,8 +302,9 @@ def _recorded_kernels(loss):
 def test_every_recorded_kernel_has_an_op_check():
     # the loss graphs of a live-init corrector, and of the default model,
     # global attention, RoPE off and a model with the corrector, each with
-    # and without truncation; every kernel they record, and every attention
-    # branch, is recorded by an op check's own graph too
+    # and without truncation; every kernel they record, every epilogue of
+    # linear and every attention branch, is recorded by an op check's own
+    # graph too
     rng = SplitMix64(6)
     images = rng.uniform_array((2, 3, 48, 48), 0.05, 0.95).astype(np.float32)
     masks = np.floor(rng.uniform_array((2, 48, 48), 0.0, 3.0)).astype(np.int64)
@@ -285,6 +318,7 @@ def test_every_recorded_kernel_has_an_op_check():
             recorded |= _recorded_kernels(cross_entropy(model.forward(images), masks,
                                                         truncate=truncate))
     assert {f"_attend {k}={v}" for k in ("perm", "mask", "c2") for v in ("None", "set")} <= recorded
+    assert {f"_linear {e}" for e in ("bias", "bias+relu", "residual", "bias+residual")} <= recorded
     checked = set()
     for module in SUITES:
         for _, f, x in gradcheck._SUITES[module][0](SplitMix64(0)):

@@ -186,6 +186,28 @@ def test_rope_attention_rejects_bad_packing_window_and_shift():
             rope_attention(x, grid, **kwargs)
 
 
+# (qkv shape, grid, n_heads, window, shift, rope): the layouts of the tests
+# in this file, and a grid of one token, where attention's gathered
+# [3, N, head, tile, token, dh] buffer has qkv's own layout
+_LAYOUTS = [((1, 4, 24), (2, 2), 1, 0, 0, True), ((2, 6, 72), (2, 3), 3, 0, 0, True),
+            ((1, 6, 24), (2, 3), 1, 0, 0, True), ((2, 96, 48), (8, 12), 2, 4, 0, True),
+            ((2, 96, 48), (8, 12), 2, 4, 2, False), ((2, 16, 48), (4, 4), 2, 4, 2, True),
+            ((1, 32, 12), (4, 8), 1, 4, 2, True), ((1, 32, 12), (4, 8), 1, 4, 2, False),
+            ((1, 1, 12), (1, 1), 1, 0, 0, True), ((1, 1, 12), (1, 1), 1, 0, 0, False),
+            ((1, 1, 12), (1, 1), 2, 0, 0, False)]
+
+
+@pytest.mark.parametrize("shape,grid,n_heads,window,shift,use_rope", _LAYOUTS)
+def test_rope_attention_leaves_its_input_unchanged(shape, grid, n_heads, window, shift, use_rope):
+    # it rotates and scales in place, in a buffer that must never be qkv
+    qkv = SplitMix64(14).uniform_array(shape, -1, 1)
+    before = qkv.tobytes()
+    out = rope_attention(Tensor(qkv, requires_grad=True), grid, n_heads, window=window,
+                         shift=shift, rope=use_rope)
+    out._backward_fn(np.ones(out.shape))
+    assert qkv.tobytes() == before
+
+
 def _dense_windowed(qkv, grid, ft, n_heads, window, shift):
     """Windowed attention as global attention under a [T, T] mask built from
     patch coordinates: two tokens attend when the cyclic shift puts them in

@@ -154,7 +154,7 @@ def _per_head_forward(model, img):
             outs.append((e / e.sum(axis=1, keepdims=True)) @ v.data)
         heads = Tensor(np.concatenate(outs, -1))
         x = add(x, matmul(heads, pr[f"b{i}.attn.wo"]))
-        x = add(x, model._mlp(i, x))
+        x = model._mlp(i, x)
     logits = linear(x, pr["head.w"], pr["head.b"]).data
     return logits.T.reshape(1, -1, hp, wp).repeat(p, axis=2).repeat(p, axis=3)
 

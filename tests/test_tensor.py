@@ -283,6 +283,23 @@ class TestGradients:
         assert check_function(lambda v: tsum(add_bias(Tensor(SplitMix64(1).uniform_array((4, 2), -1, 1)), v)),
                               _a((2,), seed=7)) <= TOL
 
+    def test_linear_refusals(self):
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+        y = Tensor(np.zeros((2, 4)))
+        for args, kwargs in (((Tensor(np.zeros((2, 4))), w), {}),
+                             ((x, Tensor(np.zeros((1, 3, 4)))), {}),
+                             ((x, w, Tensor(np.zeros(3))), {}),
+                             ((x, w), {"residual": Tensor(np.zeros((4, 2)))})):
+            with pytest.raises(ShapeMismatchError):
+                linear(*args, **kwargs)
+        # the ReLU mask is read off the output, which a residual would shift
+        with pytest.raises(SegkitError, match="relu or a residual, not both$"):
+            linear(x, w, relu=True, residual=y)
+        # mixed dtypes: in place, a sum with a wider operand would round to the
+        # product's dtype
+        with pytest.raises(SegkitError, match="^linear operands of dtypes"):
+            linear(x, w, Tensor(np.zeros(4, np.float32)))
+
     def test_scalar_mul_both_sides(self):
         x = SplitMix64(2).uniform_array((3, 3), -1, 1)
         assert check_function(lambda v: tsum(scalar_mul(v, Tensor(np.array(0.7)))),
