@@ -47,11 +47,18 @@ __all__ = [
 # forward reuses that memory or page-faults it back in (about 40% of a chunk-4
 # inference forward) depends on the process's allocation history.  Both
 # thresholds are pinned at glibc's own dynamic ceilings: M_MMAP_THRESHOLD (-3)
-# 32 MiB, M_TRIM_THRESHOLD (-1) 64 MiB.  Other C libraries keep their defaults.
+# 32 MiB, M_TRIM_THRESHOLD (-1) 64 MiB.  glibc also gives a thread that finds
+# the main arena busy an arena of its own, and memory freed in one arena is
+# reused by that arena alone: the threads segnet._predict_masks forwards its
+# chunks on each grew one, and perfbench's vit-eval peaked at 66.9 MB against
+# 61.4 MB serial (2 threads, 2-vCPU Xeon).  M_ARENA_MAX (-8) 1 keeps every
+# thread on the main arena (61.9-63.9 MB).  Other C libraries keep their
+# defaults.
 try:
     _libc = ctypes.CDLL(None)
     _libc.mallopt(-3, 32 << 20)
     _libc.mallopt(-1, 64 << 20)
+    _libc.mallopt(-8, 1)
 except (AttributeError, OSError, TypeError):
     pass
 
@@ -138,8 +145,12 @@ class Tensor:
             if node._backward_fn is None:
                 if node.requires_grad:
                     if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
-                    node.grad += g
+                        # a fresh array, never g itself: add's backward hands
+                        # one array to both parents.  g + 0 turns -0 into +0,
+                        # as adding g to zeros did
+                        node.grad = np.add(g, 0, out=np.empty_like(node.data))
+                    else:
+                        node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward_fn(g)):
                 if pg is None or not parent.requires_grad:
@@ -150,9 +161,21 @@ class Tensor:
     # -- slicing and transpose ----------------------------------------------
 
     def __getitem__(self, key):
+        # an integer-array index can pick an element more than once, and
+        # gx[key] = g would keep only one of its gradients; np.add.at sums
+        # them, but takes about 70x as long on the slices csec takes.  Only
+        # a sequence can pick, and testing the type first keeps slice and int
+        # keys, most of them, from a conversion per key
+        picks = any(isinstance(k, (list, tuple, np.ndarray))
+                    and np.asarray(k).dtype.kind in "iu"
+                    for k in (key if type(key) is tuple else (key,)))
+
         def bwd(g, y):
             gx = np.zeros_like(self.data)
-            gx[key] = g
+            if picks:
+                np.add.at(gx, key, g)
+            else:
+                gx[key] = g
             return (gx,)
 
         return _node(_getitem, (self,), bwd, key)
@@ -207,7 +230,9 @@ def _node(kernel, parents, backward, *consts):
 
 
 def _getitem(x, key):
-    return np.ascontiguousarray(x[key])
+    # asarray, not ascontiguousarray: a pick of one element stays 0-d, the
+    # shape its backward's gx[key] takes
+    return np.asarray(x[key], order="C")
 
 
 def add(a, b):

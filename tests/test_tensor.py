@@ -86,6 +86,15 @@ class TestBackwardMechanics:
         x.zero_grad()
         assert x.grad is None
 
+    def test_leaves_given_one_gradient_array_accumulate_apart(self):
+        # add's backward hands one array to both parents: each leaf's first
+        # gradient must be its own copy, or the second backward adds twice
+        x, w = _t((3,)), _t((3,), seed=1)
+        for _ in range(2):
+            tsum(add(x, w)).backward()
+        assert x.grad is not w.grad
+        assert np.array_equal(x.grad, np.full(3, 2.0)) and np.array_equal(w.grad, x.grad)
+
     def test_repeat_backward_deterministic(self):
         x = _t((5,), seed=3)
         w = _t((5,), seed=4)
@@ -274,6 +283,23 @@ class TestGradients:
 
     def test_getitem_scatter(self):
         assert check_function(lambda v: tsum(v[1:3]), _a((5,), seed=6)) <= TOL
+
+    def test_getitem_backward_sums_repeated_indices(self):
+        w = Tensor(_a((4,), seed=7))
+        assert check_function(lambda v: tsum(mul(v[np.array([3, 0, 3, 3])], w)),
+                              _a((5,), seed=6)) <= TOL
+        # every key kind: an element picked twice gets both gradients
+        for key, want in ((np.array([0, 0, 1]), [2, 1, 0]), ([2, 2, 2], [0, 0, 3]),
+                          (1, [0, 1, 0]), (slice(0, 2), [1, 1, 0]),
+                          (np.array([True, False, True]), [1, 0, 1]), (None, [1, 1, 1]),
+                          ((None, [1, 1]), [0, 2, 0]), (((1, 1),), [0, 2, 0])):
+            x = Tensor(np.zeros(3), requires_grad=True)
+            tsum(x[key]).backward()
+            assert x.grad.tolist() == want, key
+        assert Tensor(np.zeros(3))[1].shape == ()
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        tsum(x[[1, 1, 0], 2]).backward()
+        assert x.grad.tolist() == [[0, 0, 1], [0, 0, 2]]
 
     def test_linear_and_bias(self):
         w = SplitMix64(8).uniform_array((3, 2), -1, 1)
