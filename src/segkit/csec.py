@@ -8,6 +8,12 @@ the two offset maps; the features are fused through self-correlation
 matrices put through a symmetrize-and-normalize map with learned fusion
 weights; a small upsampling decoder reconstructs the corrected image.
 
+Each ReLU is its convolution's epilogue (``conv2d(..., relu=True)``), and
+``sym_norm``, each fusion term gamma * sym_norm(F F^T) F and ``mse_loss``
+are one graph node each, with the bytes, value and gradients, of the
+one-node-per-operation compositions they replace: a training step from the
+identity init records 17 nodes, 37 with the live offset branch.
+
 Identity-at-init: the offset head's output layer and the decoder's output
 layer are zero-initialized and the decoder carries a residual connection
 from the input image, so the untrained module is a near-no-op.  With
@@ -24,6 +30,7 @@ weights are drawn by ``optim.fan_in_uniform`` in the order of
 ``param_shapes``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +40,17 @@ from .optim import Adam, fan_in_uniform, fit
 from .rng import SplitMix64
 from .tensor import (
     Tensor,
+    _matmul,
+    _matmul_grads,
     _node,
+    _scalar_mul,
+    _tmean,
     add,
     add_bias,
     conv2d,
     matmul,
-    mul,
-    relu,
     reshape,
-    scalar_mul,
-    scale,
     sigmoid,
-    tmean,
     upsample_nearest,
 )
 
@@ -86,8 +92,9 @@ class CsecConfig:
 # -- deformable sampling ----------------------------------------------------
 
 
-def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
-    """Offset-modulated convolution y(p) = sum_i w_i * x(p + p_i + dp_i).
+def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor, relu: bool = False) -> Tensor:
+    """Offset-modulated convolution y(p) = sum_i w_i * x(p + p_i + dp_i),
+    put through ReLU when relu is set (``conv2d``'s epilogue).
 
     Stride 1, same-size output (zero padding implied by out-of-bounds
     sampling).  Each kernel tap i samples at its integer grid position p_i
@@ -112,7 +119,15 @@ def offset_conv(x: Tensor, w: Tensor, tap_offsets: Tensor) -> Tensor:
     if not np.all(np.isfinite(tap_offsets.data)):
         raise SegkitError("tap offsets contain non-finite values")
     kernel = _tap_kernel(w, tap_offsets)
-    return conv2d(x, kernel, stride=1, padding=kernel.data.shape[-1] // 2)
+    return conv2d(x, kernel, stride=1, padding=kernel.data.shape[-1] // 2, relu=relu)
+
+
+@functools.lru_cache(maxsize=None)
+def _tap_grid(kh, kw):
+    """[kh * kw, 2]: each tap's integer (y, x) offset from the kernel's
+    centre, taps in row-major order.  Shared: never written to."""
+    iy, ix = np.divmod(np.arange(kh * kw), kw)
+    return np.stack([iy - (kh - 1) // 2, ix - (kw - 1) // 2], axis=1)
 
 
 def _splat(w, tap_offsets):
@@ -124,10 +139,9 @@ def _splat(w, tap_offsets):
     taps = kh * kw
     raw = tap_offsets.astype(np.float64)
     ext = np.array([kh, kw])
-    clamped = np.clip(raw, -ext, ext)
-    iy, ix = np.divmod(np.arange(taps), kw)
+    clamped = np.minimum(np.maximum(raw, -ext), ext)  # np.clip's values, in less time
     # [taps, 2] per axis (y, x): the sample point, its floor and its fraction
-    s = np.stack([iy - (kh - 1) // 2, ix - (kw - 1) // 2], axis=1) + clamped
+    s = _tap_grid(kh, kw) + clamped
     f = np.floor(s)
     frac = s - f
     f = f.astype(int)
@@ -191,7 +205,7 @@ def _check_image_range(image: Tensor):
 def cose_forward(image: Tensor, params: dict):
     """Predict (darkening, brightening) offset maps, each of the image's
     shape, from the image (whose range ``csec_correct`` checks)."""
-    h1 = relu(offset_conv(image, params["cose.w1"], params["cose.t1"]))
+    h1 = offset_conv(image, params["cose.w1"], params["cose.t1"], relu=True)
     out = offset_conv(h1, params["cose.w2"], params["cose.t2"])
     c = image.data.shape[1]
     return out[:, :c], out[:, c:]
@@ -214,51 +228,120 @@ def _rsqrt(d):
     return 1.0 / np.sqrt(clamped), clamped
 
 
-def _rsqrt_clamp(d: Tensor) -> Tensor:
-    """1/sqrt(max(d, SYM_NORM_EPS)) elementwise; zero gradient where the
-    clamp binds."""
-    # clamped > SYM_NORM_EPS exactly where d > SYM_NORM_EPS, NaN included
-    return _node(_rsqrt, (d,), lambda g, y, clamped: (
-        np.where(clamped > SYM_NORM_EPS, -0.5 * g * y / clamped, 0.0),))
+def _transposed(x):
+    """x with its last two axes swapped, as a C-contiguous copy (``permute``'s)."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+
+def _sym_norm(a, symmetrize):
+    """(y, s, outer, dm, clamped): sym_norm's value y of the arrays a
+    [..., T, T] and what its backward reads: the symmetrized s, the outer
+    product of dm = 1/sqrt(clamped) with itself, and the clamped diagonal,
+    by the composition's operations in its order."""
+    t = a.shape[-1]
+    if symmetrize == "as_printed":
+        s = np.add(a, np.multiply(_transposed(a), 0.5))  # A + A^T/2 == (2A + A^T)/2
+    else:
+        s = np.multiply(np.add(a, _transposed(a)), 0.5)
+    # a C-order copy, as ``Tensor.__getitem__`` makes: indexing after
+    # leading axes returns them last in memory, and the outer product's
+    # matmul rounds otherwise on that layout
+    dm, clamped = _rsqrt(np.ascontiguousarray(s[..., np.arange(t), np.arange(t)]))
+    outer = _matmul(dm.reshape(*dm.shape, 1), dm.reshape(*dm.shape[:-1], 1, t))
+    return np.multiply(s, outer), s, outer, dm, clamped
+
+
+def _sym_norm_grad(g, s, outer, dm, clamped, symmetrize):
+    """The gradient in a of ``_sym_norm(a, symmetrize)`` for the output
+    gradient g: the composition's backward, node by node.  S gets the
+    product's gradient, then the diagonal's; dm the outer product's row
+    operand's, then its column operand's."""
+    t = dm.shape[-1]
+    gs = g * outer
+    gcol, grow = _matmul_grads(dm.reshape(*dm.shape, 1), dm.reshape(*dm.shape[:-1], 1, t),
+                               g * s)
+    gdm = grow.reshape(dm.shape) + gcol.reshape(dm.shape)
+    # zero gradient where the clamp binds: clamped > SYM_NORM_EPS exactly
+    # where the diagonal is, NaN included
+    gd = np.where(clamped > SYM_NORM_EPS, -0.5 * gdm * dm / clamped, 0.0)
+    # the diagonal's gradient is scattered onto zeros and added: every
+    # entry of gs gains a +0, which turns -0 into +0, and the diagonal gd
+    # (a -0 in gd adds as the scatter's 0 + gd would, gs being no longer -0)
+    gs += 0.0
+    diag = gs.reshape(*dm.shape[:-1], t * t)[..., ::t + 1]
+    diag += gd
+    if symmetrize == "as_printed":
+        return gs + _transposed(gs * 0.5)
+    gs *= 0.5
+    return gs + _transposed(gs)
 
 
 def sym_norm(a: Tensor, symmetrize: str = "as_printed") -> Tensor:
     """D^{-1/2} S D^{-1/2} with S the symmetrized matrix and D its diagonal,
-    for each square matrix over the last two axes of a [..., T, T].
+    for each square matrix over the last two axes of a [..., T, T], as one
+    graph node.
 
     symmetrize="as_printed" uses S = (2A + A^T)/2 (so symmetric A scales by
     1.5); "conventional" uses (A + A^T)/2.  Diagonal entries are clamped
     below by SYM_NORM_EPS, so the output diagonal is 1 wherever diag(S)
-    exceeds it.
+    exceeds it, and get no gradient where the clamp binds.  Value and
+    gradient are the bytes of the composition of one node per operation
+    (transpose, scale, add, diagonal, reciprocal square root, outer product,
+    product) that ``_sym_norm`` and ``_sym_norm_grad`` write out.
     """
     if a.data.ndim < 2 or a.data.shape[-1] != a.data.shape[-2]:
         raise ShapeMismatchError(f"sym_norm needs square matrices, got {a.data.shape}")
-    lead, t = a.data.shape[:-2], a.data.shape[-1]
-    if symmetrize == "as_printed":
-        s = add(a, scale(a.T, 0.5))  # A + A^T/2 == (2A + A^T)/2
-    elif symmetrize == "conventional":
-        s = scale(add(a, a.T), 0.5)
-    else:
+    if symmetrize not in ("as_printed", "conventional"):
         raise ValueError(f"unknown symmetrize {symmetrize!r}")
-    dm = _rsqrt_clamp(s[..., np.arange(t), np.arange(t)])
-    outer = matmul(reshape(dm, (*lead, t, 1)), reshape(dm, (*lead, 1, t)))
-    return mul(s, outer)
+    return _node(_sym_norm, (a,), lambda g, y, *saved: (_sym_norm_grad(g, *saved, symmetrize),),
+                 symmetrize)
+
+
+def _como_term(f, gamma):
+    """(y, ft, nf, norm, saved): the term y = gamma * nf of the features f
+    [..., T, c] and the scalar gamma, nf = norm F, norm = sym_norm(F ft),
+    ft = F^T, and what ``_sym_norm`` saved."""
+    ft = _transposed(f)
+    norm, *saved = _sym_norm(_matmul(f, ft), "as_printed")
+    nf = _matmul(norm, f)
+    return _scalar_mul(nf, gamma), ft, nf, norm, saved
+
+
+def _branch_term(f: Tensor, gamma: Tensor) -> Tensor:
+    """gamma * sym_norm(self_correlation(f)) f as one graph node, with the
+    bytes, value and gradients, of ``scalar_mul(matmul(sym_norm(matmul(f,
+    f.T)), f), gamma)``.  F's gradient sums its three uses in the order
+    that composition's backward meets them: the right factor, the left one
+    of F F^T, then F^T."""
+    if gamma.data.size != 1:
+        raise ShapeMismatchError(f"fusion weight must be a scalar tensor, got {gamma.data.shape}")
+    fd = f.data
+
+    def bwd(g, y, ft, nf, norm, saved):
+        gg = np.array((g * nf).sum(), dtype=gamma.dtype) if gamma.requires_grad else None
+        if not f.requires_grad:
+            return None, gg
+        gnorm, gf = _matmul_grads(norm, fd, g * float(gamma.data))
+        gf1, gft = _matmul_grads(fd, ft, _sym_norm_grad(gnorm, *saved, "as_printed"))
+        return (gf + gf1) + _transposed(gft), gg
+
+    return _node(_como_term, (f, gamma), bwd)
 
 
 def como_fuse(f_x: Tensor, f_d, f_b, params: dict) -> Tensor:
     """Learned-weight fusion of correlation-normalized feature branches
-    [..., T, c], each correlation put through ``sym_norm``'s defaults; the
-    scalar weights ``fuse.gx``, ``fuse.gd``, ``fuse.gb`` and the [c] bias
-    ``fuse.bias`` are read from params.  An offset branch ``f_d`` or ``f_b``
-    given as None is left out: exactly what an all-zero one adds."""
+    [..., T, c]: the sum over branches of gamma * sym_norm(F F^T) F, each
+    term one graph node (``_branch_term``), plus the [c] bias ``fuse.bias``.
+    The scalar weights ``fuse.gx``, ``fuse.gd`` and ``fuse.gb`` are read
+    from params.  An offset branch ``f_d`` or ``f_b`` given as None is left
+    out: exactly what an all-zero one adds."""
     branches = [(f, params[name]) for f, name in ((f_x, "fuse.gx"), (f_d, "fuse.gd"),
                                                   (f_b, "fuse.gb")) if f is not None]
     if len({f.data.shape for f, _ in branches}) > 1:
         raise ShapeMismatchError("feature branches must share shape")
     acc = None
     for f, gamma in branches:
-        norm = sym_norm(self_correlation(f))
-        term = scalar_mul(matmul(norm, f), gamma)
+        term = _branch_term(f, gamma)
         acc = term if acc is None else add(acc, term)
     return add_bias(acc, params["fuse.bias"])
 
@@ -278,9 +361,9 @@ def decode(params: dict, f_corr: Tensor, image: Tensor, residual_eps: float) -> 
     if t != th * tw:
         raise ShapeMismatchError(f"{t} tokens cannot fill a {th}x{tw} grid")
     x = reshape(f_corr.T, (n, c, th, tw))
-    x = relu(conv2d(x, params["dec.w1"], stride=1, padding=1))
+    x = conv2d(x, params["dec.w1"], stride=1, padding=1, relu=True)
     x = upsample_nearest(x, 2)
-    x = relu(conv2d(x, params["dec.w2"], stride=1, padding=1))
+    x = conv2d(x, params["dec.w2"], stride=1, padding=1, relu=True)
     x = upsample_nearest(x, 2)
     r = conv2d(x, params["dec.w3"], stride=1, padding=1)
     base = np.clip(np.asarray(image.data, dtype=r.dtype), residual_eps, 1.0 - residual_eps)
@@ -295,8 +378,8 @@ def _extract_tokens(x: Tensor, params: dict, prefix: str) -> Tensor:
     """Conv stack 3 -> hidden -> hidden -> c with two stride-2 steps;
     output flattened row-major to [N, T, c] token features."""
     pad = params[prefix + ".w1"].data.shape[-1] // 2  # CsecConfig.kernel // 2
-    h1 = relu(conv2d(x, params[prefix + ".w1"], stride=2, padding=pad))
-    h2 = relu(conv2d(h1, params[prefix + ".w2"], stride=2, padding=pad))
+    h1 = conv2d(x, params[prefix + ".w1"], stride=2, padding=pad, relu=True)
+    h2 = conv2d(h1, params[prefix + ".w2"], stride=2, padding=pad, relu=True)
     h3 = conv2d(h2, params[prefix + ".w3"], stride=1, padding=pad)
     n, c, th, tw = h3.data.shape
     return reshape(h3, (n, c, th * tw)).T
@@ -395,15 +478,35 @@ def init_csec(config: CsecConfig = CsecConfig(), seed: int = 0, dtype=np.float32
     return p
 
 
+def _mse(a, b):
+    """(loss, diff): the mean of diff * diff, diff = a + (-1.0 * b)."""
+    diff = np.add(a, np.multiply(b, -1.0))
+    return _tmean(np.multiply(diff, diff)), diff
+
+
 def mse_loss(a: Tensor, b) -> Tensor:
+    """Mean squared difference of a and b (a tensor or an array of a's
+    shape) as one graph node, with the bytes, value and gradients, of
+    ``tmean(mul(d, d))`` for ``d = add(a, scale(b, -1.0))``: d's gradient
+    is the product's two equal gradients summed."""
     bt = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype))
-    diff = add(a, scale(bt, -1.0))
-    return tmean(mul(diff, diff))
+    if a.shape != bt.shape:
+        raise ShapeMismatchError(f"{a.shape} vs {bt.shape}")
+
+    def bwd(g, loss, diff):
+        p = np.full_like(diff, float(g) / diff.size) * diff
+        gd = p + p
+        return gd, (gd * -1.0 if bt.requires_grad else None)
+
+    return _node(_mse, (a, bt), bwd)
 
 
 def psnr(a, b) -> float:
+    """Peak signal-to-noise ratio in dB of images in [0,1] of one shape."""
     a = np.asarray(a.data if isinstance(a, Tensor) else a, dtype=np.float64)
     b = np.asarray(b.data if isinstance(b, Tensor) else b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"psnr of {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -414,9 +517,23 @@ def train_csec(pairs, params: dict, config: CsecConfig = CsecConfig(),
                epochs: int = 20, lr: float = 1e-3, seed: int = 0):
     """Self-supervised training on (corrupted, clean) image pairs with
     mean-squared pixel error, one pair per step of ``optim.fit``.  Returns
-    the per-epoch mean loss.  No pairs or epochs < 1 raise
-    ConfigInvalidError, and a non-finite loss or gradient
-    TrainingDivergedError."""
+    the per-epoch mean loss.  Before any step, a pair whose corrupted image
+    is not one [1,3,H,W] image of an extent ``check_extents`` takes, or
+    whose clean image has another shape, raises ShapeMismatchError naming
+    its index.  No pairs or epochs < 1 raise ConfigInvalidError, and a
+    non-finite loss or gradient TrainingDivergedError."""
+    for i, (corrupted, clean) in enumerate(pairs):
+        shape = np.shape(corrupted)
+        try:
+            if len(shape) != 4 or shape[:2] != (1, 3):
+                raise ShapeMismatchError(f"expected [1,3,H,W], got {shape}")
+            check_extents(*shape[2:])
+        except ShapeMismatchError as exc:
+            raise ShapeMismatchError(f"pair {i}: corrupted image: {exc}") from None
+        if np.shape(clean) != shape:
+            raise ShapeMismatchError(
+                f"pair {i}: clean image {np.shape(clean)} vs corrupted {shape}")
+
     def pair_loss(batch):
         corrupted, clean = pairs[batch[0]]
         return mse_loss(csec_correct(Tensor(np.asarray(corrupted)), params, config), clean)

@@ -36,6 +36,7 @@ from .rng import SplitMix64
 from .segnet import ModelConfig, build_model
 from .tensor import (
     Tensor,
+    _conv2d,
     _graph_order,
     _matmul,
     add,
@@ -45,6 +46,7 @@ from .tensor import (
     linear,
     matmul,
     mul,
+    permute,
     relu,
     reshape,
     sigmoid,
@@ -136,6 +138,32 @@ def _csec_checks(rng):
     z_weight = _rand(rng, (2, 3))
     yield "sigmoid", lambda v: tsum(mul(sigmoid(v), Tensor(z_weight))), z
     yield "tmean", lambda v: tmean(mul(v, v)), _rand(rng, (2, 3))
+    # from a stream of their own, as _segnet_checks' linear checks
+    yield from _csec_node_checks(SplitMix64(rng.state + 1))
+
+
+def _csec_node_checks(rng):
+    """The corrector's nodes that no check above records: conv2d with its
+    ReLU epilogue, over its input and kernel packed into v, at the token
+    stacks' stride 2 and padding 1; mse_loss over both operands; and the
+    permute that turns feature maps into tokens and back."""
+    x = _rand(rng, (1, 1, 3, 3), 0.2, 1.0)  # nonnegative, as an image or a ReLU's output
+    w = _rand(rng, (2, 1, 3, 3))
+    # each output channel's centre tap grows until its pre-activations lie
+    # KINK_MARGIN or more from relu's kink; it reads an input pixel, at
+    # least 0.2, at every output
+    while (near := (np.abs(_conv2d(x, w, 2, 1)[0]) < KINK_MARGIN).any(axis=(0, 2, 3))).any():
+        w[:, 0, 1, 1] += np.where(near, 5 * KINK_MARGIN, 0.0)
+    weight = Tensor(_rand(rng, (1, 2, 2, 2)))
+
+    def conv_relu(v):
+        xv, wv = reshape(v[:x.size], x.shape), reshape(v[x.size:], w.shape)
+        return tsum(mul(conv2d(xv, wv, stride=2, padding=1, relu=True), weight))
+
+    yield "conv2d.relu", conv_relu, np.concatenate([x.reshape(-1), w.reshape(-1)])
+    yield "mse_loss", lambda v: _csec.mse_loss(v[0], v[1]), _rand(rng, (2, 1, 3))
+    p_weight = Tensor(_rand(rng, (3, 1, 2)))
+    yield "permute", lambda v: tsum(mul(permute(v, (2, 0, 1)), p_weight)), _rand(rng, (1, 2, 3))
 
 
 def _segnet_checks(rng):

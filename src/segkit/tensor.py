@@ -354,18 +354,19 @@ def matmul(a, b):
             or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
         raise ShapeMismatchError(f"matmul {ad.shape} x {bd.shape}")
 
-    # an operand that needs no gradient gets none computed
-    if bd.ndim > 2:
-        def bwd(g, y):
-            return (g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None,
-                    np.swapaxes(ad, -1, -2) @ g if b.requires_grad else None)
-    else:
-        def bwd(g, y):
-            g2 = g.reshape(-1, bd.shape[1])
-            return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
-                    ad.reshape(-1, bd.shape[0]).T @ g2 if b.requires_grad else None)
+    return _node(_matmul, (a, b), lambda g, y: _matmul_grads(
+        ad, bd, g, a.requires_grad, b.requires_grad))
 
-    return _node(_matmul, (a, b), bwd)
+
+def _matmul_grads(a, b, g, need_a=True, need_b=True):
+    """The gradients of ``_matmul(a, b)`` for its output gradient g; an
+    operand not needed gets None, none computed."""
+    if b.ndim > 2:
+        return (g @ np.swapaxes(b, -1, -2) if need_a else None,
+                np.swapaxes(a, -1, -2) @ g if need_b else None)
+    g2 = g.reshape(-1, b.shape[1])
+    return ((g2 @ b.T).reshape(a.shape) if need_a else None,
+            a.reshape(-1, b.shape[0]).T @ g2 if need_b else None)
 
 
 def add_bias(a, bias):
@@ -450,9 +451,10 @@ def _im2col(xp, kh, kw, stride, ho, wo):
                       (sn, sc, sh, sw, sh * stride, sw * stride)).copy()
 
 
-def _conv2d(x, w, stride, padding):
-    """(y, cols): the cross-correlation y [n, cout, ho, wo] and the im2col
-    patches cols [n, cin * kh * kw, ho * wo] it multiplies the kernel with."""
+def _conv2d(x, w, stride, padding, relu=False):
+    """(y, cols): the cross-correlation y [n, cout, ho, wo], put through
+    ``_relu`` in place when relu is set, and the im2col patches cols
+    [n, cin * kh * kw, ho * wo] it multiplies the kernel with."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     ho = (h + 2 * padding - kh) // stride + 1
@@ -463,15 +465,21 @@ def _conv2d(x, w, stride, padding):
     else:
         xp = np.ascontiguousarray(x)
     cols = _im2col(xp, kh, kw, stride, ho, wo).reshape(n, cin * kh * kw, ho * wo)
-    return (w.reshape(cout, -1) @ cols).reshape(n, cout, ho, wo), cols
+    y = (w.reshape(cout, -1) @ cols).reshape(n, cout, ho, wo)
+    if relu:
+        _relu(y, y)
+    return y, cols
 
 
-def conv2d(x, w, stride=1, padding=0):
-    """Cross-correlation of NCHW x with an OIHW kernel of odd extents.
+def conv2d(x, w, stride=1, padding=0, relu=False):
+    """Cross-correlation of NCHW x with an OIHW kernel of odd extents, with
+    relu=True put through ReLU in place as one graph node: the bytes of
+    ``relu(conv2d(x, w, ...))``, value and gradients.
 
-    Forward is one product of the kernel with the im2col patches.  The input
-    gradient is the kernel's transpose times g, scattered back tap by tap in
-    tap order (see ``_col2im``).
+    Forward is one product of the kernel with the im2col patches.  Backward
+    masks g by y > 0 when relu is on, as ``relu``'s backward does.  The
+    input gradient is the kernel's transpose times g, scattered back tap by
+    tap in tap order (see ``_col2im``).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatchError("conv2d expects NCHW input and OIHW kernel")
@@ -489,7 +497,7 @@ def conv2d(x, w, stride=1, padding=0):
         raise ShapeMismatchError(f"output {ho}x{wo} for input {h}x{wd}")
 
     def bwd(g, y, cols):
-        g2 = g.reshape(n, cout, ho * wo)
+        g2 = (g * (y > 0) if relu else g).reshape(n, cout, ho * wo)
         gx = gw = None
         if w.requires_grad:
             gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
@@ -503,7 +511,7 @@ def conv2d(x, w, stride=1, padding=0):
             gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
         return gx, gw
 
-    return _node(_conv2d, (x, w), bwd, stride, padding)
+    return _node(_conv2d, (x, w), bwd, stride, padding, bool(relu))
 
 
 def _tap_planes(gcols, shape, stride):

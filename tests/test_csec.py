@@ -598,6 +598,39 @@ def test_train_csec_overfits_one_pair():
     assert losses[-1] < 0.25 * losses[0]
 
 
+_GOOD = np.full((1, 3, 16, 16), 0.5, np.float32)
+
+
+@pytest.mark.parametrize("corrupted, clean, message", [
+    (_GOOD, np.full((1, 3, 8, 8), 0.5, np.float32),
+     r"^pair 2: clean image \(1, 3, 8, 8\) vs corrupted \(1, 3, 16, 16\)$"),
+    (np.full((3, 16, 16), 0.5, np.float32), np.full((3, 16, 16), 0.5, np.float32),
+     r"^pair 2: corrupted image: expected \[1,3,H,W\], got \(3, 16, 16\)$"),
+    (np.full((2, 3, 16, 16), 0.5, np.float32), np.full((2, 3, 16, 16), 0.5, np.float32),
+     r"^pair 2: corrupted image: expected \[1,3,H,W\], got \(2, 3, 16, 16\)$"),
+    (np.full((1, 3, 10, 10), 0.5, np.float32), np.full((1, 3, 10, 10), 0.5, np.float32),
+     r"^pair 2: corrupted image: color correction needs .* got 10x10$"),
+], ids=["clean-8x8", "no-batch-axis", "two-images", "extent-10"])
+def test_train_csec_refuses_a_bad_pair_before_any_step(corrupted, clean, message):
+    # seed 2 visits the pairs in the order 0, 1, 3, 2: three steps once
+    # changed the parameters before the bad pair raised, at its own step,
+    # with a message naming no pair
+    cfg = CsecConfig()
+    params = init_csec(cfg, seed=1, identity=False)
+    before = {k: p.data.tobytes() for k, p in params.items()}
+    pairs = [(_GOOD, _GOOD), (_GOOD, _GOOD * 0.9), (corrupted, clean), (_GOOD, _GOOD)]
+    with pytest.raises(ShapeMismatchError, match=message):
+        train_csec(pairs, params, cfg, epochs=1, seed=2)
+    assert {k: p.data.tobytes() for k, p in params.items()} == before
+
+
+def test_psnr_refuses_operands_of_different_shapes():
+    with pytest.raises(ShapeMismatchError, match=r"^psnr of \(1, 3, 4, 4\) vs \(1, 3, 2, 2\)$"):
+        psnr(np.zeros((1, 3, 4, 4)), np.zeros((1, 3, 2, 2)))
+    with pytest.raises(ShapeMismatchError):
+        psnr(Tensor(np.zeros((1, 3, 4, 4))), np.zeros((3, 4, 4)))
+
+
 def test_psnr_spot_values():
     a = np.zeros((1, 3, 4, 4))
     assert psnr(a, a) == float("inf")

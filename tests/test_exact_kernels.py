@@ -2,7 +2,9 @@
 
 Each test holds a plain copy of the earlier per-tap (for Adam, per-tensor;
 for attention and layer norm, the pairwise-rotation and row-wise; for
-``linear``, the composition of one node per op) form of a kernel, with every sum the kernel takes in a fixed order written out as a
+``linear``, ``conv2d``'s ReLU epilogue, ``sym_norm``, the corrector's
+fusion term and ``mse_loss``, the composition of one node per op) form of
+a kernel, with every sum the kernel takes in a fixed order written out as a
 loop in that order, and asserts that the engine's kernel gives the same
 bytes: f32 and f64, with -0 (and, where it reaches the kernel, inf and NaN)
 in the inputs.  Rerun this file with more than one BLAS thread as well: the
@@ -15,11 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from segkit.csec import offset_conv
+from segkit.csec import SYM_NORM_EPS, _branch_term, _rsqrt, mse_loss, offset_conv, sym_norm
 from segkit.optim import Adam
 from segkit.rope import _window_layout, axial_angles, freq_table, rope_attention
 from segkit.tensor import (
-    LN_EPS, Tensor, add, add_bias, conv2d, layer_norm, linear, matmul, relu, upsample_nearest)
+    LN_EPS, Tensor, _graph_order, _node, add, add_bias, conv2d, layer_norm, linear, matmul, mul,
+    relu, reshape, scalar_mul, scale, tmean, upsample_nearest)
 
 from pairwise_rotation import rotate_pairs_reference
 
@@ -39,8 +42,9 @@ def _bytes_equal(a, b):
 # -- conv2d -----------------------------------------------------------------
 
 
-def _conv2d_reference(x, w, g, stride, padding):
-    """The per-tap im2col and col2im form: y, gx, gw."""
+def _conv2d_reference(x, w, g, stride, padding, use_relu=False):
+    """The per-tap im2col and col2im form: y, gx, gw; with use_relu, y put
+    through ReLU and g masked by y > 0 first, as ``relu``'s node does."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     ho = (h + 2 * padding - kh) // stride + 1
@@ -54,6 +58,9 @@ def _conv2d_reference(x, w, g, stride, padding):
     cols = cols.reshape(n, cin * kh * kw, ho * wo)
     w2 = w.reshape(cout, cin * kh * kw)
     y = (w2 @ cols).reshape(n, cout, ho, wo)
+    if use_relu:
+        y = np.where(y > 0, y, y.dtype.type(0))
+        g = g * (y > 0)
     g2 = g.reshape(n, cout, ho * wo)
     gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     gcols = (w2.T @ g2).reshape(n, cin, kh, kw, ho, wo)
@@ -81,12 +88,13 @@ def test_conv2d_matches_per_tap_form(stride, padding, k, dtype):
         wo = (wd + 2 * padding - k) // stride + 1
         g = _signed(rng, (n, cout, ho, wo), dtype, zeros=0.5)
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = conv2d(xt, wt, stride=stride, padding=padding)
-        gx, gw = out._backward_fn(g)
-        y_ref, gx_ref, gw_ref = _conv2d_reference(x, w, g, stride, padding)
-        assert _bytes_equal(out.data, y_ref)
-        assert _bytes_equal(gx, gx_ref)
-        assert _bytes_equal(gw, gw_ref)
+        for use_relu in (False, True):  # relu(conv2d(...)) as one node too
+            out = conv2d(xt, wt, stride=stride, padding=padding, relu=use_relu)
+            gx, gw = out._backward_fn(g)
+            y_ref, gx_ref, gw_ref = _conv2d_reference(x, w, g, stride, padding, use_relu)
+            assert _bytes_equal(out.data, y_ref)
+            assert _bytes_equal(gx, gx_ref)
+            assert _bytes_equal(gw, gw_ref)
 
 
 def test_conv2d_input_gradient_of_all_negative_zero_is_positive_zero():
@@ -513,3 +521,121 @@ def test_linear_matches_its_composition(form, n, dtype):
         assert len(got) == len(ref)
         for a, e in zip(got, ref):
             assert _bytes_equal(a, e)
+
+
+# -- the corrector's fused nodes ---------------------------------------------
+
+
+def _composition_grads(out, g, leaves):
+    """The gradients a backward pass from out, started with g, hands to
+    each of leaves: every node's backward in the engine's order, each
+    parent's gradients summed as they arrive (no +0 added at a leaf)."""
+    flow = {id(out): g}
+    for node in reversed(_graph_order(out)):
+        if node._backward_fn is None:
+            continue
+        gn = flow.pop(id(node))
+        for parent, pg in zip(node._parents, node._backward_fn(gn)):
+            if pg is not None and parent.requires_grad:
+                acc = flow.get(id(parent))
+                flow[id(parent)] = pg if acc is None else acc + pg
+    return [flow[id(leaf)] for leaf in leaves]
+
+
+def _sym_norm_composition(a, symmetrize):
+    """sym_norm of one node per op: transpose, scale and add, the diagonal,
+    the clamped reciprocal square root, the outer product and the product."""
+    lead, t = a.data.shape[:-2], a.data.shape[-1]
+    if symmetrize == "as_printed":
+        s = add(a, scale(a.T, 0.5))
+    else:
+        s = scale(add(a, a.T), 0.5)
+    dm = _node(_rsqrt, (s[..., np.arange(t), np.arange(t)],), lambda g, y, clamped: (
+        np.where(clamped > SYM_NORM_EPS, -0.5 * g * y / clamped, 0.0),))
+    outer = matmul(reshape(dm, (*lead, t, 1)), reshape(dm, (*lead, 1, t)))
+    return mul(s, outer)
+
+
+def _specials(rng, a, share=0.04):
+    """a with a share of its entries NaN, +-inf, -0 and subnormal."""
+    a = a.copy()
+    tiny = np.finfo(a.dtype).smallest_subnormal
+    for value in (np.nan, np.inf, -np.inf, -0.0, 3 * tiny, -5 * tiny):
+        a[rng.random(a.shape) < share] = value
+    return a
+
+
+def _fused_inputs(rng, shape, dtype, trial):
+    """Trial 0 positive features, as the corrector's; 1 signed over a wide
+    range with zeros; 2 and 3 with NaN, inf, -0 and subnormals in few
+    entries, so that most rows keep finite values."""
+    if trial == 0:
+        return rng.uniform(0.2, 1.0, shape).astype(dtype)
+    a = _signed(rng, shape, dtype)
+    return _specials(rng, a, share=0.02) if trial >= 2 else a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("symmetrize", ["as_printed", "conventional"])
+def test_sym_norm_matches_its_composition(symmetrize, lead, dtype):
+    rng = np.random.default_rng(len(symmetrize) + len(lead))
+    for trial in range(4):
+        a = _fused_inputs(rng, (*lead, 6, 6), dtype, trial)
+        g = _fused_inputs(rng, (*lead, 6, 6), dtype, trial) if trial else _signed(
+            rng, (*lead, 6, 6), dtype, zeros=0.5)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            out = sym_norm(Tensor(a, requires_grad=True), symmetrize)
+            got = [out.data, *out._backward_fn(g)]
+            leaf = Tensor(a, requires_grad=True)
+            ref_out = _sym_norm_composition(leaf, symmetrize)
+            ref = [ref_out.data, *_composition_grads(ref_out, g, [leaf])]
+        for x, e in zip(got, ref):
+            assert _bytes_equal(x, e)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_como_term_matches_its_composition(lead, dtype):
+    # gamma * sym_norm(F F^T) F: F reaches the term three times, and its
+    # gradient sums them in the order the composition's backward meets them
+    rng = np.random.default_rng(20 + len(lead))
+    for trial in range(4):
+        f = _fused_inputs(rng, (*lead, 8, 3), dtype, trial)
+        g = _signed(rng, (*lead, 8, 3), dtype, zeros=0.5)
+        if trial >= 2:
+            g = _specials(rng, g, share=0.02)
+        gamma = np.array(rng.uniform(-2.0, 2.0) if trial != 1 else -0.0, dtype)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            out = _branch_term(Tensor(f, requires_grad=True), Tensor(gamma, requires_grad=True))
+            got = [out.data, *out._backward_fn(g)]
+            fl, gl = Tensor(f, requires_grad=True), Tensor(gamma, requires_grad=True)
+            ref_out = scalar_mul(matmul(_sym_norm_composition(matmul(fl, fl.T), "as_printed"),
+                                        fl), gl)
+            ref = [ref_out.data, *_composition_grads(ref_out, g, [fl, gl])]
+        assert len(got) == len(ref) == 3
+        for x, e in zip(got, ref):
+            assert _bytes_equal(x, e)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b_is_tensor", [False, True])
+def test_mse_loss_matches_its_composition(b_is_tensor, dtype):
+    # d = a - b, then mean(d * d): d's gradient is the product's two equal
+    # gradients summed, and b's (when it needs one) d's times -1
+    rng = np.random.default_rng(30 + b_is_tensor)
+    for trial in range(4):
+        a, b = (_fused_inputs(rng, (1, 3, 4, 4), dtype, trial) for _ in range(2))
+        g = np.array((1.0, -0.0, 2.5e-3, -7.0)[trial], dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            bt = Tensor(b, requires_grad=True) if b_is_tensor else b
+            out = mse_loss(Tensor(a, requires_grad=True), bt)
+            got = [out.data, *(x for x in out._backward_fn(g) if x is not None)]
+            al = Tensor(a, requires_grad=True)
+            bl = Tensor(b, requires_grad=b_is_tensor)
+            d = add(al, scale(bl, -1.0))
+            ref_out = tmean(mul(d, d))
+            ref = [ref_out.data, *_composition_grads(ref_out, g, [al, bl][:1 + b_is_tensor])]
+        assert len(got) == len(ref) == 2 + b_is_tensor
+        for x, e in zip(got, ref):
+            assert _bytes_equal(x, e)

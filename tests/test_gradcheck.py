@@ -15,8 +15,8 @@ from segkit.rng import SplitMix64
 from segkit.rope import _attend
 from segkit.segnet import ModelConfig, build_model
 from segkit.tensor import (
-    Tensor, _layer_norm, _linear, _node, _relu, _sigmoid, _upsample_nearest, add, cross_entropy,
-    linear, matmul, mul, no_grad, tsum)
+    Tensor, _conv2d, _layer_norm, _linear, _node, _relu, _sigmoid, _upsample_nearest, add,
+    cross_entropy, linear, matmul, mul, no_grad, tsum)
 
 
 def _full_forward_quotients(params, loss_fn):
@@ -189,6 +189,30 @@ def test_linear_backward_dropping_the_residual_fails_its_residual_checks(monkeyp
     assert max(v for k, v in worst.items() if "residual" not in k) <= gradcheck.TOL
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_como_term_backward_dropping_a_use_of_f_fails_the_fusion_check(monkeypatch, seed):
+    # F's gradient less its right factor's share, norm^T (gamma g)
+    real = _csec._branch_term
+
+    def term_dropping_the_right_factor(f, gamma):
+        out = real(f, gamma)
+        norm = _csec.sym_norm(_csec.self_correlation(f)).data
+        bwd = out._backward_fn
+
+        def without_the_right_factor(g):
+            gf, gg = bwd(g)
+            return gf - np.swapaxes(norm, -1, -2) @ (g * float(gamma.data)), gg
+
+        out._backward_fn = without_the_right_factor
+        return out
+
+    monkeypatch.setattr(_csec, "_branch_term", term_dropping_the_right_factor)
+    worst = _op_checks("csec", seed)
+    assert worst["como_fuse"] > gradcheck.TOL
+    assert max(v for k, v in worst.items() if k != "como_fuse") <= gradcheck.TOL
+    assert run_suite("csec", trials=0, seed=seed)["csec_correct.params"] > 10 * gradcheck.TOL
+
+
 # -- the kernel contract: call[0](*(p.data for p in parents), *call[1:]) ------
 
 
@@ -268,13 +292,20 @@ def test_one_token_attention_leaves_the_projection_its_value():
 
 @pytest.mark.parametrize("identity", [True, False])
 def test_every_node_of_a_csec_training_step_is_its_kernels_value(identity):
+    # 17 nodes from the identity init: the image's token stack, two
+    # convolutions with their ReLU, one without, a reshape and a permute
+    # (5); a fusion term and the bias (2); the decoder's permute, reshape,
+    # three convolutions, two upsamplings, the residual add and the sigmoid
+    # (9); the loss.  The live offset branch adds two offset_convs of two
+    # nodes each (4), the offset maps' two slices (2), their token stacks
+    # (10), and two fusion terms with their adds (4): 37
     params = _csec.init_csec(_csec.CsecConfig(), seed=2, identity=identity)
     rng = SplitMix64(5)
     image, clean = (rng.uniform_array((1, 3, 16, 16), 0.05, 0.95).astype(np.float32)
                     for _ in range(2))
     loss = _csec.mse_loss(_csec.csec_correct(Tensor(image), params), clean)
     loss.backward()
-    assert _assert_kernels_give_the_values(loss) > (30 if identity else 80)
+    assert _assert_kernels_give_the_values(loss) == (17 if identity else 37)
 
 
 # -- kernel census: every kernel a training graph records has an op check ----
@@ -282,15 +313,17 @@ def test_every_node_of_a_csec_training_step_is_its_kernels_value(identity):
 
 def _recorded_kernels(loss):
     """The kernel, call[0], of every op node of loss's graph, for each
-    ``_linear`` node its epilogue, and for each ``_attend`` node whether
-    each of its perm, mask and c2 is None: the branches its forward and
-    backward take."""
+    ``_linear`` and ``_conv2d`` node its epilogue, and for each ``_attend``
+    node whether each of its perm, mask and c2 is None: the branches its
+    forward and backward take."""
     recorded = set()
     for node in _op_nodes(loss):
         kernel, *consts = node._call
         recorded.add(kernel)
         if kernel is _linear:
             recorded.add(f"_linear {'+'.join(consts[-1])}")
+        if kernel is _conv2d:
+            recorded.add(f"_conv2d {'relu' if consts[-1] else 'plain'}")
         if kernel is _attend:
             names = list(inspect.signature(_attend).parameters)[len(node._parents):]
             args = dict(zip(names, consts))
@@ -303,8 +336,8 @@ def test_every_recorded_kernel_has_an_op_check():
     # the loss graphs of a live-init corrector, and of the default model,
     # global attention, RoPE off and a model with the corrector, each with
     # and without truncation; every kernel they record, every epilogue of
-    # linear and every attention branch, is recorded by an op check's own
-    # graph too
+    # linear and conv2d and every attention branch, is recorded by an op
+    # check's own graph too
     rng = SplitMix64(6)
     images = rng.uniform_array((2, 3, 48, 48), 0.05, 0.95).astype(np.float32)
     masks = np.floor(rng.uniform_array((2, 48, 48), 0.0, 3.0)).astype(np.int64)
@@ -319,6 +352,7 @@ def test_every_recorded_kernel_has_an_op_check():
                                                         truncate=truncate))
     assert {f"_attend {k}={v}" for k in ("perm", "mask", "c2") for v in ("None", "set")} <= recorded
     assert {f"_linear {e}" for e in ("bias", "bias+relu", "residual", "bias+residual")} <= recorded
+    assert {"_conv2d relu", "_conv2d plain"} <= recorded
     checked = set()
     for module in SUITES:
         for _, f, x in gradcheck._SUITES[module][0](SplitMix64(0)):
