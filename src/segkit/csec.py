@@ -195,9 +195,9 @@ def _tap_kernel(w: Tensor, tap_offsets: Tensor) -> Tensor:
 # -- COSE: offset estimation ------------------------------------------------
 
 
-def _check_image_range(image: Tensor):
+def _check_image_range(image: np.ndarray):
     """Every pixel finite and in [0,1], up to 1e-6."""
-    lo, hi = float(image.data.min()), float(image.data.max())
+    lo, hi = float(np.min(image)), float(np.max(image))
     if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):  # a NaN fails both comparisons
         raise SegkitError(f"pixel values [{lo:.4g}, {hi:.4g}] are not all finite and in [0,1]")
 
@@ -422,7 +422,7 @@ def csec_correct(image: Tensor, params: dict, config: CsecConfig = CsecConfig())
     if image.data.ndim != 4 or image.data.shape[1] != 3:
         raise ShapeMismatchError(f"expected [N,3,H,W], got {image.data.shape}")
     check_extents(*image.data.shape[2:])
-    _check_image_range(image)
+    _check_image_range(image.data)
     f_d = f_b = None
     if not _offset_branch_is_zero(params):
         delta_d, delta_b = cose_forward(image, params)
@@ -520,7 +520,8 @@ def train_csec(pairs, params: dict, config: CsecConfig = CsecConfig(),
     the per-epoch mean loss.  Before any step, a pair whose corrupted image
     is not one [1,3,H,W] image of an extent ``check_extents`` takes, or
     whose clean image has another shape, raises ShapeMismatchError naming
-    its index.  No pairs or epochs < 1 raise ConfigInvalidError, and a
+    its index, and one with a pixel of either image not finite and in [0,1]
+    SegkitError.  No pairs or epochs < 1 raise ConfigInvalidError, and a
     non-finite loss or gradient TrainingDivergedError."""
     for i, (corrupted, clean) in enumerate(pairs):
         shape = np.shape(corrupted)
@@ -533,6 +534,11 @@ def train_csec(pairs, params: dict, config: CsecConfig = CsecConfig(),
         if np.shape(clean) != shape:
             raise ShapeMismatchError(
                 f"pair {i}: clean image {np.shape(clean)} vs corrupted {shape}")
+        for what, image in (("corrupted", corrupted), ("clean", clean)):
+            try:
+                _check_image_range(image)
+            except SegkitError as exc:
+                raise SegkitError(f"pair {i}: {what} image: {exc}") from None
 
     def pair_loss(batch):
         corrupted, clean = pairs[batch[0]]

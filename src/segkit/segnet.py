@@ -13,13 +13,7 @@ model's weights are drawn by ``optim.fan_in_uniform`` in the order of
 ``param_shapes``.  Validation, scoring and ``segkit eval`` forward _CHUNK
 images at a time under ``tensor.no_grad`` and give the masks ``predict``
 gives image by image, bit for bit.  The chunk stays small for the cache,
-not for graph memory (see ``_CHUNK``).  Their chunks are forwarded
-concurrently on the CPUs that neither BLAS nor another process is using, in
-as many threads as BLAS's thread count goes into the process's idle CPUs
-(``_predict_workers``), read again before each round of chunks: with BLAS
-pinned to 1 thread an idle 2-CPU host forwards two chunks at once, and
-with BLAS on every CPU, OpenBLAS's default, or another process busy,
-prediction stays serial.
+not for graph memory (see ``_CHUNK``).
 
 Attention is Swin-style: with ``ModelConfig.window`` w > 0 each token
 attends within its w x w tile of the patch grid, and odd blocks shift the
@@ -44,8 +38,6 @@ batch's loss leaves out its valid pixels whose loss lies above the quantile.
 """
 
 import math
-import os
-import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -95,19 +87,8 @@ __all__ = [
 # at once as over chunks of 4 (1.08 vs 0.55 ms/image; 0.54 at 8, 0.64 at 32;
 # 1 BLAS thread, 2-vCPU Xeon with 2 MiB of L2 per core): at 4 a block's
 # largest activation, the MLP's [4,144,128] f32, is 295 kB and stays in L2,
-# at 128 it is 9.4 MB and does not.  numpy's kernels release the GIL, so
-# chunks forwarded on _predict_workers() threads overlap.  The count divides
-# the CPUs by BLAS's own thread count because a BLAS thread per CPU already
-# fills them: over 128 images in chunks of 4 on 2 CPUs, 2 chunk threads took
-# 75-80 ms against 90-95 ms serial at 1 BLAS thread, and 132-151 ms against
-# 84-87 ms serial at 2 (medians of 20 forwards).  It leaves out the CPUs that
-# other processes are running on, since threads that outnumber the free CPUs
-# only compete: with one CPU busy in a spin loop, or two vit-eval runs side by
-# side, a pool that ignored them read 4-6% below serial in perfbench's
-# vit-eval.  The count is read again after each round of _ROUND chunks a
-# thread, about 10 ms.
+# at 128 it is 9.4 MB and does not.
 _CHUNK = 4
-_ROUND = 4
 
 
 @dataclass
@@ -293,107 +274,30 @@ def _stack(pairs):
             np.stack([mask for _, mask in pairs]))
 
 
-# OpenBLAS reads a thread count with atoi: blanks, a sign, then digits
-_ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
-
-
-def _blas_threads() -> Optional[int]:
-    """Threads each BLAS call takes, read as OpenBLAS reads them at load: the
-    first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
-    whose atoi is positive.  None means every CPU: OpenBLAS's default, and
-    any numpy whose BLAS is not OpenBLAS, since MKL and Accelerate read
-    other variables."""
-    build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
-    if "openblas" not in str(build.get("blas", {}).get("name", "")).lower():
-        return None
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        count = _ATOI.match(os.environ.get(var, ""))
-        if count and int(count.group(1)) > 0:
-            return int(count.group(1))
-    return None
-
-
-def _others_running() -> Optional[int]:
-    """Threads of other processes that the kernel runs or queues to run now,
-    on any CPU: /proc/loadavg's fourth field less this process's threads in
-    state R, the caller among them.  None where either cannot be read."""
-    try:
-        ours = 0
-        for tid in os.listdir("/proc/self/task"):
-            with open(f"/proc/self/task/{tid}/stat", "rb") as fh:
-                ours += fh.read().rsplit(b")", 1)[1].split()[0] == b"R"
-        with open("/proc/loadavg", "rb") as fh:
-            running = int(fh.read().split()[3].split(b"/")[0])
-    except (OSError, ValueError, IndexError):
-        return None
-    return max(0, running - ours)
-
-
-def _predict_workers() -> int:
-    """Threads that may forward prediction chunks at once now, at least 1:
-    the CPUs this process may run on that no other process is running on,
-    over the threads each BLAS call takes.  1 where either is unknown."""
-    blas = _blas_threads()
-    others = None if blas is None else _others_running()
-    if others is None:
-        return 1
-    return max(1, (len(os.sched_getaffinity(0)) - others) // blas)
-
-
 def _predict_masks(model: Model, images) -> np.ndarray:
     """Argmax masks [N,H,W] of images [N,3,H,W], _CHUNK images per forward,
     recording no graph; an empty set forwards once, for the model to reject
-    it.  The chunks go in rounds of _ROUND chunks a thread: while either of
-    the last two readings of _predict_workers() gives at least the threads
-    of the first pooled round, a round is mapped, in order, over that many
-    threads, else forwarded inline; a call of one chunk never asks.  Two
-    readings, because a thread that runs for a moment is not a busy CPU: on
-    an idle 2-CPU host about one reading in five between rounds counts
-    another process's thread, and 0.05 ms later nearly all read 0 again.
-    The no_grad flag the threads read is module-global, so it stays cleared
-    until every chunk is done.  The first chunk to fail raises, as the
-    serial loop would, and the chunks not yet started are dropped.
+    it.
 
     The pixel logits repeat each patch's logits over its p x p pixels, so
     the argmax of the patch logits, repeated p times along both axes, is
     np.argmax over the pixel logits, ties included."""
     p = model.config.patch_size
-    starts = range(0, max(len(images), 1), _CHUNK)
-
-    def patch_masks(i):
-        return np.argmax(model.patch_logits(images[i:i + _CHUNK]).data, axis=1)
-
-    grids, pool, size, last = [], None, 0, 1
     with no_grad():
-        try:
-            while len(grids) < len(starts):
-                reading = _predict_workers() if len(starts) > 1 else 1
-                workers, last = max(reading, last), reading
-                if pool is None and workers > 1:
-                    # imported here: concurrent.futures loads logging, 0.7 MB
-                    # of resident memory that a process which never pools
-                    # need not hold
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    pool, size = ThreadPoolExecutor(workers), workers
-                if pool is None or workers < size:
-                    grids += map(patch_masks, starts[len(grids):len(grids) + _ROUND])
-                else:
-                    grids += pool.map(patch_masks,
-                                      starts[len(grids):len(grids) + _ROUND * size])
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-    return np.concatenate(grids).repeat(p, axis=1).repeat(p, axis=2)
+        logits = (model.patch_logits(images[i:i + _CHUNK]).data
+                  for i in range(0, max(len(images), 1), _CHUNK))
+        grid = np.concatenate([np.argmax(z, axis=1) for z in logits])
+    return grid.repeat(p, axis=1).repeat(p, axis=2)
 
 
 def predict(model: Model, image) -> np.ndarray:
     """Per-pixel argmax mask [H,W] of one image [1,3,H,W]; ties break toward
-    the lower class index."""
-    masks = _predict_masks(model, np.asarray(image))
-    if len(masks) != 1:
-        raise ShapeMismatchError(f"predict takes one image, got a batch of {len(masks)}")
-    return masks[0]
+    the lower class index.  A batch of more than one image is refused before
+    any forward."""
+    image = np.asarray(image)
+    if image.ndim == 4 and len(image) > 1:
+        raise ShapeMismatchError(f"predict takes one image, got a batch of {len(image)}")
+    return _predict_masks(model, image)[0]
 
 
 def evaluate_miou(model: Model, pairs) -> float:

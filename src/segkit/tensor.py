@@ -47,18 +47,11 @@ __all__ = [
 # forward reuses that memory or page-faults it back in (about 40% of a chunk-4
 # inference forward) depends on the process's allocation history.  Both
 # thresholds are pinned at glibc's own dynamic ceilings: M_MMAP_THRESHOLD (-3)
-# 32 MiB, M_TRIM_THRESHOLD (-1) 64 MiB.  glibc also gives a thread that finds
-# the main arena busy an arena of its own, and memory freed in one arena is
-# reused by that arena alone: the threads segnet._predict_masks forwards its
-# chunks on each grew one, and perfbench's vit-eval peaked at 66.9 MB against
-# 61.4 MB serial (2 threads, 2-vCPU Xeon).  M_ARENA_MAX (-8) 1 keeps every
-# thread on the main arena (61.9-63.9 MB).  Other C libraries keep their
-# defaults.
+# 32 MiB, M_TRIM_THRESHOLD (-1) 64 MiB.  Other C libraries keep their defaults.
 try:
     _libc = ctypes.CDLL(None)
     _libc.mallopt(-3, 32 << 20)
     _libc.mallopt(-1, 64 << 20)
-    _libc.mallopt(-8, 1)
 except (AttributeError, OSError, TypeError):
     pass
 

@@ -411,6 +411,22 @@ def test_non_finite_pixels_rejected(bad):
         csec_correct(Tensor(image), init_csec(cfg, seed=0), cfg)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("value, taken", [
+    (-1e-6, True), (1 + 1e-6, True), (-2e-6, False), (1 + 2e-6, False)])
+def test_pixels_within_1e_6_of_the_range_are_taken(value, taken, dtype):
+    # float32 rounds 1 + 1e-6 down to 1 + 8 ulp, still inside the tolerance
+    cfg = CsecConfig()
+    image = np.full((1, 3, 8, 8), 0.5, dtype=dtype)
+    image[0, 0, 4, 4] = value
+    params = init_csec(cfg, seed=0)
+    if taken:
+        assert np.isfinite(csec_correct(Tensor(image), params, cfg).data).all()
+    else:
+        with pytest.raises(SegkitError, match=r"are not all finite and in \[0,1\]$"):
+            csec_correct(Tensor(image), params, cfg)
+
+
 def test_range_checked_once_per_correction(monkeypatch):
     calls = []
     check = csec_module._check_image_range
@@ -622,6 +638,38 @@ def test_train_csec_refuses_a_bad_pair_before_any_step(corrupted, clean, message
     with pytest.raises(ShapeMismatchError, match=message):
         train_csec(pairs, params, cfg, epochs=1, seed=2)
     assert {k: p.data.tobytes() for k, p in params.items()} == before
+
+
+@pytest.mark.parametrize("which", ["corrupted", "clean"])
+@pytest.mark.parametrize("bad", [1.5, -0.25, 1 + 2e-6, -2e-6, np.inf, np.nan])
+def test_train_csec_refuses_an_out_of_range_pair_before_any_step(which, bad):
+    # a corrupted image out of [0,1] once raised at its own step, after three
+    # steps had changed the parameters, naming no pair; a clean one never did
+    cfg = CsecConfig()
+    params = init_csec(cfg, seed=1, identity=False)
+    before = {k: p.data.tobytes() for k, p in params.items()}
+    image = _GOOD.copy()
+    image[0, 1, 5, 7] = bad
+    pair = (image, _GOOD) if which == "corrupted" else (_GOOD, image)
+    pairs = [(_GOOD, _GOOD), (_GOOD, _GOOD * 0.9), pair, (_GOOD, _GOOD)]
+    with pytest.raises(SegkitError, match=rf"^pair 2: {which} image: pixel values "
+                                          r"\[.*\] are not all finite and in \[0,1\]$"):
+        train_csec(pairs, params, cfg, epochs=1, seed=2)
+    assert {k: p.data.tobytes() for k, p in params.items()} == before
+
+
+@pytest.mark.parametrize("which", ["corrupted", "clean"])
+def test_train_csec_takes_pixels_within_the_range_tolerance(which):
+    # the up-front check is csec_correct's own, 1e-6 either side of [0,1]
+    cfg = CsecConfig()
+    params = init_csec(cfg, seed=1, identity=False)
+    before = {k: p.data.tobytes() for k, p in params.items()}
+    image = _GOOD.copy()
+    image[0, 2, 3, :2] = -1e-6, 1 + 1e-6
+    pair = (image, _GOOD) if which == "corrupted" else (_GOOD, image)
+    losses = train_csec([pair], params, cfg, epochs=1, seed=2)
+    assert len(losses) == 1 and np.isfinite(losses[0])
+    assert {k: p.data.tobytes() for k, p in params.items()} != before
 
 
 def test_psnr_refuses_operands_of_different_shapes():

@@ -189,14 +189,16 @@ class TestTrainCsecErrors:
         with pytest.raises(ConfigInvalidError):
             train_csec(_gamma_pairs(1, 1, 8), init_csec(CsecConfig()), epochs=0)
 
-    def test_nan_target_stops_at_the_first_step(self):
-        (corrupted, clean), = _gamma_pairs(1, 1, 8)
+    def test_non_finite_loss_stops_at_the_first_step(self):
+        # a NaN in the decoder's output layer makes every pixel NaN; a NaN
+        # target, which once did the same, is refused before any step
         params = init_csec(CsecConfig(), seed=2)
+        params["dec.w3"].data.reshape(-1)[0] = np.nan
         before = {k: p.data.copy() for k, p in params.items()}
         with pytest.raises(TrainingDivergedError,
-                           match=r"at epoch 1, step 1, samples \[0\]; last finite "
-                                 r"epoch-mean loss None"):
-            train_csec([(corrupted, np.full_like(clean, np.nan))], params, epochs=2)
+                           match=r"^non-finite training loss nan at epoch 1, step 1, "
+                                 r"samples \[0\]; last finite epoch-mean loss None$"):
+            train_csec(_gamma_pairs(1, 1, 8), params, epochs=2)
         _assert_same_bytes(params, {k: Tensor(v) for k, v in before.items()})
 
 

@@ -1,11 +1,7 @@
 """Unit tests for the toy segmentation model and training pipeline."""
 
-import os
 import platform
 import resource
-import subprocess
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -356,10 +352,6 @@ class TestInputExtent:
             model.forward(SplitMix64(1).uniform_array((1, 3, h, w), 0, 1))
 
 
-# numpy's build record for a wheel that bundles OpenBLAS
-OPENBLAS_BUILD = {"Build Dependencies": {"blas": {"name": "scipy-openblas"}}}
-
-
 class TestBatchedPrediction:
     """Validation, scoring and eval forward _CHUNK images at a time; their
     masks must be the per-image predict masks, bit for bit."""
@@ -452,28 +444,23 @@ class TestBatchedPrediction:
         assert len(np.unique(masks)) > 1
         assert np.array_equal(masks, np.argmax(pixel, axis=1))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("use_csec", [False, True])
-    def test_pooled_chunks_give_the_per_image_masks(self, monkeypatch, workers, use_csec):
-        # 9 images are 3 chunks, the last one partial: at 2 workers they are
-        # mapped over the thread pool, at 1 forwarded inline, whatever this
-        # host's CPUs and BLAS threads
-        monkeypatch.setattr(segnet, "_predict_workers", lambda: workers)
+    def test_chunks_give_the_per_image_masks(self, monkeypatch, use_csec):
+        # 9 images are 3 chunks, the last one partial
         data = _dataset(14, 9)
         images = np.concatenate([img for img, _ in data])
         model = self._model(images, use_csec)
         preds = [predict(model, img) for img, _ in data]
         assert len({p.tobytes() for p in preds}) > 1
-        threads, forward = [], model.patch_logits
+        chunks, forward = [], model.patch_logits
 
         def spy(chunk):
-            threads.append(threading.get_ident())
+            chunks.append(len(chunk))
             return forward(chunk)
 
         monkeypatch.setattr(model, "patch_logits", spy)
         assert _predict_masks(model, images).tobytes() == np.stack(preds).tobytes()
-        assert len(threads) == 3
-        assert (threading.get_ident() in threads) == (workers == 1)
+        assert chunks == [4, 4, 1]
         scores = score_samples(model, [(f"s{i}", img, mask) for i, (img, mask) in enumerate(data)])
         assert [s.error_rate for s in scores] == [pixel_error_rate(p, mask)
                                                   for p, (_, mask) in zip(preds, data)]
@@ -484,128 +471,53 @@ class TestBatchedPrediction:
         assert tensor._grad_enabled
         assert model.forward(images[:1])._parents
 
-    def test_more_workers_than_cpus_switching_often_give_the_serial_masks(self, monkeypatch):
-        # workers share the no_grad flag, which the corrector's own no_grad
-        # sets in each of them, and rope's layout cache
-        imgs = SplitMix64(10).uniform_array((40, 3, 16, 16), 0, 1).astype(np.float32)
-        model = self._model(imgs, use_csec=True)
-        monkeypatch.setattr(segnet, "_predict_workers", lambda: 1)
-        want = _predict_masks(model, imgs)
-        monkeypatch.setattr(segnet, "_predict_workers", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert _predict_masks(model, imgs).tobytes() == want.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-        assert tensor._grad_enabled
-
-    @pytest.mark.parametrize("cpus,others,env,want", [
-        (2, 0, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (2, 0, {"OPENBLAS_NUM_THREADS": "2"}, 1),
-        (2, 0, {"OPENBLAS_NUM_THREADS": "4"}, 1),
-        (2, 0, {}, 1),
-        (8, 0, {"OMP_NUM_THREADS": "2"}, 4),
-        (8, 0, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
-        (8, 0, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
-        # as OpenBLAS reads them, with atoi: a value whose atoi is not
-        # positive passes to the next variable, and after the last means
-        # every CPU; atoi reads ASCII digits after blanks and a sign, and
-        # stops at the first other character
-        (8, 0, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8),
-        (8, 0, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "-2"}, 1),
-        (8, 0, {"OPENBLAS_NUM_THREADS": "\u00b2", "OMP_NUM_THREADS": "2"}, 4),
-        (8, 0, {"OPENBLAS_NUM_THREADS": "\u0662", "OMP_NUM_THREADS": "4"}, 2),
-        (8, 0, {"OPENBLAS_NUM_THREADS": " +2x"}, 4),
-        (1, 0, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        # CPUs that other processes are running on are not idle
-        (2, 1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (2, 3, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (8, 3, {"OPENBLAS_NUM_THREADS": "2"}, 2),
-        (8, None, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ])
-    def test_workers_are_the_cpus_blas_and_others_leave_idle(self, monkeypatch, cpus, others,
-                                                              env, want):
-        monkeypatch.setattr(segnet.np.__config__, "CONFIG", OPENBLAS_BUILD, raising=False)
-        monkeypatch.setattr(segnet.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(segnet, "_others_running", lambda: others)
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert segnet._predict_workers() == want
-
-    @pytest.mark.parametrize("config", [
-        {}, {"Build Dependencies": {"blas": {"name": "mkl-sdl"}}},
-        {"Build Dependencies": {"blas": {"name": "accelerate"}}}])
-    def test_a_blas_that_is_not_openblas_stays_serial(self, monkeypatch, config):
-        # MKL and Accelerate ignore OpenBLAS's variables; a numpy too old to
-        # name its BLAS is not trusted either
-        monkeypatch.setattr(segnet.os, "sched_getaffinity", lambda pid: set(range(8)))
-        monkeypatch.setattr(segnet, "_others_running", lambda: 0)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(segnet.np.__config__, "CONFIG", config, raising=False)
-        assert segnet._predict_workers() == 1
-
-    @pytest.mark.skipif(not os.path.exists("/proc/loadavg"), reason="Linux procfs")
-    def test_others_running_counts_a_process_in_a_spin_loop(self):
-        # a process in a spin loop runs or waits to run, and is counted; a
-        # reading can be None if a thread exits while it lists them
-        spin = subprocess.Popen([sys.executable, "-c", "print(flush=True)\nwhile True: pass"],
-                                stdout=subprocess.PIPE)
-        try:
-            spin.stdout.readline()
-            readings = [segnet._others_running() for _ in range(20)]
-            assert max(r for r in readings if r is not None) >= 1
-        finally:
-            spin.kill()
-            spin.wait(timeout=10)
-
-    def test_rounds_follow_the_worker_count_read_before_each(self, monkeypatch):
-        # each round takes the larger of the last two readings: a round of
-        # 2 x _ROUND chunks pooled at 2, another at 1 (2 was read before),
-        # one of _ROUND inline at 1 and 1, then the last two chunks, one of
-        # them partial, pooled at 3 on the first pooled round's 2 threads
-        pooled, inline = 2 * segnet._ROUND, segnet._ROUND
-        shape = (segnet._CHUNK * (2 * pooled + inline + 2) - 2, 3, 16, 16)
-        imgs = SplitMix64(11).uniform_array(shape, 0, 1).astype(np.float32)
-        model = self._model(imgs)
-        want = np.stack([predict(model, img[None]) for img in imgs])
-        counts = iter([2, 1, 1, 3])
-        monkeypatch.setattr(segnet, "_predict_workers", lambda: next(counts))
-        threads, forward = [], model.patch_logits
+    @pytest.mark.parametrize("n, use_csec, sizes", [
+        (1, False, [1]), (3, True, [3]), (4, False, [4]), (5, True, [4, 1]), (8, True, [4, 4])],
+        ids=["1", "3-csec", "4", "5-csec", "8-csec"])
+    def test_each_chunk_is_forwarded_once_recording_no_graph(self, monkeypatch, n, use_csec,
+                                                             sizes):
+        # fewer images than a chunk, one chunk exactly, one image over, two
+        # chunks exactly; the corrector's own no_grad, left within a chunk,
+        # must not turn graph recording back on for the chunks after it
+        imgs = SplitMix64(12).uniform_array((n, 3, 16, 16), 0, 1).astype(np.float32)
+        model = self._model(imgs, use_csec)
+        want = np.stack([predict(model, imgs[i:i + 1]) for i in range(n)])
+        chunks, forward = [], model.patch_logits
 
         def spy(chunk):
-            threads.append(threading.get_ident())
-            return forward(chunk)
+            out = forward(chunk)
+            chunks.append((len(chunk), out.requires_grad, out._parents))
+            return out
 
         monkeypatch.setattr(model, "patch_logits", spy)
         assert _predict_masks(model, imgs).tobytes() == want.tobytes()
-        main = threading.get_ident()
-        assert [t == main for t in threads] == [False] * 2 * pooled + [True] * inline + [False] * 2
-        assert len(set(threads) - {main}) <= 2
+        assert chunks == [(size, False, ()) for size in sizes]
+        assert tensor._grad_enabled
 
-    def test_a_failing_later_chunk_raises_as_the_serial_loop_does(self, monkeypatch):
+    def test_a_failing_later_chunk_raises_as_the_serial_loop_does(self):
         imgs = SplitMix64(9).uniform_array((9, 3, 16, 16), 0, 1).astype(np.float32)
         model = self._model(imgs, use_csec=True)
         # out of range for the corrector in chunks 2 and 3: chunk 2's error
-        # surfaces, however the pool orders the work
+        # surfaces
         imgs[6, 0, 3, 3] = 1.5
         imgs[8, 1, 2, 2] = 2.5
-        errors = []
-        for workers in (1, 2):
-            monkeypatch.setattr(segnet, "_predict_workers", lambda: workers)
-            with pytest.raises(SegkitError, match="1.5") as err:
-                _predict_masks(model, imgs)
-            errors.append((type(err.value), str(err.value)))
-            assert tensor._grad_enabled
-            assert model.forward(imgs[:1])._parents
-        assert errors[0] == errors[1]
+        with pytest.raises(SegkitError, match=r", 1\.5\] are not all finite"):
+            _predict_masks(model, imgs)
+        assert tensor._grad_enabled
+        assert model.forward(imgs[:1])._parents
 
-    def test_empty_batch_is_rejected(self):
+    def test_empty_batch_is_rejected(self, monkeypatch):
+        # a batch of several images is refused before any forward, an empty
+        # one by the model's own forward
+        model = build_model(ModelConfig(**SMALL))
+        chunks, forward = [], model.patch_logits
+        monkeypatch.setattr(model, "patch_logits", lambda x: chunks.append(len(x)) or forward(x))
+        with pytest.raises(ShapeMismatchError, match="^predict takes one image, got a batch of 3$"):
+            predict(model, np.zeros((3, 3, 16, 16), np.float32))
+        assert chunks == []
         with pytest.raises(ShapeMismatchError, match="^zero extent in shape"):
-            predict(build_model(ModelConfig(**SMALL)), np.zeros((0, 3, 16, 16), np.float32))
+            predict(model, np.zeros((0, 3, 16, 16), np.float32))
+        assert chunks == [0]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
     def test_repeated_forwards_reuse_the_freed_heap(self):
